@@ -408,6 +408,39 @@ func BenchmarkQuorumWriteParallel(b *testing.B) {
 	}
 }
 
+// benchObjectDelete times Delete of a one-stripe object on the
+// Figure-3 configuration under the 200µs per-node delay; the Put that
+// creates each object runs with the timer stopped.
+func benchObjectDelete(b *testing.B, extra ...Option) {
+	b.Helper()
+	ctx := context.Background()
+	store, err := Open(ctx, append([]Option{WithBackend(lanBackend())}, extra...)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { store.Close() })
+	payload := bytes.Repeat([]byte{0xCD}, 8*4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := store.Put(ctx, "obj", payload); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := store.Delete(ctx, "obj"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkObjectDeleteSequential removes the object's n = 15 chunks
+// one RPC at a time: n·d.
+func BenchmarkObjectDeleteSequential(b *testing.B) { benchObjectDelete(b, WithConcurrency(1)) }
+
+// BenchmarkObjectDeleteParallel is the same Delete on the default
+// engine: the removals fan out, and the stripe costs one delay d.
+func BenchmarkObjectDeleteParallel(b *testing.B) { benchObjectDelete(b) }
+
 // BenchmarkFirstKDecodeUnderStraggler measures the degraded-read
 // decode path with one surviving parity node 100× slower than the
 // rest: first-k termination decodes from the 13 prompt shards and

@@ -577,9 +577,7 @@ func (f *Fleet) broadcastEpoch(ctx context.Context, installed, retired uint64) e
 // already in the target epoch or was deleted).
 func (s *Store) migrateObject(ctx context.Context, key string, target *epochCfg) (int64, error) {
 	f := s.fleet
-	lk := f.objLock(s.tenant, key)
-	lk.Lock()
-	defer lk.Unlock()
+	defer f.lockObject(s.tenant, key, true)()
 
 	f.mu.Lock()
 	m, ok := s.directory[key]
@@ -615,14 +613,9 @@ func (s *Store) migrateObject(ctx context.Context, key string, target *epochCfg)
 	if stripeCount == 0 {
 		stripeCount = 1
 	}
-	type planned struct {
-		id     uint64
-		sys    *core.System
-		blocks [][]byte
-		nodes  []int
-	}
 	f.mu.Lock()
-	plan := make([]planned, 0, stripeCount)
+	plan := make([]placedStripe, 0, stripeCount)
+	payload := make([][][]byte, 0, stripeCount)
 	for i := 0; i < stripeCount; i++ {
 		id := f.nextStripe
 		f.nextStripe++
@@ -645,21 +638,16 @@ func (s *Store) migrateObject(ctx context.Context, key string, target *epochCfg)
 			}
 			blocks[b] = block
 		}
-		plan = append(plan, planned{id: id, sys: sys, blocks: blocks, nodes: nodes})
+		plan = append(plan, placedStripe{id: id, sys: sys, nodes: nodes})
+		payload = append(payload, blocks)
 	}
 	f.mu.Unlock()
 
 	for i, p := range plan {
-		if err := p.sys.SeedStripe(ctx, p.id, p.blocks); err != nil {
+		if err := p.sys.SeedStripe(ctx, p.id, payload[i]); err != nil {
 			// Unwind the partial seed; the object stays untouched in
 			// its old epoch and the step is retried.
-			dctx := context.Background()
-			for _, d := range plan[:i+1] {
-				for shard, node := range d.nodes {
-					_ = f.nodeClient(node).DeleteChunk(dctx, client.ChunkID{Stripe: d.id, Shard: shard})
-				}
-				d.sys.ForgetStripe(d.id)
-			}
+			s.ctr.chunksOrphaned.Add(int64(f.dropStripes(plan[:i+1])))
 			return 0, fmt.Errorf("seeding stripe %d: %w", p.id, err)
 		}
 	}
@@ -674,29 +662,13 @@ func (s *Store) migrateObject(ctx context.Context, key string, target *epochCfg)
 		f.stripeLoc[p.id] = p.nodes
 		newStripes = append(newStripes, p.id)
 	}
-	oldSys := make(map[uint64]*core.System, len(src.stripes))
-	oldLoc := make(map[uint64][]int, len(src.stripes))
-	for _, stx := range src.stripes {
-		oldSys[stx] = f.stripeSys[stx]
-		oldLoc[stx] = f.stripeLoc[stx]
-		delete(f.stripeSys, stx)
-		delete(f.stripeLoc, stx)
-	}
+	old := f.unregisterLocked(src.stripes)
 	m.stripes = newStripes
 	m.ec = target
 	f.mu.Unlock()
 
-	// Drop the old epoch's chunks (best-effort, detached context —
-	// stripe ids are never reused, and a node down right now keeps
-	// orphan chunks exactly like after a Delete).
-	dctx := context.Background()
-	for _, stx := range src.stripes {
-		for shard, node := range oldLoc[stx] {
-			_ = f.nodeClient(node).DeleteChunk(dctx, client.ChunkID{Stripe: stx, Shard: shard})
-		}
-		if sys := oldSys[stx]; sys != nil {
-			sys.ForgetStripe(stx)
-		}
-	}
+	// Drop the old epoch's chunks: a node down right now keeps orphan
+	// chunks exactly like after a Delete.
+	s.ctr.chunksOrphaned.Add(int64(f.dropStripes(old)))
 	return int64(src.size), nil
 }

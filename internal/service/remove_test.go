@@ -1,0 +1,410 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"trapquorum/client"
+	"trapquorum/internal/core"
+	"trapquorum/internal/sim"
+	"trapquorum/internal/trapezoid"
+	"trapquorum/placement"
+)
+
+// Chunk removal: Delete, the three seed-failure unwinds and the
+// migration cut-over all go through Fleet.dropStripes. These tests run
+// a (9,6) code round-robin over nine nodes, so every stripe puts
+// exactly one chunk on every node and a node's ChunkCount is the
+// number of stripes alive.
+
+const removeNodes = 9
+
+// probe is what the probed node clients of one fleet share: a fault to
+// inject into PutChunk (breaking a seed midway) and a rendezvous that
+// holds DeleteChunk calls until enough of them are in flight.
+type probe struct {
+	failPut atomic.Pointer[func(client.ChunkID) bool]
+
+	mu       sync.Mutex
+	want     int // 0: DeleteChunk passes straight through
+	inflight int
+	peak     int
+	met      chan struct{} // closed once want calls are in flight together
+	patience time.Duration
+}
+
+// arm makes every DeleteChunk wait until want of them are in flight at
+// once, or for patience.
+func (p *probe) arm(want int, patience time.Duration) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.want, p.inflight, p.peak = want, 0, 0
+	p.met, p.patience = make(chan struct{}), patience
+}
+
+// rendezvous reports whether want calls were ever in flight together,
+// and the most that were.
+func (p *probe) rendezvous() (met bool, peak int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	select {
+	case <-p.met:
+		met = true
+	default:
+	}
+	return met, p.peak
+}
+
+type probedNode struct {
+	core.NodeClient
+	p *probe
+}
+
+func (n probedNode) PutChunk(ctx context.Context, id client.ChunkID, data []byte, versions []uint64, sums ...client.BlockSum) error {
+	if fail := n.p.failPut.Load(); fail != nil && (*fail)(id) {
+		return fmt.Errorf("%w: injected", client.ErrNodeDown)
+	}
+	return n.NodeClient.PutChunk(ctx, id, data, versions, sums...)
+}
+
+func (n probedNode) DeleteChunk(ctx context.Context, id client.ChunkID) error {
+	p := n.p
+	p.mu.Lock()
+	if p.want == 0 {
+		p.mu.Unlock()
+		return n.NodeClient.DeleteChunk(ctx, id)
+	}
+	p.inflight++
+	if p.inflight > p.peak {
+		p.peak = p.inflight
+		if p.peak == p.want {
+			close(p.met)
+		}
+	}
+	met, patience := p.met, p.patience
+	p.mu.Unlock()
+	select {
+	case <-met:
+	case <-time.After(patience):
+	}
+	p.mu.Lock()
+	p.inflight--
+	p.mu.Unlock()
+	return n.NodeClient.DeleteChunk(ctx, id)
+}
+
+// newProbedStore builds a single-tenant (9,6) store over clusterSize
+// probed nodes, placed round-robin on the first nine.
+func newProbedStore(t *testing.T, clusterSize, concurrency int) (*Store, *sim.Cluster, *probe) {
+	t.Helper()
+	cluster, err := sim.NewCluster(clusterSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Close)
+	p := &probe{}
+	nodes := make([]core.NodeClient, clusterSize)
+	for j := range nodes {
+		nodes[j] = probedNode{NodeClient: cluster.Node(j), p: p}
+	}
+	strat, err := placement.NewRoundRobin(removeNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := New(nodes, Config{
+		N: 9, K: 6,
+		Shape: trapezoid.Shape{A: 2, B: 1, H: 1}, W: 2,
+		BlockSize:   testBlockSize,
+		Placement:   strat,
+		Concurrency: concurrency,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store, cluster, p
+}
+
+// chunkCounts reads every node's chunk count straight from its engine,
+// so a crashed node still answers.
+func chunkCounts(t *testing.T, cluster *sim.Cluster) []int {
+	t.Helper()
+	out := make([]int, cluster.Size())
+	for j := range out {
+		n, err := cluster.Node(j).Engine().ChunkCount(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[j] = n
+	}
+	return out
+}
+
+// registeredStripes lists every stripe any protocol instance of the
+// fleet still has registered.
+func registeredStripes(f *Fleet) []uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var out []uint64
+	for _, sys := range f.systems {
+		out = append(out, sys.Stripes()...)
+	}
+	return out
+}
+
+// stripesOfBytes is an object size spanning the given number of (9,6)
+// stripes, the last one partly filled.
+func stripesOfBytes(stripes int) []byte {
+	return streamPattern(stripes*6*testBlockSize - 10)
+}
+
+// TestDeleteFansOut: the nine removals of a one-stripe object are in
+// flight together under the default engine — each DeleteChunk is held
+// until all nine have arrived, so a sequential walk could never finish
+// — and strictly one at a time under Concurrency 1.
+func TestDeleteFansOut(t *testing.T) {
+	ctx := context.Background()
+	t.Run("default", func(t *testing.T) {
+		store, _, p := newProbedStore(t, removeNodes, 0)
+		if err := store.Put(ctx, "obj", stripesOfBytes(1)); err != nil {
+			t.Fatal(err)
+		}
+		p.arm(removeNodes, 5*time.Second)
+		if err := store.Delete(ctx, "obj"); err != nil {
+			t.Fatal(err)
+		}
+		if met, peak := p.rendezvous(); !met {
+			t.Fatalf("at most %d of %d removals were in flight together", peak, removeNodes)
+		}
+	})
+	t.Run("concurrency-1", func(t *testing.T) {
+		store, _, p := newProbedStore(t, removeNodes, 1)
+		if err := store.Put(ctx, "obj", stripesOfBytes(1)); err != nil {
+			t.Fatal(err)
+		}
+		// Every removal waits a while for a second one to join it; under
+		// the sequential engine none does.
+		p.arm(2, 20*time.Millisecond)
+		if err := store.Delete(ctx, "obj"); err != nil {
+			t.Fatal(err)
+		}
+		if _, peak := p.rendezvous(); peak != 1 {
+			t.Fatalf("%d removals in flight together with Concurrency 1", peak)
+		}
+	})
+}
+
+// TestDeleteMultiStripeRestoresNodes: an acknowledged Delete of a
+// multi-stripe object has removed every chunk and every registration.
+func TestDeleteMultiStripeRestoresNodes(t *testing.T) {
+	ctx := context.Background()
+	store, cluster, _ := newProbedStore(t, removeNodes, 0)
+	if err := store.Put(ctx, "stays", stripesOfBytes(2)); err != nil {
+		t.Fatal(err)
+	}
+	before := chunkCounts(t, cluster)
+	kept := registeredStripes(store.fleet)
+	if err := store.Put(ctx, "goes", stripesOfBytes(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Delete(ctx, "goes"); err != nil {
+		t.Fatal(err)
+	}
+	if after := chunkCounts(t, cluster); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("chunk counts %v after delete, %v before put", after, before)
+	}
+	if left := registeredStripes(store.fleet); len(left) != len(kept) {
+		t.Fatalf("stripes %v still registered, want only %v", left, kept)
+	}
+	if got := store.Stripes(); len(got) != len(kept) {
+		t.Fatalf("fleet lists stripes %v, want only %v", got, kept)
+	}
+	if m := store.TenantMetrics(); m.ChunksOrphaned != 0 || m.Deletes != 1 {
+		t.Fatalf("metrics %+v", m)
+	}
+}
+
+// TestDeleteWithNodeDownCountsOrphans: Delete stays best-effort — a
+// down node keeps its chunks, the rest are clean, and the orphans are
+// counted.
+func TestDeleteWithNodeDownCountsOrphans(t *testing.T) {
+	ctx := context.Background()
+	const stripes, down = 4, 4
+	store, cluster, _ := newProbedStore(t, removeNodes, 0)
+	if err := store.Put(ctx, "obj", stripesOfBytes(stripes)); err != nil {
+		t.Fatal(err)
+	}
+	cluster.Crash(down)
+	if err := store.Delete(ctx, "obj"); err != nil {
+		t.Fatalf("delete with one node down: %v", err)
+	}
+	for j, n := range chunkCounts(t, cluster) {
+		want := 0
+		if j == down {
+			want = stripes
+		}
+		if n != want {
+			t.Errorf("node %d holds %d chunks, want %d", j, n, want)
+		}
+	}
+	if got := store.TenantMetrics().ChunksOrphaned; got != stripes {
+		t.Fatalf("ChunksOrphaned = %d, want %d", got, stripes)
+	}
+	if left := registeredStripes(store.fleet); len(left) != 0 {
+		t.Fatalf("stripes %v still registered", left)
+	}
+}
+
+// TestFailedSeedLeavesNoChunks breaks the second stripe's seed on one
+// shard — the first stripe is whole, the second partly installed — for
+// each of the three seeding paths, and checks the shared unwind left
+// nothing behind.
+func TestFailedSeedLeavesNoChunks(t *testing.T) {
+	ctx := context.Background()
+	// breakSecondStripe fails shard 3 of the second stripe allocated
+	// from now on.
+	breakSecondStripe := func(f *Fleet, p *probe) {
+		f.mu.Lock()
+		doomed := f.nextStripe + 1
+		f.mu.Unlock()
+		fail := func(id client.ChunkID) bool { return id.Stripe == doomed && id.Shard == 3 }
+		p.failPut.Store(&fail)
+	}
+	// checkClean: the nodes hold what they held before, and only the
+	// stripes registered before are still registered.
+	checkClean := func(t *testing.T, store *Store, cluster *sim.Cluster, before []int, registered int) {
+		t.Helper()
+		if after := chunkCounts(t, cluster); fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Fatalf("chunk counts %v after the failed seed, %v before", after, before)
+		}
+		if left := registeredStripes(store.fleet); len(left) != registered {
+			t.Fatalf("stripes %v registered after the unwind, want %d", left, registered)
+		}
+		if got := store.TenantMetrics().ChunksOrphaned; got != 0 {
+			t.Fatalf("ChunksOrphaned = %d with every node up", got)
+		}
+	}
+	payload := stripesOfBytes(3)
+
+	t.Run("Put", func(t *testing.T) {
+		store, cluster, p := newProbedStore(t, removeNodes, 0)
+		before := chunkCounts(t, cluster)
+		breakSecondStripe(store.fleet, p)
+		if err := store.Put(ctx, "doomed", payload); !errors.Is(err, client.ErrNodeDown) {
+			t.Fatalf("err = %v", err)
+		}
+		checkClean(t, store, cluster, before, 0)
+	})
+	t.Run("PutReader", func(t *testing.T) {
+		store, cluster, p := newProbedStore(t, removeNodes, 0)
+		before := chunkCounts(t, cluster)
+		breakSecondStripe(store.fleet, p)
+		err := store.PutReader(ctx, "doomed", bytes.NewReader(payload), len(payload))
+		if !errors.Is(err, client.ErrNodeDown) {
+			t.Fatalf("err = %v", err)
+		}
+		checkClean(t, store, cluster, before, 0)
+	})
+	t.Run("migrateObject", func(t *testing.T) {
+		store, cluster, p := newProbedStore(t, removeNodes+3, 0)
+		f := store.fleet
+		if err := store.Put(ctx, "moved", payload); err != nil {
+			t.Fatal(err)
+		}
+		before := chunkCounts(t, cluster)
+		old := registeredStripes(f)
+		// Move the roster three nodes along: 3..11.
+		roster := make([]int, removeNodes)
+		for i := range roster {
+			roster[i] = i + 3
+		}
+		if err := f.StartReconfigure(ctx, ReconfigSpec{Active: roster}); err != nil {
+			t.Fatal(err)
+		}
+		breakSecondStripe(f, p)
+		if _, err := f.MigrationStep(ctx); !errors.Is(err, client.ErrNodeDown) {
+			t.Fatalf("migration step err = %v", err)
+		}
+		checkClean(t, store, cluster, before, len(old))
+		// With the fault gone the object moves, and the cut-over drops
+		// the old epoch's chunks through the same helper.
+		p.failPut.Store(nil)
+		if err := f.DriveMigration(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for j, n := range chunkCounts(t, cluster) {
+			want := 3
+			if j < 3 {
+				want = 0
+			}
+			if n != want {
+				t.Errorf("node %d holds %d chunks after the move, want %d", j, n, want)
+			}
+		}
+		for _, st := range registeredStripes(f) {
+			for _, o := range old {
+				if st == o {
+					t.Errorf("old stripe %d still registered after cut-over", st)
+				}
+			}
+		}
+		if got, err := store.Get(ctx, "moved"); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("object after the move: %v", err)
+		}
+		if got := store.TenantMetrics().ChunksOrphaned; got != 0 {
+			t.Fatalf("ChunksOrphaned = %d", got)
+		}
+	})
+}
+
+// TestObjectLockTableDrains: the per-object lock table holds an entry
+// only while an operation uses it — churn over fresh keys, deletes of
+// keys that never existed, and writers sharing one key's lock all
+// leave it empty.
+func TestObjectLockTableDrains(t *testing.T) {
+	ctx := context.Background()
+	store, _, _ := newProbedStore(t, removeNodes, 0)
+	payload := stripesOfBytes(1)
+	if err := store.Put(ctx, "shared", payload); err != nil {
+		t.Fatal(err)
+	}
+	const workers, cycles = 4, 250
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < cycles; i++ {
+				key := fmt.Sprintf("w%d/o%d", w, i)
+				if err := store.Put(ctx, key, payload); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := store.WriteAt(ctx, "shared", w, []byte{byte(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := store.Delete(ctx, key); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := store.Delete(ctx, key+"/never"); !errors.Is(err, ErrUnknownKey) {
+					t.Errorf("delete of unknown key: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	store.fleet.mu.Lock()
+	left := len(store.fleet.locks)
+	store.fleet.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d entries left in the object lock table", left)
+	}
+}

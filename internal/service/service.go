@@ -117,6 +117,10 @@ type TenantMetrics struct {
 	BytesIn, BytesOut int64
 	// QuotaRejections counts mutations refused by the tenant's quota.
 	QuotaRejections int64
+	// ChunksOrphaned counts best-effort chunk removals that failed (a
+	// placed node was down or erred) in Delete, a failed Put's unwind
+	// or a migration: chunks left behind until the node is re-placed.
+	ChunksOrphaned int64
 	// Objects and UsedBytes are the namespace's current size (gauges,
 	// not counters).
 	Objects, UsedBytes int64
@@ -127,7 +131,7 @@ type TenantMetrics struct {
 type tenantCounters struct {
 	puts, gets, readAts, writeAts, deletes, scrubs atomic.Int64
 	bytesIn, bytesOut                              atomic.Int64
-	quotaRejections                                atomic.Int64
+	quotaRejections, chunksOrphaned                atomic.Int64
 }
 
 // objectMeta records where an object lives: its stripes and the
@@ -158,7 +162,7 @@ type Fleet struct {
 	retired    uint64    // highest epoch fenced off at the nodes
 	mig        *migration
 	putsIn     map[uint64]int // in-flight Put/PutReader count per epoch
-	locks      map[string]*sync.RWMutex
+	locks      map[string]*objLock
 	tenants    map[string]*Store
 	systems    map[string]*core.System // keyed by epoch|placement signature
 	stripeSys  map[uint64]*core.System
@@ -260,7 +264,7 @@ func NewFleet(nodes []core.NodeClient, cfg Config) (*Fleet, error) {
 		cur:        ec,
 		retired:    retired,
 		putsIn:     make(map[uint64]int),
-		locks:      make(map[string]*sync.RWMutex),
+		locks:      make(map[string]*objLock),
 		tenants:    make(map[string]*Store),
 		systems:    make(map[string]*core.System),
 		stripeSys:  make(map[uint64]*core.System),
@@ -349,6 +353,7 @@ func (s *Store) TenantMetrics() TenantMetrics {
 		BytesIn:         s.ctr.bytesIn.Load(),
 		BytesOut:        s.ctr.bytesOut.Load(),
 		QuotaRejections: s.ctr.quotaRejections.Load(),
+		ChunksOrphaned:  s.ctr.chunksOrphaned.Load(),
 	}
 	s.fleet.mu.Lock()
 	m.Objects = int64(len(s.directory))
@@ -365,14 +370,6 @@ func (s *Store) Fleet() *Fleet { return s.fleet }
 
 // capacity returns the payload bytes one stripe holds in this epoch.
 func (ec *epochCfg) capacity(blockSize int) int { return ec.k * blockSize }
-
-// nodeClient returns cluster node j's transport, safely against a
-// roster growing under reconfiguration.
-func (f *Fleet) nodeClient(j int) core.NodeClient {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.nodes[j]
-}
 
 // systemFor returns (building if needed) the protocol instance bound
 // to the given node placement under the given epoch's geometry. The
@@ -442,24 +439,106 @@ func (f *Fleet) SetCorruptionHandler(fn func(node int)) {
 // the cluster).
 func (s *Store) SetCorruptionHandler(fn func(node int)) { s.fleet.SetCorruptionHandler(fn) }
 
-// objLock returns the per-object reconfiguration lock of one tenant
-// key, creating it on first use. Writers (WriteAt) hold it shared,
-// Delete and the migration's object move hold it exclusive — so a
-// migration never copies an object while a write is landing on its old
-// stripes, and no acked write can be lost at cutover. Lock entries are
-// never removed: a lock resurrected for a re-created key must be the
-// same lock any straggling holder still has, or two migrations could
-// race on different locks for one key.
-func (f *Fleet) objLock(tenant, key string) *sync.RWMutex {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// objLock is one entry of the per-object reconfiguration lock table.
+type objLock struct {
+	sync.RWMutex
+	refs int // holders and waiters; guarded by Fleet.mu
+}
+
+// lockObject takes the reconfiguration lock of one tenant key and
+// returns its release. Writers (WriteAt) hold it shared, Delete and the
+// migration's object move hold it exclusive — so a migration never
+// copies an object while a write is landing on its old stripes, and no
+// acked write can be lost at cutover. Entries are reference-counted: a
+// straggling holder and a newcomer always share one lock (or two
+// migrations could race on different locks for one key), and the table
+// is empty whenever no operation is in flight.
+func (f *Fleet) lockObject(tenant, key string, exclusive bool) (unlock func()) {
 	id := tenant + "\x00" + key
+	f.mu.Lock()
 	l := f.locks[id]
 	if l == nil {
-		l = &sync.RWMutex{}
+		l = &objLock{}
 		f.locks[id] = l
 	}
-	return l
+	l.refs++
+	f.mu.Unlock()
+	if exclusive {
+		l.Lock()
+	} else {
+		l.RLock()
+	}
+	return func() {
+		if exclusive {
+			l.Unlock()
+		} else {
+			l.RUnlock()
+		}
+		f.mu.Lock()
+		if l.refs--; l.refs == 0 {
+			delete(f.locks, id)
+		}
+		f.mu.Unlock()
+	}
+}
+
+// placedStripe is one stripe with its protocol instance and the cluster
+// node of each shard: what registration and chunk removal both need.
+type placedStripe struct {
+	id    uint64
+	sys   *core.System
+	nodes []int
+}
+
+// dropStripes removes every chunk of the given stripes from its placed
+// node, forgets the stripes' registrations, and returns how many
+// removals failed. Best-effort on a detached context: the caller's may
+// be dead, and since stripe ids are never reused a chunk skipped here
+// stays orphaned until its node is repaired or re-placed. The removals
+// fan out stripe-major (consecutive tasks land on distinct nodes) under
+// the sweep bound, so the call costs the slowest node of each round,
+// not the sum over shards; the order in which shards disappear is
+// unspecified. Every removal has settled when it returns.
+func (f *Fleet) dropStripes(set []placedStripe) (orphaned int) {
+	type removal struct {
+		node core.NodeClient
+		id   client.ChunkID
+	}
+	var tasks []removal
+	f.mu.Lock()
+	for _, st := range set {
+		for shard, node := range st.nodes {
+			tasks = append(tasks, removal{f.nodes[node], client.ChunkID{Stripe: st.id, Shard: shard}})
+		}
+	}
+	f.mu.Unlock()
+	core.Fanout(context.Background(), core.BulkLimit(f.cfg.Concurrency), len(tasks),
+		func(ctx context.Context, i int) (struct{}, error) {
+			return struct{}{}, tasks[i].node.DeleteChunk(ctx, tasks[i].id)
+		}, func(_ int, _ struct{}, err error) bool {
+			if err != nil {
+				orphaned++
+			}
+			return true
+		})
+	for _, st := range set {
+		if st.sys != nil {
+			st.sys.ForgetStripe(st.id)
+		}
+	}
+	return orphaned
+}
+
+// unregisterLocked takes the stripes out of the fleet's tables and
+// returns them as dropStripes wants them. Caller holds f.mu.
+func (f *Fleet) unregisterLocked(stripes []uint64) []placedStripe {
+	out := make([]placedStripe, 0, len(stripes))
+	for _, st := range stripes {
+		out = append(out, placedStripe{id: st, sys: f.stripeSys[st], nodes: f.stripeLoc[st]})
+		delete(f.stripeSys, st)
+		delete(f.stripeLoc, st)
+	}
+	return out
 }
 
 func placementKey(nodes []int) string {
@@ -530,13 +609,8 @@ func (s *Store) Put(ctx context.Context, key string, data []byte) error {
 	if stripeCount == 0 {
 		stripeCount = 1 // empty objects still own one stripe for WriteAt growth semantics
 	}
-	type planned struct {
-		id     uint64
-		sys    *core.System
-		blocks [][]byte
-		nodes  []int
-	}
-	plan := make([]planned, 0, stripeCount)
+	plan := make([]placedStripe, 0, stripeCount)
+	payload := make([][][]byte, 0, stripeCount)
 	for i := 0; i < stripeCount; i++ {
 		id := f.nextStripe
 		f.nextStripe++
@@ -559,24 +633,18 @@ func (s *Store) Put(ctx context.Context, key string, data []byte) error {
 			}
 			blocks[b] = block
 		}
-		plan = append(plan, planned{id: id, sys: sys, blocks: blocks, nodes: nodes})
+		plan = append(plan, placedStripe{id: id, sys: sys, nodes: nodes})
+		payload = append(payload, blocks)
 	}
 	f.mu.Unlock()
 
 	stripes := make([]uint64, 0, len(plan))
 	for i, p := range plan {
-		if err := p.sys.SeedStripe(ctx, p.id, p.blocks); err != nil {
+		if err := p.sys.SeedStripe(ctx, p.id, payload[i]); err != nil {
 			// Nothing of this Put must survive: the key was never
-			// registered, so already-seeded stripes would otherwise
-			// leak as unreachable chunks. Best-effort cleanup on a
-			// detached context (the caller's may be dead).
-			dctx := context.Background()
-			for _, done := range plan[:i+1] {
-				for shard, node := range done.nodes {
-					_ = f.nodeClient(node).DeleteChunk(dctx, client.ChunkID{Stripe: done.id, Shard: shard})
-				}
-				done.sys.ForgetStripe(done.id)
-			}
+			// registered, so already-seeded stripes (and the partial
+			// one) would otherwise leak as unreachable chunks.
+			s.ctr.chunksOrphaned.Add(int64(f.dropStripes(plan[:i+1])))
 			return fmt.Errorf("stripe %d: %w", p.id, err)
 		}
 		stripes = append(stripes, p.id)
@@ -795,9 +863,7 @@ func (s *Store) WriteAt(ctx context.Context, key string, offset int, p []byte) e
 	// never copy the object while this write is landing, so no acked
 	// byte is left behind on retired stripes. Concurrent WriteAt calls
 	// all take it shared — their mutual semantics are unchanged.
-	lk := f.objLock(s.tenant, key)
-	lk.RLock()
-	defer lk.RUnlock()
+	defer f.lockObject(s.tenant, key, false)()
 	m, err := s.meta(key)
 	if err != nil {
 		return err
@@ -854,9 +920,7 @@ func (s *Store) Delete(ctx context.Context, key string) error {
 	f := s.fleet
 	// Exclusive object lock: a migration mid-copy of this object holds
 	// the same lock, so Delete never races the cutover swap.
-	lk := f.objLock(s.tenant, key)
-	lk.Lock()
-	defer lk.Unlock()
+	defer f.lockObject(s.tenant, key, true)()
 	f.mu.Lock()
 	m, ok := s.directory[key]
 	if !ok {
@@ -865,25 +929,9 @@ func (s *Store) Delete(ctx context.Context, key string) error {
 	}
 	delete(s.directory, key)
 	s.usedBytes -= int64(m.size)
-	stripes := append([]uint64(nil), m.stripes...)
-	locs := make(map[uint64][]int, len(stripes))
-	systems := make(map[uint64]*core.System, len(stripes))
-	for _, st := range stripes {
-		locs[st] = f.stripeLoc[st]
-		systems[st] = f.stripeSys[st]
-		delete(f.stripeSys, st)
-		delete(f.stripeLoc, st)
-	}
+	old := f.unregisterLocked(m.stripes)
 	f.mu.Unlock()
-	dctx := context.Background()
-	for _, st := range stripes {
-		for shard, node := range locs[st] {
-			_ = f.nodeClient(node).DeleteChunk(dctx, client.ChunkID{Stripe: st, Shard: shard})
-		}
-		if sys := systems[st]; sys != nil {
-			sys.ForgetStripe(st)
-		}
-	}
+	s.ctr.chunksOrphaned.Add(int64(f.dropStripes(old)))
 	s.ctr.deletes.Add(1)
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"trapquorum/client"
 	"trapquorum/internal/blockpool"
 	"trapquorum/internal/core"
 )
@@ -18,17 +17,10 @@ import (
 // stripes (one being read from the source while the previous one is
 // being encoded and seeded — a bounded pipeline of depth one).
 
-// seededStripe tracks one stripe attempt for registration or cleanup.
-type seededStripe struct {
-	id    uint64
-	sys   *core.System
-	nodes []int
-}
-
 // inflightSeed is the pipeline slot: a stripe whose encode+seed runs
 // while the next stripe is read from the source.
 type inflightSeed struct {
-	s    seededStripe
+	s    placedStripe
 	blks []*blockpool.Block
 	errc chan error
 }
@@ -83,8 +75,8 @@ func (s *Store) PutReader(ctx context.Context, key string, r io.Reader, size int
 	}
 
 	var (
-		attempted []seededStripe // every stripe that may hold shards (cleanup set)
-		seeded    []seededStripe // stripes whose seed completed (registration set)
+		attempted []placedStripe // every stripe that may hold shards (cleanup set)
+		seeded    []placedStripe // stripes whose seed completed (registration set)
 		inflight  *inflightSeed
 	)
 	// waitSeed drains the pipeline slot and recycles its blocks.
@@ -103,19 +95,12 @@ func (s *Store) PutReader(ctx context.Context, key string, r io.Reader, size int
 		return err
 	}
 	// unwind deletes the shards of every attempted stripe — the one
-	// that failed may be partially installed — on a detached context
-	// (the caller's may be what died).
+	// that failed may be partially installed.
 	unwind := func(err error) error {
 		if werr := waitSeed(); werr != nil && err == nil {
 			err = werr
 		}
-		dctx := context.Background()
-		for _, d := range attempted {
-			for shard, node := range d.nodes {
-				_ = f.nodeClient(node).DeleteChunk(dctx, client.ChunkID{Stripe: d.id, Shard: shard})
-			}
-			d.sys.ForgetStripe(d.id)
-		}
+		s.ctr.chunksOrphaned.Add(int64(f.dropStripes(attempted)))
 		return err
 	}
 
@@ -162,7 +147,7 @@ func (s *Store) PutReader(ctx context.Context, key string, r io.Reader, size int
 				f.mu.Unlock()
 				// Overlap: wait out the previous stripe's seed only
 				// after this stripe is fully read and planned.
-				st := seededStripe{id: id, sys: sys, nodes: nodes}
+				st := placedStripe{id: id, sys: sys, nodes: nodes}
 				attempted = append(attempted, st)
 				if werr := waitSeed(); werr != nil {
 					for _, blk := range blks {
