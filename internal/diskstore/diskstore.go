@@ -602,22 +602,14 @@ func (s *Store) replayWAL() error {
 		return fmt.Errorf("diskstore: wal read: %w", err)
 	}
 	for len(raw) > 0 {
-		if len(raw) < 8 {
-			return nil // torn header
-		}
-		size := binary.BigEndian.Uint32(raw[0:4])
-		sum := binary.BigEndian.Uint32(raw[4:8])
-		if size > maxRecord || len(raw) < 8+int(size) {
-			return nil // torn or garbage tail
-		}
-		payload := raw[8 : 8+size]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil // torn payload
+		payload, rest, err := nextWALFrame(raw)
+		if err != nil {
+			return nil // the torn tail
 		}
 		if err := s.replayRecord(payload); err != nil {
 			return err
 		}
-		raw = raw[8+size:]
+		raw = rest
 	}
 	return nil
 }

@@ -89,16 +89,13 @@ type Code struct {
 	gen      *matrix.Matrix // n×k systematic generator; top k×k = I
 	parallel int            // segment-worker bound (≥ 1)
 
-	// encOnce guards the lazily built encode tables.
-	// encBanks[b][i] packs, for data column i, the coefficients of the
-	// ≤8 parity rows of bank b (rows k+8b .. min(k+8b+8, n)) — the
-	// packed-lane path. encBankCoeffs[b][i] holds the same coefficients
-	// as plain bytes for the SIMD row fan-out, and encRows[j] is parity
+	// encOnce guards the lazily built encode tables: encBanks[b] holds
+	// the coefficients of the ≤8 parity rows of bank b (rows k+8b ..
+	// min(k+8b+8, n)) over the k data columns, and encRows[j] is parity
 	// row j's full coefficient vector for row-wise verification.
-	encOnce       sync.Once
-	encBanks      [][]*gf256.LaneTable
-	encBankCoeffs [][][]byte
-	encRows       [][]byte
+	encOnce  sync.Once
+	encBanks []rowBank
+	encRows  [][]byte
 
 	cacheMu     sync.Mutex
 	decodeCache *decodeCache
@@ -206,35 +203,83 @@ func (c *Code) checkData(data [][]byte) (int, error) {
 	return size, nil
 }
 
-// encTables returns the lazily built packed-lane encode tables, one
-// bank of ≤8 parity rows per entry, one LaneTable per data column
-// within a bank. Built once per Code; safe for concurrent use.
-func (c *Code) encTables() [][]*gf256.LaneTable {
+// rowBank holds the coefficients of up to MaxLanes output rows over a
+// common set of sources, in the layout of the build's fan-out kernels:
+// cols[t][r] is source t's coefficient in output row r, and on
+// portable builds tables[t] is cols[t] packed for the lane kernels.
+type rowBank struct {
+	cols   [][]byte
+	tables []*gf256.LaneTable // nil on SIMD builds
+}
+
+// newRowBank wraps the coefficient columns (retained, not copied). This
+// is the one place the kernel family for row fan-out is chosen: SIMD
+// builds run the vector row kernels straight off cols; portable builds
+// pack each column into a LaneTable, whose word-wise accumulation feeds
+// all the bank's rows per lookup.
+func newRowBank(cols [][]byte) rowBank {
+	b := rowBank{cols: cols}
+	if !gf256.Accelerated() {
+		b.tables = make([]*gf256.LaneTable, len(cols))
+		for t, col := range cols {
+			b.tables[t] = gf256.NewLaneTable(col)
+		}
+	}
+	return b
+}
+
+// mulSegment sets dsts[r][m] = Σ_t cols[t][r]·srcs[t][m] over positions
+// [lo,hi) for every row of the bank, overwriting the destinations.
+//
+// The row kernels make one vector Mul/MulAdd pass per source — the
+// source's segment stays hot across the bank's rows, and no lane
+// transpose is needed. The lane kernels make one accumulation pass (one
+// lookup per source position feeding all the bank's rows at once) into
+// pooled scratch, then a word-wise lane extraction into each row.
+func (b rowBank) mulSegment(dsts, srcs [][]byte, lo, hi int) {
+	var seg [gf256.MaxLanes][]byte
+	for r, d := range dsts {
+		seg[r] = d[lo:hi]
+	}
+	rows := seg[:len(dsts)]
+	if b.tables == nil {
+		gf256.MulRows(b.cols[0], rows, srcs[0][lo:hi])
+		for t := 1; t < len(b.cols); t++ {
+			gf256.MulAddRows(b.cols[t], rows, srcs[t][lo:hi])
+		}
+		return
+	}
+	acc := blockpool.GetWords(hi - lo)
+	b.tables[0].Mul(acc.W, srcs[0][lo:hi])
+	for t := 1; t < len(b.tables); t++ {
+		b.tables[t].MulAdd(acc.W, srcs[t][lo:hi])
+	}
+	gf256.ExtractLanes(rows, acc.W)
+	acc.Release()
+}
+
+// encTables returns the lazily built encode banks, one per ≤8 parity
+// rows. Built once per Code; safe for concurrent use.
+func (c *Code) encTables() []rowBank {
 	c.encOnce.Do(func() {
 		parity := c.n - c.k
 		nbanks := (parity + gf256.MaxLanes - 1) / gf256.MaxLanes
-		banks := make([][]*gf256.LaneTable, nbanks)
-		bankCoeffs := make([][][]byte, nbanks)
-		for b := 0; b < nbanks; b++ {
+		banks := make([]rowBank, nbanks)
+		for b := range banks {
 			rows := gf256.MaxLanes
 			if rem := parity - b*gf256.MaxLanes; rem < rows {
 				rows = rem
 			}
-			tables := make([]*gf256.LaneTable, c.k)
 			cols := make([][]byte, c.k)
-			for i := 0; i < c.k; i++ {
-				coeffs := make([]byte, rows)
-				for r := 0; r < rows; r++ {
-					coeffs[r] = c.gen.At(c.k+b*gf256.MaxLanes+r, i)
+			for i := range cols {
+				cols[i] = make([]byte, rows)
+				for r := range cols[i] {
+					cols[i][r] = c.gen.At(c.k+b*gf256.MaxLanes+r, i)
 				}
-				tables[i] = gf256.NewLaneTable(coeffs)
-				cols[i] = coeffs
 			}
-			banks[b] = tables
-			bankCoeffs[b] = cols
+			banks[b] = newRowBank(cols)
 		}
 		c.encBanks = banks
-		c.encBankCoeffs = bankCoeffs
 		rows := make([][]byte, parity)
 		for j := range rows {
 			rows[j] = c.gen.Row(c.k + j)
@@ -270,46 +315,13 @@ func (c *Code) forEachSegment(size int, f func(lo, hi int)) {
 	}, func(int, struct{}, error) bool { return true })
 }
 
-// encodeSegment computes every parity row over positions [lo,hi).
-//
-// On SIMD builds it runs the row fan-out: per bank of ≤8 parity rows,
-// one vector Mul/MulAdd pass per data column — the column's segment
-// stays hot across the bank's rows, and no lane transpose is needed.
-// On portable builds it runs the packed-lane path: one accumulation
-// pass per bank (k lookups per position feeding the bank's ≤8 rows at
-// once), then a word-wise lane extraction into each parity block.
+// encodeSegment computes every parity row over positions [lo,hi), bank
+// by bank, so the data segment stays hot across all the parity rows.
 func (c *Code) encodeSegment(parity [][]byte, data [][]byte, lo, hi int) {
-	banks := c.encTables()
-	if gf256.Accelerated() {
-		var dsts [gf256.MaxLanes][]byte
-		for b, cols := range c.encBankCoeffs {
-			base := b * gf256.MaxLanes
-			rows := len(cols[0])
-			for lane := 0; lane < rows; lane++ {
-				dsts[lane] = parity[base+lane][lo:hi]
-			}
-			gf256.MulRows(cols[0], dsts[:rows], data[0][lo:hi])
-			for i := 1; i < len(cols); i++ {
-				gf256.MulAddRows(cols[i], dsts[:rows], data[i][lo:hi])
-			}
-		}
-		return
-	}
-	acc := blockpool.GetWords(hi - lo)
-	var dsts [gf256.MaxLanes][]byte
-	for b, tables := range banks {
-		tables[0].Mul(acc.W, data[0][lo:hi])
-		for i := 1; i < len(tables); i++ {
-			tables[i].MulAdd(acc.W, data[i][lo:hi])
-		}
+	for b, bank := range c.encTables() {
 		base := b * gf256.MaxLanes
-		lanes := tables[0].Lanes()
-		for lane := 0; lane < lanes; lane++ {
-			dsts[lane] = parity[base+lane][lo:hi]
-		}
-		gf256.ExtractLanes(dsts[:lanes], acc.W)
+		bank.mulSegment(parity[base:base+len(bank.cols[0])], data, lo, hi)
 	}
-	acc.Release()
 }
 
 // EncodeInto computes the n−k parity blocks of the stripe into the
@@ -427,7 +439,8 @@ func (c *Code) Verify(shards [][]byte) (bool, error) {
 		}
 		acc := blockpool.GetWords(hi - lo)
 		var wants [gf256.MaxLanes][]byte
-		for b, tables := range banks {
+		for b, bank := range banks {
+			tables := bank.tables
 			tables[0].Mul(acc.W, data[0][lo:hi])
 			for i := 1; i < len(tables); i++ {
 				tables[i].MulAdd(acc.W, data[i][lo:hi])

@@ -82,33 +82,43 @@ func BenchmarkEncodeParallel(b *testing.B) {
 }
 
 func BenchmarkReconstructInto(b *testing.B) {
-	for _, shape := range dpShapes {
-		for _, size := range dpSizes {
-			b.Run(dpName(shape, size), func(b *testing.B) {
-				r := rand.New(rand.NewSource(62))
-				c := mustCode(b, shape[0], shape[1])
-				orig, err := c.Encode(randStripeData(r, c.K(), size))
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Two lost shards: one data, one parity — the classic
-				// double-failure repair.
-				lostData, lostParity := 0, c.K()+1
-				shards := make([][]byte, c.N())
-				dst := make([][]byte, c.N())
-				dst[lostData] = make([]byte, size)
-				dst[lostParity] = make([]byte, size)
-				b.SetBytes(int64(2 * size))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					copy(shards, orig)
-					shards[lostData], shards[lostParity] = nil, nil
-					if err := c.ReconstructInto(shards, dst); err != nil {
+	// Two lost shards. The classic double failure — one data, one parity
+	// — rebuilds one row at a time; two lost data shards rebuild as one
+	// bank, the multi-row fan-out.
+	losses := []struct {
+		suffix string
+		lost   func(c *Code) [2]int
+	}{
+		{"", func(c *Code) [2]int { return [2]int{0, c.K() + 1} }},
+		{"/2data", func(c *Code) [2]int { return [2]int{0, 1} }},
+	}
+	for _, loss := range losses {
+		for _, shape := range dpShapes {
+			for _, size := range dpSizes {
+				b.Run(dpName(shape, size)+loss.suffix, func(b *testing.B) {
+					r := rand.New(rand.NewSource(62))
+					c := mustCode(b, shape[0], shape[1])
+					orig, err := c.Encode(randStripeData(r, c.K(), size))
+					if err != nil {
 						b.Fatal(err)
 					}
-				}
-			})
+					lost := loss.lost(c)
+					shards := make([][]byte, c.N())
+					dst := make([][]byte, c.N())
+					dst[lost[0]] = make([]byte, size)
+					dst[lost[1]] = make([]byte, size)
+					b.SetBytes(int64(2 * size))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						copy(shards, orig)
+						shards[lost[0]], shards[lost[1]] = nil, nil
+						if err := c.ReconstructInto(shards, dst); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -242,10 +242,10 @@ func (c *Code) reconstruct(shards [][]byte, limit int, dst [][]byte) error {
 }
 
 // rebuildRows computes dsts[r][m] = Σ_t coeffRows[r][t]·srcs[t][m] for
-// every destination row, banking the rows into packed-lane passes of
-// up to 8 and walking the blocks in cache-sized segments. A single row
-// takes the row-wise kernels instead — the lane fan-out has nothing to
-// feed there.
+// every destination row, banking the rows into fan-out passes of up to
+// 8 (see rowBank) and walking the blocks in cache-sized segments. A
+// single row takes the row-wise kernels over the whole block instead —
+// the fan-out has nothing to feed there.
 func (c *Code) rebuildRows(dsts [][]byte, coeffRows [][]byte, srcs [][]byte, size int) {
 	if len(dsts) == 1 {
 		row := coeffRows[0]
@@ -255,35 +255,26 @@ func (c *Code) rebuildRows(dsts [][]byte, coeffRows [][]byte, srcs [][]byte, siz
 		}
 		return
 	}
-	coeffs := make([]byte, 0, gf256.MaxLanes)
+	// The banks' coefficient columns are per-call (the survivor set
+	// picks them): pooled, so the steady state allocates nothing.
+	cols := blockpool.GetShardList(len(srcs))
+	defer cols.Release()
+	flat := blockpool.GetBlock(len(srcs) * gf256.MaxLanes)
+	defer flat.Release()
 	for base := 0; base < len(dsts); base += gf256.MaxLanes {
 		bankEnd := base + gf256.MaxLanes
 		if bankEnd > len(dsts) {
 			bankEnd = len(dsts)
 		}
-		tables := make([]*gf256.LaneTable, len(srcs))
 		for t := range srcs {
-			coeffs = coeffs[:0]
+			cols.S[t] = flat.B[t*gf256.MaxLanes : t*gf256.MaxLanes+bankEnd-base]
 			for r := base; r < bankEnd; r++ {
-				coeffs = append(coeffs, coeffRows[r][t])
+				cols.S[t][r-base] = coeffRows[r][t]
 			}
-			tables[t] = gf256.NewLaneTable(coeffs)
 		}
-		rebuildSeg := func(lo, hi int) {
-			acc := blockpool.GetWords(hi - lo)
-			tables[0].Mul(acc.W, srcs[0][lo:hi])
-			for t := 1; t < len(srcs); t++ {
-				tables[t].MulAdd(acc.W, srcs[t][lo:hi])
-			}
-			var out [gf256.MaxLanes][]byte
-			for r := base; r < bankEnd; r++ {
-				out[r-base] = dsts[r][lo:hi]
-			}
-			gf256.ExtractLanes(out[:bankEnd-base], acc.W)
-			acc.Release()
-		}
+		bank, out := newRowBank(cols.S), dsts[base:bankEnd]
 		if c.parallelSegments(size) {
-			c.forEachSegment(size, rebuildSeg)
+			c.forEachSegment(size, func(lo, hi int) { bank.mulSegment(out, srcs, lo, hi) })
 			continue
 		}
 		for lo := 0; lo < size; lo += segmentSize {
@@ -291,7 +282,7 @@ func (c *Code) rebuildRows(dsts [][]byte, coeffRows [][]byte, srcs [][]byte, siz
 			if hi > size {
 				hi = size
 			}
-			rebuildSeg(lo, hi)
+			bank.mulSegment(out, srcs, lo, hi)
 		}
 	}
 }

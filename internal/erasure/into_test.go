@@ -344,12 +344,30 @@ func TestSteadyStatePathsAllocFree(t *testing.T) {
 	if err := c.RepairShardInto(dst, 3, degraded); err != nil {
 		t.Fatal(err)
 	}
+	// Two data shards lost: the multi-row rebuild. Its per-call lane
+	// tables make the portable build allocate; the SIMD row kernels run
+	// straight off pooled coefficient scratch (half a dozen pooled buffers a
+	// call, too many to pin under the race detector).
+	twoLost := make([][]byte, len(shards))
+	twoDst := make([][]byte, len(shards))
+	twoDst[2], twoDst[5] = make([]byte, 4096), make([]byte, 4096)
+	reconstructTwo := func() {
+		copy(twoLost, shards)
+		twoLost[2], twoLost[5] = nil, nil
+		if err := c.ReconstructInto(twoLost, twoDst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reconstructTwo()
 	cases := map[string]func(){
 		"EncodeInto":      func() { _ = c.EncodeInto(parity, data) },
 		"DecodeBlockInto": func() { _ = c.DecodeBlockInto(dst, 3, degraded) },
 		"RepairShardInto": func() { _ = c.RepairShardInto(dst, 3, degraded) },
 		"Verify":          func() { _, _ = c.Verify(shards) },
 		"UpdateParity":    func() { c.UpdateParity(shards[9], 9, 3, data[3], newBlock) },
+	}
+	if gf256.Accelerated() && !raceEnabled {
+		cases["ReconstructInto/2data"] = reconstructTwo
 	}
 	for name, f := range cases {
 		if avg := testing.AllocsPerRun(50, f); avg > 0.5 {

@@ -18,7 +18,7 @@ import (
 // Online reconfiguration: the fleet's placement is versioned into
 // epochs, each an immutable (n, k, trapezoid, placement, roster)
 // tuple. Reconfigure installs the next epoch as the target of new
-// Puts, then migrates every existing object — read whole from its old
+// Puts, then migrates every existing object — streamed out of its old
 // epoch's stripes, re-encoded and seeded onto the new placement, cut
 // over atomically under the object's lock — and finally fences the
 // previous epochs at the nodes (client.EpochSetter), so a stale
@@ -568,13 +568,17 @@ func (f *Fleet) broadcastEpoch(ctx context.Context, installed, retired uint64) e
 }
 
 // migrateObject moves one object into the target epoch: under the
-// object's exclusive lock, read it whole from its current stripes,
-// seed fresh stripes on the target placement, swap the directory entry
-// atomically, then drop the old chunks. Readers never block — they
-// retry across the swap with refreshed metadata; writers and Delete
-// hold the same lock, so nothing lands on the old stripes after the
-// copy is taken. Returns the logical bytes moved (0 when the object is
-// already in the target epoch or was deleted).
+// object's exclusive lock, stream it out of its current stripes block
+// by block into the one seeding pipeline (seedStream) on the target
+// placement — two stripes of memory however large the object, source
+// reads overlapping target seeds — swap the directory entry atomically,
+// then drop the old chunks. A source block that cannot be read, or a
+// seed that fails, unwinds the target stripes and leaves the object
+// serving from its old epoch; the step is retried. Readers never block
+// — they retry across the swap with refreshed metadata; writers and
+// Delete hold the same lock, so nothing lands on the old stripes while
+// the copy is taken. Returns the logical bytes moved (0 when the object
+// is already in the target epoch or was deleted).
 func (s *Store) migrateObject(ctx context.Context, key string, target *epochCfg) (int64, error) {
 	f := s.fleet
 	defer f.lockObject(s.tenant, key, true)()
@@ -588,83 +592,18 @@ func (s *Store) migrateObject(ctx context.Context, key string, target *epochCfg)
 	src := objectMeta{size: m.size, stripes: append([]uint64(nil), m.stripes...), ec: m.ec}
 	f.mu.Unlock()
 
-	// Read the object whole out of its current epoch. The exclusive
-	// lock keeps the source stripes stable; quorum reads tolerate the
-	// usual failures.
-	bs := f.cfg.BlockSize
-	nblocks := (src.size + bs - 1) / bs
-	data := make([]byte, 0, nblocks*bs)
-	for lb := 0; lb < nblocks; lb++ {
-		sys, stripe, idx, err := s.locate(src, lb)
-		if err != nil {
-			return 0, err
-		}
-		blk, _, err := sys.ReadBlock(ctx, stripe, idx)
-		if err != nil {
-			return 0, fmt.Errorf("reading stripe %d block %d: %w", stripe, idx, err)
-		}
-		data = append(data, blk...)
-	}
-
-	// Seed the object onto the target placement, exactly like a Put
-	// into the target epoch.
-	capacity := target.capacity(bs)
-	stripeCount := (src.size + capacity - 1) / capacity
-	if stripeCount == 0 {
-		stripeCount = 1
-	}
-	f.mu.Lock()
-	plan := make([]placedStripe, 0, stripeCount)
-	payload := make([][][]byte, 0, stripeCount)
-	for i := 0; i < stripeCount; i++ {
-		id := f.nextStripe
-		f.nextStripe++
-		nodes, err := target.place.Place(id, target.n)
-		if err != nil {
-			f.mu.Unlock()
-			return 0, err
-		}
-		sys, err := f.systemFor(target, nodes)
-		if err != nil {
-			f.mu.Unlock()
-			return 0, err
-		}
-		blocks := make([][]byte, target.k)
-		for b := range blocks {
-			block := make([]byte, bs)
-			off := i*capacity + b*bs
-			if off < len(data) {
-				copy(block, data[off:])
-			}
-			blocks[b] = block
-		}
-		plan = append(plan, placedStripe{id: id, sys: sys, nodes: nodes})
-		payload = append(payload, blocks)
-	}
-	f.mu.Unlock()
-
-	for i, p := range plan {
-		if err := p.sys.SeedStripe(ctx, p.id, payload[i]); err != nil {
-			// Unwind the partial seed; the object stays untouched in
-			// its old epoch and the step is retried.
-			s.ctr.chunksOrphaned.Add(int64(f.dropStripes(plan[:i+1])))
-			return 0, fmt.Errorf("seeding stripe %d: %w", p.id, err)
-		}
+	placed, err := s.seedStream(ctx, target, s.objectReader(ctx, key, src), src.size)
+	if err != nil {
+		return 0, err
 	}
 
 	// Cut over: one atomic swap of the directory entry and the stripe
 	// tables. Readers that raced the swap find their old stripe gone
 	// and retry with this fresh metadata.
-	newStripes := make([]uint64, 0, len(plan))
 	f.mu.Lock()
-	for _, p := range plan {
-		f.stripeSys[p.id] = p.sys
-		f.stripeLoc[p.id] = p.nodes
-		newStripes = append(newStripes, p.id)
-	}
-	old := f.unregisterLocked(src.stripes)
-	m.stripes = newStripes
+	m.stripes = f.registerLocked(placed)
 	m.ec = target
+	old := f.unregisterLocked(src.stripes)
 	f.mu.Unlock()
 
 	// Drop the old epoch's chunks: a node down right now keeps orphan

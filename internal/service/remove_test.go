@@ -25,11 +25,13 @@ import (
 
 const removeNodes = 9
 
-// probe is what the probed node clients of one fleet share: a fault to
-// inject into PutChunk (breaking a seed midway) and a rendezvous that
-// holds DeleteChunk calls until enough of them are in flight.
+// probe is what the probed node clients of one fleet share: faults to
+// inject into PutChunk (breaking a seed midway) and ReadChunk (breaking
+// a migration's source read), and a rendezvous that holds DeleteChunk
+// calls until enough of them are in flight.
 type probe struct {
-	failPut atomic.Pointer[func(client.ChunkID) bool]
+	failPut  atomic.Pointer[func(client.ChunkID) bool]
+	failRead atomic.Pointer[func(client.ChunkID) bool]
 
 	mu       sync.Mutex
 	want     int // 0: DeleteChunk passes straight through
@@ -71,6 +73,13 @@ func (n probedNode) PutChunk(ctx context.Context, id client.ChunkID, data []byte
 		return fmt.Errorf("%w: injected", client.ErrNodeDown)
 	}
 	return n.NodeClient.PutChunk(ctx, id, data, versions, sums...)
+}
+
+func (n probedNode) ReadChunk(ctx context.Context, id client.ChunkID) (client.Chunk, error) {
+	if fail := n.p.failRead.Load(); fail != nil && (*fail)(id) {
+		return client.Chunk{}, fmt.Errorf("%w: injected", client.ErrNodeDown)
+	}
+	return n.NodeClient.ReadChunk(ctx, id)
 }
 
 func (n probedNode) DeleteChunk(ctx context.Context, id client.ChunkID) error {
@@ -260,106 +269,142 @@ func TestDeleteWithNodeDownCountsOrphans(t *testing.T) {
 	}
 }
 
-// TestFailedSeedLeavesNoChunks breaks the second stripe's seed on one
-// shard — the first stripe is whole, the second partly installed — for
-// each of the three seeding paths, and checks the shared unwind left
-// nothing behind.
+// TestFailedSeedLeavesNoChunks fails the one seeding pipeline partway
+// through a three-stripe object from each of its callers — a seed of
+// the second stripe breaks on one shard (the first stripe is whole, the
+// second partly installed), or the migration's source turns unreadable
+// at its second stripe — and checks that the unwind left nothing
+// behind, that an object being moved still serves from its old epoch,
+// and that the same call goes through once the fault is gone.
 func TestFailedSeedLeavesNoChunks(t *testing.T) {
 	ctx := context.Background()
-	// breakSecondStripe fails shard 3 of the second stripe allocated
-	// from now on.
-	breakSecondStripe := func(f *Fleet, p *probe) {
-		f.mu.Lock()
-		doomed := f.nextStripe + 1
-		f.mu.Unlock()
+	payload := stripesOfBytes(3)
+	// breakSecondSeed fails shard 3 of the second stripe allocated from
+	// now on.
+	breakSecondSeed := func(s *Store, p *probe) {
+		s.fleet.mu.Lock()
+		doomed := s.fleet.nextStripe + 1
+		s.fleet.mu.Unlock()
 		fail := func(id client.ChunkID) bool { return id.Stripe == doomed && id.Shard == 3 }
 		p.failPut.Store(&fail)
 	}
-	// checkClean: the nodes hold what they held before, and only the
-	// stripes registered before are still registered.
-	checkClean := func(t *testing.T, store *Store, cluster *sim.Cluster, before []int, registered int) {
-		t.Helper()
-		if after := chunkCounts(t, cluster); fmt.Sprint(after) != fmt.Sprint(before) {
-			t.Fatalf("chunk counts %v after the failed seed, %v before", after, before)
-		}
-		if left := registeredStripes(store.fleet); len(left) != registered {
-			t.Fatalf("stripes %v registered after the unwind, want %d", left, registered)
-		}
-		if got := store.TenantMetrics().ChunksOrphaned; got != 0 {
-			t.Fatalf("ChunksOrphaned = %d with every node up", got)
-		}
-	}
-	payload := stripesOfBytes(3)
-
-	t.Run("Put", func(t *testing.T) {
-		store, cluster, p := newProbedStore(t, removeNodes, 0)
-		before := chunkCounts(t, cluster)
-		breakSecondStripe(store.fleet, p)
-		if err := store.Put(ctx, "doomed", payload); !errors.Is(err, client.ErrNodeDown) {
-			t.Fatalf("err = %v", err)
-		}
-		checkClean(t, store, cluster, before, 0)
-	})
-	t.Run("PutReader", func(t *testing.T) {
-		store, cluster, p := newProbedStore(t, removeNodes, 0)
-		before := chunkCounts(t, cluster)
-		breakSecondStripe(store.fleet, p)
-		err := store.PutReader(ctx, "doomed", bytes.NewReader(payload), len(payload))
-		if !errors.Is(err, client.ErrNodeDown) {
-			t.Fatalf("err = %v", err)
-		}
-		checkClean(t, store, cluster, before, 0)
-	})
-	t.Run("migrateObject", func(t *testing.T) {
-		store, cluster, p := newProbedStore(t, removeNodes+3, 0)
-		f := store.fleet
-		if err := store.Put(ctx, "moved", payload); err != nil {
+	// breakSecondSource makes every chunk of the moved object's second
+	// stripe unreadable.
+	breakSecondSource := func(s *Store, p *probe) {
+		stripes, err := s.StripesOf("moved")
+		if err != nil {
 			t.Fatal(err)
 		}
-		before := chunkCounts(t, cluster)
-		old := registeredStripes(f)
-		// Move the roster three nodes along: 3..11.
+		fail := func(id client.ChunkID) bool { return id.Stripe == stripes[1] }
+		p.failRead.Store(&fail)
+	}
+	// startMove stores the object and starts moving the roster three
+	// nodes along: 3..11.
+	startMove := func(t *testing.T, s *Store) {
+		if err := s.Put(ctx, "moved", payload); err != nil {
+			t.Fatal(err)
+		}
 		roster := make([]int, removeNodes)
 		for i := range roster {
 			roster[i] = i + 3
 		}
-		if err := f.StartReconfigure(ctx, ReconfigSpec{Active: roster}); err != nil {
+		if err := s.fleet.StartReconfigure(ctx, ReconfigSpec{Active: roster}); err != nil {
 			t.Fatal(err)
 		}
-		breakSecondStripe(f, p)
-		if _, err := f.MigrationStep(ctx); !errors.Is(err, client.ErrNodeDown) {
-			t.Fatalf("migration step err = %v", err)
-		}
-		checkClean(t, store, cluster, before, len(old))
-		// With the fault gone the object moves, and the cut-over drops
-		// the old epoch's chunks through the same helper.
-		p.failPut.Store(nil)
-		if err := f.DriveMigration(ctx); err != nil {
-			t.Fatal(err)
-		}
-		for j, n := range chunkCounts(t, cluster) {
-			want := 3
-			if j < 3 {
-				want = 0
+	}
+	put := func(s *Store) error { return s.Put(ctx, "doomed", payload) }
+	putReader := func(s *Store) error {
+		return s.PutReader(ctx, "doomed", bytes.NewReader(payload), len(payload))
+	}
+	migrationStep := func(s *Store) error {
+		_, err := s.fleet.MigrationStep(ctx)
+		return err
+	}
+	cases := []struct {
+		name    string
+		nodes   int
+		key     string
+		prepare func(*testing.T, *Store) // state the seeding call needs
+		fault   func(*Store, *probe)
+		seed    func(*Store) error // the call that seeds three stripes
+		wantErr error
+	}{
+		{"Put", removeNodes, "doomed", nil, breakSecondSeed, put, client.ErrNodeDown},
+		{"PutReader", removeNodes, "doomed", nil, breakSecondSeed, putReader, client.ErrNodeDown},
+		{"MigrationStep", removeNodes + 3, "moved", startMove, breakSecondSeed, migrationStep, client.ErrNodeDown},
+		{"MigrationStep/source unreadable", removeNodes + 3, "moved", startMove, breakSecondSource, migrationStep, core.ErrNotReadable},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store, cluster, p := newProbedStore(t, tc.nodes, 0)
+			f := store.fleet
+			if tc.prepare != nil {
+				tc.prepare(t, store)
 			}
-			if n != want {
-				t.Errorf("node %d holds %d chunks after the move, want %d", j, n, want)
+			before := chunkCounts(t, cluster)
+			old := registeredStripes(f)
+			tc.fault(store, p)
+			if err := tc.seed(store); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
-		}
-		for _, st := range registeredStripes(f) {
-			for _, o := range old {
-				if st == o {
-					t.Errorf("old stripe %d still registered after cut-over", st)
+			p.failPut.Store(nil)
+			p.failRead.Store(nil)
+
+			// The nodes hold what they held before, and only the stripes
+			// registered before are still registered.
+			if after := chunkCounts(t, cluster); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Fatalf("chunk counts %v after the failed seed, %v before", after, before)
+			}
+			if left := registeredStripes(f); len(left) != len(old) {
+				t.Fatalf("stripes %v registered after the unwind, want %v", left, old)
+			}
+			if tc.prepare != nil {
+				if got, err := store.Get(ctx, tc.key); err != nil || !bytes.Equal(got, payload) {
+					t.Fatalf("object in its old epoch after the failed move: %v", err)
+				}
+				if st := f.Migration(); st.DoneObjects != 0 || st.PendingObjects != 1 {
+					t.Fatalf("migration after the failed move: %+v", st)
 				}
 			}
-		}
-		if got, err := store.Get(ctx, "moved"); err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("object after the move: %v", err)
-		}
-		if got := store.TenantMetrics().ChunksOrphaned; got != 0 {
-			t.Fatalf("ChunksOrphaned = %d", got)
-		}
-	})
+
+			// With the fault gone the same call goes through: three fresh
+			// stripes on the current roster and nowhere else — a cut-over
+			// drops the old epoch's chunks through the same helper.
+			if err := tc.seed(store); err != nil {
+				t.Fatal(err)
+			}
+			onRoster := make(map[int]bool)
+			for _, j := range f.ActiveNodes() {
+				onRoster[j] = true
+			}
+			for j, n := range chunkCounts(t, cluster) {
+				want := 0
+				if onRoster[j] {
+					want = 3
+				}
+				if n != want {
+					t.Errorf("node %d holds %d chunks, want %d", j, n, want)
+				}
+			}
+			now := registeredStripes(f)
+			if len(now) != 3 {
+				t.Errorf("stripes %v registered, want three", now)
+			}
+			for _, st := range now {
+				for _, o := range old {
+					if st == o {
+						t.Errorf("old stripe %d still registered after cut-over", st)
+					}
+				}
+			}
+			if got, err := store.Get(ctx, tc.key); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("object after the retry: %v", err)
+			}
+			if got := store.TenantMetrics().ChunksOrphaned; got != 0 {
+				t.Fatalf("ChunksOrphaned = %d with every node up", got)
+			}
+		})
+	}
 }
 
 // TestObjectLockTableDrains: the per-object lock table holds an entry

@@ -25,9 +25,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -490,6 +492,38 @@ type placedStripe struct {
 	nodes []int
 }
 
+// placeStripe allocates the next stripe id and binds it to its placement
+// in epoch ec and the protocol instance serving that placement. The
+// stripe stays unregistered until registerLocked.
+func (f *Fleet) placeStripe(ec *epochCfg) (placedStripe, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	id := f.nextStripe
+	f.nextStripe++
+	nodes, err := ec.place.Place(id, ec.n)
+	if err != nil {
+		return placedStripe{}, err
+	}
+	sys, err := f.systemFor(ec, nodes)
+	if err != nil {
+		return placedStripe{}, err
+	}
+	return placedStripe{id: id, sys: sys, nodes: nodes}, nil
+}
+
+// registerLocked enters seeded stripes into the fleet's tables and
+// returns their ids in order — an object's stripe list. Caller holds
+// f.mu.
+func (f *Fleet) registerLocked(placed []placedStripe) []uint64 {
+	ids := make([]uint64, 0, len(placed))
+	for _, p := range placed {
+		f.stripeSys[p.id] = p.sys
+		f.stripeLoc[p.id] = p.nodes
+		ids = append(ids, p.id)
+	}
+	return ids
+}
+
 // dropStripes removes every chunk of the given stripes from its placed
 // node, forgets the stripes' registrations, and returns how many
 // removals failed. Best-effort on a detached context: the caller's may
@@ -568,107 +602,11 @@ func (s *Store) checkQuota(addBytes int) error {
 	return nil
 }
 
-// Put stores data under key. The key must not exist (objects are
-// immutable in extent; use WriteAt for in-place updates, or Delete
-// then Put to replace). All placed nodes must be up for the initial
-// seeding. A tenant quota that the new object would overflow fails
-// the Put with client.ErrQuotaExceeded before any node is touched.
+// Put stores data under key: PutReader over a buffer the caller already
+// holds, with the same contract (the key must not exist, the quota is
+// checked before any node is touched, a failure leaves nothing behind).
 func (s *Store) Put(ctx context.Context, key string, data []byte) error {
-	f := s.fleet
-	f.mu.Lock()
-	if s.directory[key] != nil || s.pending[key] {
-		f.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrExists, key)
-	}
-	if err := s.checkQuota(len(data)); err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	// Reserve the key (and its quota footprint) so a concurrent Put of
-	// the same key fails with ErrExists instead of silently overwriting
-	// the registration and orphaning the loser's stripes. The epoch is
-	// pinned here too, and counted in putsIn: a migration cannot fence
-	// the epoch while this Put is still seeding into it.
-	s.pending[key] = true
-	s.pendingObjects++
-	s.pendingBytes += int64(len(data))
-	ec := f.cur
-	f.putsIn[ec.id]++
-	// Every exit path must release the reservation: success replaces
-	// it with the directory entry, failure frees the key for retry.
-	defer func() {
-		f.mu.Lock()
-		delete(s.pending, key)
-		s.pendingObjects--
-		s.pendingBytes -= int64(len(data))
-		f.putsIn[ec.id]--
-		f.mu.Unlock()
-	}()
-	capacity := ec.capacity(f.cfg.BlockSize)
-	stripeCount := (len(data) + capacity - 1) / capacity
-	if stripeCount == 0 {
-		stripeCount = 1 // empty objects still own one stripe for WriteAt growth semantics
-	}
-	plan := make([]placedStripe, 0, stripeCount)
-	payload := make([][][]byte, 0, stripeCount)
-	for i := 0; i < stripeCount; i++ {
-		id := f.nextStripe
-		f.nextStripe++
-		nodes, err := ec.place.Place(id, ec.n)
-		if err != nil {
-			f.mu.Unlock()
-			return err
-		}
-		sys, err := f.systemFor(ec, nodes)
-		if err != nil {
-			f.mu.Unlock()
-			return err
-		}
-		blocks := make([][]byte, ec.k)
-		for b := range blocks {
-			block := make([]byte, f.cfg.BlockSize)
-			off := i*capacity + b*f.cfg.BlockSize
-			if off < len(data) {
-				copy(block, data[off:])
-			}
-			blocks[b] = block
-		}
-		plan = append(plan, placedStripe{id: id, sys: sys, nodes: nodes})
-		payload = append(payload, blocks)
-	}
-	f.mu.Unlock()
-
-	stripes := make([]uint64, 0, len(plan))
-	for i, p := range plan {
-		if err := p.sys.SeedStripe(ctx, p.id, payload[i]); err != nil {
-			// Nothing of this Put must survive: the key was never
-			// registered, so already-seeded stripes (and the partial
-			// one) would otherwise leak as unreachable chunks.
-			s.ctr.chunksOrphaned.Add(int64(f.dropStripes(plan[:i+1])))
-			return fmt.Errorf("stripe %d: %w", p.id, err)
-		}
-		stripes = append(stripes, p.id)
-	}
-
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, p := range plan {
-		f.stripeSys[p.id] = p.sys
-		f.stripeLoc[p.id] = p.nodes
-	}
-	s.directory[key] = &objectMeta{size: len(data), stripes: stripes, ec: ec}
-	s.usedBytes += int64(len(data))
-	s.ctr.puts.Add(1)
-	s.ctr.bytesIn.Add(int64(len(data)))
-	// A reconfiguration may have started (or advanced) while this Put
-	// was seeding into what is now a previous epoch: hand the freshly
-	// registered object to the active migration so it is drained like
-	// the rest. The migration cannot have completed — it waits for
-	// putsIn of non-target epochs to reach zero, and ours is still held.
-	if ec != f.cur && f.mig != nil {
-		f.mig.enqueueLocked(s.tenant, key)
-	}
-	return nil
+	return s.PutReader(ctx, key, bytes.NewReader(data), len(data))
 }
 
 // meta returns a copy of the object's metadata.
@@ -698,18 +636,15 @@ func (s *Store) GetAppend(ctx context.Context, key string, dst []byte) ([]byte, 
 		return dst, err
 	}
 	out := dst
-	remaining := m.size
-	for logical := 0; remaining > 0; logical++ {
-		data, err := s.readLogicalBlock(ctx, &m, key, logical)
+	for o := s.objectReader(ctx, key, m); ; {
+		data, err := o.next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			return dst, err
 		}
-		take := len(data)
-		if take > remaining {
-			take = remaining
-		}
-		out = append(out, data[:take]...)
-		remaining -= take
+		out = append(out, data...)
 	}
 	s.ctr.gets.Add(1)
 	s.ctr.bytesOut.Add(int64(m.size))

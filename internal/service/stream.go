@@ -6,34 +6,25 @@ import (
 	"io"
 
 	"trapquorum/internal/blockpool"
-	"trapquorum/internal/core"
 )
 
-// Streaming object IO: PutReader ingests an object of declared size
-// from an io.Reader and GetWriter streams one back out, both touching
-// only O(stripe) bytes of memory at a time. This is how multi-gigabyte
-// objects move through the store without ever materialising in a
-// single buffer: Put/Get hold the whole object; these hold at most two
-// stripes (one being read from the source while the previous one is
-// being encoded and seeded — a bounded pipeline of depth one).
-
-// inflightSeed is the pipeline slot: a stripe whose encode+seed runs
-// while the next stripe is read from the source.
-type inflightSeed struct {
-	s    placedStripe
-	blks []*blockpool.Block
-	errc chan error
-}
+// Object write and streamed read paths. Every object enters the store
+// through one pipeline, seedStream: Put, PutReader and the migration's
+// copy into a target epoch all read a stripe into pooled blocks while
+// the previous stripe is being encoded and seeded — a bounded pipeline
+// of depth one — so an object of any size moves through at most two
+// stripes of memory and never materialises in a single buffer.
+// GetWriter streams one back out a block at a time.
 
 // PutReader stores size bytes read from r under key. The key must not
-// exist (ErrExists otherwise), exactly like Put; quota is charged for
-// the declared size up front. Stripes are read, encoded and seeded one
-// after another with a pipeline depth of one, so peak memory is two
-// stripes of pooled blocks regardless of object size. The reader must
-// deliver exactly size bytes; a short read (io.ErrUnexpectedEOF), a
-// reader error, or a seeding failure unwinds every stripe already
-// placed — no partial object is ever visible, and the key is free for
-// a retry.
+// exist (ErrExists otherwise; objects are immutable in extent — use
+// WriteAt for in-place updates, or Delete then Put to replace), and a
+// tenant quota the declared size would overflow fails the call with
+// client.ErrQuotaExceeded before any node is touched. All placed nodes
+// must be up for the initial seeding. The reader must deliver exactly
+// size bytes; a short read (io.ErrUnexpectedEOF), a reader error, or a
+// seeding failure unwinds every stripe already placed — no partial
+// object is ever visible, and the key is free for a retry.
 func (s *Store) PutReader(ctx context.Context, key string, r io.Reader, size int) error {
 	if size < 0 {
 		return fmt.Errorf("%w: negative size %d", ErrBadRange, size)
@@ -68,129 +59,197 @@ func (s *Store) PutReader(ctx context.Context, key string, r io.Reader, size int
 		f.mu.Unlock()
 	}()
 
+	placed, err := s.seedStream(ctx, ec, r, size)
+	if err != nil {
+		return fmt.Errorf("object %q: %w", key, err)
+	}
+
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s.directory[key] = &objectMeta{size: size, stripes: f.registerLocked(placed), ec: ec}
+	s.usedBytes += int64(size)
+	s.ctr.puts.Add(1)
+	s.ctr.bytesIn.Add(int64(size))
+	// A reconfiguration may have started (or advanced) while this object
+	// was seeding into what is now a previous epoch: hand it to the
+	// active migration so it is drained like the rest. The migration
+	// cannot have completed — it waits for putsIn of non-target epochs
+	// to reach zero, and ours is still held.
+	if ec != f.cur && f.mig != nil {
+		f.mig.enqueueLocked(s.tenant, key)
+	}
+	return nil
+}
+
+// seedStream places size bytes read from r onto fresh stripes of epoch
+// ec and returns them, seeded but not yet registered. It is the only
+// seeder: stripe ids are allocated and initial placements made nowhere
+// else. Stripes are read, encoded and seeded one after another, the
+// read of each overlapping the seed of the one before, so peak memory
+// is two stripes of pooled blocks whatever the size. On any failure
+// nothing of the stream survives: the chunks of every stripe attempted
+// (the failing one may be partly installed) are removed, and removals
+// that fail are counted in ChunksOrphaned.
+func (s *Store) seedStream(ctx context.Context, ec *epochCfg, r io.Reader, size int) ([]placedStripe, error) {
+	f := s.fleet
 	capacity := ec.capacity(f.cfg.BlockSize)
 	stripeCount := (size + capacity - 1) / capacity
 	if stripeCount == 0 {
 		stripeCount = 1 // empty objects still own one stripe for WriteAt growth semantics
 	}
-
 	var (
-		attempted []placedStripe // every stripe that may hold shards (cleanup set)
-		seeded    []placedStripe // stripes whose seed completed (registration set)
-		inflight  *inflightSeed
+		placed   = make([]placedStripe, 0, stripeCount)
+		inflight []*blockpool.Block // the pipeline slot: blocks of the stripe being seeded
+		seedErr  = make(chan error, 1)
 	)
+	seed := func(st placedStripe, blks []*blockpool.Block) {
+		data := make([][]byte, len(blks))
+		for b, blk := range blks {
+			data[b] = blk.B
+		}
+		err := st.sys.SeedStripe(ctx, st.id, data)
+		if err != nil {
+			err = fmt.Errorf("seeding stripe %d: %w", st.id, err)
+		}
+		seedErr <- err
+	}
 	// waitSeed drains the pipeline slot and recycles its blocks.
 	waitSeed := func() error {
 		if inflight == nil {
 			return nil
 		}
-		err := <-inflight.errc
-		for _, b := range inflight.blks {
-			b.Release()
-		}
-		if err == nil {
-			seeded = append(seeded, inflight.s)
-		}
+		err := <-seedErr
+		releaseBlocks(inflight)
 		inflight = nil
 		return err
 	}
-	// unwind deletes the shards of every attempted stripe — the one
-	// that failed may be partially installed.
-	unwind := func(err error) error {
-		if werr := waitSeed(); werr != nil && err == nil {
-			err = werr
-		}
-		s.ctr.chunksOrphaned.Add(int64(f.dropStripes(attempted)))
-		return err
+	// unwind settles the slot, then removes what the stream installed;
+	// err is the first failure and the one reported.
+	unwind := func(err error) ([]placedStripe, error) {
+		_ = waitSeed()
+		s.ctr.chunksOrphaned.Add(int64(f.dropStripes(placed)))
+		return nil, err
 	}
 
 	remaining := size
-	for i := 0; i < stripeCount; i++ {
-		// Read the stripe's payload into pooled blocks, zero-padding
-		// the tail (pooled buffers come back with undefined contents).
-		blks := make([]*blockpool.Block, ec.k)
-		blocks := make([][]byte, ec.k)
-		for b := range blocks {
-			blks[b] = blockpool.GetBlock(f.cfg.BlockSize)
-			blocks[b] = blks[b].B
-			fill := remaining
-			if fill > f.cfg.BlockSize {
-				fill = f.cfg.BlockSize
-			}
-			if fill > 0 {
-				if _, err := io.ReadFull(r, blocks[b][:fill]); err != nil {
-					if err == io.EOF {
-						err = io.ErrUnexpectedEOF
-					}
-					for _, blk := range blks {
-						blk.Release()
-					}
-					return unwind(fmt.Errorf("reading object %q at byte %d of %d: %w",
-						key, size-remaining, size, err))
-				}
-				remaining -= fill
-			}
-			for j := fill; j < f.cfg.BlockSize; j++ {
-				blocks[b][j] = 0
-			}
+	for range stripeCount {
+		blks, err := readStripe(r, ec.k, f.cfg.BlockSize, &remaining)
+		if err != nil {
+			return unwind(fmt.Errorf("reading at byte %d of %d: %w", size-remaining, size, err))
 		}
-
-		// Allocate the stripe id and placement.
-		f.mu.Lock()
-		id := f.nextStripe
-		f.nextStripe++
-		nodes, err := ec.place.Place(id, ec.n)
+		st, err := f.placeStripe(ec)
 		if err == nil {
-			var sys *core.System
-			sys, err = f.systemFor(ec, nodes)
-			if err == nil {
-				f.mu.Unlock()
-				// Overlap: wait out the previous stripe's seed only
-				// after this stripe is fully read and planned.
-				st := placedStripe{id: id, sys: sys, nodes: nodes}
-				attempted = append(attempted, st)
-				if werr := waitSeed(); werr != nil {
-					for _, blk := range blks {
-						blk.Release()
-					}
-					return unwind(werr)
-				}
-				inflight = &inflightSeed{s: st, blks: blks, errc: make(chan error, 1)}
-				go func(fl *inflightSeed, data [][]byte) {
-					fl.errc <- fl.s.sys.SeedStripe(ctx, fl.s.id, data)
-				}(inflight, blocks)
-				continue
-			}
+			placed = append(placed, st)
+			// Overlap: wait out the previous stripe's seed only after
+			// this stripe is fully read and planned.
+			err = waitSeed()
 		}
-		f.mu.Unlock()
-		for _, blk := range blks {
-			blk.Release()
+		if err != nil {
+			releaseBlocks(blks)
+			return unwind(err)
 		}
-		return unwind(err)
+		inflight = blks
+		go seed(st, blks)
 	}
 	if err := waitSeed(); err != nil {
 		return unwind(err)
 	}
+	return placed, nil
+}
 
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	stripes := make([]uint64, 0, len(seeded))
-	for _, p := range seeded {
-		f.stripeSys[p.id] = p.sys
-		f.stripeLoc[p.id] = p.nodes
-		stripes = append(stripes, p.id)
+// readStripe fills k pooled blocks with the next bytes of r — as many
+// as *remaining allows — zero-padding the tail (pooled buffers come
+// back with undefined contents). On error it returns no blocks.
+func readStripe(r io.Reader, k, blockSize int, remaining *int) ([]*blockpool.Block, error) {
+	blks := make([]*blockpool.Block, k)
+	for b := range blks {
+		blks[b] = blockpool.GetBlock(blockSize)
+		buf := blks[b].B
+		fill := min(*remaining, blockSize)
+		if _, err := io.ReadFull(r, buf[:fill]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			releaseBlocks(blks)
+			return nil, err
+		}
+		*remaining -= fill
+		clear(buf[fill:])
 	}
-	s.directory[key] = &objectMeta{size: size, stripes: stripes, ec: ec}
-	s.usedBytes += int64(size)
-	s.ctr.puts.Add(1)
-	s.ctr.bytesIn.Add(int64(size))
-	// A reconfiguration may have advanced past our pinned epoch while
-	// the stream was seeding: hand the fresh object to the active
-	// migration (see Put for why it cannot have completed).
-	if ec != f.cur && f.mig != nil {
-		f.mig.enqueueLocked(s.tenant, key)
+	return blks, nil
+}
+
+func releaseBlocks(blks []*blockpool.Block) {
+	for _, b := range blks {
+		b.Release()
 	}
-	return nil
+}
+
+// objectReader walks an object's logical blocks through quorum reads,
+// trimmed to its size, one block in memory at a time: the io.Reader
+// the migration feeds seedStream from, and as an io.WriterTo the walk
+// behind GetWriter.
+type objectReader struct {
+	ctx       context.Context
+	s         *Store
+	key       string
+	m         objectMeta
+	logical   int    // next logical block to read
+	remaining int    // object bytes not yet read
+	buf       []byte // unread tail of the current block (Read only)
+}
+
+func (s *Store) objectReader(ctx context.Context, key string, m objectMeta) *objectReader {
+	return &objectReader{ctx: ctx, s: s, key: key, m: m, remaining: m.size}
+}
+
+// next returns the object's next logical block, io.EOF past its end.
+func (o *objectReader) next() ([]byte, error) {
+	if o.remaining == 0 {
+		return nil, io.EOF
+	}
+	data, err := o.s.readLogicalBlock(o.ctx, &o.m, o.key, o.logical)
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > o.remaining {
+		data = data[:o.remaining]
+	}
+	o.logical++
+	o.remaining -= len(data)
+	return data, nil
+}
+
+func (o *objectReader) Read(p []byte) (int, error) {
+	if len(o.buf) == 0 {
+		var err error
+		if o.buf, err = o.next(); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, o.buf)
+	o.buf = o.buf[n:]
+	return n, nil
+}
+
+// WriteTo returns the bytes written; on a read or write error the
+// count says how much of the object reached w.
+func (o *objectReader) WriteTo(w io.Writer) (int64, error) {
+	var written int64
+	for {
+		data, err := o.next()
+		if err == io.EOF {
+			return written, nil
+		}
+		if err != nil {
+			return written, err
+		}
+		n, err := w.Write(data)
+		written += int64(n)
+		if err != nil {
+			return written, fmt.Errorf("writing object %q: %w", o.key, err)
+		}
+	}
 }
 
 // GetWriter streams the object to w through quorum reads, one block at
@@ -202,23 +261,9 @@ func (s *Store) GetWriter(ctx context.Context, key string, w io.Writer) (int64, 
 	if err != nil {
 		return 0, err
 	}
-	var written int64
-	remaining := m.size
-	for logical := 0; remaining > 0; logical++ {
-		data, err := s.readLogicalBlock(ctx, &m, key, logical)
-		if err != nil {
-			return written, err
-		}
-		take := len(data)
-		if take > remaining {
-			take = remaining
-		}
-		n, werr := w.Write(data[:take])
-		written += int64(n)
-		remaining -= take
-		if werr != nil {
-			return written, fmt.Errorf("writing object %q: %w", key, werr)
-		}
+	written, err := s.objectReader(ctx, key, m).WriteTo(w)
+	if err != nil {
+		return written, err
 	}
 	s.ctr.gets.Add(1)
 	s.ctr.bytesOut.Add(int64(m.size))

@@ -89,6 +89,65 @@ func TestPutReaderGetWriterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutMatchesPutReader: Put is PutReader over a buffer the caller
+// holds, so the same bytes through either — on every boundary shape,
+// the empty object and exact stripe multiples included — give the same
+// object (size, stripe count, bytes through Get and ReadAt), charge the
+// same quota, are refused by it at the same point, and move the
+// tenant's counters identically.
+func TestPutMatchesPutReader(t *testing.T) {
+	store, _ := newTestStore(t)
+	ctx := context.Background()
+	// The sizes sum to 6036 bytes: the byte quota refuses the last one.
+	quota := Quota{MaxObjects: int64(len(streamSizes)), MaxBytes: 5000}
+	buffered, err := store.Fleet().Tenant("buffered", quota)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := store.Fleet().Tenant("streamed", quota)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := 0
+	for _, size := range streamSizes {
+		key := fmt.Sprintf("obj-%d", size)
+		want := streamPattern(size)
+		errB := buffered.Put(ctx, key, want)
+		errS := streamed.PutReader(ctx, key, bytes.NewReader(want), size)
+		if errors.Is(errB, client.ErrQuotaExceeded) != errors.Is(errS, client.ErrQuotaExceeded) ||
+			(errB == nil) != (errS == nil) {
+			t.Fatalf("size %d: Put err = %v, PutReader err = %v", size, errB, errS)
+		}
+		if errB != nil {
+			refused++
+			continue
+		}
+		for _, s := range []*Store{buffered, streamed} {
+			if sz, err := s.Size(key); err != nil || sz != size {
+				t.Fatalf("%s: Size(%d) = %d, %v", s.Tenant(), size, sz, err)
+			}
+			if got, err := s.Get(ctx, key); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: Get(%d): %v, mismatch=%v", s.Tenant(), size, err, !bytes.Equal(got, want))
+			}
+			off, length := size/3, size-size/3
+			if got, err := s.ReadAt(ctx, key, off, length); err != nil || !bytes.Equal(got, want[off:]) {
+				t.Fatalf("%s: ReadAt(%d): %v", s.Tenant(), size, err)
+			}
+		}
+		stripesB, _ := buffered.StripesOf(key)
+		stripesS, _ := streamed.StripesOf(key)
+		if len(stripesB) != len(stripesS) {
+			t.Fatalf("size %d: %d stripes buffered, %d streamed", size, len(stripesB), len(stripesS))
+		}
+		if mb, ms := buffered.TenantMetrics(), streamed.TenantMetrics(); mb != ms {
+			t.Fatalf("size %d: tenant metrics diverge:\nbuffered %+v\nstreamed %+v", size, mb, ms)
+		}
+	}
+	if mb, ms := buffered.TenantMetrics(), streamed.TenantMetrics(); mb != ms || mb.QuotaRejections != int64(refused) || refused == 0 {
+		t.Fatalf("after %d refusals: buffered %+v, streamed %+v", refused, mb, ms)
+	}
+}
+
 // TestStreamedObjectRandomAccess: ReadAt and WriteAt spanning stripe
 // boundaries of a PutReader-created object behave exactly as on a
 // buffered one.

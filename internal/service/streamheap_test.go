@@ -151,17 +151,11 @@ func (w *verifyWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func TestStreamGiBObjectStaysStripeSized(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1 GiB streaming round-trip: skipped with -short")
-	}
-	const (
-		n         = 15
-		k         = 8
-		blockSize = 256 << 10
-		size      = 1 << 30 // 1 GiB = 512 stripes of 2 MiB payload
-	)
-	nodes := make([]core.NodeClient, n)
+// newFileBackedStore builds a store over file-backed nodes, the first
+// cfg.N of them placed round-robin.
+func newFileBackedStore(t *testing.T, nodeCount int, cfg Config) *Store {
+	t.Helper()
+	nodes := make([]core.NodeClient, nodeCount)
 	base := t.TempDir()
 	for j := range nodes {
 		dir := filepath.Join(base, fmt.Sprintf("node%d", j))
@@ -170,21 +164,22 @@ func TestStreamGiBObjectStaysStripeSized(t *testing.T) {
 		}
 		nodes[j] = nodeengine.New(newFileChunkStore(dir))
 	}
-	strat, err := placement.NewRoundRobin(n)
+	strat, err := placement.NewRoundRobin(cfg.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := New(nodes, Config{
-		N: n, K: k,
-		Shape: trapezoid.Shape{A: 2, B: 3, H: 1}, W: 3,
-		BlockSize: blockSize,
-		Placement: strat,
-	})
+	cfg.Placement = strat
+	store, err := New(nodes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return store
+}
 
-	// Heap sampler: record the peak HeapAlloc while the object streams.
+// peakHeapGrowth runs f while sampling HeapAlloc and returns how far
+// the peak rose above the heap f started with.
+func peakHeapGrowth(t *testing.T, f func()) int64 {
+	t.Helper()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -209,19 +204,36 @@ func TestStreamGiBObjectStaysStripeSized(t *testing.T) {
 			}
 		}
 	}()
-
-	ctx := context.Background()
-	if err := store.PutReader(ctx, "big", &patternReader{n: size}, size); err != nil {
-		t.Fatal(err)
-	}
-	vw := &verifyWriter{}
-	written, err := store.GetWriter(ctx, "big", vw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f()
 	close(stopSampler)
 	<-samplerDone
+	growth := int64(peak.Load()) - int64(baseline)
+	t.Logf("heap baseline %d KiB, peak growth %d KiB", baseline>>10, growth>>10)
+	return growth
+}
 
+func TestStreamGiBObjectStaysStripeSized(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1 GiB streaming round-trip: skipped with -short")
+	}
+	const size = 1 << 30 // 1 GiB = 512 stripes of 2 MiB payload
+	store := newFileBackedStore(t, 15, Config{
+		N: 15, K: 8,
+		Shape: trapezoid.Shape{A: 2, B: 3, H: 1}, W: 3,
+		BlockSize: 256 << 10,
+	})
+	ctx := context.Background()
+	vw := &verifyWriter{}
+	var written int64
+	growth := peakHeapGrowth(t, func() {
+		if err := store.PutReader(ctx, "big", &patternReader{n: size}, size); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if written, err = store.GetWriter(ctx, "big", vw); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if written != size {
 		t.Fatalf("round-trip returned %d bytes, want %d", written, size)
 	}
@@ -234,10 +246,59 @@ func TestStreamGiBObjectStaysStripeSized(t *testing.T) {
 	// 8× below the object size — a buffered path would hold the full
 	// GiB (and its encoded shards) live.
 	const headroom = 128 << 20
-	growth := int64(peak.Load()) - int64(baseline)
-	t.Logf("heap baseline %d KiB, peak growth %d KiB", baseline>>10, growth>>10)
 	if growth > headroom {
 		t.Fatalf("peak heap grew %d MiB during a 1 GiB stream, want < %d MiB (O(stripe))",
+			growth>>20, headroom>>20)
+	}
+}
+
+// TestMigrationStaysStripeSized: a recode moves an object through the
+// same pipeline a Put does, so draining a 192 MiB object from (9,6)
+// onto (12,8) — 128 source stripes of 1.5 MiB re-cut into 96 target
+// stripes of 2 MiB — must not grow the heap with the object either.
+func TestMigrationStaysStripeSized(t *testing.T) {
+	if testing.Short() {
+		t.Skip("192 MiB streamed recode: skipped with -short")
+	}
+	const size = 192 << 20
+	store := newFileBackedStore(t, 12, Config{
+		N: 9, K: 6,
+		Shape: trapezoid.Shape{A: 2, B: 1, H: 1}, W: 2,
+		BlockSize: 256 << 10,
+	})
+	ctx := context.Background()
+	if err := store.PutReader(ctx, "big", &patternReader{n: size}, size); err != nil {
+		t.Fatal(err)
+	}
+	roster := make([]int, 12)
+	for i := range roster {
+		roster[i] = i
+	}
+	growth := peakHeapGrowth(t, func() {
+		err := store.Reconfigure(ctx, ReconfigSpec{
+			N: 12, K: 8,
+			Shape: trapezoid.Shape{A: 1, B: 2, H: 1}, W: 2,
+			Active: roster,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := store.Migration(); st.Active || st.Retired != 1 {
+		t.Fatalf("drain did not converge: %+v", st)
+	}
+	vw := &verifyWriter{}
+	if written, err := store.GetWriter(ctx, "big", vw); err != nil || written != size {
+		t.Fatalf("read-back after the recode: %d bytes, %v", written, err)
+	}
+	if bad := vw.bad.Load(); bad != 0 {
+		t.Fatalf("object corrupt at byte %d after the recode", bad-1)
+	}
+	// 64 MiB of headroom over a two-stripe pipeline is GC slack; an
+	// object-sized buffer alone is three times that.
+	const headroom = 64 << 20
+	if growth > headroom {
+		t.Fatalf("peak heap grew %d MiB recoding a 192 MiB object, want < %d MiB (O(stripe))",
 			growth>>20, headroom>>20)
 	}
 }

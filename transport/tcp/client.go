@@ -275,7 +275,7 @@ func (c *NodeClient) do(ctx context.Context, req *wire.Request) (wire.Response, 
 			r.onAbandon()
 			return wire.Response{}, err
 		}
-		if cerr := ctx.Err(); cerr != nil {
+		if cerr := ctxEnded(ctx); cerr != nil {
 			// The caller's own context ended. A deadline blown on this
 			// node is evidence against the node; a cancellation says
 			// nothing about it — but either way the attempt must hand
@@ -314,7 +314,7 @@ func (c *NodeClient) boundedAttempt(ctx context.Context, req *wire.Request) (wir
 	actx, cancel := context.WithTimeout(ctx, at)
 	defer cancel()
 	resp, err := c.attempt(actx, req)
-	if err != nil && ctx.Err() == nil && actx.Err() != nil {
+	if err != nil && ctxEnded(ctx) == nil && ctxEnded(actx) != nil {
 		err = fmt.Errorf("%w: %s %s: attempt timed out after %v",
 			client.ErrNodeDown, req.Op, c.addr, at)
 	}
@@ -439,10 +439,25 @@ func (c *NodeClient) exchange(ctx context.Context, cn *conn, req *wire.Request) 
 // everything else (refused, reset, timed out, torn frames — on the
 // wire they are all "the node did not answer").
 func (c *NodeClient) mapErr(ctx context.Context, op wire.Op, err error) error {
-	if ctxErr := ctx.Err(); ctxErr != nil {
+	if ctxErr := ctxEnded(ctx); ctxErr != nil {
 		return fmt.Errorf("tcp: %s %s: %w", op, c.addr, ctxErr)
 	}
 	return fmt.Errorf("%w: %s %s: %v", client.ErrNodeDown, op, c.addr, err)
+}
+
+// ctxEnded is ctx.Err(), except that a context whose deadline has passed
+// counts as expired before its own timer has fired. exchange copies the
+// deadline onto the socket, and the socket's timer can win the race by
+// a hair: the i/o timeout it raises is the caller's deadline, not
+// evidence that the node is down.
+func ctxEnded(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if deadline, ok := ctx.Deadline(); ok && !time.Now().Before(deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // call runs an exchange and surfaces the node's status as an error.
