@@ -121,8 +121,6 @@ type Link struct {
 	connSeq  int64
 	up, down Faults
 	refuse   bool
-	dropDial float64
-	dialRng  *rand.Rand
 
 	conns map[*connEntry]struct{}
 
@@ -154,9 +152,8 @@ func (e *connEntry) close() {
 // seed.
 func NewLink(seed int64) *Link {
 	return &Link{
-		seed:    seed,
-		dialRng: rand.New(rand.NewSource(seed ^ 0x5eed01a1)),
-		conns:   make(map[*connEntry]struct{}),
+		seed:  seed,
+		conns: make(map[*connEntry]struct{}),
 	}
 }
 
@@ -166,15 +163,6 @@ func NewLink(seed int64) *Link {
 func (l *Link) SetFaults(up, down Faults) {
 	l.mu.Lock()
 	l.up, l.down = up, down
-	l.mu.Unlock()
-}
-
-// SetDialFaults controls connection admission: refuse rejects every
-// new connection (partition-style), dropProb rejects a random
-// fraction.
-func (l *Link) SetDialFaults(refuse bool, dropProb float64) {
-	l.mu.Lock()
-	l.refuse, l.dropDial = refuse, dropProb
 	l.mu.Unlock()
 }
 
@@ -212,7 +200,6 @@ func (l *Link) Blackhole() {
 func (l *Link) Heal() {
 	l.mu.Lock()
 	l.refuse = false
-	l.dropDial = 0
 	l.up = Faults{}
 	l.down = Faults{}
 	l.mu.Unlock()
@@ -256,11 +243,7 @@ func (l *Link) faults(d Direction) Faults {
 // on admission and nil on refusal.
 func (l *Link) admit(closers ...net.Conn) *connEntry {
 	l.mu.Lock()
-	refuse := l.refuse
-	if !refuse && l.dropDial > 0 {
-		refuse = l.dialRng.Float64() < l.dropDial
-	}
-	if refuse {
+	if l.refuse {
 		l.mu.Unlock()
 		l.refused.Add(1)
 		return nil

@@ -34,7 +34,6 @@ import (
 	"trapquorum/client"
 	"trapquorum/internal/blockpool"
 	"trapquorum/internal/erasure"
-	"trapquorum/internal/sim"
 	"trapquorum/internal/trapezoid"
 )
 
@@ -60,13 +59,10 @@ var (
 )
 
 // NodeClient is the per-node RPC surface the protocol uses — the
-// public, transport-agnostic contract of the client package. *sim.Node
-// implements it; external backends implement it over their own
-// transport; tests substitute fault-injecting fakes.
+// public, transport-agnostic contract of the client package. The
+// simulator's nodes implement it; external backends implement it over
+// their own transport; tests substitute fault-injecting fakes.
 type NodeClient = client.NodeClient
-
-// Interface conformance check.
-var _ NodeClient = (*sim.Node)(nil)
 
 // OpError is the typed wrapper of the protocol's error taxonomy: it
 // records which operation failed and where (stripe, data block,
@@ -144,6 +140,19 @@ type MetricsSnapshot struct {
 	Repairs       int64
 	HedgedRPCs    int64
 	CorruptShards int64
+}
+
+// Add folds another snapshot's counters into m.
+func (m *MetricsSnapshot) Add(o MetricsSnapshot) {
+	m.Writes += o.Writes
+	m.FailedWrites += o.FailedWrites
+	m.DirectReads += o.DirectReads
+	m.DecodeReads += o.DecodeReads
+	m.FailedReads += o.FailedReads
+	m.Rollbacks += o.Rollbacks
+	m.Repairs += o.Repairs
+	m.HedgedRPCs += o.HedgedRPCs
+	m.CorruptShards += o.CorruptShards
 }
 
 // Options configures a System.
@@ -370,8 +379,8 @@ func (s *System) shardForPosition(block, pos int) int {
 }
 
 // chunkID names the chunk of one stripe shard.
-func chunkID(stripe uint64, shard int) sim.ChunkID {
-	return sim.ChunkID{Stripe: stripe, Shard: shard}
+func chunkID(stripe uint64, shard int) client.ChunkID {
+	return client.ChunkID{Stripe: stripe, Shard: shard}
 }
 
 // versionOfShard extracts the version of data block `block` from a

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"sync"
 
-	"trapquorum/internal/sim"
+	"trapquorum/client"
 	"trapquorum/internal/trapezoid"
 )
 
@@ -66,7 +66,7 @@ func (s *FRSystem) Metrics() MetricsSnapshot {
 }
 
 // frChunk names block id's replica chunk (identical on every node).
-func frChunk(id uint64) sim.ChunkID { return sim.ChunkID{Stripe: id} }
+func frChunk(id uint64) client.ChunkID { return client.ChunkID{Stripe: id} }
 
 func (s *FRSystem) blockLock(id uint64) *sync.Mutex {
 	s.mu.Lock()
@@ -103,13 +103,13 @@ func (s *FRSystem) checkVersion(ctx context.Context, id uint64) (version uint64,
 	for l := 0; l <= cfg.Shape.H; l++ {
 		need := cfg.ReadThreshold(l)
 		counter := 0
-		version = sim.NoVersion
+		version = client.NoVersion
 		for _, pos := range s.lay.Level(l) {
 			vers, _, err := s.nodes[pos].ReadVersions(ctx, frChunk(id))
 			if err != nil || len(vers) != 1 {
 				continue
 			}
-			if version == sim.NoVersion || vers[0] > version {
+			if version == client.NoVersion || vers[0] > version {
 				version = vers[0]
 			}
 			counter++
@@ -253,7 +253,7 @@ func (s *FRSystem) RepairReplica(ctx context.Context, id uint64, pos int) error 
 		return fmt.Errorf("%w: %d", ErrUnknownStripe, id)
 	}
 	var best []byte
-	bestVersion := sim.NoVersion
+	bestVersion := client.NoVersion
 	for p := range s.nodes {
 		if p == pos {
 			continue
@@ -262,7 +262,7 @@ func (s *FRSystem) RepairReplica(ctx context.Context, id uint64, pos int) error 
 		if err != nil || len(chunk.Versions) != 1 {
 			continue
 		}
-		if bestVersion == sim.NoVersion || chunk.Versions[0] > bestVersion {
+		if bestVersion == client.NoVersion || chunk.Versions[0] > bestVersion {
 			bestVersion = chunk.Versions[0]
 			best = chunk.Data
 		}

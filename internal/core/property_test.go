@@ -154,10 +154,20 @@ func runLifecycle(t *testing.T, r *rand.Rand, n, k int, cfg trapezoid.Config) {
 	if !ok {
 		t.Fatalf("(%d,%d) %v: stripe violates code after lifecycle", n, k, cfg)
 	}
+	// Read, repair and scrub share one judge of "consistent set": after
+	// the repair the scrubber must find nothing left to do, and every
+	// read must serve exactly the version the scrubber calls fresh.
+	rep, err := sys.ScrubStripe(context.Background(), 1)
+	if err != nil || !rep.Healthy {
+		t.Fatalf("(%d,%d) %v: scrub after repair: %v (%v)", n, k, cfg, rep, err)
+	}
 	for i := 0; i < k; i++ {
-		got, _, err := sys.ReadBlock(context.Background(), 1, i)
+		got, version, err := sys.ReadBlock(context.Background(), 1, i)
 		if err != nil || !bytes.Equal(got, expected[i]) {
 			t.Fatalf("(%d,%d) %v: final read %d wrong (%v)", n, k, cfg, i, err)
+		}
+		if version != rep.FreshVector[i] {
+			t.Fatalf("(%d,%d) %v: block %d read at version %d, scrub says fresh is %d", n, k, cfg, i, version, rep.FreshVector[i])
 		}
 	}
 }

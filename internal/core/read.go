@@ -8,7 +8,6 @@ import (
 	"trapquorum/client"
 	"trapquorum/internal/blockpool"
 	"trapquorum/internal/erasure"
-	"trapquorum/internal/sim"
 )
 
 // ReadBlock implements Algorithm 2: read data block `block` of a
@@ -81,7 +80,7 @@ func (s *System) readBlock(ctx context.Context, stripe uint64, block int) ([]byt
 	wrap := func(err error) error {
 		return &OpError{Op: "read", Stripe: stripe, Block: block, Level: -1, Node: -1, Err: err}
 	}
-	lastVersion := sim.NoVersion
+	lastVersion := client.NoVersion
 	var lastErr error
 	for attempt := 0; attempt < readRetryLimit; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -322,7 +321,7 @@ func (s *System) checkVersion(ctx context.Context, stripe uint64, block int) (ve
 	levels := make([]levelState, cfg.Shape.H+1)
 	for l := 0; l <= cfg.Shape.H; l++ {
 		positions := s.lay.Level(l)
-		levels[l] = levelState{need: cfg.ReadThreshold(l), total: len(positions), version: sim.NoVersion}
+		levels[l] = levelState{need: cfg.ReadThreshold(l), total: len(positions), version: client.NoVersion}
 		for _, pos := range positions {
 			probes = append(probes, probe{level: l, pos: pos, shard: s.shardForPosition(block, pos)})
 		}
@@ -398,131 +397,43 @@ func (s *System) checkVersion(ctx context.Context, stripe uint64, block int) (ve
 	return version, niState, pluralitySum(tally), true
 }
 
-// shardCandidate is one shard available for decoding: its stripe
-// index, content, and full version vector.
-type shardCandidate struct {
-	shard    int
-	data     []byte
-	versions []uint64
-}
-
-// decodeGroup collects the parity shards sharing one version vector
-// whose component for the target block equals the target version, plus
-// the data shards consistent with that vector.
-type decodeGroup struct {
-	vector  []uint64
-	parity  []shardCandidate
-	data    map[int]shardCandidate
-	matches int // parity members + consistent data shards
-}
-
 // decodeBlock implements Case 2 of Algorithm 2: reconstruct data block
-// `block` at the target version from any k mutually consistent shards.
+// `block` at the target version from any k mutually consistent shards
+// (see stripeview.go for the rule). The block's own shard never counts:
+// it is stale or suspect here — Case 1 handles it fresh.
 //
-// Consistency is judged on full version vectors, the information the
-// paper's V matrix carries: two parity shards agree iff their vectors
-// are identical; a data shard t agrees with a parity vector iff its
-// own version equals the vector's component t. This prevents mixing
-// shards that fold different versions of *other* blocks, which would
-// decode garbage.
-//
-// All n chunk reads are issued in parallel and grouped incrementally
-// as they settle; the first group to reach k members stops the fan-out
-// ("first-k"), cancelling the straggler reads. Any k mutually
-// consistent shards of an MDS code decode the same bytes, so taking
-// the first viable set instead of the largest changes nothing but the
-// latency.
+// All n chunk reads are issued in parallel, hedged, and the gather
+// stops as soon as some set reaches k members ("first-k"), cancelling
+// the straggler reads. Any k mutually consistent shards of an MDS code
+// decode the same bytes, so taking the first viable set instead of the
+// largest changes nothing but the latency.
 func (s *System) decodeBlock(ctx context.Context, stripe uint64, block int, version uint64, expect sumOpinion) ([]byte, error) {
-	k := s.code.K()
-	n := s.code.N()
-	groups := make(map[string]*decodeGroup)
-	dataCands := make(map[int]shardCandidate)
-	decTally := make(map[uint64]int)
-	var winner *decodeGroup
-	// tryExtend folds one data-shard candidate into one group when the
-	// shard's own version matches the group vector's component.
-	tryExtend := func(g *decodeGroup, cand shardCandidate) {
-		if cand.shard == block {
-			return // the target block's own shard is stale here (Case 1 handles fresh)
-		}
-		if _, have := g.data[cand.shard]; have || cand.versions[0] != g.vector[cand.shard] {
-			return
-		}
-		g.data[cand.shard] = cand
-		g.matches++
-	}
-	Fanout(ctx, s.opLimit(), n, func(cctx context.Context, shard int) (client.Chunk, error) {
-		return hedged(cctx, s.hedge, func(hctx context.Context) (client.Chunk, error) {
-			return s.nodes[shard].ReadChunk(hctx, chunkID(stripe, shard))
-		})
-	}, func(shard int, chunk client.Chunk, err error) bool {
-		if winner != nil {
-			return true
-		}
-		if err != nil {
-			if isCorruptErr(err) {
-				s.reportCorrupt(shard)
-			}
-			return true
-		}
-		if shard >= k {
-			// Collect the parity's content opinion even when the shard
-			// itself is stale for decoding — the opinions judge what we
-			// eventually decode, independent of which set decodes it.
-			tallyOpinion(decTally, chunk.Sums, block, version)
-		}
-		cand := shardCandidate{shard: shard, data: chunk.Data, versions: chunk.Versions}
-		switch {
-		case shard < k && len(chunk.Versions) == 1:
-			dataCands[shard] = cand
-			for _, g := range groups {
-				tryExtend(g, cand)
-				if g.matches >= k {
-					winner = g
-					return false
-				}
-			}
-		case shard >= k && len(chunk.Versions) == k && chunk.Versions[block] == version:
-			key := vectorKey(chunk.Versions)
-			g, have := groups[key]
-			if !have {
-				g = &decodeGroup{vector: chunk.Versions, data: make(map[int]shardCandidate)}
-				groups[key] = g
-				for _, cand := range dataCands {
-					tryExtend(g, cand)
-				}
-			}
-			g.parity = append(g.parity, cand)
-			g.matches++
-			if g.matches >= k {
-				winner = g
-				return false
-			}
-		}
-		return true
-	})
-	if winner == nil {
+	// The hook runs after every answer that can change the sets, so
+	// when the gather returns they are the final view's.
+	var sets []consistentSet
+	view := s.gather(ctx, stripe, -1, gatherOpt{hedge: true, stop: func(v *stripeView) bool {
+		sets = v.decodableSets(block, version, block)
+		return len(sets) > 0
+	}})
+	if len(sets) == 0 {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
-		return nil, fmt.Errorf("%w: no %d consistent shards at version %d", ErrNotReadable, k, version)
+		return nil, fmt.Errorf("%w: no %d consistent shards at version %d", ErrNotReadable, s.code.K(), version)
 	}
 	// The n-slot shard view is pooled scratch; the decoded block itself
 	// is the user-facing result and stays a plain allocation.
-	sl := blockpool.GetShardList(n)
+	sl := blockpool.GetShardList(s.code.N())
 	defer sl.Release()
-	for _, cand := range winner.parity {
-		sl.S[cand.shard] = cand.data
-	}
-	for _, cand := range winner.data {
-		sl.S[cand.shard] = cand.data
-	}
+	view.fill(sl.S, sets[0].members)
 	out, err := s.code.DecodeBlock(block, sl.S)
 	if err != nil {
 		return nil, err
 	}
 	if !expect.known {
-		expect = pluralitySum(decTally)
+		// The parity records the gather collected judge what was
+		// decoded, whichever set decoded it — stale parities included.
+		expect = view.opinion(block, version, block)
 	}
 	if expect.known && erasure.Sum64(out) != expect.sum {
 		// Some member of the winning set fed bad bytes into the decode:
@@ -531,15 +442,4 @@ func (s *System) decodeBlock(ctx context.Context, stripe uint64, block int, vers
 		return s.verifiedDecode(ctx, stripe, block, version, expect)
 	}
 	return out, nil
-}
-
-// vectorKey renders a version vector as a map key.
-func vectorKey(v []uint64) string {
-	buf := make([]byte, 0, len(v)*8)
-	for _, x := range v {
-		for shift := 0; shift < 64; shift += 8 {
-			buf = append(buf, byte(x>>uint(shift)))
-		}
-	}
-	return string(buf)
 }

@@ -9,22 +9,19 @@ import (
 	"trapquorum/client"
 	"trapquorum/internal/blockpool"
 	"trapquorum/internal/erasure"
-	"trapquorum/internal/sim"
 )
-
-// errShardExcluded marks the self-slot of a repair's survivor gather;
-// it never escapes freshestConsistentSet.
-var errShardExcluded = errors.New("core: shard excluded from gather")
 
 // RepairShard reconstructs stripe shard j from the surviving nodes and
 // reinstalls it on node j (which must be reachable again). This is the
 // exact-repair path run when a failed node rejoins with an empty or
 // stale disk.
 //
-// The repair reads every reachable shard, groups them into mutually
-// consistent sets by version vector (as the decode path does), picks
-// the freshest set with at least k members, recomputes shard j from
-// it, and writes the chunk with the set's version bookkeeping.
+// The repair reads every other reachable shard, picks the freshest
+// mutually consistent set with at least k members (the decode path's
+// rule, see stripeview.go), recomputes shard j from it, and writes the
+// chunk with the set's version bookkeeping — through the
+// version-guarded put: a concurrent write may have advanced the shard
+// since the survivors were gathered, and a repair never regresses it.
 //
 // Ordering note for bulk repair: when many shards are stale, repair
 // parity shards before data shards. Data shards are always mutually
@@ -33,31 +30,64 @@ var errShardExcluded = errors.New("core: shard excluded from gather")
 // consistent survivors, which stale parities cannot supply until they
 // are refreshed.
 func (s *System) RepairShard(ctx context.Context, stripe uint64, shard int) error {
+	return s.repairShard(ctx, stripe, shard, true)
+}
+
+// RepairShardForce is RepairShard without the version guard: the
+// rebuilt chunk is installed unconditionally. Use only with writers
+// quiesced, to clear failed-write residue whose version numbers run
+// *ahead* of the cluster's consistent state (the guarded repair
+// refuses to regress them).
+func (s *System) RepairShardForce(ctx context.Context, stripe uint64, shard int) error {
+	return s.repairShard(ctx, stripe, shard, false)
+}
+
+// repairShard is the body RepairShard and RepairShardForce share;
+// guarded selects the version-guarded install.
+func (s *System) repairShard(ctx context.Context, stripe uint64, shard int, guarded bool) error {
 	if shard < 0 || shard >= s.code.N() {
 		return fmt.Errorf("%w: shard %d of n=%d", ErrBadIndex, shard, s.code.N())
 	}
 	if _, err := s.stripeBlockSize(stripe); err != nil {
 		return err
 	}
-	vector, shards, recs, err := s.freshestConsistentSet(ctx, stripe, shard)
-	if err != nil {
-		return err
+	// No early termination: repair wants the *freshest* consistent set,
+	// so every survivor's answer matters.
+	return s.repairFrom(ctx, s.gather(ctx, stripe, shard, gatherOpt{}), stripe, shard, guarded)
+}
+
+// repairFrom rebuilds shard from the freshest decodable set the view
+// holds without it and installs the result on the shard's node.
+func (s *System) repairFrom(ctx context.Context, view *stripeView, stripe uint64, shard int, guarded bool) error {
+	set := freshest(view.decodableSets(-1, 0, shard))
+	if set == nil {
+		if cerr := ctx.Err(); cerr != nil {
+			// Nodes stopped answering because the context expired, not
+			// because the stripe degraded.
+			return opErr("repair", stripe, cerr)
+		}
+		return fmt.Errorf("%w: no %d consistent shards survive", ErrNotReadable, s.code.K())
 	}
+	sl := blockpool.GetShardList(s.code.N())
+	defer sl.Release()
+	view.fill(sl.S, set.members)
 	// The rebuilt shard lives in a pooled buffer: the node install
 	// snapshots what it stores (client contract), so the buffer is
 	// release-safe once the RPC settles.
-	rebuilt := blockpool.GetBlock(len(shards[firstPresent(shards)]))
+	rebuilt := blockpool.GetBlock(len(sl.S[set.members[0]]))
 	defer rebuilt.Release()
-	if err := s.code.RepairShardInto(rebuilt.B, shard, shards); err != nil {
+	if err := s.code.RepairShardInto(rebuilt.B, shard, sl.S); err != nil {
 		return err
 	}
-	versions, sums, err := s.repairInstallMeta(shard, vector, rebuilt.B, recs)
+	versions, sums, err := s.repairInstallMeta(view, shard, set.vector, rebuilt.B)
 	if err != nil {
 		return err
 	}
-	// Version-guarded install: a concurrent write may have advanced
-	// the shard since the survivors were gathered; never regress it.
-	if err := s.nodes[shard].PutChunkIfFresher(ctx, chunkID(stripe, shard), rebuilt.B, versions, sums...); err != nil {
+	install := s.nodes[shard].PutChunk
+	if guarded {
+		install = s.nodes[shard].PutChunkIfFresher
+	}
+	if err := install(ctx, chunkID(stripe, shard), rebuilt.B, versions, sums...); err != nil {
 		return err
 	}
 	s.metrics.Repairs.Add(1)
@@ -71,11 +101,11 @@ func (s *System) RepairShard(ctx context.Context, stripe uint64, shard int) erro
 // damage into a fresh, self-consistent chunk. A rebuilt parity shard
 // carries the record entries the survivor majority agrees on (slots
 // without a majority stay empty and abstain from future reads).
-func (s *System) repairInstallMeta(shard int, vector []uint64, rebuilt []byte, recs map[int][]client.BlockSum) ([]uint64, []client.BlockSum, error) {
+func (s *System) repairInstallMeta(view *stripeView, shard int, vector []uint64, rebuilt []byte) ([]uint64, []client.BlockSum, error) {
 	k := s.code.K()
 	if shard < k {
 		sum := erasure.Sum64(rebuilt)
-		if want := recMajority(recs, shard, vector[shard], k); want.known && want.sum != sum {
+		if want := view.opinion(shard, vector[shard], shard); want.known && want.sum != sum {
 			// Some survivor fed bad bytes into the rebuild; which one is
 			// unknown here, so no per-shard report — the read path's
 			// escalation pinpoints culprits.
@@ -85,39 +115,11 @@ func (s *System) repairInstallMeta(shard int, vector []uint64, rebuilt []byte, r
 	}
 	sums := make([]client.BlockSum, k)
 	for b := 0; b < k; b++ {
-		if op := recMajority(recs, b, vector[b], k); op.known {
+		if op := view.opinion(b, vector[b], shard); op.known {
 			sums[b] = client.BlockSum{Version: vector[b], Sum: op.sum}
 		}
 	}
 	return vector, sums, nil
-}
-
-// recMajority tallies survivor record opinions about data block
-// `block` at version v. Parity records vote with their slot `block`;
-// a data shard's single-slot record votes only about its own block.
-func recMajority(recs map[int][]client.BlockSum, block int, version uint64, k int) sumOpinion {
-	tally := make(map[uint64]int)
-	for shard, rec := range recs {
-		if shard < k {
-			if shard == block && len(rec) == 1 && rec[0].Version == version {
-				tally[rec[0].Sum]++
-			}
-			continue
-		}
-		tallyOpinion(tally, rec, block, version)
-	}
-	return pluralitySum(tally)
-}
-
-// firstPresent returns the index of the first non-nil shard; the
-// callers' survivor sets always hold at least k ≥ 1 members.
-func firstPresent(shards [][]byte) int {
-	for i, s := range shards {
-		if s != nil {
-			return i
-		}
-	}
-	return 0
 }
 
 // RepairStripe brings every stale shard of a stripe back to a mutually
@@ -129,17 +131,22 @@ func firstPresent(shards [][]byte) int {
 // consistent group (it holds a committed write its peers missed) must
 // not be touched at all, or the write would be lost.
 //
-// Within one round every shard's repair runs concurrently (bounded by
-// the configured concurrency): per-shard repairs are independent —
-// each gathers its own survivor set excluding itself and installs
-// through the version-guarded put, so racing repairs can at worst
-// observe each other's already-atomic installs. Rounds remain
-// barriers, preserving the fixpoint argument.
+// Each round gathers the stripe once — n chunk reads — and every
+// shard's repair is derived from that one snapshot, concurrently
+// (bounded by the configured concurrency): per-shard repairs are
+// independent — each takes its survivor set from the snapshot without
+// the shard itself and installs through the version-guarded put, so a
+// write racing the round can at worst get an install refused (the
+// shard is then reported ahead). Rounds remain barriers, preserving
+// the fixpoint argument.
 //
-// It returns the number of shards whose repair call succeeded, the
-// shards intentionally left alone because they are ahead of (or
-// incomparable with) the freshest rebuildable state, and an error if
-// some shard could not be repaired for any other reason.
+// repaired counts guarded installs that succeeded, summed over all
+// rounds: a round reinstalls every shard it can rebuild, fresh ones
+// included (an identical rewrite), so a healthy stripe reports n and
+// the figure is an upper bound on the shards that actually changed.
+// ahead lists the shards intentionally left alone because they are
+// ahead of (or incomparable with) the freshest rebuildable state; err
+// reports shards that could not be repaired for any other reason.
 func (s *System) RepairStripe(ctx context.Context, stripe uint64) (repaired int, ahead []int, err error) {
 	if _, err := s.stripeBlockSize(stripe); err != nil {
 		return 0, nil, err
@@ -153,13 +160,14 @@ func (s *System) RepairStripe(ctx context.Context, stripe uint64) (repaired int,
 		var failed []int
 		var failErr error
 		ahead = ahead[:0]
+		view := s.gather(ctx, stripe, -1, gatherOpt{})
 		Fanout(ctx, s.bulkLimit(), n, func(cctx context.Context, shard int) (struct{}, error) {
-			return struct{}{}, s.RepairShard(cctx, stripe, shard)
+			return struct{}{}, s.repairFrom(cctx, view, stripe, shard, true)
 		}, func(shard int, _ struct{}, rerr error) bool {
 			switch {
 			case rerr == nil:
 				repaired++
-			case errors.Is(rerr, sim.ErrVersionMismatch):
+			case errors.Is(rerr, client.ErrVersionMismatch):
 				// The stored chunk is fresher than anything we can
 				// rebuild: leave it (see the residue discussion).
 				ahead = append(ahead, shard)
@@ -183,38 +191,6 @@ func (s *System) RepairStripe(ctx context.Context, stripe uint64) (repaired int,
 		lastFailed = len(failed)
 	}
 	return repaired, ahead, fmt.Errorf("core: repair did not converge")
-}
-
-// RepairShardForce is RepairShard without the version guard: the
-// rebuilt chunk is installed unconditionally. Use only with writers
-// quiesced, to clear failed-write residue whose version numbers run
-// *ahead* of the cluster's consistent state (the guarded repair
-// refuses to regress them).
-func (s *System) RepairShardForce(ctx context.Context, stripe uint64, shard int) error {
-	if shard < 0 || shard >= s.code.N() {
-		return fmt.Errorf("%w: shard %d of n=%d", ErrBadIndex, shard, s.code.N())
-	}
-	if _, err := s.stripeBlockSize(stripe); err != nil {
-		return err
-	}
-	vector, shards, recs, err := s.freshestConsistentSet(ctx, stripe, shard)
-	if err != nil {
-		return err
-	}
-	rebuilt := blockpool.GetBlock(len(shards[firstPresent(shards)]))
-	defer rebuilt.Release()
-	if err := s.code.RepairShardInto(rebuilt.B, shard, shards); err != nil {
-		return err
-	}
-	versions, sums, err := s.repairInstallMeta(shard, vector, rebuilt.B, recs)
-	if err != nil {
-		return err
-	}
-	if err := s.nodes[shard].PutChunk(ctx, chunkID(stripe, shard), rebuilt.B, versions, sums...); err != nil {
-		return err
-	}
-	s.metrics.Repairs.Add(1)
-	return nil
 }
 
 // RepairNode repairs every seeded stripe's shard stored on node
@@ -249,146 +225,4 @@ func (s *System) RepairNode(ctx context.Context, shard int) (int, error) {
 		return repaired, errAt
 	}
 	return repaired, nil
-}
-
-// freshestConsistentSet gathers every reachable shard except `exclude`
-// and returns the mutually consistent set with the freshest version
-// vector (componentwise max, ties broken deterministically) that has
-// at least k members, as a full n-slot shard array for the erasure
-// decoder plus the set's version vector and the members' cross-checksum
-// records (keyed by shard) for install-time verification.
-func (s *System) freshestConsistentSet(ctx context.Context, stripe uint64, exclude int) ([]uint64, [][]byte, map[int][]client.BlockSum, error) {
-	k, n := s.code.K(), s.code.N()
-	type cand struct {
-		shard    int
-		data     []byte
-		versions []uint64
-		sums     []client.BlockSum
-	}
-	// Gather every reachable shard in parallel; no early termination —
-	// repair wants the *freshest* consistent set, so every survivor's
-	// answer matters.
-	var parity []cand
-	data := make(map[int]cand)
-	Fanout(ctx, s.opLimit(), n, func(cctx context.Context, j int) (client.Chunk, error) {
-		if j == exclude {
-			return client.Chunk{}, errShardExcluded
-		}
-		return s.nodes[j].ReadChunk(cctx, chunkID(stripe, j))
-	}, func(j int, chunk client.Chunk, err error) bool {
-		if err != nil {
-			if isCorruptErr(err) {
-				// A self-detected-rotten or quarantined chunk: it simply
-				// does not survive into the gather, and the rebuild
-				// replaces it — but record the observation.
-				s.reportCorrupt(j)
-			}
-			return true
-		}
-		c := cand{shard: j, data: chunk.Data, versions: chunk.Versions, sums: chunk.Sums}
-		if j < k {
-			if len(chunk.Versions) == 1 {
-				data[j] = c
-			}
-		} else if len(chunk.Versions) == k {
-			parity = append(parity, c)
-		}
-		return true
-	})
-	// Deterministic grouping regardless of arrival order.
-	sort.Slice(parity, func(i, j int) bool { return parity[i].shard < parity[j].shard })
-	// Candidate vectors: each distinct parity vector, plus the vector
-	// assembled purely from data shards when all k-1..k of them agree
-	// (needed when no parity survives).
-	type group struct {
-		vector  []uint64
-		members []cand
-	}
-	groups := make(map[string]*group)
-	addGroup := func(vec []uint64) *group {
-		key := vectorKey(vec)
-		g, ok := groups[key]
-		if !ok {
-			g = &group{vector: append([]uint64(nil), vec...)}
-			groups[key] = g
-		}
-		return g
-	}
-	for _, c := range parity {
-		g := addGroup(c.versions)
-		g.members = append(g.members, c)
-	}
-	if len(data) == k || (exclude < k && len(data) == k-1) {
-		// All surviving data shards present: their own versions form a
-		// candidate vector (filling the excluded slot from any parity
-		// is unnecessary — with no parity constraint any value works
-		// only if the set itself reaches k members).
-		vec := make([]uint64, k)
-		complete := true
-		for t := 0; t < k; t++ {
-			if c, ok := data[t]; ok {
-				vec[t] = c.versions[0]
-			} else if t != exclude {
-				complete = false
-			}
-		}
-		if complete && len(data) >= k {
-			addGroup(vec)
-		}
-	}
-	var keys []string
-	for key := range groups {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	var bestVec []uint64
-	var bestMembers []cand
-	for _, key := range keys {
-		g := groups[key]
-		members := append([]cand(nil), g.members...)
-		for t := 0; t < k; t++ {
-			c, ok := data[t]
-			if !ok || c.versions[0] != g.vector[t] {
-				continue
-			}
-			members = append(members, c)
-		}
-		if len(members) < k {
-			continue
-		}
-		if bestVec == nil || vectorFresher(g.vector, bestVec) {
-			bestVec = g.vector
-			bestMembers = members
-		}
-	}
-	if bestVec == nil {
-		if cerr := ctx.Err(); cerr != nil {
-			// Nodes stopped answering because the context expired, not
-			// because the stripe degraded.
-			return nil, nil, nil, opErr("repair", stripe, cerr)
-		}
-		return nil, nil, nil, fmt.Errorf("%w: no %d consistent shards survive", ErrNotReadable, k)
-	}
-	shards := make([][]byte, n)
-	recs := make(map[int][]client.BlockSum, len(bestMembers))
-	for _, c := range bestMembers {
-		shards[c.shard] = c.data
-		if len(c.sums) > 0 {
-			recs[c.shard] = c.sums
-		}
-	}
-	return bestVec, shards, recs, nil
-}
-
-// vectorFresher reports whether a is strictly fresher than b: greater
-// in some component and not smaller in the componentwise sum (a simple
-// total preference; concurrent residue vectors are incomparable and
-// resolved by the deterministic key order of the caller).
-func vectorFresher(a, b []uint64) bool {
-	var sa, sb uint64
-	for i := range a {
-		sa += a[i]
-		sb += b[i]
-	}
-	return sa > sb
 }

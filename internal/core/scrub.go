@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"trapquorum/client"
 	"trapquorum/internal/erasure"
 )
 
@@ -50,12 +49,13 @@ func (r ScrubReport) String() string {
 }
 
 // ScrubStripe audits one stripe without modifying anything: it reads
-// every reachable shard, finds the freshest consistent set, classifies
-// the rest as stale/ahead/unreachable, and — when a full stripe at the
-// fresh vector is reachable — re-derives the parity bytes to catch
-// corruption that version bookkeeping cannot see. The scrubber is the
-// read-only companion of RepairStripe: run it periodically, repair
-// when it reports degradation.
+// every shard once, and from that one snapshot finds the freshest
+// consistent set, classifies the rest as stale/ahead/unreachable, and —
+// when a full stripe at the fresh vector is reachable — re-derives the
+// parity bytes to catch corruption that version bookkeeping cannot
+// see. The scrubber is the read-only companion of RepairStripe and
+// judges by the same rule: run it periodically, repair when it reports
+// degradation.
 func (s *System) ScrubStripe(ctx context.Context, stripe uint64) (ScrubReport, error) {
 	if _, err := s.stripeBlockSize(stripe); err != nil {
 		return ScrubReport{}, err
@@ -63,88 +63,33 @@ func (s *System) ScrubStripe(ctx context.Context, stripe uint64) (ScrubReport, e
 	report := ScrubReport{Stripe: stripe}
 	n, k := s.code.N(), s.code.K()
 
-	vector, _, _, err := s.freshestConsistentSet(ctx, stripe, -1)
-	if err != nil {
-		// No k consistent shards: classify reachability and give up.
-		Fanout(ctx, s.opLimit(), n, func(cctx context.Context, shard int) (struct{}, error) {
-			_, _, rerr := s.nodes[shard].ReadVersions(cctx, chunkID(stripe, shard))
-			return struct{}{}, rerr
-		}, func(shard int, _ struct{}, rerr error) bool {
-			switch {
-			case rerr == nil:
-			case isCorruptErr(rerr):
-				report.CorruptShards = append(report.CorruptShards, shard)
-				s.reportCorrupt(shard)
-			default:
-				report.UnreachableShards = append(report.UnreachableShards, shard)
-			}
-			return true
-		})
-		sort.Ints(report.CorruptShards)
-		sort.Ints(report.UnreachableShards)
-		report.Healthy = false
+	view := s.gather(ctx, stripe, -1, gatherOpt{})
+	var vector []uint64
+	if set := freshest(view.decodableSets(-1, 0, -1)); set != nil {
+		vector = set.vector
+	}
+	// Shards matching the fresh vector keep their bytes for the content
+	// and parity checks below.
+	matching := make([][]byte, n)
+	for shard, state := range view.classify(vector) {
+		switch state {
+		case shardFresh:
+			matching[shard] = view.shards[shard].data
+		case shardStale:
+			report.StaleShards = append(report.StaleShards, shard)
+		case shardAhead:
+			report.AheadShards = append(report.AheadShards, shard)
+		case shardUnreachable:
+			report.UnreachableShards = append(report.UnreachableShards, shard)
+		case shardCorrupt:
+			report.CorruptShards = append(report.CorruptShards, shard)
+		}
+	}
+	if vector == nil {
+		// No k consistent shards: reachability is all there is to say.
 		return report, nil
 	}
 	report.FreshVector = vector
-
-	// Fetch every shard in parallel (no early stop: the audit wants
-	// the full picture), then classify against the fresh vector in
-	// shard order and collect the byte content of matching shards for
-	// the parity re-derivation.
-	chunks := make([]client.Chunk, n)
-	fetchErrs := make([]error, n)
-	Fanout(ctx, s.opLimit(), n, func(cctx context.Context, shard int) (client.Chunk, error) {
-		return s.nodes[shard].ReadChunk(cctx, chunkID(stripe, shard))
-	}, func(shard int, chunk client.Chunk, rerr error) bool {
-		chunks[shard], fetchErrs[shard] = chunk, rerr
-		return true
-	})
-	matching := make([][]byte, n)
-	for shard := 0; shard < n; shard++ {
-		chunk, rerr := chunks[shard], fetchErrs[shard]
-		if rerr != nil {
-			if isCorruptErr(rerr) {
-				report.CorruptShards = append(report.CorruptShards, shard)
-				s.reportCorrupt(shard)
-			} else {
-				report.UnreachableShards = append(report.UnreachableShards, shard)
-			}
-			continue
-		}
-		stale, ahead := false, false
-		if shard < k {
-			if len(chunk.Versions) != 1 {
-				stale = true
-			} else if chunk.Versions[0] < vector[shard] {
-				stale = true
-			} else if chunk.Versions[0] > vector[shard] {
-				ahead = true
-			}
-		} else {
-			if len(chunk.Versions) != k {
-				stale = true
-			} else {
-				for slot := 0; slot < k; slot++ {
-					if chunk.Versions[slot] < vector[slot] {
-						stale = true
-					} else if chunk.Versions[slot] > vector[slot] {
-						ahead = true
-					}
-				}
-			}
-		}
-		switch {
-		case ahead:
-			report.AheadShards = append(report.AheadShards, shard)
-		case stale:
-			report.StaleShards = append(report.StaleShards, shard)
-		default:
-			matching[shard] = chunk.Data
-		}
-	}
-	sort.Ints(report.StaleShards)
-	sort.Ints(report.AheadShards)
-	sort.Ints(report.UnreachableShards)
 
 	// Content verification against the cross-checksum records: each
 	// data shard at the fresh vector must match the majority opinion of
@@ -155,13 +100,7 @@ func (s *System) ScrubStripe(ctx context.Context, stripe uint64) (ScrubReport, e
 		if matching[shard] == nil {
 			continue
 		}
-		tally := make(map[uint64]int)
-		for j := k; j < n; j++ {
-			if fetchErrs[j] == nil {
-				tallyOpinion(tally, chunks[j].Sums, shard, vector[shard])
-			}
-		}
-		want := pluralitySum(tally)
+		want := view.opinion(shard, vector[shard], shard)
 		if !want.known {
 			continue
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"trapquorum/client"
 	"trapquorum/internal/erasure"
@@ -67,23 +66,7 @@ func pluralitySum(tally map[uint64]int) sumOpinion {
 // one-node level can win on the data node alone) — serving the data
 // node's bytes on its own say-so would let a lying N_i self-certify.
 func (s *System) gatherExpected(ctx context.Context, stripe uint64, block int, version uint64) sumOpinion {
-	k, n := s.code.K(), s.code.N()
-	tally := make(map[uint64]int)
-	Fanout(ctx, s.opLimit(), n-k, func(cctx context.Context, i int) (verProbe, error) {
-		shard := k + i
-		vers, sums, err := s.nodes[shard].ReadVersions(cctx, chunkID(stripe, shard))
-		return verProbe{versions: vers, sums: sums}, err
-	}, func(i int, pr verProbe, err error) bool {
-		if err != nil {
-			if isCorruptErr(err) {
-				s.reportCorrupt(k + i)
-			}
-			return true
-		}
-		tallyOpinion(tally, pr.sums, block, version)
-		return true
-	})
-	return pluralitySum(tally)
+	return s.gather(ctx, stripe, -1, gatherOpt{probe: true}).opinion(block, version, block)
 }
 
 // verifiedDecode is the escalation path of Case 2: a fast decode
@@ -101,71 +84,17 @@ func (s *System) gatherExpected(ctx context.Context, stripe uint64, block int, v
 // dropping it is one of the leave-one-out iterations and the
 // remaining members are all honest.
 func (s *System) verifiedDecode(ctx context.Context, stripe uint64, block int, version uint64, expect sumOpinion) ([]byte, error) {
-	k, n := s.code.K(), s.code.N()
-	chunks := make([]client.Chunk, n)
-	have := make([]bool, n)
-	Fanout(ctx, s.opLimit(), n, func(cctx context.Context, shard int) (client.Chunk, error) {
-		return s.nodes[shard].ReadChunk(cctx, chunkID(stripe, shard))
-	}, func(shard int, chunk client.Chunk, err error) bool {
-		if err != nil {
-			if isCorruptErr(err) {
-				s.reportCorrupt(shard)
-			}
-			return true
-		}
-		chunks[shard] = chunk
-		have[shard] = true
-		return true
-	})
-	// Re-establish the expected hash over the complete record
-	// population; the caller's opinion (from a partial quorum) breaks
-	// an otherwise unknown outcome.
-	tally := make(map[uint64]int)
-	for shard := k; shard < n; shard++ {
-		if have[shard] {
-			tallyOpinion(tally, chunks[shard].Sums, block, version)
-		}
-	}
-	if full := pluralitySum(tally); full.known {
+	view := s.gather(ctx, stripe, -1, gatherOpt{})
+	// The complete record population overrides the caller's opinion
+	// (from a partial quorum), which only breaks an unknown outcome.
+	if full := view.opinion(block, version, block); full.known {
 		expect = full
 	}
 	if !expect.known {
 		return nil, fmt.Errorf("%w: stripe %d block %d version %d: no record majority to verify against", ErrNotReadable, stripe, block, version)
 	}
-	// Group by full version vector, as the fast path does.
-	groups := make(map[string]*decodeGroup)
-	keys := []string(nil)
-	for shard := k; shard < n; shard++ {
-		if !have[shard] || len(chunks[shard].Versions) != k || chunks[shard].Versions[block] != version {
-			continue
-		}
-		key := vectorKey(chunks[shard].Versions)
-		g, ok := groups[key]
-		if !ok {
-			g = &decodeGroup{vector: chunks[shard].Versions, data: make(map[int]shardCandidate)}
-			groups[key] = g
-			keys = append(keys, key)
-		}
-		g.parity = append(g.parity, shardCandidate{shard: shard, data: chunks[shard].Data, versions: chunks[shard].Versions})
-	}
-	sort.Strings(keys) // deterministic group order
-	for _, key := range keys {
-		g := groups[key]
-		members := append([]shardCandidate(nil), g.parity...)
-		for shard := 0; shard < k; shard++ {
-			if shard == block || !have[shard] || len(chunks[shard].Versions) != 1 {
-				continue
-			}
-			if chunks[shard].Versions[0] != g.vector[shard] {
-				continue
-			}
-			members = append(members, shardCandidate{shard: shard, data: chunks[shard].Data, versions: chunks[shard].Versions})
-		}
-		sort.Slice(members, func(i, j int) bool { return members[i].shard < members[j].shard })
-		if len(members) < k {
-			continue
-		}
-		if out := s.searchVerifiedSet(block, version, expect, members); out != nil {
+	for _, set := range view.decodableSets(block, version, block) {
+		if out := s.searchVerifiedSet(view, block, expect, set.members); out != nil {
 			return out, nil
 		}
 	}
@@ -173,7 +102,7 @@ func (s *System) verifiedDecode(ctx context.Context, stripe uint64, block int, v
 		return nil, cerr
 	}
 	return nil, fmt.Errorf("%w: stripe %d block %d version %d: no survivor set of %d shards decodes to the record majority: %w",
-		ErrNotReadable, stripe, block, version, k, client.ErrCorrupt)
+		ErrNotReadable, stripe, block, version, s.code.K(), client.ErrCorrupt)
 }
 
 // searchVerifiedSet tries bases of exactly k members — first without
@@ -182,7 +111,7 @@ func (s *System) verifiedDecode(ctx context.Context, stripe uint64, block int, v
 // member's shard from the verified basis and reports mismatching
 // members as corrupt, then returns the decoded block. nil means no
 // basis verified.
-func (s *System) searchVerifiedSet(block int, version uint64, expect sumOpinion, members []shardCandidate) []byte {
+func (s *System) searchVerifiedSet(view *stripeView, block int, expect sumOpinion, members []int) []byte {
 	n := s.code.N()
 	shards := make([][]byte, n)
 	inBasis := make([]bool, n)
@@ -196,8 +125,8 @@ func (s *System) searchVerifiedSet(block int, version uint64, expect sumOpinion,
 			if i == drop || basis == s.code.K() {
 				continue
 			}
-			shards[m.shard] = m.data
-			inBasis[m.shard] = true
+			shards[m] = view.shards[m].data
+			inBasis[m] = true
 			basis++
 		}
 		if basis < s.code.K() {
@@ -210,15 +139,15 @@ func (s *System) searchVerifiedSet(block int, version uint64, expect sumOpinion,
 		// Verified basis in hand: every other member's shard is now
 		// derivable; members serving different bytes are the culprits.
 		for _, m := range members {
-			if inBasis[m.shard] {
+			if inBasis[m] {
 				continue
 			}
-			truth, rerr := s.code.RepairShard(m.shard, shards)
+			truth, rerr := s.code.RepairShard(m, shards)
 			if rerr != nil {
 				continue
 			}
-			if !bytes.Equal(truth, m.data) {
-				s.reportCorrupt(m.shard)
+			if !bytes.Equal(truth, view.shards[m].data) {
+				s.reportCorrupt(m)
 			}
 		}
 		return out

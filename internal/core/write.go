@@ -8,7 +8,6 @@ import (
 	"trapquorum/client"
 	"trapquorum/internal/blockpool"
 	"trapquorum/internal/erasure"
-	"trapquorum/internal/sim"
 )
 
 // appliedUpdate records one successful node update of an in-flight
@@ -262,7 +261,7 @@ func (s *System) rollback(stripe uint64, block int, applied []appliedUpdate, old
 			// Restore the old content conditionally on our own
 			// version still being in place.
 			err := s.nodes[u.shard].CompareAndPut(ctx, id, 0, u.newVersion, u.oldVersion, u.oldData, oldSum)
-			if err != nil && !errors.Is(err, sim.ErrVersionMismatch) {
+			if err != nil && !errors.Is(err, client.ErrVersionMismatch) {
 				return struct{}{}, err
 			}
 			return struct{}{}, nil

@@ -383,18 +383,6 @@ func (c *Code) Encode(data [][]byte) ([][]byte, error) {
 	return shards, nil
 }
 
-// encodeRowInto writes block j of the stripe (Σ α_{j,i}·data[i]) into
-// dst, overwriting it. Row-wise: the single-row path used by repair and
-// reconstruction, where only one output row is needed and the lane
-// layout would waste its fan-out.
-func (c *Code) encodeRowInto(dst []byte, j int, data [][]byte) {
-	row := c.gen.Row(j)
-	gf256.MulSlice(row[0], dst, data[0])
-	for i := 1; i < len(row); i++ {
-		gf256.MulAddSlice(row[i], dst, data[i])
-	}
-}
-
 // Verify checks that the parity blocks are consistent with the data
 // blocks. All n shards must be present (non-nil); use Reconstruct
 // first if some are missing. Verification re-derives the parity

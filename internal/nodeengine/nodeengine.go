@@ -515,13 +515,16 @@ func (e *Engine) CompareAndAdd(ctx context.Context, id client.ChunkID, slot int,
 
 // PutChunkIfFresher installs a chunk only when it does not regress any
 // version slot of an existing chunk: the proposed version vector must
-// be componentwise ≥ the stored one (a missing chunk always accepts;
-// an identical vector is an idempotent no-op). Repair uses this so
-// that a rebuild gathered before a concurrent write cannot overwrite
-// the write's newer state; the mismatch surfaces as
-// client.ErrVersionMismatch and the repair is retried. A stored chunk
-// the store reports corrupt accepts any install — the repair's rebuild
-// is strictly better than quarantined rot.
+// be componentwise ≥ the stored one (a missing chunk always accepts).
+// An identical vector is accepted too, and the chunk is rewritten in
+// full, durably, like any other install — same versions, the caller's
+// bytes — which is what lets a same-version repair replace bytes that
+// rotted or that a liar serves. Repair uses this so that a rebuild
+// gathered before a concurrent write cannot overwrite the write's
+// newer state; the mismatch surfaces as client.ErrVersionMismatch and
+// the repair is retried. A stored chunk the store reports corrupt
+// accepts any install — the repair's rebuild is strictly better than
+// quarantined rot.
 func (e *Engine) PutChunkIfFresher(ctx context.Context, id client.ChunkID, data []byte, versions []uint64, sums ...client.BlockSum) error {
 	e.metrics.Writes.Add(1)
 	if len(versions) == 0 {

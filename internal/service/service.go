@@ -71,10 +71,6 @@ type Config struct {
 	// Placement maps stripes to cluster nodes; its node count must
 	// be at least N.
 	Placement placement.Strategy
-	// DisableRollback reproduces the paper's Algorithm 1 verbatim:
-	// failed writes leave their partial updates behind (see
-	// core.Options).
-	DisableRollback bool
 	// Concurrency bounds the in-flight per-node RPCs of one quorum
 	// operation, and the parallel per-stripe repairs of a node-wide
 	// repair (0 = engine defaults; see core.Options).
@@ -167,6 +163,8 @@ type Fleet struct {
 	locks      map[string]*objLock
 	tenants    map[string]*Store
 	systems    map[string]*core.System // keyed by epoch|placement signature
+	sysRefs    map[*core.System]*sysRef
+	released   core.MetricsSnapshot // counters of instances released with their last stripe
 	stripeSys  map[uint64]*core.System
 	stripeLoc  map[uint64][]int // stripe -> cluster nodes per shard
 	nextStripe uint64
@@ -269,6 +267,7 @@ func NewFleet(nodes []core.NodeClient, cfg Config) (*Fleet, error) {
 		locks:      make(map[string]*objLock),
 		tenants:    make(map[string]*Store),
 		systems:    make(map[string]*core.System),
+		sysRefs:    make(map[*core.System]*sysRef),
 		stripeSys:  make(map[uint64]*core.System),
 		stripeLoc:  make(map[uint64][]int),
 		nextStripe: 1,
@@ -373,6 +372,14 @@ func (s *Store) Fleet() *Fleet { return s.fleet }
 // capacity returns the payload bytes one stripe holds in this epoch.
 func (ec *epochCfg) capacity(blockSize int) int { return ec.k * blockSize }
 
+// sysRef counts the placed stripes — seeding, live or being dropped —
+// bound to one protocol instance, so the instance can go with the last
+// of them. Guarded by Fleet.mu.
+type sysRef struct {
+	key   string // the instance's entry in Fleet.systems
+	count int
+}
+
 // systemFor returns (building if needed) the protocol instance bound
 // to the given node placement under the given epoch's geometry. The
 // epoch is part of the key — old and new instances coexist while a
@@ -388,10 +395,9 @@ func (f *Fleet) systemFor(ec *epochCfg, nodes []int) (*core.System, error) {
 		clients[shard] = f.nodes[node]
 	}
 	opts := core.Options{
-		DisableRollback: f.cfg.DisableRollback,
-		Concurrency:     f.cfg.Concurrency,
-		Hedge:           f.cfg.Hedge,
-		Epoch:           ec.id,
+		Concurrency: f.cfg.Concurrency,
+		Hedge:       f.cfg.Hedge,
+		Epoch:       ec.id,
 	}
 	if gate := f.cfg.NodeGate; gate != nil {
 		// The gate speaks cluster-node indices; the instance issues
@@ -420,6 +426,7 @@ func (f *Fleet) systemFor(ec *epochCfg, nodes []int) (*core.System, error) {
 		}
 	})
 	f.systems[key] = sys
+	f.sysRefs[sys] = &sysRef{key: key}
 	return sys, nil
 }
 
@@ -493,8 +500,9 @@ type placedStripe struct {
 }
 
 // placeStripe allocates the next stripe id and binds it to its placement
-// in epoch ec and the protocol instance serving that placement. The
-// stripe stays unregistered until registerLocked.
+// in epoch ec and the protocol instance serving that placement, which
+// the stripe keeps alive until dropStripes. The stripe stays
+// unregistered until registerLocked.
 func (f *Fleet) placeStripe(ec *epochCfg) (placedStripe, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -508,6 +516,7 @@ func (f *Fleet) placeStripe(ec *epochCfg) (placedStripe, error) {
 	if err != nil {
 		return placedStripe{}, err
 	}
+	f.sysRefs[sys].count++
 	return placedStripe{id: id, sys: sys, nodes: nodes}, nil
 }
 
@@ -532,7 +541,11 @@ func (f *Fleet) registerLocked(placed []placedStripe) []uint64 {
 // fan out stripe-major (consecutive tasks land on distinct nodes) under
 // the sweep bound, so the call costs the slowest node of each round,
 // not the sum over shards; the order in which shards disappear is
-// unspecified. Every removal has settled when it returns.
+// unspecified. Every removal has settled when it returns. A protocol
+// instance losing its last stripe here is released, its counters folded
+// into the fleet's — under ring placement almost every stripe has a
+// placement of its own, so instances would otherwise pile up without
+// bound.
 func (f *Fleet) dropStripes(set []placedStripe) (orphaned int) {
 	type removal struct {
 		node core.NodeClient
@@ -543,6 +556,13 @@ func (f *Fleet) dropStripes(set []placedStripe) (orphaned int) {
 	for _, st := range set {
 		for shard, node := range st.nodes {
 			tasks = append(tasks, removal{f.nodes[node], client.ChunkID{Stripe: st.id, Shard: shard}})
+		}
+		if ref := f.sysRefs[st.sys]; ref != nil {
+			if ref.count--; ref.count == 0 {
+				f.released.Add(st.sys.Metrics())
+				delete(f.systems, ref.key)
+				delete(f.sysRefs, st.sys)
+			}
 		}
 	}
 	f.mu.Unlock()
@@ -966,26 +986,18 @@ func (s *Store) StripesOf(key string) ([]uint64, error) {
 }
 
 // Metrics aggregates the protocol counters across every placement's
-// protocol instance into one fleet-level snapshot.
+// protocol instance, released ones included, into one fleet-level
+// snapshot.
 func (f *Fleet) Metrics() core.MetricsSnapshot {
 	f.mu.Lock()
+	total := f.released
 	systems := make([]*core.System, 0, len(f.systems))
 	for _, sys := range f.systems {
 		systems = append(systems, sys)
 	}
 	f.mu.Unlock()
-	var total core.MetricsSnapshot
 	for _, sys := range systems {
-		m := sys.Metrics()
-		total.Writes += m.Writes
-		total.FailedWrites += m.FailedWrites
-		total.DirectReads += m.DirectReads
-		total.DecodeReads += m.DecodeReads
-		total.FailedReads += m.FailedReads
-		total.Rollbacks += m.Rollbacks
-		total.Repairs += m.Repairs
-		total.HedgedRPCs += m.HedgedRPCs
-		total.CorruptShards += m.CorruptShards
+		total.Add(sys.Metrics())
 	}
 	return total
 }

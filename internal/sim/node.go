@@ -370,10 +370,11 @@ func (n *Node) CompareAndAdd(ctx context.Context, id ChunkID, slot int, expect, 
 // PutChunkIfFresher installs a chunk only when it does not regress any
 // version slot of an existing chunk: the proposed version vector must
 // be componentwise ≥ the stored one (a missing chunk always accepts;
-// an identical vector is an idempotent no-op). Repair uses this so
-// that a rebuild gathered before a concurrent write cannot overwrite
-// the write's newer state; the mismatch surfaces as
-// ErrVersionMismatch and the repair is retried.
+// an identical vector rewrites the chunk with the caller's bytes — see
+// nodeengine.PutChunkIfFresher). Repair uses this so that a rebuild
+// gathered before a concurrent write cannot overwrite the write's
+// newer state; the mismatch surfaces as ErrVersionMismatch and the
+// repair is retried.
 func (n *Node) PutChunkIfFresher(ctx context.Context, id ChunkID, data []byte, versions []uint64, sums ...client.BlockSum) error {
 	if err := n.gate(ctx, "write"); err != nil {
 		n.engine.Metrics().Writes.Add(1)

@@ -47,7 +47,6 @@ func Open(ctx context.Context, opts ...Option) (*ObjectStore, error) {
 		Shape: cfg.shape, W: cfg.w,
 		BlockSize:         cfg.blockSize,
 		Placement:         cfg.place,
-		DisableRollback:   cfg.disableRollback,
 		Concurrency:       cfg.concurrency,
 		CodingParallelism: cfg.codingParallel,
 		Hedge:             cfg.hedge,

@@ -19,18 +19,17 @@ type Option func(*config)
 // config is the resolved option set. The zero values of unset fields
 // are filled by defaults() before validation.
 type config struct {
-	n, k            int
-	shape           trapezoid.Shape
-	w               int
-	blockSize       int
-	place           placement.Strategy
-	backend         Backend
-	disableRollback bool
-	concurrency     int
-	codingParallel  int
-	hedge           core.HedgeConfig
-	selfHeal        *SelfHeal
-	errs            []error
+	n, k           int
+	shape          trapezoid.Shape
+	w              int
+	blockSize      int
+	place          placement.Strategy
+	backend        Backend
+	concurrency    int
+	codingParallel int
+	hedge          core.HedgeConfig
+	selfHeal       *SelfHeal
+	errs           []error
 }
 
 // newConfig applies the options over the paper's Figure-3 defaults:
@@ -133,13 +132,6 @@ func WithBackend(b Backend) Option {
 		}
 		c.backend = b
 	}
-}
-
-// WithDisableRollback reproduces the paper's Algorithm 1 verbatim:
-// failed writes leave their partial updates behind. Leave unset
-// unless studying the failed-write residue hazard.
-func WithDisableRollback() Option {
-	return func(c *config) { c.disableRollback = true }
 }
 
 // WithConcurrency bounds the number of in-flight per-node RPCs a

@@ -40,10 +40,9 @@ func OpenStore(ctx context.Context, opts ...Option) (*Store, error) {
 		return nil, err
 	}
 	sys, err := core.NewSystem(code, tcfg, nodes, core.Options{
-		DisableRollback: cfg.disableRollback,
-		Concurrency:     cfg.concurrency,
-		Hedge:           cfg.hedge,
-		NodeGate:        nodeGate(cfg.backend),
+		Concurrency: cfg.concurrency,
+		Hedge:       cfg.hedge,
+		NodeGate:    nodeGate(cfg.backend),
 	})
 	if err != nil {
 		cfg.backend.Close()
