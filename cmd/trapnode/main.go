@@ -38,7 +38,6 @@ type config struct {
 	dir          string
 	noFsync      bool
 	groupCommit  bool
-	gcLinger     time.Duration
 	gcMaxBatch   int
 	scanInterval time.Duration
 	ioTimeout    time.Duration
@@ -51,9 +50,7 @@ func main() {
 	flag.BoolVar(&cfg.noFsync, "no-fsync", false,
 		"skip fsync on mutations (faster, loses crash durability); before reaching for this, see -group-commit, which keeps full durability and amortises the fsync instead — docs/OPERATIONS.md §\"Running without fsync\" derives exactly what each mode risks")
 	flag.BoolVar(&cfg.groupCommit, "group-commit", false,
-		"batch concurrent mutations into one WAL append + fsync (needs -dir): every acknowledged mutation is still durable, but writers that arrive together share the fsync instead of each paying their own — see docs/OPERATIONS.md §\"Group commit\"")
-	flag.DurationVar(&cfg.gcLinger, "gc-linger", -1,
-		"group commit: how long the committer lingers for more mutations to join a batch (0 commits immediately, negative selects the built-in default; needs -group-commit)")
+		"commit mutations through one WAL append + fsync per batch (needs -dir): every acknowledged mutation is still durable, a lone mutation pays one fsync where the default path pays three, and mutations that arrive while a flush is in flight share the next one — see docs/OPERATIONS.md §\"Group commit\"")
 	flag.IntVar(&cfg.gcMaxBatch, "gc-max-batch", 0,
 		"group commit: max mutations per batch before stagers block (0 selects the built-in default; needs -group-commit)")
 	flag.DurationVar(&cfg.scanInterval, "scan-interval", 0,
@@ -94,7 +91,7 @@ func run(cfg config, stop <-chan struct{}, started func(net.Addr)) error {
 	} else {
 		opts := []diskstore.Option{diskstore.WithSyncWrites(!cfg.noFsync)}
 		if cfg.groupCommit {
-			opts = append(opts, diskstore.WithGroupCommit(cfg.gcLinger, cfg.gcMaxBatch))
+			opts = append(opts, diskstore.WithGroupCommit(0, cfg.gcMaxBatch))
 		}
 		ds, err := diskstore.Open(cfg.dir, opts...)
 		if err != nil {

@@ -23,7 +23,7 @@ const benchChunkSize = 4096
 func benchPutChunk(b *testing.B, writers int, group bool) {
 	opts := []diskstore.Option{diskstore.WithSyncWrites(true)}
 	if group {
-		opts = append(opts, diskstore.WithGroupCommit(-1, 0))
+		opts = append(opts, diskstore.WithGroupCommit(0, 0))
 	}
 	s, err := diskstore.Open(b.TempDir(), opts...)
 	if err != nil {

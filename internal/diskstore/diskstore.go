@@ -36,7 +36,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"trapquorum/client"
 	"trapquorum/internal/chunkmeta"
@@ -111,7 +110,6 @@ type Store struct {
 	// unless gcOn; gcMu guards the batch state, pending/durable epochs
 	// and failed. gcDirty and gcWalBytes are committer-owned.
 	gcOn        bool
-	gcLinger    time.Duration
 	gcMaxBatch  int
 	gcMu        sync.Mutex
 	gcSpace     sync.Cond // batch has room (stager back-pressure)
@@ -130,6 +128,10 @@ type Store struct {
 	// write per id however many times it was overwritten.
 	gcDirty    map[client.ChunkID][]byte
 	gcWalBytes int64
+	// commitGate, when set (tests only, before the first mutation), is
+	// called by the committer after it swaps a batch out and before
+	// that batch's WAL append — tests hold a batch there.
+	commitGate func()
 }
 
 // Option customises a Store.
@@ -350,6 +352,12 @@ func (s *Store) Scan() ([]client.ChunkID, error) {
 			continue
 		}
 		raw, err := os.ReadFile(filepath.Join(s.chunksDir, name))
+		if os.IsNotExist(err) {
+			// Removed since the listing: the group committer's checkpoint
+			// works in chunks/ beside this engine-serialised call, and a
+			// vanished file is a deleted chunk, not a failed scan.
+			continue
+		}
 		if err != nil {
 			return nil, fmt.Errorf("diskstore: %w", err)
 		}
@@ -682,12 +690,14 @@ func appendChunkBody(dst []byte, id client.ChunkID, data []byte, versions []uint
 	return append(dst, data...)
 }
 
+// decodeChunkBody inverts appendChunkBody. The returned data aliases p:
+// every caller either copies it onward (the mirror's Put, the chunk
+// file image) or discards it, so the decode itself does not.
 func decodeChunkBody(p []byte, withMeta bool) (id client.ChunkID, data []byte, versions []uint64, meta chunkmeta.Meta, err error) {
 	if len(p) < 12 {
 		return id, nil, nil, meta, fmt.Errorf("short body")
 	}
-	id.Stripe = binary.BigEndian.Uint64(p[0:8])
-	id.Shard = int(int32(binary.BigEndian.Uint32(p[8:12])))
+	id = decodeChunkID(p)
 	p = p[12:]
 	if withMeta {
 		if len(p) < 21 {
@@ -732,7 +742,7 @@ func decodeChunkBody(p []byte, withMeta bool) (id client.ChunkID, data []byte, v
 	if uint64(dlen) != uint64(len(p)) {
 		return id, nil, nil, meta, fmt.Errorf("data length %d, have %d bytes", dlen, len(p))
 	}
-	return id, append([]byte(nil), p...), versions, meta, nil
+	return id, p, versions, meta, nil
 }
 
 func appendPutRecord(dst []byte, id client.ChunkID, data []byte, versions []uint64, meta chunkmeta.Meta) []byte {
@@ -747,6 +757,24 @@ func decodePutRecord(p []byte) (id client.ChunkID, data []byte, versions []uint6
 	return decodeChunkBody(p[1:], p[0] == opPut2)
 }
 
+// putRecordID reads only the chunk id of a put record, which heads the
+// body of both record versions.
+func putRecordID(p []byte) (id client.ChunkID, err error) {
+	if len(p) < 13 || (p[0] != opPut && p[0] != opPut2) {
+		return id, fmt.Errorf("not a put record")
+	}
+	return decodeChunkID(p[1:]), nil
+}
+
+// decodeChunkID reads the 12-byte id encoding — stripe, then shard —
+// that heads a chunk body and follows a delete record's op byte.
+func decodeChunkID(p []byte) client.ChunkID {
+	return client.ChunkID{
+		Stripe: binary.BigEndian.Uint64(p[0:8]),
+		Shard:  int(int32(binary.BigEndian.Uint32(p[8:12]))),
+	}
+}
+
 func appendDeleteRecord(dst []byte, id client.ChunkID) []byte {
 	dst = append(dst, opDelete)
 	dst = binary.BigEndian.AppendUint64(dst, id.Stripe)
@@ -757,9 +785,7 @@ func decodeDeleteRecord(p []byte) (id client.ChunkID, err error) {
 	if len(p) != 13 || p[0] != opDelete {
 		return id, fmt.Errorf("malformed delete record")
 	}
-	id.Stripe = binary.BigEndian.Uint64(p[1:9])
-	id.Shard = int(int32(binary.BigEndian.Uint32(p[9:13])))
-	return id, nil
+	return decodeChunkID(p[1:]), nil
 }
 
 // appendChunkFile encodes a self-describing chunk file: magic, body,

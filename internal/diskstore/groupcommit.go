@@ -21,10 +21,15 @@ import (
 //     the current batch, update the in-memory mirror, and receive a
 //     wait function. Staging never touches the disk; a full batch
 //     (maxBatch) applies back-pressure instead of growing unboundedly.
-//   - The committer lingers briefly so concurrent stagers can pile into
-//     the batch, then writes the whole batch to the WAL with one append
-//     and one fsync. That fsync is the durability point: every waiter
-//     of the batch is acknowledged right after it.
+//   - The committer never waits for followers: the moment it observes
+//     staged work it swaps the batch out and writes it to the WAL with
+//     one append and one fsync, and whatever stages while that flush is
+//     in flight is the next batch — the batching the fsync itself
+//     provides. That fsync is the durability point: every waiter of
+//     the batch is acknowledged right after it. No timer is armed
+//     anywhere on this path, so a lone mutation costs one fsync and
+//     nothing else (docs/PERFORMANCE.md §6 has what a 200 µs linger
+//     really cost an idle process, and CI keeps timers out).
 //   - Applies (chunk-file rewrite via temp + rename) happen after the
 //     acknowledgement and skip the per-file and per-directory fsyncs:
 //     the WAL intent is durable, so a crash at any point replays the
@@ -47,12 +52,6 @@ import (
 // could still revoke. See docs/OPERATIONS.md §"Group commit".
 
 const (
-	// gcDefaultLinger is how long the committer waits for followers to
-	// join a batch. Roughly one fsync on commodity SSDs: long enough to
-	// merge concurrent writers, short enough that a lone writer's
-	// latency stays below the per-mutation path (which pays three
-	// fsyncs where group commit pays one).
-	gcDefaultLinger = 200 * time.Microsecond
 	// gcDefaultMaxBatch bounds mutations per batch; stagers beyond it
 	// block until the committer drains.
 	gcDefaultMaxBatch = 256
@@ -62,27 +61,29 @@ const (
 	// gcCheckpointDirty bounds the dirty-file set between checkpoints,
 	// so one checkpoint never fsyncs an unbounded number of files.
 	gcCheckpointDirty = 512
+	// gcRecycleBytes bounds the batch buffer kept for reuse, so one
+	// outsized batch does not pin its memory for the store's lifetime.
+	gcRecycleBytes = 4 << 20
 )
 
 // WithGroupCommit batches concurrent mutations into one WAL append +
-// fsync. linger is how long the committer waits for additional
-// mutations to join a batch (0 commits as soon as the committer
-// observes work; negative selects the default), maxBatch bounds the
-// mutations per batch (≤ 0 selects the default). Staging calls
-// (PutBatched, DeleteBatched, WipeBatched — and Put/Delete/Wipe, which
-// stage and wait) must be serialised by the caller, as the node engine
-// already does; the returned wait functions may be called from any
-// goroutine.
-func WithGroupCommit(linger time.Duration, maxBatch int) Option {
-	if linger < 0 {
-		linger = gcDefaultLinger
-	}
+// fsync. maxBatch bounds the mutations per batch (≤ 0 selects the
+// default). Staging calls (PutBatched, DeleteBatched, WipeBatched — and
+// Put/Delete/Wipe, which stage and wait) must be serialised by the
+// caller, as the node engine already does; the returned wait functions
+// may be called from any goroutine.
+//
+// The first parameter was the committer's linger. It is accepted and
+// ignored — the committer no longer waits for followers — and is kept
+// only because the end-to-end benchmark's frozen sources (bench/
+// cluster.go, bench/bench_test.go) call WithGroupCommit(-1, 0); it goes
+// with the next change allowed to touch bench/.
+func WithGroupCommit(_ time.Duration, maxBatch int) Option {
 	if maxBatch <= 0 {
 		maxBatch = gcDefaultMaxBatch
 	}
 	return func(s *Store) {
 		s.gcOn = true
-		s.gcLinger = linger
 		s.gcMaxBatch = maxBatch
 	}
 }
@@ -101,8 +102,11 @@ type gcBatch struct {
 	done  chan struct{} // closed once the batch's durability is known
 }
 
-func newGCBatch() *gcBatch {
-	return &gcBatch{done: make(chan struct{})}
+// newGCBatch opens a batch over recycled (or nil) buffers. The struct
+// and its channel are fresh every time: waiters keep them past the
+// batch's end.
+func newGCBatch(buf []byte, ids []client.ChunkID) *gcBatch {
+	return &gcBatch{buf: buf[:0], ids: ids[:0], done: make(chan struct{})}
 }
 
 // finish resolves the batch for its waiters. Must be called exactly
@@ -125,7 +129,7 @@ func (s *Store) startGroupCommit() {
 	s.gcWork = make(chan struct{}, 1)
 	s.gcSpace.L = &s.gcMu
 	s.gcRead.L = &s.gcMu
-	s.gcCur = newGCBatch()
+	s.gcCur = newGCBatch(nil, nil)
 	s.gcEpoch = 1
 	s.gcPending = make(map[client.ChunkID]uint64)
 	s.gcDirty = make(map[client.ChunkID][]byte)
@@ -162,7 +166,7 @@ func (s *Store) poisonLocked(err error) error {
 		cur := s.gcCur
 		// Staging after poison fails fast; the fresh batch keeps the
 		// non-nil invariant and never gains waiters.
-		s.gcCur = newGCBatch()
+		s.gcCur = newGCBatch(nil, nil)
 		cur.finish(s.failed)
 		s.gcSpace.Broadcast()
 		s.gcRead.Broadcast()
@@ -265,12 +269,19 @@ func (s *Store) gateRead(id client.ChunkID) error {
 	return s.failed
 }
 
-// commitLoop is the committer: it lingers, swaps the batch out, makes
-// it durable with one WAL append + fsync, acknowledges the waiters,
-// applies the chunk files with deferred durability, and checkpoints
-// when the WAL grows past its bound (and finally at shutdown).
+// commitLoop is the committer: the moment it observes staged work it
+// swaps the batch out, makes it durable with one WAL append + fsync,
+// acknowledges the waiters, folds the batch into the write-back cache,
+// and checkpoints when the WAL grows past its bound (and finally at
+// shutdown). It never waits for followers: what stages during a flush
+// is the next batch.
 func (s *Store) commitLoop() {
 	defer close(s.gcDone)
+	// The last applied batch's buffers, handed to the batch the next
+	// swap opens: two sets ping-pong between staging and flushing
+	// instead of every batch growing its own from nil.
+	var spareBuf []byte
+	var spareIDs []client.ChunkID
 	for {
 		s.gcMu.Lock()
 		for s.gcCur.count == 0 && !s.gcClosed && s.failed == nil {
@@ -295,18 +306,17 @@ func (s *Store) commitLoop() {
 			}
 			return
 		}
-		if s.gcLinger > 0 && !s.gcClosed && s.gcCur.count < s.gcMaxBatch {
-			s.gcMu.Unlock()
-			time.Sleep(s.gcLinger)
-			s.gcMu.Lock()
-		}
 		batch := s.gcCur
 		epoch := s.gcEpoch
-		s.gcCur = newGCBatch()
+		s.gcCur = newGCBatch(spareBuf, spareIDs)
+		spareBuf, spareIDs = nil, nil
 		s.gcEpoch++
 		s.gcSpace.Broadcast()
-		crash := s.crashAfterWAL
 		s.gcMu.Unlock()
+
+		if s.commitGate != nil {
+			s.commitGate()
+		}
 
 		// Durability point: one append, one fsync for the whole batch.
 		if err := s.walAppendRaw(batch.buf); err != nil {
@@ -327,7 +337,7 @@ func (s *Store) commitLoop() {
 			}
 		}
 		s.gcRead.Broadcast()
-		if crash != nil {
+		if crash := s.crashAfterWAL; crash != nil {
 			// Test hook: the power cut between append and apply. The
 			// intent is durable, but — exactly like the per-mutation
 			// path — the batch is reported failed with unknown
@@ -346,6 +356,11 @@ func (s *Store) commitLoop() {
 			s.poisonLocked(err)
 			s.gcMu.Unlock()
 			return
+		}
+		// Nothing references the batch's buffers any more (waiters hold
+		// only done and err): the next swap opens its batch over them.
+		if cap(batch.buf) <= gcRecycleBytes {
+			spareBuf, spareIDs = batch.buf, batch.ids
 		}
 		if s.gcWalBytes >= gcCheckpointBytes || len(s.gcDirty) >= gcCheckpointDirty {
 			if err := s.checkpoint(); err != nil {
@@ -384,15 +399,16 @@ func (s *Store) applyBatch(b *gcBatch) error {
 
 // applyRecordCache folds one record into the write-back cache — the
 // group-commit twin of replayRecord. Put records are copied (the batch
-// buffer dies with the batch); a delete leaves a len-0 tombstone so
-// the checkpoint removes the file.
+// buffer is recycled after the batch) and only their id is read here;
+// the checkpoint decodes the rest. A delete leaves a len-0 tombstone
+// so the checkpoint removes the file.
 func (s *Store) applyRecordCache(payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("%w: empty wal record", ErrCorrupt)
 	}
 	switch payload[0] {
 	case opPut, opPut2:
-		id, _, _, _, err := decodePutRecord(payload)
+		id, err := putRecordID(payload)
 		if err != nil {
 			return fmt.Errorf("%w: wal put record: %v", ErrCorrupt, err)
 		}
