@@ -48,7 +48,7 @@ func TestReadDoesNotWaitForStragglerNode(t *testing.T) {
 	data := ts.seed(t, 1, 64)
 	ts.cluster.SetNodeDelay(14, sim.FixedDelay(stragglerDelay)) // last level-1 parity
 	timeOp(t, "read with straggler", func() error {
-		got, _, err := ts.sys.ReadBlock(context.Background(), 1, 3)
+		got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 3)
 		if err != nil {
 			return err
 		}
@@ -70,7 +70,7 @@ func TestReadDoesNotWaitForStragglerDataNode(t *testing.T) {
 	data := ts.seed(t, 1, 64)
 	ts.cluster.SetNodeDelay(3, sim.FixedDelay(stragglerDelay))
 	timeOp(t, "read with straggling data node", func() error {
-		got, _, err := ts.sys.ReadBlock(context.Background(), 1, 3)
+		got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 3)
 		if err != nil {
 			return err
 		}
@@ -94,7 +94,7 @@ func TestDecodeDoesNotWaitForStragglerNode(t *testing.T) {
 	ts.cluster.Crash(2)
 	ts.cluster.SetNodeDelay(11, sim.FixedDelay(stragglerDelay))
 	timeOp(t, "decode with straggler", func() error {
-		got, _, err := ts.sys.ReadBlock(context.Background(), 1, 2)
+		got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 2)
 		if err != nil {
 			return err
 		}
@@ -134,7 +134,7 @@ func TestWriteCancelledMidFanoutLeavesNoFootprint(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	timeOp(t, "cancelled write", func() error {
-		err := ts.sys.WriteBlock(ctx, 1, 3, bytes.Repeat([]byte{0xFF}, 64))
+		err := ts.sys.WriteBlock(ctx, ts.stripe(1), 3, bytes.Repeat([]byte{0xFF}, 64))
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("want DeadlineExceeded, got %v", err)
 		}
@@ -197,7 +197,7 @@ func TestHedgingRescuesTransientlySlowProbes(t *testing.T) {
 		})
 	}
 	timeOp(t, "hedged read", func() error {
-		got, _, err := ts.sys.ReadBlock(context.Background(), 1, 0)
+		got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 0)
 		if err != nil {
 			return err
 		}
@@ -219,10 +219,10 @@ func TestConcurrencyOneStillImplementsTheProtocol(t *testing.T) {
 	ts := fig3System(t, Options{Concurrency: 1})
 	ts.seed(t, 1, 64)
 	x := bytes.Repeat([]byte{0x5A}, 64)
-	if err := ts.sys.WriteBlock(context.Background(), 1, 2, x); err != nil {
+	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 2, x); err != nil {
 		t.Fatal(err)
 	}
-	got, version, err := ts.sys.ReadBlock(context.Background(), 1, 2)
+	got, version, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestConcurrencyOneStillImplementsTheProtocol(t *testing.T) {
 		t.Fatalf("round trip on concurrency=1: version %d", version)
 	}
 	ts.cluster.Crash(2)
-	got, _, err = ts.sys.ReadBlock(context.Background(), 1, 2)
+	got, _, err = ts.sys.ReadBlock(context.Background(), ts.stripe(1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

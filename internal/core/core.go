@@ -46,7 +46,7 @@ var (
 	// check threshold, or no consistent decode set exists.
 	ErrNotReadable = errors.New("core: block not readable")
 	// ErrUnknownStripe reports an operation on a stripe that was
-	// never seeded.
+	// never seeded: for a System, a handle that places no stripe.
 	ErrUnknownStripe = errors.New("core: unknown stripe")
 	// ErrBlockSize reports a write whose payload does not match the
 	// stripe's block size.
@@ -169,47 +169,54 @@ type Options struct {
 	// Hedge enables tail-latency hedging of read-path RPCs; the zero
 	// value disables it. See HedgeConfig.
 	Hedge HedgeConfig
-	// NodeGate, when non-nil, is consulted before every RPC to node
-	// j (by slice index): false fails the RPC locally with ErrNodeDown
-	// instead of touching the transport. Backends with per-node
-	// circuit breakers plug their breaker state in here, so fan-out
-	// and hedging stop burning RPCs — and hedge slots — on nodes known
-	// to be bad: a gated node fails before any hedge timer fires, so
-	// it is never a useful hedge target, and the quorum engine decodes
-	// around it exactly like a fail-stopped node. Must be fast and
-	// safe for concurrent use.
+	// NodeGate, when non-nil, is consulted before every RPC with the
+	// cluster node index (NewSystem's node slice index, whichever shard
+	// of whichever stripe the RPC serves): false fails the RPC locally
+	// with ErrNodeDown instead of touching the transport. Backends with
+	// per-node circuit breakers plug their breaker state in here, so
+	// fan-out and hedging stop burning RPCs — and hedge slots — on nodes
+	// known to be bad: a gated node fails before any hedge timer fires,
+	// so it is never a useful hedge target, and the quorum engine decodes
+	// around it exactly like a fail-stopped node. Must be fast and safe
+	// for concurrent use.
 	NodeGate func(node int) bool
 	// Epoch, when non-zero, stamps every RPC the system issues with
 	// this placement epoch (client.WithEpoch): epoch-guarding nodes
 	// reject the RPC once the epoch is retired, fencing a coordinator
-	// that reconfigured past this system. A System is built per
-	// (epoch, placement), so the epoch is a constant of the system.
+	// that reconfigured past this system. One System serves one epoch,
+	// so the epoch is a constant of the system.
 	Epoch uint64
 }
 
-type stripeInfo struct {
-	blockSize int
+// Stripe is the handle of one placed stripe: its id, the cluster node
+// of each shard (Nodes[j] holds shard j, so len(Nodes) is the code's
+// n) and its block size. Which nodes hold a stripe is an input to
+// Algorithms 1 and 2, not protocol state — a System keeps no record of
+// its stripes; the caller's directory owns the handles.
+type Stripe struct {
+	ID        uint64
+	Nodes     []int
+	BlockSize int
 }
 
 // System is a TRAP-ERC storage system: an (n,k) code, a trapezoid
-// configuration over n−k+1 positions, and the n stripe nodes. It is
+// configuration over n−k+1 positions, and the cluster's node clients,
+// over which each operation's stripe handle places the n shards. It is
 // safe for concurrent use; writes to the same (stripe, block) are
 // serialised by a per-block lock (the paper assumes classical
 // concurrency control above the protocol).
 type System struct {
 	code  *erasure.Code
 	lay   *trapezoid.Layout
-	nodes []NodeClient
+	nodes []NodeClient // by cluster node
 	opts  Options
 
-	mu          sync.Mutex
-	stripes     map[uint64]stripeInfo
-	locks       map[blockKey]*sync.Mutex
-	objectSizes map[uint64]int
+	mu    sync.Mutex
+	locks map[blockKey]*blockLock // blocks a writer holds or waits on
 
 	metrics   Metrics
 	hedge     *hedger // nil when hedging is disabled
-	corruptFn atomic.Pointer[func(shard int)]
+	corruptFn atomic.Pointer[func(node int)]
 }
 
 type blockKey struct {
@@ -217,8 +224,14 @@ type blockKey struct {
 	block  int
 }
 
-// NewSystem assembles a System. nodes[j] stores stripe shard j, so
-// len(nodes) must equal the code's n, and the trapezoid must hold
+// blockLock is one entry of the per-block writer lock table.
+type blockLock struct {
+	sync.Mutex
+	refs int // holders and waiters; guarded by System.mu
+}
+
+// NewSystem assembles a System over a cluster: nodes[j] is the client
+// of cluster node j, at least n of them. The trapezoid must hold
 // exactly n−k+1 positions (equation 5).
 func NewSystem(code *erasure.Code, cfg trapezoid.Config, nodes []NodeClient, opts Options) (*System, error) {
 	if code == nil {
@@ -238,8 +251,8 @@ func NewSystem(code *erasure.Code, cfg trapezoid.Config, nodes []NodeClient, opt
 	if got, want := lay.NbNodes(), code.N()-code.K()+1; got != want {
 		return nil, fmt.Errorf("core: trapezoid holds %d positions, need n-k+1 = %d", got, want)
 	}
-	if len(nodes) != code.N() {
-		return nil, fmt.Errorf("core: got %d nodes, need n = %d", len(nodes), code.N())
+	if len(nodes) < code.N() {
+		return nil, fmt.Errorf("core: got %d nodes, need at least n = %d", len(nodes), code.N())
 	}
 	for idx, n := range nodes {
 		if n == nil {
@@ -247,25 +260,21 @@ func NewSystem(code *erasure.Code, cfg trapezoid.Config, nodes []NodeClient, opt
 		}
 	}
 	s := &System{
-		code:    code,
-		lay:     lay,
-		nodes:   append([]NodeClient(nil), nodes...),
-		opts:    opts,
-		stripes: make(map[uint64]stripeInfo),
-		locks:   make(map[blockKey]*sync.Mutex),
+		code:  code,
+		lay:   lay,
+		nodes: append([]NodeClient(nil), nodes...),
+		opts:  opts,
+		locks: make(map[blockKey]*blockLock),
 	}
-	if opts.Epoch != 0 {
+	for j := range s.nodes {
 		// Innermost wrapper: the epoch tag must ride every RPC that
 		// reaches the transport, including ones the gate lets through.
-		for j := range s.nodes {
+		if opts.Epoch != 0 {
 			s.nodes[j] = &epochNode{NodeClient: s.nodes[j], epoch: opts.Epoch}
 		}
-	}
-	if opts.NodeGate != nil {
-		// Wrap every node so the gate covers each RPC the engine can
-		// issue — fan-out, hedging, repair, scrub — without call-site
-		// changes.
-		for j := range s.nodes {
+		// The gate covers each RPC the engine can issue — fan-out,
+		// hedging, repair, scrub — without call-site changes.
+		if opts.NodeGate != nil {
 			s.nodes[j] = &gatedNode{NodeClient: s.nodes[j], node: j, gate: opts.NodeGate}
 		}
 	}
@@ -295,11 +304,12 @@ func (s *System) Metrics() MetricsSnapshot {
 }
 
 // SetCorruptionHandler installs a callback invoked (synchronously, from
-// protocol goroutines) every time a shard is observed corrupt: bad
-// bytes against the record majority, or a node answering
-// client.ErrCorrupt. The self-heal loop uses it to pin the node's
-// health state and schedule a rebuild. A nil fn removes the handler.
-func (s *System) SetCorruptionHandler(fn func(shard int)) {
+// protocol goroutines) with the cluster node every time a shard is
+// observed corrupt: bad bytes against the record majority, or a node
+// answering client.ErrCorrupt. The self-heal loop uses it to pin the
+// node's health state and schedule a rebuild. A nil fn removes the
+// handler.
+func (s *System) SetCorruptionHandler(fn func(node int)) {
 	if fn == nil {
 		s.corruptFn.Store(nil)
 		return
@@ -308,64 +318,50 @@ func (s *System) SetCorruptionHandler(fn func(shard int)) {
 }
 
 // reportCorrupt records one corruption observation against a stripe
-// shard and notifies the handler, if any.
-func (s *System) reportCorrupt(shard int) {
+// shard and notifies the handler, if any, of the node holding it.
+func (s *System) reportCorrupt(st Stripe, shard int) {
 	s.metrics.CorruptShards.Add(1)
 	if fp := s.corruptFn.Load(); fp != nil {
-		(*fp)(shard)
+		(*fp)(st.Nodes[shard])
 	}
 }
 
-// blockLock returns the mutex serialising writers of one block.
-func (s *System) blockLock(stripe uint64, block int) *sync.Mutex {
-	key := blockKey{stripe, block}
+// node returns the client of the cluster node holding a stripe shard.
+func (s *System) node(st Stripe, shard int) NodeClient { return s.nodes[st.Nodes[shard]] }
+
+// check validates a handle: n placed nodes and a block size. A handle
+// failing it names no seeded stripe.
+func (s *System) check(st Stripe) error {
+	if len(st.Nodes) != s.code.N() || st.BlockSize < 1 {
+		return fmt.Errorf("%w: %d is not placed on %d nodes", ErrUnknownStripe, st.ID, s.code.N())
+	}
+	return nil
+}
+
+// lockBlock takes the mutex serialising writers of one block. Entries
+// are reference-counted: the table holds a block only while a writer
+// holds or waits on it.
+func (s *System) lockBlock(key blockKey) *blockLock {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.locks[key]
-	if !ok {
-		l = &sync.Mutex{}
+	l := s.locks[key]
+	if l == nil {
+		l = &blockLock{}
 		s.locks[key] = l
 	}
+	l.refs++
+	s.mu.Unlock()
+	l.Lock()
 	return l
 }
 
-// stripeBlockSize returns the registered block size for a stripe.
-func (s *System) stripeBlockSize(stripe uint64) (int, error) {
+// unlockBlock releases what lockBlock took.
+func (s *System) unlockBlock(key blockKey, l *blockLock) {
+	l.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	info, ok := s.stripes[stripe]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownStripe, stripe)
+	if l.refs--; l.refs == 0 {
+		delete(s.locks, key)
 	}
-	return info.blockSize, nil
-}
-
-// ForgetStripe drops a stripe's registration — block size, per-block
-// write locks, object-size mapping — after its chunks have been
-// deleted, so a long-lived System does not accumulate dead entries
-// (stripe ids are never reused). Forgetting an unknown stripe is a
-// no-op.
-func (s *System) ForgetStripe(stripe uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.stripes, stripe)
-	delete(s.objectSizes, stripe)
-	for key := range s.locks {
-		if key.stripe == stripe {
-			delete(s.locks, key)
-		}
-	}
-}
-
-// Stripes returns the ids of every seeded stripe, in unspecified order.
-func (s *System) Stripes() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]uint64, 0, len(s.stripes))
-	for id := range s.stripes {
-		out = append(out, id)
-	}
-	return out
+	s.mu.Unlock()
 }
 
 // shardForPosition maps a trapezoid position to the stripe shard it
@@ -413,14 +409,20 @@ func (s *System) versionSlot(block, shard int) int {
 // pooled parity buffers and installs every shard at version 1 on its
 // node, all installs issued in parallel. All n nodes must be reachable
 // — initial placement is an allocation step, not a quorum operation.
-// Blocks must be non-empty and equally sized. On failure some shards
-// may already be installed; the caller owns cleanup (the service layer
-// deletes them).
-func (s *System) SeedStripe(ctx context.Context, stripe uint64, data [][]byte) error {
+// Blocks must be non-empty and sized as the handle says. On failure
+// some shards may already be installed; the caller owns cleanup (the
+// service layer deletes them).
+func (s *System) SeedStripe(ctx context.Context, st Stripe, data [][]byte) error {
 	k, n := s.code.K(), s.code.N()
 	size, err := s.code.DataSize(data)
 	if err != nil {
 		return err
+	}
+	if err := s.check(st); err != nil {
+		return err
+	}
+	if size != st.BlockSize {
+		return fmt.Errorf("%w: got %d-byte blocks, stripe uses %d", ErrBlockSize, size, st.BlockSize)
 	}
 	parity := make([][]byte, n-k)
 	blks := make([]*blockpool.Block, n-k)
@@ -462,13 +464,13 @@ func (s *System) SeedStripe(ctx context.Context, stripe uint64, data [][]byte) e
 			versions = []uint64{1}
 			sums = dataSums[j : j+1 : j+1]
 		}
-		return struct{}{}, s.nodes[j].PutChunk(cctx, chunkID(stripe, j), shard(j), versions, sums...)
+		return struct{}{}, s.node(st, j).PutChunk(cctx, chunkID(st.ID, j), shard(j), versions, sums...)
 	}, func(j int, _ struct{}, err error) bool {
 		if err == nil {
 			return true
 		}
 		// Report the lowest-numbered genuinely failing node (matching
-		// the deterministic error selection of the repair sweeps), not
+		// the deterministic error selection of the repair sweep), not
 		// whichever failure settled first; installs cancelled by our
 		// own early stop are collateral, not the cause.
 		if !errors.Is(err, context.Canceled) || ctx.Err() != nil {
@@ -481,13 +483,10 @@ func (s *System) SeedStripe(ctx context.Context, stripe uint64, data [][]byte) e
 	})
 	if errNode >= 0 || ctx.Err() != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return opErr("seed", stripe, cerr)
+			return opErr("seed", st.ID, cerr)
 		}
-		return &OpError{Op: "seed", Stripe: stripe, Block: -1, Level: -1, Node: errNode,
+		return &OpError{Op: "seed", Stripe: st.ID, Block: -1, Level: -1, Node: errNode,
 			Err: fmt.Errorf("%w: node %d: %w", ErrSeedIncomplete, errNode, nodeErr)}
 	}
-	s.mu.Lock()
-	s.stripes[stripe] = stripeInfo{blockSize: size}
-	s.mu.Unlock()
 	return nil
 }

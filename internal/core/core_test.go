@@ -12,11 +12,41 @@ import (
 	"trapquorum/internal/trapezoid"
 )
 
-// testSystem bundles a System with its backing simulated cluster.
+// testSystem bundles a System with its backing simulated cluster and
+// the block size of every stripe seeded through it.
 type testSystem struct {
 	sys     *System
 	cluster *sim.Cluster
 	code    *erasure.Code
+	sizes   map[uint64]int
+}
+
+// identityStripe is the handle of stripe id placed shard j on node j.
+func identityStripe(id uint64, n, blockSize int) Stripe {
+	nodes := make([]int, n)
+	for j := range nodes {
+		nodes[j] = j
+	}
+	return Stripe{ID: id, Nodes: nodes, BlockSize: blockSize}
+}
+
+// stripe returns the handle of a seeded stripe, or for an id never
+// seeded a handle that places nothing.
+func (ts *testSystem) stripe(id uint64) Stripe {
+	size, ok := ts.sizes[id]
+	if !ok {
+		return Stripe{ID: id}
+	}
+	return identityStripe(id, ts.code.N(), size)
+}
+
+// repairNode runs the node-wide repair sweep over every seeded stripe.
+func (ts *testSystem) repairNode(ctx context.Context, node int) (int, error) {
+	var stripes []Stripe
+	for id := range ts.sizes {
+		stripes = append(stripes, ts.stripe(id))
+	}
+	return RepairSweep(ctx, ts.sys.bulkLimit(), node, stripes, func(int) *System { return ts.sys })
 }
 
 // newTestSystem builds the paper's Figure-3 configuration by default:
@@ -44,7 +74,7 @@ func newTestSystem(t testing.TB, n, k int, shape trapezoid.Shape, w int, opts Op
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testSystem{sys: sys, cluster: cluster, code: code}
+	return &testSystem{sys: sys, cluster: cluster, code: code, sizes: make(map[uint64]int)}
 }
 
 func fig3System(t testing.TB, opts Options) *testSystem {
@@ -60,7 +90,8 @@ func (ts *testSystem) seed(t testing.TB, stripe uint64, size int) [][]byte {
 		data[i] = make([]byte, size)
 		r.Read(data[i])
 	}
-	if err := ts.sys.SeedStripe(context.Background(), stripe, data); err != nil {
+	ts.sizes[stripe] = size
+	if err := ts.sys.SeedStripe(context.Background(), ts.stripe(stripe), data); err != nil {
 		t.Fatal(err)
 	}
 	return data
@@ -105,7 +136,7 @@ func TestSeedAndReadAllBlocks(t *testing.T) {
 	ts := fig3System(t, Options{})
 	data := ts.seed(t, 1, 64)
 	for i := 0; i < ts.code.K(); i++ {
-		got, version, err := ts.sys.ReadBlock(context.Background(), 1, i)
+		got, version, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), i)
 		if err != nil {
 			t.Fatalf("block %d: %v", i, err)
 		}
@@ -129,7 +160,7 @@ func TestSeedRequiresAllNodes(t *testing.T) {
 	for i := range data {
 		data[i] = []byte{1, 2, 3}
 	}
-	if err := ts.sys.SeedStripe(context.Background(), 1, data); !errors.Is(err, ErrSeedIncomplete) {
+	if err := ts.sys.SeedStripe(context.Background(), identityStripe(1, 15, 3), data); !errors.Is(err, ErrSeedIncomplete) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -137,13 +168,13 @@ func TestSeedRequiresAllNodes(t *testing.T) {
 func TestReadValidation(t *testing.T) {
 	ts := fig3System(t, Options{})
 	ts.seed(t, 1, 32)
-	if _, _, err := ts.sys.ReadBlock(context.Background(), 1, -1); !errors.Is(err, ErrBadIndex) {
+	if _, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), -1); !errors.Is(err, ErrBadIndex) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, err := ts.sys.ReadBlock(context.Background(), 1, 8); !errors.Is(err, ErrBadIndex) {
+	if _, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 8); !errors.Is(err, ErrBadIndex) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, err := ts.sys.ReadBlock(context.Background(), 99, 0); !errors.Is(err, ErrUnknownStripe) {
+	if _, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(99), 0); !errors.Is(err, ErrUnknownStripe) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -151,13 +182,13 @@ func TestReadValidation(t *testing.T) {
 func TestWriteValidation(t *testing.T) {
 	ts := fig3System(t, Options{})
 	ts.seed(t, 1, 32)
-	if err := ts.sys.WriteBlock(context.Background(), 1, 9, make([]byte, 32)); !errors.Is(err, ErrBadIndex) {
+	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 9, make([]byte, 32)); !errors.Is(err, ErrBadIndex) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := ts.sys.WriteBlock(context.Background(), 99, 0, make([]byte, 32)); !errors.Is(err, ErrUnknownStripe) {
+	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(99), 0, make([]byte, 32)); !errors.Is(err, ErrUnknownStripe) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := ts.sys.WriteBlock(context.Background(), 1, 0, make([]byte, 31)); !errors.Is(err, ErrBlockSize) {
+	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 0, make([]byte, 31)); !errors.Is(err, ErrBlockSize) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -170,10 +201,10 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		for i := 0; i < ts.code.K(); i++ {
 			x := make([]byte, 64)
 			r.Read(x)
-			if err := ts.sys.WriteBlock(context.Background(), 1, i, x); err != nil {
+			if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), i, x); err != nil {
 				t.Fatalf("round %d block %d: %v", round, i, err)
 			}
-			got, version, err := ts.sys.ReadBlock(context.Background(), 1, i)
+			got, version, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), i)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +230,7 @@ func TestStripeConsistencyAfterWrites(t *testing.T) {
 		i := r.Intn(ts.code.K())
 		x := make([]byte, 48)
 		r.Read(x)
-		if err := ts.sys.WriteBlock(context.Background(), 1, i, x); err != nil {
+		if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), i, x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,7 +255,7 @@ func TestReadDecodesWhenDataNodeDown(t *testing.T) {
 	ts := fig3System(t, Options{})
 	data := ts.seed(t, 1, 64)
 	ts.cluster.Crash(3) // data node of block 3
-	got, version, err := ts.sys.ReadBlock(context.Background(), 1, 3)
+	got, version, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +277,11 @@ func TestWriteSucceedsWithDataNodeDown(t *testing.T) {
 	x := bytes.Repeat([]byte{0xaa}, 64)
 	// Level 0 = {N_5, parity 8, parity 9}: w_0 = 2 reachable via the
 	// two parity nodes even with N_5 down.
-	if err := ts.sys.WriteBlock(context.Background(), 1, 5, x); err != nil {
+	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 5, x); err != nil {
 		t.Fatalf("write with data node down failed: %v", err)
 	}
 	// Read must take the decode path and still see the new value.
-	got, version, err := ts.sys.ReadBlock(context.Background(), 1, 5)
+	got, version, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +294,7 @@ func TestWriteSucceedsWithDataNodeDown(t *testing.T) {
 	// After the node comes back it is stale; reads still prefer the
 	// quorum's version and decode.
 	ts.cluster.Restart(5)
-	got, _, err = ts.sys.ReadBlock(context.Background(), 1, 5)
+	got, _, err = ts.sys.ReadBlock(context.Background(), ts.stripe(1), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,12 +311,12 @@ func TestWriteFailsWhenLevelStarved(t *testing.T) {
 	ts.cluster.Crash(13)
 	ts.cluster.Crash(14)
 	x := bytes.Repeat([]byte{0x55}, 64)
-	if err := ts.sys.WriteBlock(context.Background(), 1, 2, x); !errors.Is(err, ErrWriteFailed) {
+	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 2, x); !errors.Is(err, ErrWriteFailed) {
 		t.Fatalf("err = %v, want ErrWriteFailed", err)
 	}
 	// Rollback must have restored the stripe: every reachable node
 	// reports version 1 and reads return the original value.
-	got, version, err := ts.sys.ReadBlock(context.Background(), 1, 2)
+	got, version, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,10 +327,10 @@ func TestWriteFailsWhenLevelStarved(t *testing.T) {
 	ts.cluster.Restart(12)
 	ts.cluster.Restart(13)
 	ts.cluster.Restart(14)
-	if err := ts.sys.WriteBlock(context.Background(), 1, 2, x); err != nil {
+	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 2, x); err != nil {
 		t.Fatal(err)
 	}
-	got, version, _ = ts.sys.ReadBlock(context.Background(), 1, 2)
+	got, version, _ = ts.sys.ReadBlock(context.Background(), ts.stripe(1), 2)
 	if version != 2 || !bytes.Equal(got, x) {
 		t.Fatal("post-recovery write not visible")
 	}
@@ -314,7 +345,7 @@ func TestWriteFailsWhenInitialReadImpossible(t *testing.T) {
 	for _, j := range []int{2, 8, 9, 10, 11, 12} {
 		ts.cluster.Crash(j)
 	}
-	err := ts.sys.WriteBlock(context.Background(), 1, 2, make([]byte, 64))
+	err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 2, make([]byte, 64))
 	if !errors.Is(err, ErrWriteFailed) {
 		t.Fatalf("err = %v", err)
 	}
@@ -330,7 +361,7 @@ func TestReadFallsThroughToLevel1(t *testing.T) {
 	// only N_1 answers there.
 	ts.cluster.Crash(8)
 	ts.cluster.Crash(9)
-	got, _, err := ts.sys.ReadBlock(context.Background(), 1, 1)
+	got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +376,7 @@ func TestReadFailsWhenAllChecksStarved(t *testing.T) {
 	for _, j := range []int{1, 8, 9, 10, 11, 12} {
 		ts.cluster.Crash(j)
 	}
-	if _, _, err := ts.sys.ReadBlock(context.Background(), 1, 1); !errors.Is(err, ErrNotReadable) {
+	if _, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 1); !errors.Is(err, ErrNotReadable) {
 		t.Fatalf("err = %v", err)
 	}
 	if m := ts.sys.Metrics(); m.FailedReads != 1 {
@@ -364,64 +395,8 @@ func TestReadFailsWhenDecodeImpossible(t *testing.T) {
 	for _, j := range []int{0, 1, 2, 3, 4, 5, 6, 14} {
 		ts.cluster.Crash(j)
 	}
-	_, _, err := ts.sys.ReadBlock(context.Background(), 1, 0)
+	_, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 0)
 	if !errors.Is(err, ErrNotReadable) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestObjectRoundTrip(t *testing.T) {
-	ts := fig3System(t, Options{})
-	payload := []byte("the quick brown fox jumps over the lazy dog; pack my box")
-	if err := ts.sys.WriteObject(context.Background(), 7, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ts.sys.ReadObject(context.Background(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("object mismatch: %q", got)
-	}
-	if _, err := ts.sys.ReadObject(context.Background(), 8); !errors.Is(err, ErrUnknownStripe) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestObjectRoundTripUnderFailures(t *testing.T) {
-	ts := fig3System(t, Options{})
-	payload := bytes.Repeat([]byte("0123456789abcdef"), 32)
-	if err := ts.sys.WriteObject(context.Background(), 7, payload); err != nil {
-		t.Fatal(err)
-	}
-	// Lose n-k-1 nodes chosen so the level-0 version check (parity
-	// shards 8 and 9) survives: reads must still succeed, decoding
-	// the blocks whose data nodes are down.
-	for _, j := range []int{0, 4, 5, 6, 13, 14} {
-		ts.cluster.Crash(j)
-	}
-	got, err := ts.sys.ReadObject(context.Background(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("object corrupted under failures")
-	}
-}
-
-func TestStripesListing(t *testing.T) {
-	ts := fig3System(t, Options{})
-	ts.seed(t, 3, 16)
-	ts.seed(t, 5, 16)
-	got := ts.sys.Stripes()
-	if len(got) != 2 {
-		t.Fatalf("stripes = %v", got)
-	}
-	seen := map[uint64]bool{}
-	for _, s := range got {
-		seen[s] = true
-	}
-	if !seen[3] || !seen[5] {
-		t.Fatalf("stripes = %v", got)
 	}
 }

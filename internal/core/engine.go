@@ -217,8 +217,7 @@ func hedged[T any](ctx context.Context, h *hedger, call func(context.Context) (T
 func (s *System) opLimit() int { return s.opts.Concurrency }
 
 // DefaultBulkLimit bounds fan-out across stripes or shards in
-// maintenance sweeps (RepairStripe rounds, RepairNode, the service
-// layer's node-wide repair), where "everything at once" could mean
+// maintenance sweeps (RepairStripe rounds, RepairSweep), where "everything at once" could mean
 // thousands of concurrent quorum operations: when no concurrency is
 // configured, sweeps keep this many repairs in flight so rebuild
 // traffic does not starve foreground I/O.

@@ -50,7 +50,7 @@ func TestNodeGateSkipsTransport(t *testing.T) {
 	reads, probes := m.Reads.Load(), m.VersionQueries.Load()
 
 	for i := 0; i < 3; i++ {
-		got, _, err := ts.sys.ReadBlock(context.Background(), 1, 0)
+		got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 0)
 		if err != nil {
 			t.Fatalf("read with gated data node: %v", err)
 		}
@@ -108,7 +108,7 @@ func TestGatedNodeLeavesAndRejoinsHedgePool(t *testing.T) {
 	gate.block(0)
 
 	timeOp(t, "read with gated straggler", func() error {
-		got, _, err := ts.sys.ReadBlock(context.Background(), 1, 0)
+		got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 0)
 		if err != nil {
 			return err
 		}
@@ -135,7 +135,7 @@ func TestGatedNodeLeavesAndRejoinsHedgePool(t *testing.T) {
 	}
 
 	timeOp(t, "read after gate reopens", func() error {
-		got, _, err := ts.sys.ReadBlock(context.Background(), 1, 0)
+		got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 0)
 		if err != nil {
 			return err
 		}

@@ -53,9 +53,10 @@ func TestNaiveSlotOnlyDecodeReturnsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	const size = 32
+	st := identityStripe(1, n, size)
 	x0 := bytes.Repeat([]byte{0x10}, size)
 	x1 := bytes.Repeat([]byte{0x20}, size)
-	if err := sys.SeedStripe(context.Background(), 1, [][]byte{x0, x1}); err != nil {
+	if err := sys.SeedStripe(context.Background(), st, [][]byte{x0, x1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,7 +64,7 @@ func TestNaiveSlotOnlyDecodeReturnsGarbage(t *testing.T) {
 	// Quorum: N0, P2, P3 (3 of the 4 trapezoid nodes).
 	x0new := bytes.Repeat([]byte{0x1F}, size)
 	cluster.Crash(4)
-	if err := sys.WriteBlock(context.Background(), 1, 0, x0new); err != nil {
+	if err := sys.WriteBlock(context.Background(), st, 0, x0new); err != nil {
 		t.Fatal(err)
 	}
 	cluster.Restart(4)
@@ -73,7 +74,7 @@ func TestNaiveSlotOnlyDecodeReturnsGarbage(t *testing.T) {
 	// (x0-old, x1new): both partially stale, differently.
 	x1new := bytes.Repeat([]byte{0x2F}, size)
 	cluster.Crash(2)
-	if err := sys.WriteBlock(context.Background(), 1, 1, x1new); err != nil {
+	if err := sys.WriteBlock(context.Background(), st, 1, x1new); err != nil {
 		t.Fatal(err)
 	}
 	cluster.Restart(2)
@@ -110,7 +111,7 @@ func TestNaiveSlotOnlyDecodeReturnsGarbage(t *testing.T) {
 	}
 
 	// The protocol's full-vector grouping refuses instead of lying.
-	_, _, err = sys.ReadBlock(context.Background(), 1, 0)
+	_, _, err = sys.ReadBlock(context.Background(), st, 0)
 	if !errors.Is(err, ErrNotReadable) {
 		t.Fatalf("err = %v, want ErrNotReadable (never garbage)", err)
 	}
@@ -118,7 +119,7 @@ func TestNaiveSlotOnlyDecodeReturnsGarbage(t *testing.T) {
 	// Bring the fresh parity back: the group {P3, N1} is consistent
 	// at the latest versions and the read returns the correct block.
 	cluster.Restart(3)
-	got, version, err := sys.ReadBlock(context.Background(), 1, 0)
+	got, version, err := sys.ReadBlock(context.Background(), st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestNaiveSlotOnlyDecodeReturnsGarbage(t *testing.T) {
 	// And RepairStripe converges the stragglers without regressing
 	// any committed write.
 	cluster.RestartAll()
-	if _, ahead, err := sys.RepairStripe(context.Background(), 1); err != nil {
+	if _, ahead, err := sys.RepairStripe(context.Background(), st); err != nil {
 		t.Fatal(err)
 	} else if len(ahead) != 0 {
 		t.Fatalf("unexpected ahead shards %v after full heal", ahead)
@@ -138,7 +139,7 @@ func TestNaiveSlotOnlyDecodeReturnsGarbage(t *testing.T) {
 		idx  int
 		want []byte
 	}{{0, x0new}, {1, x1new}} {
-		got, _, err := sys.ReadBlock(context.Background(), 1, blockCheck.idx)
+		got, _, err := sys.ReadBlock(context.Background(), st, blockCheck.idx)
 		if err != nil || !bytes.Equal(got, blockCheck.want) {
 			t.Fatalf("post-repair block %d wrong (%v)", blockCheck.idx, err)
 		}

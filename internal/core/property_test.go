@@ -67,12 +67,13 @@ func runLifecycle(t *testing.T, r *rand.Rand, n, k int, cfg trapezoid.Config) {
 		t.Fatal(err)
 	}
 	size := 8 + r.Intn(48)
+	st := identityStripe(1, n, size)
 	data := make([][]byte, k)
 	for i := range data {
 		data[i] = make([]byte, size)
 		r.Read(data[i])
 	}
-	if err := sys.SeedStripe(context.Background(), 1, data); err != nil {
+	if err := sys.SeedStripe(context.Background(), st, data); err != nil {
 		t.Fatalf("(%d,%d) %v: seed: %v", n, k, cfg, err)
 	}
 	expected := make([][]byte, k)
@@ -83,13 +84,13 @@ func runLifecycle(t *testing.T, r *rand.Rand, n, k int, cfg trapezoid.Config) {
 		i := r.Intn(k)
 		x := make([]byte, size)
 		r.Read(x)
-		if err := sys.WriteBlock(context.Background(), 1, i, x); err != nil {
+		if err := sys.WriteBlock(context.Background(), st, i, x); err != nil {
 			t.Fatalf("(%d,%d) %v: healthy write: %v", n, k, cfg, err)
 		}
 		expected[i] = x
 	}
 	for i := 0; i < k; i++ {
-		got, _, err := sys.ReadBlock(context.Background(), 1, i)
+		got, _, err := sys.ReadBlock(context.Background(), st, i)
 		if err != nil {
 			t.Fatalf("(%d,%d) %v: healthy read %d: %v", n, k, cfg, i, err)
 		}
@@ -110,7 +111,7 @@ func runLifecycle(t *testing.T, r *rand.Rand, n, k int, cfg trapezoid.Config) {
 			i := r.Intn(k)
 			x := make([]byte, size)
 			r.Read(x)
-			err := sys.WriteBlock(context.Background(), 1, i, x)
+			err := sys.WriteBlock(context.Background(), st, i, x)
 			if err == nil {
 				expected[i] = x
 			} else if !errors.Is(err, ErrWriteFailed) {
@@ -118,7 +119,7 @@ func runLifecycle(t *testing.T, r *rand.Rand, n, k int, cfg trapezoid.Config) {
 			}
 		default:
 			i := r.Intn(k)
-			got, _, err := sys.ReadBlock(context.Background(), 1, i)
+			got, _, err := sys.ReadBlock(context.Background(), st, i)
 			if err != nil {
 				if !errors.Is(err, ErrNotReadable) {
 					t.Fatalf("(%d,%d) %v: unexpected read error %v", n, k, cfg, err)
@@ -136,7 +137,7 @@ func runLifecycle(t *testing.T, r *rand.Rand, n, k int, cfg trapezoid.Config) {
 	// a data shard that missed a committed write needs fresh parity),
 	// which RepairStripe resolves by iterating.
 	cluster.RestartAll()
-	if _, _, err := sys.RepairStripe(context.Background(), 1); err != nil {
+	if _, _, err := sys.RepairStripe(context.Background(), st); err != nil {
 		t.Fatalf("(%d,%d) %v: RepairStripe: %v", n, k, cfg, err)
 	}
 	shards := make([][]byte, n)
@@ -157,12 +158,12 @@ func runLifecycle(t *testing.T, r *rand.Rand, n, k int, cfg trapezoid.Config) {
 	// Read, repair and scrub share one judge of "consistent set": after
 	// the repair the scrubber must find nothing left to do, and every
 	// read must serve exactly the version the scrubber calls fresh.
-	rep, err := sys.ScrubStripe(context.Background(), 1)
+	rep, err := sys.ScrubStripe(context.Background(), st)
 	if err != nil || !rep.Healthy {
 		t.Fatalf("(%d,%d) %v: scrub after repair: %v (%v)", n, k, cfg, rep, err)
 	}
 	for i := 0; i < k; i++ {
-		got, version, err := sys.ReadBlock(context.Background(), 1, i)
+		got, version, err := sys.ReadBlock(context.Background(), st, i)
 		if err != nil || !bytes.Equal(got, expected[i]) {
 			t.Fatalf("(%d,%d) %v: final read %d wrong (%v)", n, k, cfg, i, err)
 		}

@@ -26,14 +26,14 @@ import (
 //
 // A cancelled or expired context aborts the read; the returned OpError
 // wraps the context's error.
-func (s *System) ReadBlock(ctx context.Context, stripe uint64, block int) ([]byte, uint64, error) {
+func (s *System) ReadBlock(ctx context.Context, st Stripe, block int) ([]byte, uint64, error) {
 	if block < 0 || block >= s.code.K() {
 		return nil, 0, fmt.Errorf("%w: %d of k=%d", ErrBadIndex, block, s.code.K())
 	}
-	if _, err := s.stripeBlockSize(stripe); err != nil {
+	if err := s.check(st); err != nil {
 		return nil, 0, err
 	}
-	data, version, err := s.readBlock(ctx, stripe, block)
+	data, version, err := s.readBlock(ctx, st, block)
 	if err != nil {
 		s.metrics.FailedReads.Add(1)
 		return nil, 0, err
@@ -73,12 +73,12 @@ const (
 // stripe under relentless write pressure can still report
 // ErrNotReadable, which callers treat like any other transient quorum
 // failure.
-func (s *System) readBlock(ctx context.Context, stripe uint64, block int) ([]byte, uint64, error) {
+func (s *System) readBlock(ctx context.Context, st Stripe, block int) ([]byte, uint64, error) {
 	// wrap keeps every failure of this read behind one OpError, so
 	// errors.As works uniformly across the version-check, decode and
 	// cancellation paths.
 	wrap := func(err error) error {
-		return &OpError{Op: "read", Stripe: stripe, Block: block, Level: -1, Node: -1, Err: err}
+		return &OpError{Op: "read", Stripe: st.ID, Block: block, Level: -1, Node: -1, Err: err}
 	}
 	lastVersion := client.NoVersion
 	var lastErr error
@@ -87,7 +87,7 @@ func (s *System) readBlock(ctx context.Context, stripe uint64, block int) ([]byt
 			return nil, 0, wrap(err)
 		}
 		checkStart := time.Now()
-		version, ni, expect, ok := s.checkVersion(ctx, stripe, block)
+		version, ni, expect, ok := s.checkVersion(ctx, st, block)
 		quorumElapsed := time.Since(checkStart)
 		if !ok {
 			if err := ctx.Err(); err != nil {
@@ -113,9 +113,9 @@ func (s *System) readBlock(ctx context.Context, stripe uint64, block int) ([]byt
 				// opinion (possible when a one-node level wins): gather
 				// opinions explicitly before trusting the data node's
 				// bytes, or a lying N_i could self-certify.
-				expect = s.gatherExpected(ctx, stripe, block, version)
+				expect = s.gatherExpected(ctx, st, block, version)
 			}
-			if data, served, ok := s.tryDirectRead(ctx, stripe, block, version, expect); ok {
+			if data, served, ok := s.tryDirectRead(ctx, st, block, version, expect); ok {
 				s.metrics.DirectReads.Add(1)
 				return data, served, nil
 			}
@@ -135,7 +135,7 @@ func (s *System) readBlock(ctx context.Context, stripe uint64, block int) ([]byt
 			if grace < directReadGraceFloor {
 				grace = directReadGraceFloor
 			}
-			data, served, direct, derr := s.directOrDecode(ctx, stripe, block, version, expect, grace)
+			data, served, direct, derr := s.directOrDecode(ctx, st, block, version, expect, grace)
 			if derr == nil {
 				if direct {
 					s.metrics.DirectReads.Add(1)
@@ -148,7 +148,7 @@ func (s *System) readBlock(ctx context.Context, stripe uint64, block int) ([]byt
 			continue
 		}
 		// Case 2: decode from k consistent shards at the latest version.
-		data, err := s.decodeBlock(ctx, stripe, block, version, expect)
+		data, err := s.decodeBlock(ctx, st, block, version, expect)
 		if err == nil {
 			s.metrics.DecodeReads.Add(1)
 			return data, version, nil
@@ -179,13 +179,13 @@ func (s *System) readBlock(ctx context.Context, stripe uint64, block int) ([]byt
 // survivors and the culprit is reported. A chunk ahead of the pinned
 // version belongs to a concurrent writer whose record quorum is still
 // forming and is served as before.
-func (s *System) tryDirectRead(ctx context.Context, stripe uint64, block int, version uint64, expect sumOpinion) ([]byte, uint64, bool) {
+func (s *System) tryDirectRead(ctx context.Context, st Stripe, block int, version uint64, expect sumOpinion) ([]byte, uint64, bool) {
 	chunk, err := hedged(ctx, s.hedge, func(hctx context.Context) (client.Chunk, error) {
-		return s.nodes[block].ReadChunk(hctx, chunkID(stripe, block))
+		return s.node(st, block).ReadChunk(hctx, chunkID(st.ID, block))
 	})
 	if err != nil {
 		if isCorruptErr(err) {
-			s.reportCorrupt(block)
+			s.reportCorrupt(st, block)
 		}
 		return nil, 0, false
 	}
@@ -193,7 +193,7 @@ func (s *System) tryDirectRead(ctx context.Context, stripe uint64, block int, ve
 		return nil, 0, false
 	}
 	if expect.known && chunk.Versions[0] == version && erasure.Sum64(chunk.Data) != expect.sum {
-		s.reportCorrupt(block)
+		s.reportCorrupt(st, block)
 		return nil, 0, false
 	}
 	return chunk.Data, chunk.Versions[0], true
@@ -215,7 +215,7 @@ const directReadGraceFloor = 50 * time.Millisecond
 // plain decode). Past the grace the node is suspected of straggling
 // and the decode runs concurrently — the first usable result wins and
 // the loser is cancelled. direct reports which path served the block.
-func (s *System) directOrDecode(ctx context.Context, stripe uint64, block int, version uint64, expect sumOpinion, grace time.Duration) (data []byte, served uint64, direct bool, err error) {
+func (s *System) directOrDecode(ctx context.Context, st Stripe, block int, version uint64, expect sumOpinion, grace time.Duration) (data []byte, served uint64, direct bool, err error) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type directRes struct {
@@ -225,7 +225,7 @@ func (s *System) directOrDecode(ctx context.Context, stripe uint64, block int, v
 	}
 	directCh := make(chan directRes, 1)
 	go func() {
-		d, v, ok := s.tryDirectRead(cctx, stripe, block, version, expect)
+		d, v, ok := s.tryDirectRead(cctx, st, block, version, expect)
 		directCh <- directRes{data: d, version: v, ok: ok}
 	}()
 	timer := time.NewTimer(grace)
@@ -236,7 +236,7 @@ func (s *System) directOrDecode(ctx context.Context, stripe uint64, block int, v
 			return r.data, r.version, true, nil
 		}
 		// The node answered promptly but stale/failed: normal decode.
-		data, err = s.decodeBlock(ctx, stripe, block, version, expect)
+		data, err = s.decodeBlock(ctx, st, block, version, expect)
 		return data, version, false, err
 	case <-timer.C:
 	}
@@ -247,7 +247,7 @@ func (s *System) directOrDecode(ctx context.Context, stripe uint64, block int, v
 	}
 	decodeCh := make(chan decodeRes, 1)
 	go func() {
-		d, derr := s.decodeBlock(cctx, stripe, block, version, expect)
+		d, derr := s.decodeBlock(cctx, st, block, version, expect)
 		decodeCh <- decodeRes{data: d, err: derr}
 	}()
 	var decodeErr error
@@ -302,7 +302,7 @@ type verProbe struct {
 // tallied into the expected content hash of the block at the winning
 // version (parity opinions only — the data node's own record must not
 // vouch for its own bytes), so Step 2 can verify what it serves.
-func (s *System) checkVersion(ctx context.Context, stripe uint64, block int) (version uint64, ni dataNodeState, expect sumOpinion, ok bool) {
+func (s *System) checkVersion(ctx context.Context, st Stripe, block int) (version uint64, ni dataNodeState, expect sumOpinion, ok bool) {
 	cfg := s.lay.Config()
 	type probe struct {
 		level int
@@ -333,7 +333,7 @@ func (s *System) checkVersion(ctx context.Context, stripe uint64, block int) (ve
 	recs := make([][]client.BlockSum, len(probes))
 	Fanout(ctx, s.opLimit(), len(probes), func(cctx context.Context, i int) (verProbe, error) {
 		return hedged(cctx, s.hedge, func(hctx context.Context) (verProbe, error) {
-			vers, sums, err := s.nodes[probes[i].shard].ReadVersions(hctx, chunkID(stripe, probes[i].shard))
+			vers, sums, err := s.node(st, probes[i].shard).ReadVersions(hctx, chunkID(st.ID, probes[i].shard))
 			return verProbe{versions: vers, sums: sums}, err
 		})
 	}, func(i int, pr verProbe, err error) bool {
@@ -341,7 +341,7 @@ func (s *System) checkVersion(ctx context.Context, stripe uint64, block int) (ve
 			// A quarantined or self-detected-rotten chunk surfaced on the
 			// probe path: record the observation even though the probe
 			// itself just reads as failed.
-			s.reportCorrupt(probes[i].shard)
+			s.reportCorrupt(st, probes[i].shard)
 		}
 		if winner >= 0 || dead > cfg.Shape.H {
 			return true // decided; late stragglers carry no new information
@@ -407,11 +407,11 @@ func (s *System) checkVersion(ctx context.Context, stripe uint64, block int) (ve
 // the straggler reads. Any k mutually consistent shards of an MDS code
 // decode the same bytes, so taking the first viable set instead of the
 // largest changes nothing but the latency.
-func (s *System) decodeBlock(ctx context.Context, stripe uint64, block int, version uint64, expect sumOpinion) ([]byte, error) {
+func (s *System) decodeBlock(ctx context.Context, st Stripe, block int, version uint64, expect sumOpinion) ([]byte, error) {
 	// The hook runs after every answer that can change the sets, so
 	// when the gather returns they are the final view's.
 	var sets []consistentSet
-	view := s.gather(ctx, stripe, -1, gatherOpt{hedge: true, stop: func(v *stripeView) bool {
+	view := s.gather(ctx, st, -1, gatherOpt{hedge: true, stop: func(v *stripeView) bool {
 		sets = v.decodableSets(block, version, block)
 		return len(sets) > 0
 	}})
@@ -439,7 +439,7 @@ func (s *System) decodeBlock(ctx context.Context, stripe uint64, block int, vers
 		// Some member of the winning set fed bad bytes into the decode:
 		// escalate to the exhaustive survivor-set search, which also
 		// pinpoints the culprit.
-		return s.verifiedDecode(ctx, stripe, block, version, expect)
+		return s.verifiedDecode(ctx, st, block, version, expect)
 	}
 	return out, nil
 }

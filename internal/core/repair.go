@@ -12,9 +12,9 @@ import (
 )
 
 // RepairShard reconstructs stripe shard j from the surviving nodes and
-// reinstalls it on node j (which must be reachable again). This is the
-// exact-repair path run when a failed node rejoins with an empty or
-// stale disk.
+// reinstalls it on the node holding it (which must be reachable
+// again). This is the exact-repair path run when a failed node rejoins
+// with an empty or stale disk.
 //
 // The repair reads every other reachable shard, picks the freshest
 // mutually consistent set with at least k members (the decode path's
@@ -29,42 +29,27 @@ import (
 // be rebuilt from them; a data-shard rebuild, however, needs k
 // consistent survivors, which stale parities cannot supply until they
 // are refreshed.
-func (s *System) RepairShard(ctx context.Context, stripe uint64, shard int) error {
-	return s.repairShard(ctx, stripe, shard, true)
-}
-
-// RepairShardForce is RepairShard without the version guard: the
-// rebuilt chunk is installed unconditionally. Use only with writers
-// quiesced, to clear failed-write residue whose version numbers run
-// *ahead* of the cluster's consistent state (the guarded repair
-// refuses to regress them).
-func (s *System) RepairShardForce(ctx context.Context, stripe uint64, shard int) error {
-	return s.repairShard(ctx, stripe, shard, false)
-}
-
-// repairShard is the body RepairShard and RepairShardForce share;
-// guarded selects the version-guarded install.
-func (s *System) repairShard(ctx context.Context, stripe uint64, shard int, guarded bool) error {
+func (s *System) RepairShard(ctx context.Context, st Stripe, shard int) error {
 	if shard < 0 || shard >= s.code.N() {
 		return fmt.Errorf("%w: shard %d of n=%d", ErrBadIndex, shard, s.code.N())
 	}
-	if _, err := s.stripeBlockSize(stripe); err != nil {
+	if err := s.check(st); err != nil {
 		return err
 	}
 	// No early termination: repair wants the *freshest* consistent set,
 	// so every survivor's answer matters.
-	return s.repairFrom(ctx, s.gather(ctx, stripe, shard, gatherOpt{}), stripe, shard, guarded)
+	return s.repairFrom(ctx, s.gather(ctx, st, shard, gatherOpt{}), st, shard)
 }
 
 // repairFrom rebuilds shard from the freshest decodable set the view
 // holds without it and installs the result on the shard's node.
-func (s *System) repairFrom(ctx context.Context, view *stripeView, stripe uint64, shard int, guarded bool) error {
+func (s *System) repairFrom(ctx context.Context, view *stripeView, st Stripe, shard int) error {
 	set := freshest(view.decodableSets(-1, 0, shard))
 	if set == nil {
 		if cerr := ctx.Err(); cerr != nil {
 			// Nodes stopped answering because the context expired, not
 			// because the stripe degraded.
-			return opErr("repair", stripe, cerr)
+			return opErr("repair", st.ID, cerr)
 		}
 		return fmt.Errorf("%w: no %d consistent shards survive", ErrNotReadable, s.code.K())
 	}
@@ -83,11 +68,7 @@ func (s *System) repairFrom(ctx context.Context, view *stripeView, stripe uint64
 	if err != nil {
 		return err
 	}
-	install := s.nodes[shard].PutChunk
-	if guarded {
-		install = s.nodes[shard].PutChunkIfFresher
-	}
-	if err := install(ctx, chunkID(stripe, shard), rebuilt.B, versions, sums...); err != nil {
+	if err := s.node(st, shard).PutChunkIfFresher(ctx, chunkID(st.ID, shard), rebuilt.B, versions, sums...); err != nil {
 		return err
 	}
 	s.metrics.Repairs.Add(1)
@@ -147,22 +128,22 @@ func (s *System) repairInstallMeta(view *stripeView, shard int, vector []uint64,
 // ahead lists the shards intentionally left alone because they are
 // ahead of (or incomparable with) the freshest rebuildable state; err
 // reports shards that could not be repaired for any other reason.
-func (s *System) RepairStripe(ctx context.Context, stripe uint64) (repaired int, ahead []int, err error) {
-	if _, err := s.stripeBlockSize(stripe); err != nil {
+func (s *System) RepairStripe(ctx context.Context, st Stripe) (repaired int, ahead []int, err error) {
+	if err := s.check(st); err != nil {
 		return 0, nil, err
 	}
 	n := s.code.N()
 	lastFailed := n + 1
 	for round := 0; round < n+1; round++ {
 		if cerr := ctx.Err(); cerr != nil {
-			return repaired, ahead, opErr("repair", stripe, cerr)
+			return repaired, ahead, opErr("repair", st.ID, cerr)
 		}
 		var failed []int
 		var failErr error
 		ahead = ahead[:0]
-		view := s.gather(ctx, stripe, -1, gatherOpt{})
+		view := s.gather(ctx, st, -1, gatherOpt{})
 		Fanout(ctx, s.bulkLimit(), n, func(cctx context.Context, shard int) (struct{}, error) {
-			return struct{}{}, s.repairFrom(cctx, view, stripe, shard, true)
+			return struct{}{}, s.repairFrom(cctx, view, st, shard)
 		}, func(shard int, _ struct{}, rerr error) bool {
 			switch {
 			case rerr == nil:
@@ -183,7 +164,7 @@ func (s *System) RepairStripe(ctx context.Context, stripe uint64) (repaired int,
 			return repaired, ahead, nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return repaired, ahead, opErr("repair", stripe, cerr)
+			return repaired, ahead, opErr("repair", st.ID, cerr)
 		}
 		if len(failed) >= lastFailed {
 			return repaired, ahead, fmt.Errorf("core: repair stalled on shards %v: %w", failed, failErr)
@@ -193,36 +174,46 @@ func (s *System) RepairStripe(ctx context.Context, stripe uint64) (repaired int,
 	return repaired, ahead, fmt.Errorf("core: repair did not converge")
 }
 
-// RepairNode repairs every seeded stripe's shard stored on node
-// `shard`, fanning the per-stripe repairs out in parallel (bounded, so
-// a node-wide rebuild does not starve foreground traffic). It returns
-// the number of chunks rebuilt and the error of the lowest-numbered
-// failing stripe (continuing past per-stripe failures, as the
-// sequential sweep did).
-func (s *System) RepairNode(ctx context.Context, shard int) (int, error) {
-	stripes := s.Stripes()
-	sort.Slice(stripes, func(i, j int) bool { return stripes[i] < stripes[j] })
+// RepairSweep is the node-wide repair: it rebuilds every shard the
+// given stripes place on cluster node `node`, the shards of stripes[i]
+// through sys(i) — one sweep can span the Systems of several epochs.
+// The per-stripe repairs fan out under limit (see BulkLimit), so a
+// node-wide rebuild does not starve foreground traffic, and the sweep
+// continues past failures. It returns how many chunks it rebuilt and
+// the error of the failing shard of the lowest stripe id — the
+// context's error when the sweep stopped because the context died.
+func RepairSweep(ctx context.Context, limit, node int, stripes []Stripe, sys func(i int) *System) (int, error) {
+	type task struct{ i, shard int }
+	var tasks []task
+	for i, st := range stripes {
+		for shard, placed := range st.Nodes {
+			if placed == node {
+				tasks = append(tasks, task{i, shard})
+			}
+		}
+	}
+	sort.Slice(tasks, func(a, b int) bool { return stripes[tasks[a].i].ID < stripes[tasks[b].i].ID })
 	repaired := 0
 	errIdx := -1
 	var errAt error
-	Fanout(ctx, s.bulkLimit(), len(stripes), func(cctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, s.RepairShard(cctx, stripes[i], shard)
-	}, func(i int, _ struct{}, err error) bool {
+	Fanout(ctx, limit, len(tasks), func(cctx context.Context, t int) (struct{}, error) {
+		return struct{}{}, sys(tasks[t].i).RepairShard(cctx, stripes[tasks[t].i], tasks[t].shard)
+	}, func(t int, _ struct{}, err error) bool {
 		if err == nil {
 			repaired++
 			return true
 		}
-		if errIdx < 0 || i < errIdx {
-			errIdx = i
-			errAt = fmt.Errorf("stripe %d: %w", stripes[i], err)
+		if errIdx < 0 || t < errIdx {
+			errIdx, errAt = t, err
 		}
 		return true
 	})
-	if errAt != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return repaired, opErr("repair", stripes[errIdx], cerr)
-		}
-		return repaired, errAt
+	if errAt == nil {
+		return repaired, nil
 	}
-	return repaired, nil
+	if cerr := ctx.Err(); cerr != nil {
+		errAt = cerr
+	}
+	t := tasks[errIdx]
+	return repaired, &OpError{Op: "repair", Stripe: stripes[t.i].ID, Block: -1, Level: -1, Node: t.shard, Err: errAt}
 }

@@ -28,7 +28,7 @@ func TestRepairShardAfterWipe(t *testing.T) {
 		if err := ts.shardNode(victim).Wipe(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if err := ts.sys.RepairShard(context.Background(), 1, victim); err != nil {
+		if err := ts.sys.RepairShard(context.Background(), ts.stripe(1), victim); err != nil {
 			t.Fatalf("repair %d: %v", victim, err)
 		}
 		after, err := ts.shardNode(victim).ReadChunk(context.Background(), sim.ChunkID{Stripe: 1, Shard: victim})
@@ -59,7 +59,7 @@ func TestRepairPicksUpLaterWrites(t *testing.T) {
 	for i := 0; i < ts.code.K(); i++ {
 		x := make([]byte, 64)
 		r.Read(x)
-		if err := ts.sys.WriteBlock(context.Background(), 1, i, x); err != nil {
+		if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), i, x); err != nil {
 			t.Fatal(err)
 		}
 		want[i] = x
@@ -69,7 +69,7 @@ func TestRepairPicksUpLaterWrites(t *testing.T) {
 	if err := ts.shardNode(10).Wipe(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.sys.RepairShard(context.Background(), 1, 10); err != nil {
+	if err := ts.sys.RepairShard(context.Background(), ts.stripe(1), 10); err != nil {
 		t.Fatal(err)
 	}
 	// The repaired parity must carry version 2 for every block and be
@@ -100,7 +100,7 @@ func TestRepairPicksUpLaterWrites(t *testing.T) {
 	}
 	// And the repaired node participates in future writes: no more
 	// version rejects on it.
-	if err := ts.sys.WriteBlock(context.Background(), 1, 0, want[0]); err != nil {
+	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 0, want[0]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -115,7 +115,7 @@ func TestRepairNodeAcrossStripes(t *testing.T) {
 	if err := ts.shardNode(9).Wipe(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	repaired, err := ts.sys.RepairNode(context.Background(), 9)
+	repaired, err := ts.repairNode(context.Background(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +135,10 @@ func TestRepairNodeAcrossStripes(t *testing.T) {
 func TestRepairValidation(t *testing.T) {
 	ts := fig3System(t, Options{})
 	ts.seed(t, 1, 32)
-	if err := ts.sys.RepairShard(context.Background(), 1, 15); !errors.Is(err, ErrBadIndex) {
+	if err := ts.sys.RepairShard(context.Background(), ts.stripe(1), 15); !errors.Is(err, ErrBadIndex) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := ts.sys.RepairShard(context.Background(), 9, 0); !errors.Is(err, ErrUnknownStripe) {
+	if err := ts.sys.RepairShard(context.Background(), ts.stripe(9), 0); !errors.Is(err, ErrUnknownStripe) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -150,7 +150,7 @@ func TestRepairFailsWithTooFewSurvivors(t *testing.T) {
 	for _, j := range []int{0, 1, 2, 3, 4, 5, 6, 7} {
 		ts.cluster.Crash(j)
 	}
-	if err := ts.sys.RepairShard(context.Background(), 1, 14); !errors.Is(err, ErrNotReadable) {
+	if err := ts.sys.RepairShard(context.Background(), ts.stripe(1), 14); !errors.Is(err, ErrNotReadable) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -159,7 +159,7 @@ func TestRepairTargetNodeMustBeUp(t *testing.T) {
 	ts := fig3System(t, Options{})
 	ts.seed(t, 1, 32)
 	ts.cluster.Crash(11)
-	if err := ts.sys.RepairShard(context.Background(), 1, 11); err == nil {
+	if err := ts.sys.RepairShard(context.Background(), ts.stripe(1), 11); err == nil {
 		t.Fatal("repair onto a down node succeeded")
 	}
 }
@@ -184,7 +184,7 @@ func TestRepairNodePartialFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	repaired, err := ts.sys.RepairNode(context.Background(), 14)
+	repaired, err := ts.repairNode(context.Background(), 14)
 	if err == nil {
 		t.Fatal("expected an error for the unrecoverable stripe")
 	}

@@ -49,14 +49,14 @@ func runCrashSchedule(t *testing.T, seed int64, ops int) {
 			i := r.Intn(ts.code.K())
 			x := make([]byte, blockSize)
 			r.Read(x)
-			if err := ts.sys.WriteBlock(context.Background(), 1, i, x); err == nil {
+			if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), i, x); err == nil {
 				expected[i] = x
 			} else if !errors.Is(err, ErrWriteFailed) {
 				t.Fatalf("op %d: unexpected write error %v", op, err)
 			}
 		default: // read a random block
 			i := r.Intn(ts.code.K())
-			got, _, err := ts.sys.ReadBlock(context.Background(), 1, i)
+			got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), i)
 			if err != nil {
 				if !errors.Is(err, ErrNotReadable) {
 					t.Fatalf("op %d: unexpected read error %v", op, err)
@@ -85,13 +85,13 @@ func TestFailedWriteResidueHazard(t *testing.T) {
 	ts.cluster.Crash(13)
 	ts.cluster.Crash(14)
 	x1 := bytes.Repeat([]byte{0x11}, 32)
-	if err := ts.sys.WriteBlock(context.Background(), 1, 2, x1); !errors.Is(err, ErrWriteFailed) {
+	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 2, x1); !errors.Is(err, ErrWriteFailed) {
 		t.Fatalf("err = %v, want ErrWriteFailed", err)
 	}
 
 	// Anomaly (a): the failed write is visible — level 0 was updated
 	// before the failure and now carries version 2.
-	got, version, err := ts.sys.ReadBlock(context.Background(), 1, 2)
+	got, version, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,20 +106,20 @@ func TestFailedWriteResidueHazard(t *testing.T) {
 	ts.cluster.Restart(13)
 	ts.cluster.Restart(14)
 	x2 := bytes.Repeat([]byte{0x22}, 32)
-	if err := ts.sys.WriteBlock(context.Background(), 1, 2, x2); !errors.Is(err, ErrWriteFailed) {
+	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 2, x2); !errors.Is(err, ErrWriteFailed) {
 		t.Fatalf("err = %v, want persistent write failure from residue", err)
 	}
 
 	// Repairing the stale level-1 parity shards restores writability.
 	for _, shard := range []int{10, 11, 12, 13, 14} {
-		if err := ts.sys.RepairShard(context.Background(), 1, shard); err != nil {
+		if err := ts.sys.RepairShard(context.Background(), ts.stripe(1), shard); err != nil {
 			t.Fatalf("repair shard %d: %v", shard, err)
 		}
 	}
-	if err := ts.sys.WriteBlock(context.Background(), 1, 2, x2); err != nil {
+	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 2, x2); err != nil {
 		t.Fatalf("write after repair: %v", err)
 	}
-	got, version, err = ts.sys.ReadBlock(context.Background(), 1, 2)
+	got, version, err = ts.sys.ReadBlock(context.Background(), ts.stripe(1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFailedWriteResidueHazard(t *testing.T) {
 		if i == 2 {
 			continue
 		}
-		got, _, err := ts.sys.ReadBlock(context.Background(), 1, i)
+		got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,10 +157,10 @@ func TestRollbackPreventsResidue(t *testing.T) {
 	ts.cluster.Crash(13)
 	ts.cluster.Crash(14)
 	x1 := bytes.Repeat([]byte{0x11}, 32)
-	if err := ts.sys.WriteBlock(context.Background(), 1, 2, x1); !errors.Is(err, ErrWriteFailed) {
+	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 2, x1); !errors.Is(err, ErrWriteFailed) {
 		t.Fatalf("err = %v", err)
 	}
-	got, version, err := ts.sys.ReadBlock(context.Background(), 1, 2)
+	got, version, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestRollbackPreventsResidue(t *testing.T) {
 	ts.cluster.Restart(12)
 	ts.cluster.Restart(13)
 	ts.cluster.Restart(14)
-	if err := ts.sys.WriteBlock(context.Background(), 1, 2, x1); err != nil {
+	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 2, x1); err != nil {
 		t.Fatalf("write after rollback: %v", err)
 	}
 	if m := ts.sys.Metrics(); m.Rollbacks != 1 {
@@ -198,7 +198,7 @@ func TestConcurrentWritersDistinctBlocks(t *testing.T) {
 			for round := 0; round < 20; round++ {
 				x := make([]byte, blockSize)
 				r.Read(x)
-				if err := ts.sys.WriteBlock(context.Background(), 1, i, x); err != nil {
+				if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), i, x); err != nil {
 					panic(err) // all nodes up: writes must succeed
 				}
 				last = x
@@ -209,7 +209,7 @@ func TestConcurrentWritersDistinctBlocks(t *testing.T) {
 	wg.Wait()
 	// Every block reads back its final value.
 	for i := 0; i < ts.code.K(); i++ {
-		got, version, err := ts.sys.ReadBlock(context.Background(), 1, i)
+		got, version, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 				return
 			default:
 			}
-			got, _, err := ts.sys.ReadBlock(context.Background(), 1, 4)
+			got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 4)
 			if err != nil {
 				readErr = err
 				return
@@ -280,7 +280,7 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 		}
 	}()
 	for _, x := range written {
-		if err := ts.sys.WriteBlock(context.Background(), 1, 4, x); err != nil {
+		if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 4, x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -338,7 +338,7 @@ func TestSmallCodeConfigurations(t *testing.T) {
 		ts := newTestSystem(t, c.n, c.k, c.shape, c.w, Options{})
 		data := ts.seed(t, 1, 16)
 		for i := 0; i < c.k; i++ {
-			got, _, err := ts.sys.ReadBlock(context.Background(), 1, i)
+			got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), i)
 			if err != nil {
 				t.Fatalf("(%d,%d) %v: read %d: %v", c.n, c.k, c.shape, i, err)
 			}
@@ -347,10 +347,10 @@ func TestSmallCodeConfigurations(t *testing.T) {
 			}
 		}
 		x := bytes.Repeat([]byte{9}, 16)
-		if err := ts.sys.WriteBlock(context.Background(), 1, 0, x); err != nil {
+		if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 0, x); err != nil {
 			t.Fatalf("(%d,%d) %v: write: %v", c.n, c.k, c.shape, err)
 		}
-		got, _, err := ts.sys.ReadBlock(context.Background(), 1, 0)
+		got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 0)
 		if err != nil || !bytes.Equal(got, x) {
 			t.Fatalf("(%d,%d) %v: write not visible: %v", c.n, c.k, c.shape, err)
 		}

@@ -56,14 +56,14 @@ func (r ScrubReport) String() string {
 // see. The scrubber is the read-only companion of RepairStripe and
 // judges by the same rule: run it periodically, repair when it reports
 // degradation.
-func (s *System) ScrubStripe(ctx context.Context, stripe uint64) (ScrubReport, error) {
-	if _, err := s.stripeBlockSize(stripe); err != nil {
+func (s *System) ScrubStripe(ctx context.Context, st Stripe) (ScrubReport, error) {
+	if err := s.check(st); err != nil {
 		return ScrubReport{}, err
 	}
-	report := ScrubReport{Stripe: stripe}
+	report := ScrubReport{Stripe: st.ID}
 	n, k := s.code.N(), s.code.K()
 
-	view := s.gather(ctx, stripe, -1, gatherOpt{})
+	view := s.gather(ctx, st, -1, gatherOpt{})
 	var vector []uint64
 	if set := freshest(view.decodableSets(-1, 0, -1)); set != nil {
 		vector = set.vector
@@ -106,7 +106,7 @@ func (s *System) ScrubStripe(ctx context.Context, stripe uint64) (ScrubReport, e
 		}
 		if erasure.Sum64(matching[shard]) != want.sum {
 			report.CorruptShards = append(report.CorruptShards, shard)
-			s.reportCorrupt(shard)
+			s.reportCorrupt(st, shard)
 			continue
 		}
 		dataClean++
@@ -137,7 +137,7 @@ func (s *System) ScrubStripe(ctx context.Context, stripe uint64) (ScrubReport, e
 				for j := k; j < n; j++ {
 					if !bytes.Equal(encoded[j], matching[j]) {
 						report.CorruptShards = append(report.CorruptShards, j)
-						s.reportCorrupt(j)
+						s.reportCorrupt(st, j)
 					}
 				}
 			}

@@ -60,7 +60,7 @@ type gatherOpt struct {
 // in parallel and returns what they answered. Every ErrCorrupt answer
 // is reported once, here, whatever the caller goes on to do with the
 // view.
-func (s *System) gather(ctx context.Context, stripe uint64, without int, opt gatherOpt) *stripeView {
+func (s *System) gather(ctx context.Context, st Stripe, without int, opt gatherOpt) *stripeView {
 	k, n := s.code.K(), s.code.N()
 	v := &stripeView{k: k, shards: make([]shardAnswer, n)}
 	for shard := range v.shards {
@@ -76,17 +76,17 @@ func (s *System) gather(ctx context.Context, stripe uint64, without int, opt gat
 		}
 		return hedged(cctx, hedge, func(hctx context.Context) (shardAnswer, error) {
 			if opt.probe {
-				versions, sums, err := s.nodes[shard].ReadVersions(hctx, chunkID(stripe, shard))
+				versions, sums, err := s.node(st, shard).ReadVersions(hctx, chunkID(st.ID, shard))
 				return shardAnswer{versions: versions, sums: sums}, err
 			}
-			chunk, err := s.nodes[shard].ReadChunk(hctx, chunkID(stripe, shard))
+			chunk, err := s.node(st, shard).ReadChunk(hctx, chunkID(st.ID, shard))
 			return shardAnswer{versions: chunk.Versions, sums: chunk.Sums, data: chunk.Data}, err
 		})
 	}, func(shard int, a shardAnswer, err error) bool {
 		a.err = err
 		v.shards[shard] = a
 		if isCorruptErr(err) {
-			s.reportCorrupt(shard)
+			s.reportCorrupt(st, shard)
 		}
 		return err != nil || opt.stop == nil || !opt.stop(v)
 	})

@@ -33,7 +33,7 @@ func TestGatherRPCsPerOperation(t *testing.T) {
 	staleParities := func(t *testing.T, ts *testSystem) {
 		ts.cluster.Crash(13)
 		ts.cluster.Crash(14)
-		if err := ts.sys.WriteBlock(ctx, 1, 2, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
+		if err := ts.sys.WriteBlock(ctx, ts.stripe(1), 2, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
 			t.Fatal(err)
 		}
 		ts.cluster.Restart(13)
@@ -49,7 +49,7 @@ func TestGatherRPCsPerOperation(t *testing.T) {
 		{
 			name: "scrub healthy",
 			op: func(t *testing.T, ts *testSystem) {
-				if rep, err := ts.sys.ScrubStripe(ctx, 1); err != nil || !rep.Healthy {
+				if rep, err := ts.sys.ScrubStripe(ctx, ts.stripe(1)); err != nil || !rep.Healthy {
 					t.Fatalf("scrub: %v %v", rep, err)
 				}
 			},
@@ -63,7 +63,7 @@ func TestGatherRPCsPerOperation(t *testing.T) {
 				}
 			},
 			op: func(t *testing.T, ts *testSystem) {
-				rep, err := ts.sys.ScrubStripe(ctx, 1)
+				rep, err := ts.sys.ScrubStripe(ctx, ts.stripe(1))
 				if err != nil || rep.FreshVector != nil || len(rep.UnreachableShards) != 9 {
 					t.Fatalf("scrub: %v %v", rep, err)
 				}
@@ -76,7 +76,7 @@ func TestGatherRPCsPerOperation(t *testing.T) {
 			op: func(t *testing.T, ts *testSystem) {
 				// One round: every shard is rebuildable from the first
 				// snapshot, fresh ones reinstalled identically.
-				repaired, ahead, err := ts.sys.RepairStripe(ctx, 1)
+				repaired, ahead, err := ts.sys.RepairStripe(ctx, ts.stripe(1))
 				if err != nil || repaired != n || len(ahead) != 0 {
 					t.Fatalf("RepairStripe = %d %v %v", repaired, ahead, err)
 				}
@@ -87,7 +87,7 @@ func TestGatherRPCsPerOperation(t *testing.T) {
 			name:    "repair shard",
 			prepare: staleParities,
 			op: func(t *testing.T, ts *testSystem) {
-				if err := ts.sys.RepairShard(ctx, 1, 13); err != nil {
+				if err := ts.sys.RepairShard(ctx, ts.stripe(1), 13); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -97,7 +97,7 @@ func TestGatherRPCsPerOperation(t *testing.T) {
 			name:    "degraded read, data node down",
 			prepare: func(t *testing.T, ts *testSystem) { ts.cluster.Crash(2) },
 			op: func(t *testing.T, ts *testSystem) {
-				if _, _, err := ts.sys.ReadBlock(ctx, 1, 2); err != nil {
+				if _, _, err := ts.sys.ReadBlock(ctx, ts.stripe(1), 2); err != nil {
 					t.Fatal(err)
 				}
 				if m := ts.sys.Metrics(); m.DecodeReads != 1 {
@@ -235,7 +235,7 @@ func TestGatherSkipsAndReports(t *testing.T) {
 	if err := ts.shardNode(9).Engine().CorruptChunk(ctx, chunkID(1, 9), nodeengine.CorruptBitFlip); err != nil {
 		t.Fatal(err)
 	}
-	view := ts.sys.gather(ctx, 1, 4, gatherOpt{})
+	view := ts.sys.gather(ctx, ts.stripe(1), 4, gatherOpt{})
 	for shard, a := range view.shards {
 		switch {
 		case shard == 4 && !errors.Is(a.err, errNotAsked):
@@ -250,7 +250,7 @@ func TestGatherSkipsAndReports(t *testing.T) {
 		t.Errorf("corruption reports = %d, want 1", reports)
 	}
 	chunk0, probe0 := ts.nodeRPCs()
-	view = ts.sys.gather(ctx, 1, -1, gatherOpt{probe: true})
+	view = ts.sys.gather(ctx, ts.stripe(1), -1, gatherOpt{probe: true})
 	chunk1, probe1 := ts.nodeRPCs()
 	if chunk1 != chunk0 || probe1-probe0 != 7 {
 		t.Errorf("probe issued %d ReadChunk and %d ReadVersions, want 0 and 7", chunk1-chunk0, probe1-probe0)

@@ -65,8 +65,8 @@ func pluralitySum(tally map[uint64]int) sumOpinion {
 // version-check quorum settled without a single parity opinion (a
 // one-node level can win on the data node alone) — serving the data
 // node's bytes on its own say-so would let a lying N_i self-certify.
-func (s *System) gatherExpected(ctx context.Context, stripe uint64, block int, version uint64) sumOpinion {
-	return s.gather(ctx, stripe, -1, gatherOpt{probe: true}).opinion(block, version, block)
+func (s *System) gatherExpected(ctx context.Context, st Stripe, block int, version uint64) sumOpinion {
+	return s.gather(ctx, st, -1, gatherOpt{probe: true}).opinion(block, version, block)
 }
 
 // verifiedDecode is the escalation path of Case 2: a fast decode
@@ -83,18 +83,18 @@ func (s *System) gatherExpected(ctx context.Context, stripe uint64, block int, v
 // corrupted shard is detected and recovered): with one bad member,
 // dropping it is one of the leave-one-out iterations and the
 // remaining members are all honest.
-func (s *System) verifiedDecode(ctx context.Context, stripe uint64, block int, version uint64, expect sumOpinion) ([]byte, error) {
-	view := s.gather(ctx, stripe, -1, gatherOpt{})
+func (s *System) verifiedDecode(ctx context.Context, st Stripe, block int, version uint64, expect sumOpinion) ([]byte, error) {
+	view := s.gather(ctx, st, -1, gatherOpt{})
 	// The complete record population overrides the caller's opinion
 	// (from a partial quorum), which only breaks an unknown outcome.
 	if full := view.opinion(block, version, block); full.known {
 		expect = full
 	}
 	if !expect.known {
-		return nil, fmt.Errorf("%w: stripe %d block %d version %d: no record majority to verify against", ErrNotReadable, stripe, block, version)
+		return nil, fmt.Errorf("%w: stripe %d block %d version %d: no record majority to verify against", ErrNotReadable, st.ID, block, version)
 	}
 	for _, set := range view.decodableSets(block, version, block) {
-		if out := s.searchVerifiedSet(view, block, expect, set.members); out != nil {
+		if out := s.searchVerifiedSet(st, view, block, expect, set.members); out != nil {
 			return out, nil
 		}
 	}
@@ -102,7 +102,7 @@ func (s *System) verifiedDecode(ctx context.Context, stripe uint64, block int, v
 		return nil, cerr
 	}
 	return nil, fmt.Errorf("%w: stripe %d block %d version %d: no survivor set of %d shards decodes to the record majority: %w",
-		ErrNotReadable, stripe, block, version, s.code.K(), client.ErrCorrupt)
+		ErrNotReadable, st.ID, block, version, s.code.K(), client.ErrCorrupt)
 }
 
 // searchVerifiedSet tries bases of exactly k members — first without
@@ -111,7 +111,7 @@ func (s *System) verifiedDecode(ctx context.Context, stripe uint64, block int, v
 // member's shard from the verified basis and reports mismatching
 // members as corrupt, then returns the decoded block. nil means no
 // basis verified.
-func (s *System) searchVerifiedSet(view *stripeView, block int, expect sumOpinion, members []int) []byte {
+func (s *System) searchVerifiedSet(st Stripe, view *stripeView, block int, expect sumOpinion, members []int) []byte {
 	n := s.code.N()
 	shards := make([][]byte, n)
 	inBasis := make([]bool, n)
@@ -147,7 +147,7 @@ func (s *System) searchVerifiedSet(view *stripeView, block int, expect sumOpinio
 				continue
 			}
 			if !bytes.Equal(truth, view.shards[m].data) {
-				s.reportCorrupt(m)
+				s.reportCorrupt(st, m)
 			}
 		}
 		return out

@@ -42,7 +42,7 @@ func (l *corruptionLog) reports(shard int) int {
 func (ts *testSystem) readAllBlocks(t testing.TB, stripe uint64, want [][]byte, when string) {
 	t.Helper()
 	for i := range want {
-		got, _, err := ts.sys.ReadBlock(context.Background(), stripe, i)
+		got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(stripe), i)
 		if err != nil {
 			t.Fatalf("%s: ReadBlock(%d, %d): %v", when, stripe, i, err)
 		}
@@ -104,7 +104,7 @@ func TestReadBlockSurvivesLyingDataNode(t *testing.T) {
 	// The stored bytes were never wrong: once the node stops lying, the
 	// stripe audits clean with no repair at all.
 	ts.shardNode(liar).SetReadCorrupt(false)
-	rep, err := ts.sys.ScrubStripe(context.Background(), stripe)
+	rep, err := ts.sys.ScrubStripe(context.Background(), ts.stripe(stripe))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDecodeReadSurvivesCorruptSurvivor(t *testing.T) {
 			}
 
 			for i := 0; i < 30; i++ {
-				got, _, err := ts.sys.ReadBlock(context.Background(), stripe, block)
+				got, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(stripe), block)
 				if err != nil {
 					t.Fatalf("decode read %d with a corrupt survivor: %v", i, err)
 				}
@@ -201,7 +201,7 @@ func TestReadFailsLoudWithoutHonestBasis(t *testing.T) {
 				}
 			}
 
-			_, _, err := ts.sys.ReadBlock(context.Background(), stripe, block)
+			_, _, err := ts.sys.ReadBlock(context.Background(), ts.stripe(stripe), block)
 			if err == nil {
 				t.Fatal("read served a block that cannot be decoded honestly")
 			}
@@ -228,7 +228,7 @@ func TestScrubPinpointsWrongDataCulprits(t *testing.T) {
 		}
 	}
 
-	rep, err := ts.sys.ScrubStripe(context.Background(), stripe)
+	rep, err := ts.sys.ScrubStripe(context.Background(), ts.stripe(stripe))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +248,11 @@ func TestScrubPinpointsWrongDataCulprits(t *testing.T) {
 	// clean again, so repair from a fresh scrub until it reports healthy.
 	for pass := 0; pass < 3; pass++ {
 		for _, shard := range rep.CorruptShards {
-			if err := ts.sys.RepairShard(context.Background(), stripe, shard); err != nil {
+			if err := ts.sys.RepairShard(context.Background(), ts.stripe(stripe), shard); err != nil {
 				t.Fatalf("repair shard %d: %v", shard, err)
 			}
 		}
-		if rep, err = ts.sys.ScrubStripe(context.Background(), stripe); err != nil {
+		if rep, err = ts.sys.ScrubStripe(context.Background(), ts.stripe(stripe)); err != nil {
 			t.Fatal(err)
 		}
 		if rep.Healthy {
@@ -278,7 +278,7 @@ func TestStaleReplayIsStalenessNotCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := bytes.Repeat([]byte{0xd1}, 64)
-	if err := ts.sys.WriteBlock(context.Background(), stripe, victim, fresh); err != nil {
+	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(stripe), victim, fresh); err != nil {
 		t.Fatal(err)
 	}
 	data[victim] = fresh
@@ -287,7 +287,7 @@ func TestStaleReplayIsStalenessNotCorruption(t *testing.T) {
 	}
 
 	ts.readAllBlocks(t, stripe, data, "after stale replay")
-	rep, err := ts.sys.ScrubStripe(context.Background(), stripe)
+	rep, err := ts.sys.ScrubStripe(context.Background(), ts.stripe(stripe))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,10 +297,10 @@ func TestStaleReplayIsStalenessNotCorruption(t *testing.T) {
 	if len(rep.StaleShards) != 1 || rep.StaleShards[0] != victim {
 		t.Fatalf("scrub %v, want exactly shard %d stale", rep, victim)
 	}
-	if _, _, err := ts.sys.RepairStripe(context.Background(), stripe); err != nil {
+	if _, _, err := ts.sys.RepairStripe(context.Background(), ts.stripe(stripe)); err != nil {
 		t.Fatal(err)
 	}
-	if rep, err = ts.sys.ScrubStripe(context.Background(), stripe); err != nil || !rep.Healthy {
+	if rep, err = ts.sys.ScrubStripe(context.Background(), ts.stripe(stripe)); err != nil || !rep.Healthy {
 		t.Fatalf("after repair: %v, %v", rep, err)
 	}
 }
@@ -352,7 +352,7 @@ func TestAnySingleCorruptShardRecovered(t *testing.T) {
 					ts.readAllBlocks(t, stripe, data, when)
 
 					// 2. A read-only audit convicts the victim.
-					rep, err := ts.sys.ScrubStripe(context.Background(), stripe)
+					rep, err := ts.sys.ScrubStripe(context.Background(), ts.stripe(stripe))
 					if err != nil {
 						t.Fatalf("%s: scrub: %v", when, err)
 					}
@@ -372,10 +372,10 @@ func TestAnySingleCorruptShardRecovered(t *testing.T) {
 					// the stripe audits clean again.
 					if mode == lyingMode {
 						ts.shardNode(victim).SetReadCorrupt(false)
-					} else if err := ts.sys.RepairShard(context.Background(), stripe, victim); err != nil {
+					} else if err := ts.sys.RepairShard(context.Background(), ts.stripe(stripe), victim); err != nil {
 						t.Fatalf("%s: repair: %v", when, err)
 					}
-					if rep, err = ts.sys.ScrubStripe(context.Background(), stripe); err != nil || !rep.Healthy {
+					if rep, err = ts.sys.ScrubStripe(context.Background(), ts.stripe(stripe)); err != nil || !rep.Healthy {
 						t.Fatalf("%s: audit after recovery: %v, %v", when, rep, err)
 					}
 					ts.readAllBlocks(t, stripe, data, when+" after recovery")

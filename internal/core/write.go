@@ -53,38 +53,29 @@ type appliedUpdate struct {
 // the write the same way — the partial footprint is rolled back and
 // nothing commits — and the returned OpError wraps the context's
 // error.
-func (s *System) WriteBlock(ctx context.Context, stripe uint64, block int, x []byte) error {
+func (s *System) WriteBlock(ctx context.Context, st Stripe, block int, x []byte) error {
 	if block < 0 || block >= s.code.K() {
 		return fmt.Errorf("%w: %d of k=%d", ErrBadIndex, block, s.code.K())
 	}
-	size, err := s.stripeBlockSize(stripe)
-	if err != nil {
+	if err := s.check(st); err != nil {
 		return err
 	}
+	size := st.BlockSize
 	if len(x) != size {
 		return fmt.Errorf("%w: got %d bytes, stripe uses %d", ErrBlockSize, len(x), size)
 	}
+	stripe := st.ID
 	if err := ctx.Err(); err != nil {
 		// Counted like every other aborted write attempt, so the
 		// failed-write counter is consistent across abort points.
 		s.metrics.FailedWrites.Add(1)
 		return &OpError{Op: "write", Stripe: stripe, Block: block, Level: -1, Node: -1, Err: err}
 	}
-	lock := s.blockLock(stripe, block)
-	lock.Lock()
-	defer lock.Unlock()
-
-	// Re-validate under the lock: if ForgetStripe ran between the
-	// size check and the lock fetch, this lock is a fresh mutex that
-	// no longer serialises against earlier writers — the stripe is
-	// gone, so the write must not proceed.
-	if _, err := s.stripeBlockSize(stripe); err != nil {
-		s.metrics.FailedWrites.Add(1)
-		return err
-	}
+	key := blockKey{stripe, block}
+	defer s.unlockBlock(key, s.lockBlock(key))
 
 	// Algorithm 1 line 15: read the old value and version.
-	old, oldVersion, err := s.readBlock(ctx, stripe, block)
+	old, oldVersion, err := s.readBlock(ctx, st, block)
 	if err != nil {
 		s.metrics.FailedWrites.Add(1)
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -138,7 +129,7 @@ func (s *System) WriteBlock(ctx context.Context, stripe uint64, block int, x []b
 			// Line 20: write x into the data node N_i. The write is
 			// unconditional (the per-block lock serialises writers),
 			// which also heals a stale or residue-poisoned data chunk.
-			if err := s.nodes[t.shard].PutChunk(cctx, id, x, []uint64{newVersion}, newSum); err != nil {
+			if err := s.node(st, t.shard).PutChunk(cctx, id, x, []uint64{newVersion}, newSum); err != nil {
 				return appliedUpdate{}, err
 			}
 			return appliedUpdate{
@@ -154,7 +145,7 @@ func (s *System) WriteBlock(ctx context.Context, stripe uint64, block int, x []b
 		// kept alive while a rollback might need to re-send it.
 		adjBlk := blockpool.GetBlock(size)
 		s.code.ParityAdjustmentInto(adjBlk.B, t.shard, block, delta)
-		if err := s.nodes[t.shard].CompareAndAdd(cctx, id, s.versionSlot(block, t.shard), oldVersion, newVersion, adjBlk.B, newSum); err != nil {
+		if err := s.node(st, t.shard).CompareAndAdd(cctx, id, s.versionSlot(block, t.shard), oldVersion, newVersion, adjBlk.B, newSum); err != nil {
 			adjBlk.Release()
 			return appliedUpdate{}, err
 		}
@@ -229,7 +220,7 @@ func (s *System) WriteBlock(ctx context.Context, stripe uint64, block int, x []b
 		// Lines 35–37: FAIL.
 		s.metrics.FailedWrites.Add(1)
 		if !s.opts.DisableRollback {
-			s.rollback(stripe, block, applied, oldSum)
+			s.rollback(st, block, applied, oldSum)
 		}
 		releaseAdjustments()
 		cause := fmt.Errorf("%w: level %d reached %d of %d", ErrWriteFailed, failLevel, levels[failLevel].ok, levels[failLevel].need)
@@ -252,15 +243,15 @@ func (s *System) WriteBlock(ctx context.Context, stripe uint64, block int, x []b
 // version — the failed write overwrote each touched node's opinion
 // with the new content's hash, and without the restore a later read at
 // the old version would find no opinions to verify against.
-func (s *System) rollback(stripe uint64, block int, applied []appliedUpdate, oldSum client.BlockSum) {
+func (s *System) rollback(st Stripe, block int, applied []appliedUpdate, oldSum client.BlockSum) {
 	ctx := context.Background()
 	Fanout(ctx, s.opLimit(), len(applied), func(_ context.Context, i int) (struct{}, error) {
 		u := applied[i]
-		id := chunkID(stripe, u.shard)
+		id := chunkID(st.ID, u.shard)
 		if u.isData {
 			// Restore the old content conditionally on our own
 			// version still being in place.
-			err := s.nodes[u.shard].CompareAndPut(ctx, id, 0, u.newVersion, u.oldVersion, u.oldData, oldSum)
+			err := s.node(st, u.shard).CompareAndPut(ctx, id, 0, u.newVersion, u.oldVersion, u.oldData, oldSum)
 			if err != nil && !errors.Is(err, client.ErrVersionMismatch) {
 				return struct{}{}, err
 			}
@@ -268,7 +259,7 @@ func (s *System) rollback(stripe uint64, block int, applied []appliedUpdate, old
 		}
 		// XOR is self-inverse: adding the same delta again while
 		// stepping the version back restores the parity chunk.
-		_ = s.nodes[u.shard].CompareAndAdd(ctx, id, s.versionSlot(block, u.shard), u.newVersion, u.oldVersion, u.delta, oldSum)
+		_ = s.node(st, u.shard).CompareAndAdd(ctx, id, s.versionSlot(block, u.shard), u.newVersion, u.oldVersion, u.delta, oldSum)
 		return struct{}{}, nil
 	}, func(int, struct{}, error) bool { return true })
 	s.metrics.Rollbacks.Add(1)

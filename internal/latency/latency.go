@@ -83,8 +83,10 @@ func Measure(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	defer cluster.Close()
 	nodes := make([]core.NodeClient, cfg.N)
+	st := core.Stripe{ID: 1, Nodes: make([]int, cfg.N), BlockSize: cfg.BlockSize}
 	for j := 0; j < cfg.N; j++ {
 		nodes[j] = cluster.Node(j)
+		st.Nodes[j] = j
 	}
 	sys, err := core.NewSystem(code, cfg.Trapezoid, nodes, core.Options{
 		Concurrency: cfg.Concurrency,
@@ -99,7 +101,7 @@ func Measure(ctx context.Context, cfg Config) (*Report, error) {
 		data[i] = make([]byte, cfg.BlockSize)
 		r.Read(data[i])
 	}
-	if err := sys.SeedStripe(ctx, 1, data); err != nil {
+	if err := sys.SeedStripe(ctx, st, data); err != nil {
 		return nil, err
 	}
 	report := &Report{Config: cfg, Samples: make(map[Scenario]Sample)}
@@ -109,7 +111,7 @@ func Measure(ctx context.Context, cfg Config) (*Report, error) {
 	for i := 0; i < cfg.Ops; i++ {
 		block := r.Intn(cfg.K)
 		start := time.Now()
-		if _, _, err := sys.ReadBlock(ctx, 1, block); err != nil {
+		if _, _, err := sys.ReadBlock(ctx, st, block); err != nil {
 			return nil, fmt.Errorf("latency: healthy read: %w", err)
 		}
 		healthy = append(healthy, time.Since(start).Seconds())
@@ -123,7 +125,7 @@ func Measure(ctx context.Context, cfg Config) (*Report, error) {
 		block := r.Intn(cfg.K)
 		r.Read(buf)
 		start := time.Now()
-		if err := sys.WriteBlock(ctx, 1, block, buf); err != nil {
+		if err := sys.WriteBlock(ctx, st, block, buf); err != nil {
 			return nil, fmt.Errorf("latency: write: %w", err)
 		}
 		writes = append(writes, time.Since(start).Seconds())
@@ -136,7 +138,7 @@ func Measure(ctx context.Context, cfg Config) (*Report, error) {
 	degraded := make([]float64, 0, cfg.Ops)
 	for i := 0; i < cfg.Ops; i++ {
 		start := time.Now()
-		if _, _, err := sys.ReadBlock(ctx, 1, victim); err != nil {
+		if _, _, err := sys.ReadBlock(ctx, st, victim); err != nil {
 			return nil, fmt.Errorf("latency: degraded read: %w", err)
 		}
 		degraded = append(degraded, time.Since(start).Seconds())

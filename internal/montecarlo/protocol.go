@@ -22,7 +22,7 @@ type ProtocolEstimator struct {
 	sys     *core.System
 	n, k    int
 	size    int
-	stripe  uint64
+	stripe  core.Stripe
 	written uint64 // write counter for distinct payloads
 }
 
@@ -39,15 +39,17 @@ func NewProtocolEstimator(ctx context.Context, n, k int, cfg trapezoid.Config, b
 		return nil, err
 	}
 	nodes := make([]core.NodeClient, n)
+	stripe := core.Stripe{ID: 1, Nodes: make([]int, n), BlockSize: blockSize}
 	for j := 0; j < n; j++ {
 		nodes[j] = cluster.Node(j)
+		stripe.Nodes[j] = j
 	}
 	sys, err := core.NewSystem(code, cfg, nodes, core.Options{})
 	if err != nil {
 		cluster.Close()
 		return nil, err
 	}
-	pe := &ProtocolEstimator{cluster: cluster, sys: sys, n: n, k: k, size: blockSize, stripe: 1}
+	pe := &ProtocolEstimator{cluster: cluster, sys: sys, n: n, k: k, size: blockSize, stripe: stripe}
 	r := rand.New(rand.NewSource(seed))
 	data := make([][]byte, k)
 	for i := range data {

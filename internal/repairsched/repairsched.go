@@ -16,7 +16,7 @@
 //
 // The package is store-agnostic: it plans and executes through the
 // Target interface, implemented by the multi-stripe service layer
-// (placement-aware) and by the single-placement core adapter.
+// (placement-aware) and by the low-level store's stripe table.
 package repairsched
 
 import (
@@ -69,7 +69,7 @@ type Target interface {
 // reconfiguration: a target that also exposes a placement migration
 // gets a background pump goroutine driving it, paced like the scrub
 // path so the drain never starves foreground traffic. The service
-// layer's fleet implements it; the single-placement core adapter does
+// layer's fleet implements it; the low-level store's stripe table does
 // not (it has no placement to migrate).
 type MigrationSource interface {
 	// MigrationPending reports whether a migration has work left.

@@ -33,8 +33,9 @@ import (
 // target while another migration is still draining.
 var ErrMigrationActive = errors.New("service: another reconfiguration is in progress")
 
-// epochCfg is one placement epoch: the full stripe geometry and the
-// epoch-stamped placement new stripes of this epoch are created with.
+// epochCfg is one placement epoch: the full stripe geometry, the
+// epoch-stamped placement new stripes of this epoch are created with,
+// and the one protocol instance serving every stripe placed in it.
 // Immutable once built — a reconfiguration adds the next epoch rather
 // than mutating the current one, so both sides of a migration coexist.
 type epochCfg struct {
@@ -42,10 +43,43 @@ type epochCfg struct {
 	n, k   int
 	shape  trapezoid.Shape
 	w      int
-	code   *erasure.Code
-	tcfg   trapezoid.Config
 	place  placement.Strategy
 	active []int // cluster node ids serving this epoch
+	sys    *core.System
+}
+
+// newEpoch builds epoch id of the spec's geometry and roster, placed by
+// place, together with its protocol instance: the (n,k) code, the
+// trapezoid over n−k+1 positions (core checks the count) and one
+// core.System over every node client the fleet holds, stamping the
+// epoch on each RPC. Caller holds f.mu or owns f exclusively.
+func (f *Fleet) newEpoch(id uint64, spec ReconfigSpec, place placement.Strategy) (*epochCfg, error) {
+	var codeOpts []erasure.Option
+	if f.cfg.CodingParallelism > 1 {
+		codeOpts = append(codeOpts, erasure.WithParallelism(f.cfg.CodingParallelism))
+	}
+	code, err := erasure.New(spec.N, spec.K, codeOpts...)
+	if err != nil {
+		return nil, err
+	}
+	tcfg, err := trapezoid.NewConfig(spec.Shape, spec.W)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := core.NewSystem(code, tcfg, f.nodes, core.Options{
+		Concurrency: f.cfg.Concurrency,
+		Hedge:       f.cfg.Hedge,
+		NodeGate:    f.cfg.NodeGate,
+		Epoch:       id,
+	})
+	if err != nil {
+		return nil, err
+	}
+	sys.SetCorruptionHandler(f.reportCorrupt)
+	return &epochCfg{
+		id: id, n: spec.N, k: spec.K, shape: spec.Shape, w: spec.W,
+		place: place, active: append([]int(nil), spec.Active...), sys: sys,
+	}, nil
 }
 
 // ReconfigSpec describes a reconfiguration target. Zero geometry
@@ -139,10 +173,6 @@ func (f *Fleet) Migration() MigrationStatus {
 	}
 	return st
 }
-
-// Migration delegates to the fleet (reconfiguration scope is the
-// cluster).
-func (s *Store) Migration() MigrationStatus { return s.fleet.Migration() }
 
 // Epoch returns the placement epoch new objects are placed in.
 func (f *Fleet) Epoch() uint64 {
@@ -320,24 +350,6 @@ func (f *Fleet) StartReconfigure(ctx context.Context, spec ReconfigSpec) error {
 
 	// Build the target epoch. Validation happens before any state
 	// changes; the constructors reject bad geometry.
-	codeOpts := []erasure.Option{}
-	if f.cfg.CodingParallelism > 1 {
-		codeOpts = append(codeOpts, erasure.WithParallelism(f.cfg.CodingParallelism))
-	}
-	code, err := erasure.New(spec.N, spec.K, codeOpts...)
-	if err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	tcfg, err := trapezoid.NewConfig(spec.Shape, spec.W)
-	if err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	if got, want := spec.Shape.NbNodes(), spec.N-spec.K+1; got != want {
-		f.mu.Unlock()
-		return fmt.Errorf("service: trapezoid holds %d nodes, need n-k+1 = %d", got, want)
-	}
 	inner := spec.Placement
 	if inner == nil {
 		inner, err = placement.NewRoundRobin(len(spec.Active))
@@ -351,9 +363,10 @@ func (f *Fleet) StartReconfigure(ctx context.Context, spec ReconfigSpec) error {
 		f.mu.Unlock()
 		return err
 	}
-	target := &epochCfg{
-		id: cur.id + 1, n: spec.N, k: spec.K, shape: spec.Shape, w: spec.W,
-		code: code, tcfg: tcfg, place: pm, active: append([]int(nil), spec.Active...),
+	target, err := f.newEpoch(cur.id+1, spec, pm)
+	if err != nil {
+		f.mu.Unlock()
+		return err
 	}
 	f.epochs[target.id] = target
 	f.cur = target
@@ -385,9 +398,6 @@ func (f *Fleet) MigrationPending() bool {
 	defer f.mu.Unlock()
 	return f.mig != nil
 }
-
-// MigrationPending delegates to the fleet.
-func (s *Store) MigrationPending() bool { return s.fleet.MigrationPending() }
 
 // MigrationStep performs one unit of migration work: moves one object
 // into the target epoch, or — once the queue is drained and no Put is
@@ -457,13 +467,6 @@ func (f *Fleet) MigrationStep(ctx context.Context) (bool, error) {
 	return false, nil
 }
 
-// MigrationStep delegates to the fleet — this (with MigrationPending)
-// is the repairsched.MigrationSource surface the self-heal
-// orchestrator's background pump drives.
-func (s *Store) MigrationStep(ctx context.Context) (bool, error) {
-	return s.fleet.MigrationStep(ctx)
-}
-
 // DriveMigration runs MigrationStep to completion: each failed object
 // move is retried after a short pause, until the migration finishes or
 // the context dies. Bound the wait with the context when nodes may be
@@ -501,12 +504,6 @@ func (f *Fleet) Reconfigure(ctx context.Context, spec ReconfigSpec) error {
 		return err
 	}
 	return f.DriveMigration(ctx)
-}
-
-// Reconfigure delegates to the fleet (reconfiguration scope is the
-// cluster).
-func (s *Store) Reconfigure(ctx context.Context, spec ReconfigSpec) error {
-	return s.fleet.Reconfigure(ctx, spec)
 }
 
 // sleepCtx waits for d, returning false when the context dies first.
@@ -597,9 +594,9 @@ func (s *Store) migrateObject(ctx context.Context, key string, target *epochCfg)
 		return 0, err
 	}
 
-	// Cut over: one atomic swap of the directory entry and the stripe
-	// tables. Readers that raced the swap find their old stripe gone
-	// and retry with this fresh metadata.
+	// Cut over: one atomic swap of the directory entry and the object's
+	// handles in the stripe table. Readers that raced the swap find their
+	// old stripe gone and retry with this fresh metadata.
 	f.mu.Lock()
 	m.stripes = f.registerLocked(placed)
 	m.ec = target

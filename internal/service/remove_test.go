@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,16 +155,20 @@ func chunkCounts(t *testing.T, cluster *sim.Cluster) []int {
 	return out
 }
 
-// registeredStripes lists every stripe any protocol instance of the
-// fleet still has registered.
-func registeredStripes(f *Fleet) []uint64 {
+// registeredStripes lists every stripe in the fleet's stripe table.
+func registeredStripes(f *Fleet) []uint64 { return f.Stripes() }
+
+// lockedBlocks counts the entries of every epoch's block-lock table.
+// The table is unexported core state; reflection reads its length
+// without widening core's API for a test.
+func lockedBlocks(f *Fleet) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var out []uint64
-	for _, sys := range f.systems {
-		out = append(out, sys.Stripes()...)
+	n := 0
+	for _, ec := range f.epochs {
+		n += reflect.ValueOf(ec.sys).Elem().FieldByName("locks").Len()
 	}
-	return out
+	return n
 }
 
 // stripesOfBytes is an object size spanning the given number of (9,6)
@@ -230,7 +235,7 @@ func TestDeleteMultiStripeRestoresNodes(t *testing.T) {
 	if left := registeredStripes(store.fleet); len(left) != len(kept) {
 		t.Fatalf("stripes %v still registered, want only %v", left, kept)
 	}
-	if got := store.Stripes(); len(got) != len(kept) {
+	if got := store.Fleet().Stripes(); len(got) != len(kept) {
 		t.Fatalf("fleet lists stripes %v, want only %v", got, kept)
 	}
 	if m := store.TenantMetrics(); m.ChunksOrphaned != 0 || m.Deletes != 1 {
@@ -407,10 +412,10 @@ func TestFailedSeedLeavesNoChunks(t *testing.T) {
 	}
 }
 
-// TestObjectLockTableDrains: the per-object lock table holds an entry
-// only while an operation uses it — churn over fresh keys, deletes of
-// keys that never existed, and writers sharing one key's lock all
-// leave it empty.
+// TestObjectLockTableDrains: the per-object lock table, and every
+// epoch's per-block writer lock table, hold an entry only while an
+// operation uses it — churn over fresh keys, deletes of keys that never
+// existed, and writers sharing one key's lock all leave both empty.
 func TestObjectLockTableDrains(t *testing.T) {
 	ctx := context.Background()
 	store, _, _ := newProbedStore(t, removeNodes, 0)
@@ -451,5 +456,8 @@ func TestObjectLockTableDrains(t *testing.T) {
 	store.fleet.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("%d entries left in the object lock table", left)
+	}
+	if left := lockedBlocks(store.fleet); left != 0 {
+		t.Fatalf("%d entries left in the block lock tables", left)
 	}
 }

@@ -13,9 +13,10 @@
 //
 // # Multi-tenancy
 //
-// One Fleet owns the cluster substrate — the node clients, the
-// protocol instances per placement, and the global stripe-id
-// allocator — and any number of tenant Stores share it. Each Store is
+// One Fleet owns the cluster substrate — the node clients, one
+// protocol instance per placement epoch, the table of stripe handles
+// and the global stripe-id allocator — and any number of tenant Stores
+// share it. Each Store is
 // an isolated keyed namespace with its own directory, optional
 // object-count/byte quotas, and per-tenant operation counters; the
 // stripes of every tenant draw from the fleet's single allocator, so
@@ -30,26 +31,21 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"trapquorum/client"
 	"trapquorum/internal/core"
-	"trapquorum/internal/erasure"
 	"trapquorum/internal/repairsched"
 	"trapquorum/internal/trapezoid"
 	"trapquorum/placement"
 )
 
-// Both the fleet and each tenant store are placement-aware repair
-// targets of the self-healing orchestrator (the store delegates to
-// its fleet: repair scope is the cluster, not the namespace).
-var (
-	_ repairsched.Target = (*Fleet)(nil)
-	_ repairsched.Target = (*Store)(nil)
-)
+// The fleet is the placement-aware repair target of the self-healing
+// orchestrator: repair scope is the cluster, not a tenant namespace.
+var _ repairsched.Target = (*Fleet)(nil)
 
 // Service-level errors.
 var (
@@ -85,8 +81,7 @@ type Config struct {
 	// core.HedgeConfig).
 	Hedge core.HedgeConfig
 	// NodeGate, when non-nil, is consulted before every RPC with the
-	// *cluster* node index (each protocol instance translates its
-	// shard indices through its placement): false fails the node
+	// cluster node index: false fails the node
 	// locally with client.ErrNodeDown — the transport resilience
 	// layer's circuit breakers plug in here (see core.Options.NodeGate).
 	// Must be safe for concurrent use.
@@ -144,12 +139,12 @@ type objectMeta struct {
 }
 
 // Fleet is the shared substrate tenant stores run on: the cluster's
-// node clients, the protocol instance per placement, the stripe
-// tables and the global stripe-id allocator. One mutex guards all of
-// it (including every tenant's directory): the layer's critical
-// sections are directory bookkeeping only — quorum I/O never runs
-// under the lock — so a single lock keeps cross-tenant invariants
-// (unique stripe ids, shared placement tables) trivially correct.
+// node clients, the placement epochs with their protocol instances,
+// the stripe table and the global stripe-id allocator. One mutex
+// guards all of it (including every tenant's directory): the layer's
+// critical sections are directory bookkeeping only — quorum I/O never
+// runs under the lock — so a single lock keeps cross-tenant invariants
+// (unique stripe ids, one stripe table) trivially correct.
 type Fleet struct {
 	cfg Config
 
@@ -162,17 +157,13 @@ type Fleet struct {
 	putsIn     map[uint64]int // in-flight Put/PutReader count per epoch
 	locks      map[string]*objLock
 	tenants    map[string]*Store
-	systems    map[string]*core.System // keyed by epoch|placement signature
-	sysRefs    map[*core.System]*sysRef
-	released   core.MetricsSnapshot // counters of instances released with their last stripe
-	stripeSys  map[uint64]*core.System
-	stripeLoc  map[uint64][]int // stripe -> cluster nodes per shard
+	stripes    map[uint64]placedStripe // every registered stripe
 	nextStripe uint64
 
 	// corruptFn, when set, receives the cluster node of every shard
 	// the protocol observed serving corrupt bytes (the self-heal
-	// monitor's ReportCorrupt). Every protocol instance routes its
-	// per-shard observations here, translated through its placement.
+	// monitor's ReportCorrupt). Every epoch's protocol instance routes
+	// its observations here.
 	corruptFn atomic.Pointer[func(node int)]
 }
 
@@ -220,21 +211,6 @@ func NewFleet(nodes []core.NodeClient, cfg Config) (*Fleet, error) {
 	if cfg.CodingParallelism < 0 {
 		return nil, fmt.Errorf("service: coding parallelism %d invalid (need >= 0)", cfg.CodingParallelism)
 	}
-	codeOpts := []erasure.Option{}
-	if cfg.CodingParallelism > 1 {
-		codeOpts = append(codeOpts, erasure.WithParallelism(cfg.CodingParallelism))
-	}
-	code, err := erasure.New(cfg.N, cfg.K, codeOpts...)
-	if err != nil {
-		return nil, err
-	}
-	tcfg, err := trapezoid.NewConfig(cfg.Shape, cfg.W)
-	if err != nil {
-		return nil, err
-	}
-	if got, want := cfg.Shape.NbNodes(), cfg.N-cfg.K+1; got != want {
-		return nil, fmt.Errorf("service: trapezoid holds %d nodes, need n-k+1 = %d", got, want)
-	}
 	// The configuration becomes the fleet's first placement epoch. An
 	// epoch-stamped placement.Map carries its own epoch and roster;
 	// any other strategy starts at epoch 1 over the identity roster.
@@ -249,29 +225,25 @@ func NewFleet(nodes []core.NodeClient, cfg Config) (*Fleet, error) {
 			active[i] = i
 		}
 	}
-	ec := &epochCfg{
-		id: epoch, n: cfg.N, k: cfg.K, shape: cfg.Shape, w: cfg.W,
-		code: code, tcfg: tcfg, place: cfg.Placement, active: active,
-	}
-	retired := uint64(0)
-	if epoch > 0 {
-		retired = epoch - 1
-	}
-	return &Fleet{
+	f := &Fleet{
 		cfg:        cfg,
 		nodes:      append([]core.NodeClient(nil), nodes...),
-		epochs:     map[uint64]*epochCfg{epoch: ec},
-		cur:        ec,
-		retired:    retired,
 		putsIn:     make(map[uint64]int),
 		locks:      make(map[string]*objLock),
 		tenants:    make(map[string]*Store),
-		systems:    make(map[string]*core.System),
-		sysRefs:    make(map[*core.System]*sysRef),
-		stripeSys:  make(map[uint64]*core.System),
-		stripeLoc:  make(map[uint64][]int),
+		stripes:    make(map[uint64]placedStripe),
 		nextStripe: 1,
-	}, nil
+	}
+	ec, err := f.newEpoch(epoch, ReconfigSpec{N: cfg.N, K: cfg.K, Shape: cfg.Shape, W: cfg.W, Active: active}, cfg.Placement)
+	if err != nil {
+		return nil, err
+	}
+	f.epochs = map[uint64]*epochCfg{epoch: ec}
+	f.cur = ec
+	if epoch > 0 {
+		f.retired = epoch - 1
+	}
+	return f, nil
 }
 
 // DefaultTenant is the namespace New binds single-tenant callers to.
@@ -372,64 +344,6 @@ func (s *Store) Fleet() *Fleet { return s.fleet }
 // capacity returns the payload bytes one stripe holds in this epoch.
 func (ec *epochCfg) capacity(blockSize int) int { return ec.k * blockSize }
 
-// sysRef counts the placed stripes — seeding, live or being dropped —
-// bound to one protocol instance, so the instance can go with the last
-// of them. Guarded by Fleet.mu.
-type sysRef struct {
-	key   string // the instance's entry in Fleet.systems
-	count int
-}
-
-// systemFor returns (building if needed) the protocol instance bound
-// to the given node placement under the given epoch's geometry. The
-// epoch is part of the key — old and new instances coexist while a
-// migration drains — and stamps every RPC of the instance, so retired
-// epochs can be fenced at the nodes. Caller holds f.mu.
-func (f *Fleet) systemFor(ec *epochCfg, nodes []int) (*core.System, error) {
-	key := fmt.Sprintf("%d|%s", ec.id, placementKey(nodes))
-	if sys, ok := f.systems[key]; ok {
-		return sys, nil
-	}
-	clients := make([]core.NodeClient, len(nodes))
-	for shard, node := range nodes {
-		clients[shard] = f.nodes[node]
-	}
-	opts := core.Options{
-		Concurrency: f.cfg.Concurrency,
-		Hedge:       f.cfg.Hedge,
-		Epoch:       ec.id,
-	}
-	if gate := f.cfg.NodeGate; gate != nil {
-		// The gate speaks cluster-node indices; the instance issues
-		// shard indices. Translate through this placement.
-		placedGate := append([]int(nil), nodes...)
-		opts.NodeGate = func(shard int) bool {
-			if shard < 0 || shard >= len(placedGate) {
-				return true
-			}
-			return gate(placedGate[shard])
-		}
-	}
-	sys, err := core.NewSystem(ec.code, ec.tcfg, clients, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Route the instance's corruption observations to the fleet-level
-	// handler, translated from shard index to cluster node through
-	// this placement. Registered unconditionally: the handler pointer
-	// is consulted at observation time, so SetCorruptionHandler works
-	// whenever it is called relative to system creation.
-	placed := append([]int(nil), nodes...)
-	sys.SetCorruptionHandler(func(shard int) {
-		if fn := f.corruptFn.Load(); fn != nil && shard >= 0 && shard < len(placed) {
-			(*fn)(placed[shard])
-		}
-	})
-	f.systems[key] = sys
-	f.sysRefs[sys] = &sysRef{key: key}
-	return sys, nil
-}
-
 // SetCorruptionHandler installs the fleet-wide corruption observer:
 // fn receives the cluster node index of every shard any protocol
 // instance caught serving bytes its peers' cross-checksum records
@@ -444,9 +358,13 @@ func (f *Fleet) SetCorruptionHandler(fn func(node int)) {
 	f.corruptFn.Store(&fn)
 }
 
-// SetCorruptionHandler delegates to the fleet (corruption scope is
-// the cluster).
-func (s *Store) SetCorruptionHandler(fn func(node int)) { s.fleet.SetCorruptionHandler(fn) }
+// reportCorrupt is every epoch's corruption handler: it forwards the
+// observation to the fleet-wide observer, if one is installed.
+func (f *Fleet) reportCorrupt(node int) {
+	if fn := f.corruptFn.Load(); fn != nil {
+		(*fn)(node)
+	}
+}
 
 // objLock is one entry of the per-object reconfiguration lock table.
 type objLock struct {
@@ -491,18 +409,15 @@ func (f *Fleet) lockObject(tenant, key string, exclusive bool) (unlock func()) {
 	}
 }
 
-// placedStripe is one stripe with its protocol instance and the cluster
-// node of each shard: what registration and chunk removal both need.
+// placedStripe is one entry of the fleet's stripe table: the stripe's
+// handle and the epoch — hence the protocol instance — it was placed in.
 type placedStripe struct {
-	id    uint64
-	sys   *core.System
-	nodes []int
+	core.Stripe
+	ec *epochCfg
 }
 
-// placeStripe allocates the next stripe id and binds it to its placement
-// in epoch ec and the protocol instance serving that placement, which
-// the stripe keeps alive until dropStripes. The stripe stays
-// unregistered until registerLocked.
+// placeStripe allocates the next stripe id and places it in epoch ec.
+// The stripe stays unregistered until registerLocked.
 func (f *Fleet) placeStripe(ec *epochCfg) (placedStripe, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -512,40 +427,49 @@ func (f *Fleet) placeStripe(ec *epochCfg) (placedStripe, error) {
 	if err != nil {
 		return placedStripe{}, err
 	}
-	sys, err := f.systemFor(ec, nodes)
-	if err != nil {
-		return placedStripe{}, err
-	}
-	f.sysRefs[sys].count++
-	return placedStripe{id: id, sys: sys, nodes: nodes}, nil
+	return placedStripe{core.Stripe{ID: id, Nodes: nodes, BlockSize: f.cfg.BlockSize}, ec}, nil
 }
 
-// registerLocked enters seeded stripes into the fleet's tables and
+// registerLocked enters seeded stripes into the stripe table and
 // returns their ids in order — an object's stripe list. Caller holds
 // f.mu.
 func (f *Fleet) registerLocked(placed []placedStripe) []uint64 {
 	ids := make([]uint64, 0, len(placed))
 	for _, p := range placed {
-		f.stripeSys[p.id] = p.sys
-		f.stripeLoc[p.id] = p.nodes
-		ids = append(ids, p.id)
+		f.stripes[p.ID] = p
+		ids = append(ids, p.ID)
 	}
 	return ids
 }
 
+// unregisterLocked takes the stripes out of the stripe table and
+// returns them as dropStripes wants them. Caller holds f.mu.
+func (f *Fleet) unregisterLocked(stripes []uint64) []placedStripe {
+	out := make([]placedStripe, 0, len(stripes))
+	for _, id := range stripes {
+		out = append(out, f.stripes[id])
+		delete(f.stripes, id)
+	}
+	return out
+}
+
+// stripe looks a registered stripe up.
+func (f *Fleet) stripe(id uint64) (placedStripe, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	p, ok := f.stripes[id]
+	return p, ok
+}
+
 // dropStripes removes every chunk of the given stripes from its placed
-// node, forgets the stripes' registrations, and returns how many
-// removals failed. Best-effort on a detached context: the caller's may
-// be dead, and since stripe ids are never reused a chunk skipped here
-// stays orphaned until its node is repaired or re-placed. The removals
-// fan out stripe-major (consecutive tasks land on distinct nodes) under
-// the sweep bound, so the call costs the slowest node of each round,
-// not the sum over shards; the order in which shards disappear is
-// unspecified. Every removal has settled when it returns. A protocol
-// instance losing its last stripe here is released, its counters folded
-// into the fleet's — under ring placement almost every stripe has a
-// placement of its own, so instances would otherwise pile up without
-// bound.
+// node and returns how many removals failed. Best-effort on a detached
+// context: the caller's may be dead, and since stripe ids are never
+// reused a chunk skipped here stays orphaned until its node is repaired
+// or re-placed. The removals fan out stripe-major (consecutive tasks
+// land on distinct nodes) under the sweep bound, so the call costs the
+// slowest node of each round, not the sum over shards; the order in
+// which shards disappear is unspecified. Every removal has settled when
+// it returns.
 func (f *Fleet) dropStripes(set []placedStripe) (orphaned int) {
 	type removal struct {
 		node core.NodeClient
@@ -554,15 +478,8 @@ func (f *Fleet) dropStripes(set []placedStripe) (orphaned int) {
 	var tasks []removal
 	f.mu.Lock()
 	for _, st := range set {
-		for shard, node := range st.nodes {
-			tasks = append(tasks, removal{f.nodes[node], client.ChunkID{Stripe: st.id, Shard: shard}})
-		}
-		if ref := f.sysRefs[st.sys]; ref != nil {
-			if ref.count--; ref.count == 0 {
-				f.released.Add(st.sys.Metrics())
-				delete(f.systems, ref.key)
-				delete(f.sysRefs, st.sys)
-			}
+		for shard, node := range st.Nodes {
+			tasks = append(tasks, removal{f.nodes[node], client.ChunkID{Stripe: st.ID, Shard: shard}})
 		}
 	}
 	f.mu.Unlock()
@@ -575,35 +492,7 @@ func (f *Fleet) dropStripes(set []placedStripe) (orphaned int) {
 			}
 			return true
 		})
-	for _, st := range set {
-		if st.sys != nil {
-			st.sys.ForgetStripe(st.id)
-		}
-	}
 	return orphaned
-}
-
-// unregisterLocked takes the stripes out of the fleet's tables and
-// returns them as dropStripes wants them. Caller holds f.mu.
-func (f *Fleet) unregisterLocked(stripes []uint64) []placedStripe {
-	out := make([]placedStripe, 0, len(stripes))
-	for _, st := range stripes {
-		out = append(out, placedStripe{id: st, sys: f.stripeSys[st], nodes: f.stripeLoc[st]})
-		delete(f.stripeSys, st)
-		delete(f.stripeLoc, st)
-	}
-	return out
-}
-
-func placementKey(nodes []int) string {
-	var b strings.Builder
-	for i, n := range nodes {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", n)
-	}
-	return b.String()
 }
 
 // checkQuota enforces the tenant's limits against the namespace's
@@ -692,27 +581,23 @@ func (s *Store) Keys() []string {
 	return out
 }
 
-// locate maps a logical block index of an object to its stripe,
-// in-stripe block index and owning system. The logical-block↔byte
-// mapping (BlockSize) is epoch-invariant; how logical blocks group
-// into stripes (k) follows the object's epoch.
-func (s *Store) locate(m objectMeta, logicalBlock int) (*core.System, uint64, int, error) {
-	f := s.fleet
+// locate maps a logical block index of an object to its stripe and
+// in-stripe block index. The logical-block↔byte mapping (BlockSize) is
+// epoch-invariant; how logical blocks group into stripes (k) follows
+// the object's epoch.
+func (s *Store) locate(m objectMeta, logicalBlock int) (placedStripe, int, error) {
 	k := m.ec.k
 	stripeIdx := logicalBlock / k
 	if stripeIdx >= len(m.stripes) {
-		return nil, 0, 0, fmt.Errorf("%w: block %d beyond object", ErrBadRange, logicalBlock)
+		return placedStripe{}, 0, fmt.Errorf("%w: block %d beyond object", ErrBadRange, logicalBlock)
 	}
-	stripe := m.stripes[stripeIdx]
-	f.mu.Lock()
-	sys := f.stripeSys[stripe]
-	f.mu.Unlock()
-	if sys == nil {
+	p, ok := s.fleet.stripe(m.stripes[stripeIdx])
+	if !ok {
 		// The object was deleted — or migrated to another epoch —
 		// concurrently; the caller refreshes its metadata to tell which.
-		return nil, 0, 0, fmt.Errorf("%w: stripe %d", ErrUnknownKey, stripe)
+		return placedStripe{}, 0, fmt.Errorf("%w: stripe %d", ErrUnknownKey, m.stripes[stripeIdx])
 	}
-	return sys, stripe, logicalBlock % k, nil
+	return p, logicalBlock % k, nil
 }
 
 // readLogicalBlock reads one logical block of the object, retrying
@@ -725,14 +610,14 @@ func (s *Store) locate(m objectMeta, logicalBlock int) (*core.System, uint64, in
 // refreshed for the caller's next blocks.
 func (s *Store) readLogicalBlock(ctx context.Context, m *objectMeta, key string, logical int) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
-		sys, stripe, idx, err := s.locate(*m, logical)
+		p, idx, err := s.locate(*m, logical)
 		if err == nil {
 			var data []byte
-			data, _, err = sys.ReadBlock(ctx, stripe, idx)
+			data, _, err = p.ec.sys.ReadBlock(ctx, p.Stripe, idx)
 			if err == nil {
 				return data, nil
 			}
-			err = fmt.Errorf("stripe %d block %d: %w", stripe, idx, err)
+			err = fmt.Errorf("stripe %d block %d: %w", p.ID, idx, err)
 		}
 		if attempt >= 2 {
 			return nil, err
@@ -830,7 +715,7 @@ func (s *Store) WriteAt(ctx context.Context, key string, offset int, p []byte) e
 	for len(p) > 0 {
 		logical := offset / f.cfg.BlockSize
 		within := offset % f.cfg.BlockSize
-		sys, stripe, idx, err := s.locate(m, logical)
+		st, idx, err := s.locate(m, logical)
 		if err != nil {
 			return err
 		}
@@ -844,15 +729,15 @@ func (s *Store) WriteAt(ctx context.Context, key string, offset int, p []byte) e
 			// quorum read just to overwrite every byte of it.
 			patched = p[:take]
 		} else {
-			data, _, err := sys.ReadBlock(ctx, stripe, idx)
+			data, _, err := st.ec.sys.ReadBlock(ctx, st.Stripe, idx)
 			if err != nil {
-				return fmt.Errorf("stripe %d block %d: %w", stripe, idx, err)
+				return fmt.Errorf("stripe %d block %d: %w", st.ID, idx, err)
 			}
 			patched = append([]byte(nil), data...)
 			copy(patched[within:], p[:take])
 		}
-		if err := sys.WriteBlock(ctx, stripe, idx, patched); err != nil {
-			return fmt.Errorf("stripe %d block %d: %w", stripe, idx, err)
+		if err := st.ec.sys.WriteBlock(ctx, st.Stripe, idx, patched); err != nil {
+			return fmt.Errorf("stripe %d block %d: %w", st.ID, idx, err)
 		}
 		offset += take
 		p = p[take:]
@@ -892,44 +777,17 @@ func (s *Store) Delete(ctx context.Context, key string) error {
 }
 
 // RepairClusterNode rebuilds every stripe shard placed on the given
-// cluster node — across all tenants — running the per-stripe repairs
-// in parallel with bounded fan-out. It returns how many chunks were
-// rebuilt and the error of the lowest-numbered failing stripe.
+// cluster node — across all tenants and epochs — through core's
+// bounded repair sweep. It returns how many chunks were rebuilt and
+// the error of the lowest-numbered failing stripe.
 func (f *Fleet) RepairClusterNode(ctx context.Context, node int) (int, error) {
-	tasks := f.chunksOnNode(node)
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].stripe < tasks[j].stripe })
-	repaired := 0
-	errIdx := -1
-	var firstErr error
-	core.Fanout(ctx, core.BulkLimit(f.cfg.Concurrency), len(tasks), func(cctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, tasks[i].sys.RepairShard(cctx, tasks[i].stripe, tasks[i].shard)
-	}, func(i int, _ struct{}, err error) bool {
-		if err == nil {
-			repaired++
-			return true
-		}
-		if errIdx < 0 || i < errIdx {
-			errIdx = i
-			firstErr = fmt.Errorf("stripe %d shard %d: %w", tasks[i].stripe, tasks[i].shard, err)
-		}
-		return true
-	})
-	if firstErr != nil {
-		// Report cancellation the way core.RepairNode does: the sweep
-		// stopped because the context died, not because the stripe
-		// degraded.
-		if cerr := ctx.Err(); cerr != nil {
-			return repaired, fmt.Errorf("stripe %d shard %d: %w", tasks[errIdx].stripe, tasks[errIdx].shard, cerr)
-		}
+	on := f.stripesOnNode(node)
+	stripes := make([]core.Stripe, len(on))
+	for i, p := range on {
+		stripes[i] = p.Stripe
 	}
-	return repaired, firstErr
-}
-
-// RepairClusterNode delegates to the fleet: repair scope is the
-// cluster, so repairing "through" any tenant rebuilds every tenant's
-// chunks on the node.
-func (s *Store) RepairClusterNode(ctx context.Context, node int) (int, error) {
-	return s.fleet.RepairClusterNode(ctx, node)
+	return core.RepairSweep(ctx, core.BulkLimit(f.cfg.Concurrency), node, stripes,
+		func(i int) *core.System { return on[i].ec.sys })
 }
 
 // Scrub audits every stripe of the object read-only, reporting the
@@ -947,22 +805,20 @@ func (s *Store) Scrub(ctx context.Context, key string) ([]core.ScrubReport, erro
 		reports := make([]core.ScrubReport, 0, len(m.stripes))
 		stale := false
 		for _, stripe := range m.stripes {
-			f.mu.Lock()
-			sys := f.stripeSys[stripe]
-			f.mu.Unlock()
-			if sys == nil {
+			p, ok := f.stripe(stripe)
+			if !ok {
 				// The object was deleted or migrated concurrently; the
 				// meta refetch above distinguishes the two on retry.
 				stale = true
 				break
 			}
-			rep, err := sys.ScrubStripe(ctx, stripe)
+			rep, err := p.ec.sys.ScrubStripe(ctx, p.Stripe)
 			if err != nil {
-				if errors.Is(err, core.ErrUnknownStripe) {
-					stale = true
-					break
-				}
 				return reports, fmt.Errorf("stripe %d: %w", stripe, err)
+			}
+			if _, ok := f.stripe(stripe); !ok {
+				stale = true // dropped while it was being audited
+				break
 			}
 			reports = append(reports, rep)
 		}
@@ -985,49 +841,33 @@ func (s *Store) StripesOf(key string) ([]uint64, error) {
 	return m.stripes, nil
 }
 
-// Metrics aggregates the protocol counters across every placement's
-// protocol instance, released ones included, into one fleet-level
-// snapshot.
+// Metrics sums the protocol counters of every epoch's protocol
+// instance into one fleet-level snapshot. Epochs are never dropped, so
+// every counter is monotone.
 func (f *Fleet) Metrics() core.MetricsSnapshot {
 	f.mu.Lock()
-	total := f.released
-	systems := make([]*core.System, 0, len(f.systems))
-	for _, sys := range f.systems {
-		systems = append(systems, sys)
+	systems := make([]*core.System, 0, len(f.epochs))
+	for _, ec := range f.epochs {
+		systems = append(systems, ec.sys)
 	}
 	f.mu.Unlock()
+	var total core.MetricsSnapshot
 	for _, sys := range systems {
 		total.Add(sys.Metrics())
 	}
 	return total
 }
 
-// Metrics delegates to the fleet: the protocol counters are shared
-// substrate, not per-tenant state (per-tenant counters live in
-// TenantMetrics).
-func (s *Store) Metrics() core.MetricsSnapshot { return s.fleet.Metrics() }
-
-// chunkLoc names one chunk placed on a cluster node, carrying its
-// stripe's placement and protocol instance.
-type chunkLoc struct {
-	stripe uint64
-	shard  int
-	nodes  []int
-	sys    *core.System
-}
-
-// chunksOnNode lists every chunk the placement assigns to the given
-// cluster node — the one traversal both the manual node repair and
-// the self-heal planner build on.
-func (f *Fleet) chunksOnNode(node int) []chunkLoc {
+// stripesOnNode lists every registered stripe placing a shard on the
+// given cluster node — the one traversal both the node repair and the
+// self-heal planner build on.
+func (f *Fleet) stripesOnNode(node int) []placedStripe {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var out []chunkLoc
-	for stripe, nodes := range f.stripeLoc {
-		for shard, placed := range nodes {
-			if placed == node {
-				out = append(out, chunkLoc{stripe: stripe, shard: shard, nodes: nodes, sys: f.stripeSys[stripe]})
-			}
+	var out []placedStripe
+	for _, p := range f.stripes {
+		if slices.Contains(p.Nodes, node) {
+			out = append(out, p)
 		}
 	}
 	return out
@@ -1038,12 +878,15 @@ func (f *Fleet) chunksOnNode(node int) []chunkLoc {
 // each stripe's placements the down predicate reports lost (a stripe
 // missing two nodes is rebuilt before a stripe missing one).
 func (f *Fleet) PlanNodeRepairs(node int, down func(int) bool) []repairsched.Task {
-	entries := f.chunksOnNode(node)
-	tasks := make([]repairsched.Task, 0, len(entries))
-	for _, e := range entries {
-		nodes := e.nodes
+	var tasks []repairsched.Task
+	for _, p := range f.stripesOnNode(node) {
+		nodes := p.Nodes
 		lost := repairsched.LostCount(len(nodes), func(shard int) int { return nodes[shard] }, down)
-		tasks = append(tasks, repairsched.Task{Stripe: e.stripe, Shard: e.shard, Node: node, Priority: lost})
+		for shard, placed := range nodes {
+			if placed == node {
+				tasks = append(tasks, repairsched.Task{Stripe: p.ID, Shard: shard, Node: node, Priority: lost})
+			}
+		}
 	}
 	sort.Slice(tasks, func(i, j int) bool {
 		if tasks[i].Priority != tasks[j].Priority {
@@ -1057,77 +900,50 @@ func (f *Fleet) PlanNodeRepairs(node int, down func(int) bool) []repairsched.Tas
 	return tasks
 }
 
-// PlanNodeRepairs delegates to the fleet (repair scope is the
-// cluster).
-func (s *Store) PlanNodeRepairs(node int, down func(int) bool) []repairsched.Task {
-	return s.fleet.PlanNodeRepairs(node, down)
-}
-
 // Repair implements repairsched.Target: rebuild one chunk through the
 // version-guarded repair path. A stripe deleted since planning is a
 // no-op success.
 func (f *Fleet) Repair(ctx context.Context, t repairsched.Task) error {
-	f.mu.Lock()
-	sys := f.stripeSys[t.Stripe]
-	f.mu.Unlock()
-	if sys == nil {
+	p, ok := f.stripe(t.Stripe)
+	if !ok {
 		return nil
 	}
-	err := sys.RepairShard(ctx, t.Stripe, t.Shard)
-	if errors.Is(err, core.ErrUnknownStripe) {
-		return nil
-	}
-	return err
-}
-
-// Repair delegates to the fleet (repair scope is the cluster).
-func (s *Store) Repair(ctx context.Context, t repairsched.Task) error {
-	return s.fleet.Repair(ctx, t)
+	return p.ec.sys.RepairShard(ctx, p.Stripe, t.Shard)
 }
 
 // Stripes implements repairsched.Target: every live stripe id across
 // all tenants, in ascending order.
 func (f *Fleet) Stripes() []uint64 {
 	f.mu.Lock()
-	out := make([]uint64, 0, len(f.stripeLoc))
-	for stripe := range f.stripeLoc {
-		out = append(out, stripe)
+	out := make([]uint64, 0, len(f.stripes))
+	for id := range f.stripes {
+		out = append(out, id)
 	}
 	f.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
-
-// Stripes delegates to the fleet (scrub scope is the cluster).
-func (s *Store) Stripes() []uint64 { return s.fleet.Stripes() }
 
 // ScrubStripe implements repairsched.Target: audit one stripe and
 // return repair tasks for its repairable degradation — stale shards,
 // plus shards the scrub could not reach on nodes the down predicate
 // reports up (a wiped or corrupted disk behind a live process). Ahead
 // shards are deliberately left alone: the guarded repair would refuse
-// to regress them, and clearing failed-write residue is an operator
-// decision (see core.RepairShardForce).
+// to regress them, and failed-write residue has no public discard path
+// today (DESIGN.md §2.2).
 func (f *Fleet) ScrubStripe(ctx context.Context, stripe uint64, down func(int) bool) ([]repairsched.Task, error) {
-	f.mu.Lock()
-	sys := f.stripeSys[stripe]
-	nodes := f.stripeLoc[stripe]
-	f.mu.Unlock()
-	if sys == nil {
+	p, ok := f.stripe(stripe)
+	if !ok {
 		return nil, nil
 	}
-	rep, err := sys.ScrubStripe(ctx, stripe)
+	rep, err := p.ec.sys.ScrubStripe(ctx, p.Stripe)
 	if err != nil {
-		if errors.Is(err, core.ErrUnknownStripe) {
-			return nil, nil
-		}
 		return nil, err
 	}
+	if _, ok := f.stripe(stripe); !ok {
+		return nil, nil // deleted while it was being audited
+	}
+	nodes := p.Nodes
 	return repairsched.DegradationTasks(stripe, len(nodes), rep.StaleShards, rep.UnreachableShards,
 		rep.CorruptShards, func(shard int) int { return nodes[shard] }, down), nil
-}
-
-// ScrubStripe delegates to the fleet (scrub scope is the cluster).
-func (s *Store) ScrubStripe(ctx context.Context, stripe uint64, down func(int) bool) ([]repairsched.Task, error) {
-	return s.fleet.ScrubStripe(ctx, stripe, down)
 }

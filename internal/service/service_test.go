@@ -289,7 +289,7 @@ func TestRepairClusterNode(t *testing.T) {
 	if err := cluster.Node(victim).Wipe(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	repaired, err := store.RepairClusterNode(context.Background(), victim)
+	repaired, err := store.Fleet().RepairClusterNode(context.Background(), victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestRepairClusterNode(t *testing.T) {
 	onNode := 0
 	for _, st := range stripes {
 		store.fleet.mu.Lock()
-		for _, n := range store.fleet.stripeLoc[st] {
+		for _, n := range store.fleet.stripes[st].Nodes {
 			if n == victim {
 				onNode++
 			}
@@ -325,7 +325,7 @@ func TestDeleteRemovesChunks(t *testing.T) {
 	store.fleet.mu.Lock()
 	locs := make(map[uint64][]int)
 	for _, st := range stripes {
-		locs[st] = append([]int(nil), store.fleet.stripeLoc[st]...)
+		locs[st] = append([]int(nil), store.fleet.stripes[st].Nodes...)
 	}
 	store.fleet.mu.Unlock()
 	if err := store.Delete(context.Background(), "obj"); err != nil {
@@ -347,37 +347,6 @@ func TestDeleteRemovesChunks(t *testing.T) {
 	// Key is reusable after delete.
 	if err := store.Put(context.Background(), "obj", []byte("new")); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSystemsReusedAcrossStripes(t *testing.T) {
-	cluster, err := sim.NewCluster(15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cluster.Close)
-	// Round-robin over exactly n nodes: every stripe has the same
-	// placement, so exactly one protocol instance must be built.
-	strat, _ := placement.NewRoundRobin(15)
-	store, err := New(clientsOf(cluster), Config{
-		N: 15, K: 8,
-		Shape: trapezoid.Shape{A: 2, B: 3, H: 1}, W: 3,
-		BlockSize: 32,
-		Placement: strat,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, 32*8*3) // 3 stripes
-	if err := store.Put(context.Background(), "a", payload); err != nil {
-		t.Fatal(err)
-	}
-	store.fleet.mu.Lock()
-	defer store.fleet.mu.Unlock()
-	// Placement rotates by stripe id, so ids 1,2,3 give 3 rotations;
-	// but ids repeat placements every 15 stripes — at most 3 here.
-	if len(store.fleet.systems) > 3 {
-		t.Fatalf("built %d systems for 3 stripes", len(store.fleet.systems))
 	}
 }
 

@@ -107,9 +107,9 @@ func (s *Store) seedStream(ctx context.Context, ec *epochCfg, r io.Reader, size 
 		for b, blk := range blks {
 			data[b] = blk.B
 		}
-		err := st.sys.SeedStripe(ctx, st.id, data)
+		err := st.ec.sys.SeedStripe(ctx, st.Stripe, data)
 		if err != nil {
-			err = fmt.Errorf("seeding stripe %d: %w", st.id, err)
+			err = fmt.Errorf("seeding stripe %d: %w", st.ID, err)
 		}
 		seedErr <- err
 	}

@@ -275,7 +275,7 @@ func TestMigrationStaysStripeSized(t *testing.T) {
 		roster[i] = i
 	}
 	growth := peakHeapGrowth(t, func() {
-		err := store.Reconfigure(ctx, ReconfigSpec{
+		err := store.Fleet().Reconfigure(ctx, ReconfigSpec{
 			N: 12, K: 8,
 			Shape: trapezoid.Shape{A: 1, B: 2, H: 1}, W: 2,
 			Active: roster,
@@ -284,7 +284,7 @@ func TestMigrationStaysStripeSized(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if st := store.Migration(); st.Active || st.Retired != 1 {
+	if st := store.Fleet().Migration(); st.Active || st.Retired != 1 {
 		t.Fatalf("drain did not converge: %+v", st)
 	}
 	vw := &verifyWriter{}

@@ -62,17 +62,17 @@ func Open(ctx context.Context, opts ...Option) (*ObjectStore, error) {
 		svc:           svc,
 	}
 	if cfg.selfHeal != nil {
-		heal, err := startSelfHeal(cfg, clusterSize, svc)
+		// Repair, scrub and migration are fleet-scope: the orchestrator
+		// drives the fleet, not the tenant namespace.
+		heal, err := startSelfHeal(cfg, clusterSize, svc.Fleet())
 		if err != nil {
 			cfg.backend.Close()
 			return nil, err
 		}
 		store.heal = heal
-		// Route corruption observations into the health monitor; the
-		// service layer translates shard indices to cluster nodes
-		// through each stripe's placement.
-		mon := heal.mon
-		svc.SetCorruptionHandler(func(node int) { mon.ReportCorrupt(node) })
+		// Route corruption observations, already named by cluster node,
+		// into the health monitor.
+		svc.Fleet().SetCorruptionHandler(heal.mon.ReportCorrupt)
 	}
 	return store, nil
 }
@@ -150,7 +150,7 @@ func (s *ObjectStore) StripesOf(key string) ([]uint64, error) { return s.svc.Str
 // node (after the node returns, possibly with a fresh disk). It
 // returns how many chunks were rebuilt.
 func (s *ObjectStore) RepairNode(ctx context.Context, node int) (int, error) {
-	return s.svc.RepairClusterNode(ctx, node)
+	return s.svc.Fleet().RepairClusterNode(ctx, node)
 }
 
 // Scrub audits every stripe of the object read-only, one ScrubReport
@@ -166,10 +166,10 @@ func (s *ObjectStore) Scrub(ctx context.Context, key string) ([]ScrubReport, err
 func (s *ObjectStore) NodeCount() int { return s.svc.Fleet().NodeCount() }
 
 // Metrics returns a snapshot of the store-level counters: the
-// protocol counters aggregated across every placement, plus the
+// protocol counters summed over every placement epoch, plus the
 // self-heal counters when WithSelfHeal is enabled.
 func (s *ObjectStore) Metrics() Metrics {
-	m := metricsFromCore(s.svc.Metrics())
+	m := metricsFromCore(s.svc.Fleet().Metrics())
 	s.heal.fold(&m)
 	s.foldResilience(&m)
 	return m

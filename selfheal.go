@@ -2,9 +2,7 @@ package trapquorum
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"trapquorum/client"
@@ -320,56 +318,4 @@ func metricsFromCore(m core.MetricsSnapshot) Metrics {
 		HedgedRPCs:    m.HedgedRPCs,
 		CorruptShards: m.CorruptShards,
 	}
-}
-
-// coreTarget adapts the single-stripe-set core.System behind
-// OpenStore to the repair orchestrator: the placement is the
-// identity, stripe shard j lives on cluster node j.
-type coreTarget struct{ sys *core.System }
-
-var _ repairsched.Target = coreTarget{}
-
-// identityNode maps a shard index to itself — the low-level store's
-// placement, where stripe shard j always lives on cluster node j.
-func identityNode(shard int) int { return shard }
-
-// PlanNodeRepairs implements repairsched.Target.
-func (t coreTarget) PlanNodeRepairs(node int, down func(int) bool) []repairsched.Task {
-	stripes := t.Stripes()
-	lost := repairsched.LostCount(t.sys.Code().N(), identityNode, down)
-	tasks := make([]repairsched.Task, 0, len(stripes))
-	for _, stripe := range stripes {
-		tasks = append(tasks, repairsched.Task{Stripe: stripe, Shard: node, Node: node, Priority: lost})
-	}
-	return tasks
-}
-
-// Repair implements repairsched.Target.
-func (t coreTarget) Repair(ctx context.Context, task repairsched.Task) error {
-	err := t.sys.RepairShard(ctx, task.Stripe, task.Shard)
-	if errors.Is(err, core.ErrUnknownStripe) {
-		return nil
-	}
-	return err
-}
-
-// Stripes implements repairsched.Target.
-func (t coreTarget) Stripes() []uint64 {
-	out := t.sys.Stripes()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ScrubStripe implements repairsched.Target through the shared
-// repairable-degradation policy (repairsched.DegradationTasks).
-func (t coreTarget) ScrubStripe(ctx context.Context, stripe uint64, down func(int) bool) ([]repairsched.Task, error) {
-	rep, err := t.sys.ScrubStripe(ctx, stripe)
-	if err != nil {
-		if errors.Is(err, core.ErrUnknownStripe) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	return repairsched.DegradationTasks(stripe, t.sys.Code().N(),
-		rep.StaleShards, rep.UnreachableShards, rep.CorruptShards, identityNode, down), nil
 }

@@ -170,8 +170,9 @@ func TestSelfHealSimCrashWipeUnderLoad(t *testing.T) {
 	}
 }
 
-// TestSelfHealLowLevelStore exercises the coreTarget adapter: the
-// single-stripe-set Store heals a crashed-and-wiped node too.
+// TestSelfHealLowLevelStore exercises the low-level store's stripe
+// table as repair target: the single-stripe-set Store heals a
+// crashed-and-wiped node too.
 func TestSelfHealLowLevelStore(t *testing.T) {
 	ctx := context.Background()
 	store, err := trapquorum.OpenStore(ctx,
