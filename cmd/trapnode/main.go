@@ -11,9 +11,10 @@
 //	backend := trapquorum.NewNetBackend(addrs)     # in the client
 //	store, err := trapquorum.Open(ctx, trapquorum.WithBackend(backend))
 //
-// The daemon exits cleanly on SIGINT/SIGTERM; with -dir, every
-// acknowledged mutation is already durable (write-ahead log + atomic
-// rename + fsync), so a hard kill loses nothing that was acknowledged.
+// The daemon exits cleanly on SIGINT/SIGTERM; with -dir, a mutation is
+// acknowledged only once its write-ahead log record is fsynced
+// (mutations arriving together share one fsync), so a hard kill loses
+// nothing that was acknowledged.
 package main
 
 import (
@@ -37,8 +38,6 @@ type config struct {
 	addr         string
 	dir          string
 	noFsync      bool
-	groupCommit  bool
-	gcMaxBatch   int
 	scanInterval time.Duration
 	ioTimeout    time.Duration
 }
@@ -48,11 +47,7 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":7420", "TCP address to listen on")
 	flag.StringVar(&cfg.dir, "dir", "", "durable storage directory (empty: keep chunks in memory)")
 	flag.BoolVar(&cfg.noFsync, "no-fsync", false,
-		"skip fsync on mutations (faster, loses crash durability); before reaching for this, see -group-commit, which keeps full durability and amortises the fsync instead — docs/OPERATIONS.md §\"Running without fsync\" derives exactly what each mode risks")
-	flag.BoolVar(&cfg.groupCommit, "group-commit", false,
-		"commit mutations through one WAL append + fsync per batch (needs -dir): every acknowledged mutation is still durable, a lone mutation pays one fsync where the default path pays three, and mutations that arrive while a flush is in flight share the next one — see docs/OPERATIONS.md §\"Group commit\"")
-	flag.IntVar(&cfg.gcMaxBatch, "gc-max-batch", 0,
-		"group commit: max mutations per batch before stagers block (0 selects the built-in default; needs -group-commit)")
+		"skip fsync on mutations (faster; a machine crash can lose acknowledged mutations); the durable default already shares one fsync among the mutations that arrive together — docs/OPERATIONS.md §\"Running without fsync\" derives exactly what each mode risks")
 	flag.DurationVar(&cfg.scanInterval, "scan-interval", 0,
 		"periodic at-rest scan of the durable store: chunk files failing their CRC are quarantined so the cluster's scrub finds cold bit-rot without a client read (0 disables; needs -dir)")
 	flag.DurationVar(&cfg.ioTimeout, "io-timeout", 30*time.Second,
@@ -83,25 +78,15 @@ func run(cfg config, stop <-chan struct{}, started func(net.Addr)) error {
 		desc  string
 	)
 	if cfg.dir == "" {
-		if cfg.groupCommit {
-			return fmt.Errorf("trapnode: -group-commit needs -dir (the in-memory store has no fsync to amortise)")
-		}
 		store = memstore.New()
 		desc = "in-memory store"
 	} else {
-		opts := []diskstore.Option{diskstore.WithSyncWrites(!cfg.noFsync)}
-		if cfg.groupCommit {
-			opts = append(opts, diskstore.WithGroupCommit(0, cfg.gcMaxBatch))
-		}
-		ds, err := diskstore.Open(cfg.dir, opts...)
+		ds, err := diskstore.Open(cfg.dir, diskstore.WithSyncWrites(!cfg.noFsync))
 		if err != nil {
 			return err
 		}
 		store = ds
 		desc = fmt.Sprintf("durable store in %s", cfg.dir)
-		if cfg.groupCommit {
-			desc += ", group commit"
-		}
 	}
 	engine := nodeengine.New(store, nodeengine.WithName("trapnode "+cfg.addr))
 	defer engine.Close()
@@ -139,12 +124,12 @@ func run(cfg config, stop <-chan struct{}, started func(net.Addr)) error {
 	}
 }
 
-// scanLoop periodically re-reads every chunk file from disk and
-// quarantines the ones failing their CRC: subsequent reads of a
-// quarantined chunk answer ErrCorrupt, which the cluster's verified
-// read path and scrubber treat as a corruption observation and heal —
-// so cold bit-rot on a rarely-read chunk is found and repaired without
-// waiting for a client to stumble over it.
+// scanLoop periodically checkpoints the store, re-reads every chunk
+// file from disk and quarantines the ones failing their CRC: subsequent
+// reads of a quarantined chunk answer ErrCorrupt, which the cluster's
+// verified read path and scrubber treat as a corruption observation and
+// heal — so cold bit-rot on a rarely-read chunk is found and repaired
+// without waiting for a client to stumble over it.
 func scanLoop(engine *nodeengine.Engine, interval time.Duration, done <-chan struct{}) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()

@@ -382,6 +382,11 @@ func TestChaosColdBitRotTCPDiskstore(t *testing.T) {
 	// Flip bytes inside one chunk file behind the live daemon — the
 	// operator-tool (tools/bitrot) failure, injected directly.
 	const victim = 7
+	// A chunk's file appears at a checkpoint; one at-rest scan tick runs
+	// one, so the victim's chunks are on disk for the rot to hit.
+	if _, err := nodes[victim].engine.VerifyStore(ctx); err != nil {
+		t.Fatal(err)
+	}
 	chunkFiles, err := filepath.Glob(filepath.Join(nodes[victim].dir, "chunks", "*.chunk"))
 	if err != nil || len(chunkFiles) == 0 {
 		t.Fatalf("no chunk files on node %d (err %v)", victim, err)

@@ -10,22 +10,17 @@ import (
 	"trapquorum/internal/nodeengine"
 )
 
-// Mutation IOPS benchmarks: the per-mutation fsync path versus group
-// commit, at 1, 8 and 64 concurrent writers driving an engine over a
-// durable store (WithSyncWrites(true) — these benchmarks pay real
-// fsyncs; that is the quantity being measured). Each writer mutates
-// its own chunk so the comparison isolates commit cost, not engine
-// contention on one id. Results feed tools/benchjson →
-// BENCH_diskstore.json; see docs/PERFORMANCE.md §"Group commit".
+// Mutation IOPS benchmarks: group commit at 1, 8 and 64 concurrent
+// writers driving an engine over a durable store (WithSyncWrites(true)
+// — these benchmarks pay real fsyncs; that is the quantity being
+// measured). Each writer mutates its own chunk so the numbers isolate
+// commit cost, not engine contention on one id. Results feed
+// tools/benchjson → BENCH_diskstore.json; see docs/PERFORMANCE.md §6.
 
 const benchChunkSize = 4096
 
-func benchPutChunk(b *testing.B, writers int, group bool) {
-	opts := []diskstore.Option{diskstore.WithSyncWrites(true)}
-	if group {
-		opts = append(opts, diskstore.WithGroupCommit(0, 0))
-	}
-	s, err := diskstore.Open(b.TempDir(), opts...)
+func benchPutChunk(b *testing.B, writers int) {
+	s, err := diskstore.Open(b.TempDir(), diskstore.WithSyncWrites(true))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,10 +67,6 @@ func benchPutChunk(b *testing.B, writers int, group bool) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "mutations/s")
 }
 
-func BenchmarkPutChunkSync1Writers(b *testing.B)  { benchPutChunk(b, 1, false) }
-func BenchmarkPutChunkSync8Writers(b *testing.B)  { benchPutChunk(b, 8, false) }
-func BenchmarkPutChunkSync64Writers(b *testing.B) { benchPutChunk(b, 64, false) }
-
-func BenchmarkPutChunkGroup1Writers(b *testing.B)  { benchPutChunk(b, 1, true) }
-func BenchmarkPutChunkGroup8Writers(b *testing.B)  { benchPutChunk(b, 8, true) }
-func BenchmarkPutChunkGroup64Writers(b *testing.B) { benchPutChunk(b, 64, true) }
+func BenchmarkPutChunkGroup1Writers(b *testing.B)  { benchPutChunk(b, 1) }
+func BenchmarkPutChunkGroup8Writers(b *testing.B)  { benchPutChunk(b, 8) }
+func BenchmarkPutChunkGroup64Writers(b *testing.B) { benchPutChunk(b, 64) }

@@ -5,25 +5,30 @@
 //
 // # Durability protocol
 //
-// Every mutation follows the same two-phase discipline:
+// A mutation is acknowledged once its write-ahead record is durable,
+// and not before. There is one write path, group commit
+// (groupcommit.go):
 //
-//  1. Intent: the full mutation (operation, chunk id, version vector,
-//     data) is appended to the write-ahead log and fsynced. From this
-//     moment the mutation survives a crash.
-//  2. Apply: the chunk file is rewritten via write-to-temp + fsync +
-//     atomic rename (+ directory fsync), or removed for deletes. Then
-//     the WAL is reset.
+//  1. Stage: the caller frames the full mutation (operation, chunk id,
+//     version vector, metadata, data) into the open batch and updates
+//     the in-memory mirror.
+//  2. Commit: one committer goroutine appends the batch to the WAL with
+//     one write and one fsync, then acknowledges every mutation in it.
+//  3. Checkpoint: acknowledged records wait in a write-back cache
+//     (latest record per chunk) until a checkpoint writes them out as
+//     chunk files (temp + atomic rename, then file and directory
+//     fsyncs) and only then truncates the WAL.
 //
-// Open replays the WAL tail: a complete record whose apply may have
-// been lost is re-applied (idempotent), while a torn record — the
-// crash hit mid-append, so the mutation was never acknowledged — is
-// discarded. Chunk files themselves are self-describing (magic,
-// chunk id, version vector, data, CRC), so recovery is a directory
-// scan; file names are only a lookup convenience.
+// Open recovers through the same code: every complete WAL record is
+// folded into the write-back cache, a torn tail — the crash hit
+// mid-append, so nothing in it was acknowledged — is discarded, one
+// checkpoint writes the result out, and then the chunk files are
+// loaded. Chunk files are self-describing (magic, chunk id, version
+// vector, data, CRC), so loading is a directory scan; file names are
+// only a lookup convenience.
 //
-// The store keeps an in-memory mirror of the durable state, making
-// reads memory-speed; the disk is only touched on mutations and at
-// startup.
+// The in-memory mirror makes reads memory-speed. A read of a chunk
+// whose mutation is staged but not yet durable waits for its batch.
 package diskstore
 
 import (
@@ -76,9 +81,12 @@ var ErrCorrupt = fmt.Errorf("diskstore: corrupt chunk file: %w", client.ErrCorru
 // store (for example a second daemon started on the same -dir).
 var ErrLocked = errors.New("diskstore: directory locked by another process")
 
-// Store implements nodeengine.ChunkStore over a per-node directory.
-// It is not safe for concurrent use on its own; the node engine
-// serialises all access.
+// Store implements nodeengine.ChunkStore and nodeengine.BatchStore over
+// a per-node directory. It is not safe for concurrent use on its own:
+// the node engine serialises all calls, the staging ones (PutBatched,
+// DeleteBatched, WipeBatched, and Put/Delete/Wipe, which stage and
+// wait) included. The wait functions staging returns may be called from
+// any goroutine.
 type Store struct {
 	dir       string
 	chunksDir string
@@ -97,29 +105,28 @@ type Store struct {
 	// failed poisons the store after a mutation error of unknown
 	// durability: the disk and the in-memory mirror may disagree, so
 	// every further operation refuses until a reopen reconverges them
-	// through recovery. In group-commit mode it is guarded by gcMu
-	// (the committer can poison concurrently); otherwise the engine's
-	// serialisation suffices.
+	// through recovery. Guarded by gcMu: the committer can poison
+	// concurrently with engine-serialised calls.
 	failed error
-	// crashAfterWAL, when set (tests only), aborts the next mutation
-	// with this error after the WAL intent is durable but before it is
-	// applied — the "power cut between append and apply" window.
+	// crashAfterWAL, when set (tests only, under gcMu), fails the next
+	// batch with this error after its WAL append is durable but before
+	// it is applied — the "power cut between append and apply" window.
 	crashAfterWAL error
 
-	// Group commit (see groupcommit.go). All gc* fields are inert
-	// unless gcOn; gcMu guards the batch state, pending/durable epochs
-	// and failed. gcDirty and gcWalBytes are committer-owned.
-	gcOn        bool
-	gcMaxBatch  int
+	// Group commit (see groupcommit.go). gcMu guards the batch state,
+	// pending/durable epochs, the checkpoint requests and failed.
+	// gcDirty and gcWalBytes are committer-owned once Open returns.
 	gcMu        sync.Mutex
 	gcSpace     sync.Cond // batch has room (stager back-pressure)
-	gcRead      sync.Cond // durable epoch advanced (read gating)
+	gcRead      sync.Cond // durable epoch or gcCkptDone advanced
 	gcWork      chan struct{}
 	gcCur       *gcBatch
 	gcEpoch     uint64 // epoch of gcCur
 	gcDurable   uint64 // highest epoch whose WAL append is durable
 	gcWipeEpoch uint64 // epoch of the most recent staged wipe
 	gcPending   map[client.ChunkID]uint64
+	gcCkptWant  uint64 // checkpoints requested by Scan
+	gcCkptDone  uint64 // requests the committer has answered
 	gcClosed    bool
 	gcDone      chan struct{}
 	// gcDirty is the committer's write-back cache: the latest WAL
@@ -137,17 +144,17 @@ type Store struct {
 // Option customises a Store.
 type Option func(*Store)
 
-// WithSyncWrites controls whether every mutation fsyncs the WAL and
-// chunk files (the default). Disabling trades crash durability for
-// speed; the write ordering and atomic renames are kept, so a clean
-// process exit still leaves a consistent directory.
+// WithSyncWrites controls whether every WAL append and every checkpoint
+// fsync (the default). Disabling trades crash durability for speed;
+// the write ordering and atomic renames are kept, so a clean process
+// exit still leaves a consistent directory.
 func WithSyncWrites(sync bool) Option {
 	return func(s *Store) { s.sync = sync }
 }
 
-// Open loads (or initialises) the per-node directory: it scans the
-// chunk files, replays any complete write-ahead intent whose apply was
-// lost, and discards a torn WAL tail.
+// Open loads (or initialises) the per-node directory — it replays every
+// complete WAL record into the chunk files, discards a torn WAL tail and
+// loads the chunk files — and starts the committer.
 func Open(dir string, opts ...Option) (*Store, error) {
 	s := &Store{
 		dir:       dir,
@@ -155,7 +162,15 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		mem:       memstore.New(),
 		quar:      make(map[client.ChunkID]string),
 		sync:      true,
+		gcWork:    make(chan struct{}, 1),
+		gcCur:     newGCBatch(nil, nil),
+		gcEpoch:   1,
+		gcPending: make(map[client.ChunkID]uint64),
+		gcDirty:   make(map[client.ChunkID][]byte),
+		gcDone:    make(chan struct{}),
 	}
+	s.gcSpace.L = &s.gcMu
+	s.gcRead.L = &s.gcMu
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -187,9 +202,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		lock.Close()
 		return nil, err
 	}
-	if s.gcOn {
-		s.startGroupCommit()
-	}
+	go s.commitLoop()
 	return s, nil
 }
 
@@ -197,17 +210,12 @@ func Open(dir string, opts ...Option) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 // Get implements nodeengine.ChunkStore from the in-memory mirror. A
-// quarantined chunk (its file failed the CRC at Open or during a Scan)
-// fails with ErrCorrupt until a mutation replaces it.
+// read of a chunk with a staged mutation waits until that mutation is
+// durable. A quarantined chunk (its file failed the CRC at Open or
+// during a Scan) fails with ErrCorrupt until a mutation replaces it.
 func (s *Store) Get(id client.ChunkID) (data []byte, versions []uint64, meta chunkmeta.Meta, ok bool, err error) {
-	if s.gcOn {
-		// Durability gate: a staged-but-uncommitted mutation of this id
-		// must reach the WAL before a reader may observe it.
-		if err := s.gateRead(id); err != nil {
-			return nil, nil, chunkmeta.Meta{}, false, err
-		}
-	} else if s.failed != nil {
-		return nil, nil, chunkmeta.Meta{}, false, s.failed
+	if err := s.gateRead(id); err != nil {
+		return nil, nil, chunkmeta.Meta{}, false, err
 	}
 	if why, bad := s.quar[id]; bad {
 		return nil, nil, chunkmeta.Meta{}, false, fmt.Errorf("%w: chunk %s quarantined: %s", ErrCorrupt, id, why)
@@ -215,108 +223,29 @@ func (s *Store) Get(id client.ChunkID) (data []byte, versions []uint64, meta chu
 	return s.mem.Get(id)
 }
 
-// poison marks the store unusable after a mutation error of unknown
-// durability (a torn WAL append, an apply that stopped half way): the
-// disk and the mirror may now disagree, and only a reopen's recovery
-// scan can reconverge them. It returns err for the caller to surface.
-func (s *Store) poison(err error) error {
-	if s.gcOn {
-		s.gcMu.Lock()
-		defer s.gcMu.Unlock()
-		return s.poisonLocked(err)
-	}
-	if s.failed == nil {
-		s.failed = fmt.Errorf("diskstore: unusable after failed mutation (reopen to recover): %w", err)
-	}
-	return err
-}
-
-// Put implements nodeengine.ChunkStore: WAL intent first, then the
-// chunk file via atomic rename, then the in-memory mirror. A put also
-// clears any quarantine on the id — the new image replaces the rot.
-// In group-commit mode it stages and waits, so concurrent callers of
-// the engine share one WAL fsync.
+// Put implements nodeengine.ChunkStore: it stages the put and waits
+// for its batch to be durable. A put also clears any quarantine on the
+// id — the new image replaces the rot.
 func (s *Store) Put(id client.ChunkID, data []byte, versions []uint64, meta chunkmeta.Meta) error {
-	if s.gcOn {
-		wait, err := s.PutBatched(id, data, versions, meta)
-		if err != nil {
-			return err
-		}
-		return wait()
-	}
-	if s.failed != nil {
-		return s.failed
-	}
-	payload := appendPutRecord(s.scratch[:0], id, data, versions, meta)
-	s.scratch = payload[:0]
-	if err := s.walAppend(payload); err != nil {
-		return s.poison(err)
-	}
-	if s.crashAfterWAL != nil {
-		return s.poison(s.crashAfterWAL)
-	}
-	if err := s.applyPut(id, data, versions, meta); err != nil {
-		return s.poison(err)
-	}
-	return s.walResetOrPoison()
+	return waitStaged(s.PutBatched(id, data, versions, meta))
 }
 
-// Delete implements nodeengine.ChunkStore.
+// Delete implements nodeengine.ChunkStore: stage, then wait.
 func (s *Store) Delete(id client.ChunkID) error {
-	if s.gcOn {
-		wait, err := s.DeleteBatched(id)
-		if err != nil {
-			return err
-		}
-		return wait()
-	}
-	if s.failed != nil {
-		return s.failed
-	}
-	payload := appendDeleteRecord(s.scratch[:0], id)
-	s.scratch = payload[:0]
-	if err := s.walAppend(payload); err != nil {
-		return s.poison(err)
-	}
-	if s.crashAfterWAL != nil {
-		return s.poison(s.crashAfterWAL)
-	}
-	if err := s.applyDelete(id); err != nil {
-		return s.poison(err)
-	}
-	return s.walResetOrPoison()
+	return waitStaged(s.DeleteBatched(id))
 }
 
 // Wipe implements nodeengine.ChunkStore: media replacement, every
-// chunk file removed.
+// chunk removed. Stage, then wait.
 func (s *Store) Wipe() error {
-	if s.gcOn {
-		wait, err := s.WipeBatched()
-		if err != nil {
-			return err
-		}
-		return wait()
-	}
-	if s.failed != nil {
-		return s.failed
-	}
-	if err := s.walAppend([]byte{opWipe}); err != nil {
-		return s.poison(err)
-	}
-	if s.crashAfterWAL != nil {
-		return s.poison(s.crashAfterWAL)
-	}
-	if err := s.applyWipe(); err != nil {
-		return s.poison(err)
-	}
-	return s.walResetOrPoison()
+	return waitStaged(s.WipeBatched())
 }
 
-func (s *Store) walResetOrPoison() error {
-	if err := s.walReset(); err != nil {
-		return s.poison(err)
+func waitStaged(wait func() error, err error) error {
+	if err != nil {
+		return err
 	}
-	return nil
+	return wait()
 }
 
 // Len implements nodeengine.ChunkStore. Quarantined chunks still
@@ -329,15 +258,20 @@ func (s *Store) Len() (int, error) {
 	return n + len(s.quar), err
 }
 
-// Scan implements nodeengine.Scanner: it re-reads every chunk file
-// from disk — not the in-memory mirror — and quarantines the ones that
-// fail their CRC, so cold bit-rot surfaces through the probe/health
-// path without waiting for a client read. It returns the ids of all
-// currently quarantined chunks (newly found plus still unhealed).
+// Scan implements nodeengine.Scanner. It first has the committer
+// checkpoint everything staged so far, so the chunk files on disk are
+// the latest durable image of every chunk — never one the write-back
+// cache has already superseded. It then re-reads every chunk file —
+// not the in-memory mirror — and quarantines the ones that fail their
+// CRC, so cold bit-rot surfaces through the probe/health path without
+// waiting for a client read. It returns the ids of all currently
+// quarantined chunks (newly found plus still unhealed).
 func (s *Store) Scan() ([]client.ChunkID, error) {
-	if err := s.failedErr(); err != nil {
+	if err := s.checkpointNow(); err != nil {
 		return nil, err
 	}
+	// Nothing writes chunks/ from here on: the engine serialises this
+	// call with every stager, and the committer has nothing to do.
 	entries, err := os.ReadDir(s.chunksDir)
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
@@ -352,12 +286,6 @@ func (s *Store) Scan() ([]client.ChunkID, error) {
 			continue
 		}
 		raw, err := os.ReadFile(filepath.Join(s.chunksDir, name))
-		if os.IsNotExist(err) {
-			// Removed since the listing: the group committer's checkpoint
-			// works in chunks/ beside this engine-serialised call, and a
-			// vanished file is a deleted chunk, not a failed scan.
-			continue
-		}
 		if err != nil {
 			return nil, fmt.Errorf("diskstore: %w", err)
 		}
@@ -376,14 +304,12 @@ func (s *Store) Scan() ([]client.ChunkID, error) {
 	return ids, nil
 }
 
-// Close implements nodeengine.ChunkStore: it closes the WAL handle
-// and releases the directory lock. All acknowledged mutations are
-// already durable; in group-commit mode the committer is drained and
-// a final checkpoint truncates the WAL first.
+// Close implements nodeengine.ChunkStore: it drains the committer — the
+// last staged batch is committed and a final checkpoint leaves the
+// chunk files current and the WAL empty — then closes the WAL handle
+// and releases the directory lock.
 func (s *Store) Close() error {
-	if s.gcOn {
-		s.stopGroupCommit()
-	}
+	s.stopGroupCommit()
 	err := s.wal.Close()
 	if cerr := s.lock.Close(); err == nil {
 		err = cerr
@@ -391,59 +317,40 @@ func (s *Store) Close() error {
 	return err
 }
 
-// ---- apply phase -------------------------------------------------
+// ---- chunk files -------------------------------------------------
 
-// applyPutFile rewrites the chunk file (temp + rename). With durable
-// set, the file and then the directory are fsynced — the per-mutation
-// protocol. The group committer passes durable=false and defers both
-// syncs to its checkpoint, the WAL intent covering the gap.
-func (s *Store) applyPutFile(id client.ChunkID, data []byte, versions []uint64, meta chunkmeta.Meta, durable bool) error {
+// writeChunkFile replaces id's chunk file with the image a put record
+// carries (temp + rename). It syncs nothing: the checkpoint fsyncs
+// every file it wrote, then the directory, before it truncates the WAL.
+func (s *Store) writeChunkFile(id client.ChunkID, rec []byte) error {
+	_, data, versions, meta, err := decodePutRecord(rec)
+	if err != nil {
+		return fmt.Errorf("%w: checkpoint record: %v", ErrCorrupt, err)
+	}
 	final := filepath.Join(s.chunksDir, chunkFileName(id))
-	tmp := final + ".tmp"
 	payload := appendChunkFile(s.fscratch[:0], id, data, versions, meta)
 	s.fscratch = payload[:0]
-	if err := writeFileDurable(tmp, payload, durable && s.sync); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err := os.WriteFile(final+".tmp", payload, 0o644); err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
-	if !durable {
-		return nil
+	if err := os.Rename(final+".tmp", final); err != nil {
+		return fmt.Errorf("diskstore: %w", err)
 	}
-	return s.syncDir(s.chunksDir)
+	return nil
 }
 
-func (s *Store) applyPut(id client.ChunkID, data []byte, versions []uint64, meta chunkmeta.Meta) error {
-	if err := s.applyPutFile(id, data, versions, meta, true); err != nil {
-		return err
-	}
-	delete(s.quar, id)
-	return s.mem.Put(id, data, versions, meta)
-}
-
-// applyDeleteFile removes the chunk file without the directory sync;
-// deleting a missing chunk is a no-op.
-func (s *Store) applyDeleteFile(id client.ChunkID) error {
+// removeChunkFile removes the chunk file without the directory sync;
+// removing a missing chunk is a no-op.
+func (s *Store) removeChunkFile(id client.ChunkID) error {
 	if err := os.Remove(filepath.Join(s.chunksDir, chunkFileName(id))); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("diskstore: %w", err)
 	}
 	return nil
 }
 
-func (s *Store) applyDelete(id client.ChunkID) error {
-	if err := s.applyDeleteFile(id); err != nil {
-		return err
-	}
-	if err := s.syncDir(s.chunksDir); err != nil {
-		return err
-	}
-	delete(s.quar, id)
-	return s.mem.Delete(id)
-}
-
-// applyWipeFiles removes every chunk file without the directory sync.
-func (s *Store) applyWipeFiles() error {
+// removeAllChunkFiles removes every chunk file without the directory
+// sync.
+func (s *Store) removeAllChunkFiles() error {
 	entries, err := os.ReadDir(s.chunksDir)
 	if err != nil {
 		return fmt.Errorf("diskstore: %w", err)
@@ -454,19 +361,6 @@ func (s *Store) applyWipeFiles() error {
 		}
 	}
 	return nil
-}
-
-func (s *Store) applyWipe() error {
-	if err := s.applyWipeFiles(); err != nil {
-		return err
-	}
-	if err := s.syncDir(s.chunksDir); err != nil {
-		return err
-	}
-	for id := range s.quar {
-		delete(s.quar, id)
-	}
-	return s.mem.Wipe()
 }
 
 // ---- write-ahead log ---------------------------------------------
@@ -499,8 +393,8 @@ func nextWALFrame(raw []byte) (payload, rest []byte, err error) {
 }
 
 // walAppendRaw appends pre-framed bytes (one or many records) with a
-// single write and, when configured, a single fsync — the group
-// committer's durability point.
+// single write and, when configured, a single fsync — the committer's
+// durability point.
 func (s *Store) walAppendRaw(buf []byte) error {
 	if _, err := s.wal.Write(buf); err != nil {
 		return fmt.Errorf("diskstore: wal append: %w", err)
@@ -513,26 +407,8 @@ func (s *Store) walAppendRaw(buf []byte) error {
 	return nil
 }
 
-// walAppend frames and appends one record: length, CRC, payload.
-func (s *Store) walAppend(payload []byte) error {
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := s.wal.Write(hdr[:]); err != nil {
-		return fmt.Errorf("diskstore: wal append: %w", err)
-	}
-	if _, err := s.wal.Write(payload); err != nil {
-		return fmt.Errorf("diskstore: wal append: %w", err)
-	}
-	if s.sync {
-		if err := s.wal.Sync(); err != nil {
-			return fmt.Errorf("diskstore: wal sync: %w", err)
-		}
-	}
-	return nil
-}
-
-// walReset empties the log once its intents are applied.
+// walReset empties the log once a checkpoint has made its records
+// redundant.
 func (s *Store) walReset() error {
 	if err := s.wal.Truncate(0); err != nil {
 		return fmt.Errorf("diskstore: wal reset: %w", err)
@@ -540,29 +416,51 @@ func (s *Store) walReset() error {
 	if _, err := s.wal.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("diskstore: wal reset: %w", err)
 	}
-	// No sync needed: replaying an already-applied record is
+	// No sync needed: replaying an already-checkpointed record is
 	// idempotent, so a stale-but-valid WAL after a crash is harmless.
 	return nil
 }
 
 // ---- recovery ----------------------------------------------------
 
+// recover folds every complete WAL record into the write-back cache
+// through the committer's own applyRecordCache, runs one checkpoint —
+// the chunk files now hold every acknowledged mutation, and only then
+// is the log truncated — and loads the chunk files into the mirror.
+// Replay stops at the first torn frame (short frame or checksum
+// mismatch): nothing after it was acknowledged.
 func (s *Store) recover() error {
-	if err := s.loadChunkFiles(); err != nil {
+	if _, err := s.wal.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("diskstore: %w", err)
+	}
+	raw, err := io.ReadAll(s.wal)
+	if err != nil {
+		return fmt.Errorf("diskstore: wal read: %w", err)
+	}
+	s.gcWalBytes = int64(len(raw)) // a torn tail alone still needs the truncation
+	for len(raw) > 0 {
+		payload, rest, err := nextWALFrame(raw)
+		if err != nil {
+			break // the torn tail
+		}
+		if err := s.applyRecordCache(payload); err != nil {
+			return err
+		}
+		raw = rest
+	}
+	if err := s.checkpoint(); err != nil {
 		return err
 	}
-	if err := s.replayWAL(); err != nil {
-		return err
-	}
-	return s.walReset()
+	return s.loadChunkFiles()
 }
 
 // loadChunkFiles scans the chunks directory, removing orphaned temp
-// files (a crash mid-apply) and loading every committed chunk. A chunk
-// file that fails its checksum is quarantined under the id parsed from
-// its name — the node keeps serving everything else, the quarantined
-// id fails reads with ErrCorrupt, and repair eventually rewrites it —
-// rather than refusing to open the whole store for one rotten file.
+// files (a crash mid-checkpoint) and loading every committed chunk. A
+// chunk file that fails its checksum is quarantined under the id parsed
+// from its name — the node keeps serving everything else, the
+// quarantined id fails reads with ErrCorrupt, and repair eventually
+// rewrites it — rather than refusing to open the whole store for one
+// rotten file.
 func (s *Store) loadChunkFiles() error {
 	entries, err := os.ReadDir(s.chunksDir)
 	if err != nil {
@@ -572,8 +470,8 @@ func (s *Store) loadChunkFiles() error {
 		name := ent.Name()
 		path := filepath.Join(s.chunksDir, name)
 		if strings.HasSuffix(name, ".tmp") {
-			// Incomplete apply: the WAL intent (if fully appended)
-			// will redo it.
+			// An interrupted checkpoint write: the WAL replay that ran
+			// before this scan has already redone it.
 			if err := os.Remove(path); err != nil {
 				return fmt.Errorf("diskstore: %w", err)
 			}
@@ -596,54 +494,6 @@ func (s *Store) loadChunkFiles() error {
 		}
 	}
 	return nil
-}
-
-// replayWAL re-applies every complete record in order and stops at the
-// first torn one (short frame or checksum mismatch): everything after
-// a torn record was never acknowledged.
-func (s *Store) replayWAL() error {
-	if _, err := s.wal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	raw, err := io.ReadAll(s.wal)
-	if err != nil {
-		return fmt.Errorf("diskstore: wal read: %w", err)
-	}
-	for len(raw) > 0 {
-		payload, rest, err := nextWALFrame(raw)
-		if err != nil {
-			return nil // the torn tail
-		}
-		if err := s.replayRecord(payload); err != nil {
-			return err
-		}
-		raw = rest
-	}
-	return nil
-}
-
-func (s *Store) replayRecord(payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("%w: empty wal record", ErrCorrupt)
-	}
-	switch payload[0] {
-	case opPut, opPut2:
-		id, data, versions, meta, err := decodePutRecord(payload)
-		if err != nil {
-			return fmt.Errorf("%w: wal put record: %v", ErrCorrupt, err)
-		}
-		return s.applyPut(id, data, versions, meta)
-	case opDelete:
-		id, err := decodeDeleteRecord(payload)
-		if err != nil {
-			return fmt.Errorf("%w: wal delete record: %v", ErrCorrupt, err)
-		}
-		return s.applyDelete(id)
-	case opWipe:
-		return s.applyWipe()
-	default:
-		return fmt.Errorf("%w: wal op %d", ErrCorrupt, payload[0])
-	}
 }
 
 // ---- encoding ----------------------------------------------------
@@ -814,27 +664,6 @@ func decodeChunkFile(raw []byte) (id client.ChunkID, data []byte, versions []uin
 }
 
 // ---- filesystem helpers ------------------------------------------
-
-func writeFileDurable(path string, payload []byte, sync bool) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	if _, err := f.Write(payload); err != nil {
-		f.Close()
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("diskstore: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	return nil
-}
 
 // syncDir fsyncs a directory so a just-renamed or just-removed entry
 // survives power loss.

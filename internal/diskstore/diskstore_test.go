@@ -3,6 +3,7 @@ package diskstore_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -50,6 +51,15 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 	// Idempotent delete.
 	if err := s.Delete(id); err != nil {
 		t.Fatal(err)
+	}
+	if err := s.Put(id, []byte{9}, []uint64{1}, nodeengine.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Wipe(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := s.Len(); n != 0 {
+		t.Fatalf("len after wipe = %d", n)
 	}
 }
 
@@ -104,7 +114,8 @@ func TestWipeIsDurable(t *testing.T) {
 // TestCrashBetweenWALAppendAndApply kills the store in the window
 // where the intent is durable but not applied, reopens the directory,
 // and asserts the engine serves the intended (consistent) chunk and
-// version view: the WAL replay finishes the mutation.
+// version view: the WAL replay finishes the mutation. The crashed put
+// is reported failed with the crash as its cause.
 func TestCrashBetweenWALAppendAndApply(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)
@@ -117,9 +128,9 @@ func TestCrashBetweenWALAppendAndApply(t *testing.T) {
 	if err := s.Put(id, []byte{2, 2}, []uint64{2}, nodeengine.Meta{}); !errors.Is(err, crash) {
 		t.Fatalf("err = %v", err)
 	}
-	// The process dies here: no Close, no walReset. The old chunk file
-	// still holds version 1; the WAL holds the durable intent for
-	// version 2.
+	// The process dies here: the store is poisoned, so Close runs no
+	// checkpoint. No chunk file holds version 2; the WAL holds its
+	// durable intent.
 	s.Close() // only releases the fd; the WAL content remains
 
 	e := nodeengine.New(openTestStore(t, dir))
@@ -245,6 +256,161 @@ func TestCorruptChunkFileSurfaces(t *testing.T) {
 	if err != nil || !ok || data[0] != 9 {
 		t.Fatalf("quarantine not cleared by Put: %v %v %v", data, ok, err)
 	}
+}
+
+// rotChunkFile flips one data byte in id's chunk file, the way media
+// rot would: in place, behind the store's back.
+func rotChunkFile(t *testing.T, dir string, id client.ChunkID) {
+	t.Helper()
+	path := filepath.Join(dir, "chunks", fmt.Sprintf("%016x-%08x.chunk", id.Stripe, uint32(id.Shard)))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-6] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanJudgesLatestDurableImage: a repair's put heals a quarantined
+// chunk, and its fresh image is durable in the WAL while the file on
+// disk is still the rotten one. The next at-rest scan must judge the
+// fresh image — not re-quarantine the chunk and drop it from the
+// mirror, which would send the cluster to repair it again on every
+// scan until some later checkpoint rewrote the file.
+func TestScanJudgesLatestDurableImage(t *testing.T) {
+	dir := t.TempDir()
+	id := client.ChunkID{Stripe: 3, Shard: 5}
+	s := openTestStore(t, dir)
+	if err := s.Put(id, []byte{1, 2, 3, 4}, []uint64{1}, nodeengine.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	rotChunkFile(t, dir, id)
+
+	r := openTestStore(t, dir)
+	defer r.Close()
+	ids, err := r.Scan()
+	if err != nil || len(ids) != 1 || ids[0] != id {
+		t.Fatalf("scan of the rotten chunk = %v, %v; want [%v]", ids, err, id)
+	}
+	if err := r.Put(id, []byte{5, 6, 7, 8}, []uint64{2}, nodeengine.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := r.Scan(); err != nil || len(ids) != 0 {
+		t.Fatalf("scan after the healing put = %v, %v; want clean", ids, err)
+	}
+	data, versions, _, ok, err := r.Get(id)
+	if err != nil || !ok || data[0] != 5 || versions[0] != 2 {
+		t.Fatalf("healed chunk = %v %v %v %v", data, versions, ok, err)
+	}
+}
+
+// crashCopy copies a live store's WAL and chunk files into a fresh
+// directory: the state a power cut would leave behind, with every
+// acknowledged record in the log and no checkpoint since.
+func crashCopy(t *testing.T, dir string) string {
+	t.Helper()
+	dst := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dst, "chunks"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "chunks", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range append(files, filepath.Join(dir, "wal")) {
+		raw, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(dir, src)
+		if err := os.WriteFile(filepath.Join(dst, rel), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestRecoveryFoldsTheWAL: a crash leaves a WAL holding a put, an
+// overwrite, a delete, a wipe and puts after the wipe — one of them the
+// fresh image of a chunk whose file on disk is rotten — and no
+// checkpoint since. Open folds the log through the committer's own
+// record interpreter and checkpoints it: the node comes back in exactly
+// the acknowledged state, the rotten chunk healed, and the log empty.
+func TestRecoveryFoldsTheWAL(t *testing.T) {
+	dir := t.TempDir()
+	rotten := client.ChunkID{Stripe: 1}
+	before := client.ChunkID{Stripe: 2} // on disk before the log; the wipe removes it
+	a, b, c := client.ChunkID{Stripe: 10}, client.ChunkID{Stripe: 11}, client.ChunkID{Stripe: 12}
+	s := openTestStore(t, dir)
+	for _, id := range []client.ChunkID{rotten, before} {
+		if err := s.Put(id, []byte{1}, []uint64{1}, nodeengine.Meta{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	rotChunkFile(t, dir, rotten)
+
+	s = openTestStore(t, dir)
+	defer s.Close()
+	if _, _, _, _, err := s.Get(rotten); !errors.Is(err, client.ErrCorrupt) {
+		t.Fatalf("rotten chunk not quarantined at open: %v", err)
+	}
+	steps := []func() error{
+		func() error { return s.Put(a, []byte{1}, []uint64{1}, nodeengine.Meta{}) },
+		func() error { return s.Put(b, []byte{1}, []uint64{1}, nodeengine.Meta{}) },
+		func() error { return s.Put(a, []byte{2}, []uint64{2}, nodeengine.Meta{}) },
+		func() error { return s.Delete(b) },
+		func() error { return s.Wipe() },
+		func() error { return s.Put(rotten, []byte{7}, []uint64{2}, nodeengine.Meta{}) },
+		func() error { return s.Put(c, []byte{3}, []uint64{1}, nodeengine.Meta{}) },
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	crashed := crashCopy(t, dir)
+
+	want := map[client.ChunkID]byte{rotten: 7, c: 3}
+	check := func(r *diskstore.Store) {
+		t.Helper()
+		if n, err := r.Len(); err != nil || n != len(want) {
+			t.Fatalf("recovered %d chunks (%v), want %d", n, err, len(want))
+		}
+		for id, first := range want {
+			data, _, _, ok, err := r.Get(id)
+			if err != nil || !ok || data[0] != first {
+				t.Fatalf("chunk %v = %v %v %v, want first byte %d", id, data, ok, err, first)
+			}
+		}
+		for _, id := range []client.ChunkID{a, b, before} {
+			if _, _, _, ok, err := r.Get(id); ok || err != nil {
+				t.Fatalf("chunk %v = %v, %v; want gone", id, ok, err)
+			}
+		}
+		if ids, err := r.Scan(); err != nil || len(ids) != 0 {
+			t.Fatalf("scan after recovery = %v, %v; want clean", ids, err)
+		}
+	}
+
+	r := openTestStore(t, crashed)
+	if info, err := os.Stat(filepath.Join(crashed, "wal")); err != nil || info.Size() != 0 {
+		t.Fatalf("wal after recovery: %v, %v; want empty", info, err)
+	}
+	check(r)
+	// A crash right after recovery finds nothing left to replay and
+	// the same state in the chunk files alone.
+	again := crashCopy(t, crashed)
+	r.Close()
+	if info, err := os.Stat(filepath.Join(again, "wal")); err != nil || info.Size() != 0 {
+		t.Fatalf("wal at second reopen: %v, %v; want empty", info, err)
+	}
+	r2 := openTestStore(t, again)
+	defer r2.Close()
+	check(r2)
 }
 
 // TestEngineOverDiskStore runs the protocol-critical conditional ops

@@ -1,10 +1,14 @@
 package diskstore
 
-// SetCrashAfterWAL arms the crash fault point: the next mutations
-// append and fsync their WAL intent, then fail with err instead of
-// applying — the on-disk state a power cut between the two phases
-// leaves behind. Passing nil disarms it.
-func (s *Store) SetCrashAfterWAL(err error) { s.crashAfterWAL = err }
+// SetCrashAfterWAL arms the crash fault point: the next batch appends
+// and fsyncs its WAL records, then fails with err instead of being
+// applied — the on-disk state a power cut between the two phases leaves
+// behind. The store poisons, so the hook fires at most once per Open.
+func (s *Store) SetCrashAfterWAL(err error) {
+	s.gcMu.Lock()
+	defer s.gcMu.Unlock()
+	s.crashAfterWAL = err
+}
 
 // SetCommitGate installs a function the group committer calls after it
 // swaps a batch out and before that batch's WAL append, so a test can

@@ -10,17 +10,15 @@ import (
 	"trapquorum/internal/chunkmeta"
 )
 
-// Group commit: batch concurrent mutations into one WAL append + fsync.
+// Group commit: every mutation reaches the disk through one WAL append
+// + fsync per batch.
 //
-// The per-mutation durability protocol pays three fsyncs per mutation
-// (WAL, chunk file, directory). In group-commit mode the store instead
-// runs a single committer goroutine in a leader-commits-followers
-// pattern:
+// A single committer goroutine runs a leader-commits-followers cycle:
 //
 //   - Stagers (serialised by the node engine) frame their mutation into
 //     the current batch, update the in-memory mirror, and receive a
 //     wait function. Staging never touches the disk; a full batch
-//     (maxBatch) applies back-pressure instead of growing unboundedly.
+//     (gcMaxBatch) applies back-pressure instead of growing unboundedly.
 //   - The committer never waits for followers: the moment it observes
 //     staged work it swaps the batch out and writes it to the WAL with
 //     one append and one fsync, and whatever stages while that flush is
@@ -30,31 +28,30 @@ import (
 //     anywhere on this path, so a lone mutation costs one fsync and
 //     nothing else (docs/PERFORMANCE.md §6 has what a 200 µs linger
 //     really cost an idle process, and CI keeps timers out).
-//   - Applies (chunk-file rewrite via temp + rename) happen after the
-//     acknowledgement and skip the per-file and per-directory fsyncs:
-//     the WAL intent is durable, so a crash at any point replays the
-//     batch. The WAL is therefore not reset per batch — it grows until
-//     a checkpoint fsyncs every dirty chunk file plus the directory,
-//     after which the log is truncated.
+//   - After the acknowledgement the batch is folded into a write-back
+//     cache, latest record per chunk; no chunk file is written then.
+//     The WAL therefore grows until a checkpoint — when it passes its
+//     bounds, when Scan asks, and at Close — writes every cached chunk
+//     file, fsyncs them and the directory, and only then truncates the
+//     log. Open's recovery folds the log through the same function and
+//     runs the same checkpoint.
 //
-// Crash-point semantics are preserved exactly: the intent is durable
-// before the mutation is acknowledged, torn WAL tails discard only
-// unacknowledged mutations, and any committer error of unknown
-// durability poisons the store until a reopen reconverges state through
-// recovery. A chunk file torn because its deferred fsync was lost in a
-// crash fails its CRC at the next Open, is quarantined — and is then
-// made whole by the WAL replay that follows, exactly the
-// quarantine-then-replay order recover already runs.
+// Crash-point semantics: the intent is durable before the mutation is
+// acknowledged, a torn WAL tail discards only unacknowledged mutations,
+// and any committer error of unknown durability poisons the store
+// until a reopen reconverges state through recovery. A chunk file torn
+// because its checkpoint fsync was lost in a crash is rewritten from
+// the WAL by the replay, which runs before the chunk files are loaded.
 //
 // Read visibility: the mirror is updated at stage time so the engine's
 // serialised reads observe staged state, but Get gates on the staging
 // batch's durability — a reader never observes a mutation that a crash
-// could still revoke. See docs/OPERATIONS.md §"Group commit".
+// could still revoke. See docs/OPERATIONS.md §6.
 
 const (
-	// gcDefaultMaxBatch bounds mutations per batch; stagers beyond it
-	// block until the committer drains.
-	gcDefaultMaxBatch = 256
+	// gcMaxBatch bounds mutations per batch; stagers beyond it block
+	// until the committer drains.
+	gcMaxBatch = 256
 	// gcCheckpointBytes triggers a checkpoint once the WAL grows past
 	// it: every dirty chunk file is fsynced and the log truncated.
 	gcCheckpointBytes = 8 << 20
@@ -66,31 +63,16 @@ const (
 	gcRecycleBytes = 4 << 20
 )
 
-// WithGroupCommit batches concurrent mutations into one WAL append +
-// fsync. maxBatch bounds the mutations per batch (≤ 0 selects the
-// default). Staging calls (PutBatched, DeleteBatched, WipeBatched — and
-// Put/Delete/Wipe, which stage and wait) must be serialised by the
-// caller, as the node engine already does; the returned wait functions
-// may be called from any goroutine.
-//
-// The first parameter was the committer's linger. It is accepted and
-// ignored — the committer no longer waits for followers — and is kept
-// only because the end-to-end benchmark's frozen sources (bench/
-// cluster.go, bench/bench_test.go) call WithGroupCommit(-1, 0); it goes
-// with the next change allowed to touch bench/.
-func WithGroupCommit(_ time.Duration, maxBatch int) Option {
-	if maxBatch <= 0 {
-		maxBatch = gcDefaultMaxBatch
-	}
-	return func(s *Store) {
-		s.gcOn = true
-		s.gcMaxBatch = maxBatch
-	}
-}
+// WithGroupCommit is a no-op: group commit is the store's only write
+// path. It is kept only because the end-to-end benchmark's frozen
+// sources (bench/cluster.go, bench/bench_test.go) call
+// WithGroupCommit(-1, 0); it goes with the next change allowed to touch
+// bench/.
+func WithGroupCommit(time.Duration, int) Option { return func(*Store) {} }
 
-// Batching reports whether group commit is active (the
-// nodeengine.BatchStore gate).
-func (s *Store) Batching() bool { return s.gcOn }
+// Batching reports true: every mutation stages into a group-commit
+// batch (the nodeengine.BatchStore gate).
+func (s *Store) Batching() bool { return true }
 
 // gcBatch is one commit unit: the framed WAL records of its mutations
 // and the shared acknowledgement every waiter blocks on.
@@ -122,21 +104,6 @@ func (b *gcBatch) wait() error {
 	return b.err
 }
 
-// startGroupCommit initialises the committer state and starts the
-// committer goroutine. Called at the end of Open when the option is
-// set, after recovery has drained the WAL.
-func (s *Store) startGroupCommit() {
-	s.gcWork = make(chan struct{}, 1)
-	s.gcSpace.L = &s.gcMu
-	s.gcRead.L = &s.gcMu
-	s.gcCur = newGCBatch(nil, nil)
-	s.gcEpoch = 1
-	s.gcPending = make(map[client.ChunkID]uint64)
-	s.gcDirty = make(map[client.ChunkID][]byte)
-	s.gcDone = make(chan struct{})
-	go s.commitLoop()
-}
-
 // gcSignal nudges the committer without blocking.
 func (s *Store) gcSignal() {
 	select {
@@ -145,21 +112,26 @@ func (s *Store) gcSignal() {
 	}
 }
 
-// failedErr returns the poison error, if any. The lock matters in
-// group mode, where the committer can poison concurrently with
-// engine-serialised calls.
+// failedErr returns the poison error, if any.
 func (s *Store) failedErr() error {
-	if !s.gcOn {
-		return s.failed
-	}
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
 	return s.failed
 }
 
-// poisonLocked is poison for group-mode callers holding gcMu: it marks
-// the store unusable, fails the current batch's waiters, and wakes
-// every blocked stager, reader, and the committer.
+// poison marks the store unusable after an error of unknown durability
+// (a torn WAL append, a checkpoint that stopped half way): the disk and
+// the mirror may now disagree, and only a reopen's recovery can
+// reconverge them. It returns err for the caller to surface.
+func (s *Store) poison(err error) error {
+	s.gcMu.Lock()
+	defer s.gcMu.Unlock()
+	return s.poisonLocked(err)
+}
+
+// poisonLocked is poison for callers holding gcMu: it marks the store
+// unusable, fails the current batch's waiters, and wakes every blocked
+// stager, reader, checkpoint requester, and the committer.
 func (s *Store) poisonLocked(err error) error {
 	if s.failed == nil {
 		s.failed = fmt.Errorf("diskstore: unusable after failed mutation (reopen to recover): %w", err)
@@ -176,14 +148,14 @@ func (s *Store) poisonLocked(err error) error {
 }
 
 // stageRecord frames payload into the current batch and returns that
-// batch. It applies the maxBatch back-pressure and fails fast on a
+// batch. It applies the gcMaxBatch back-pressure and fails fast on a
 // poisoned store. ids lists the chunk ids the record mutates; an empty
 // list means a wipe, which gates every subsequent read. Caller must be
 // the serialised mutation path.
 func (s *Store) stageRecord(payload []byte, ids ...client.ChunkID) (*gcBatch, error) {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
-	for s.failed == nil && s.gcCur.count >= s.gcMaxBatch {
+	for s.failed == nil && s.gcCur.count >= gcMaxBatch {
 		s.gcSpace.Wait()
 	}
 	if s.failed != nil {
@@ -269,12 +241,29 @@ func (s *Store) gateRead(id client.ChunkID) error {
 	return s.failed
 }
 
+// checkpointNow asks the committer for a checkpoint covering every
+// mutation staged so far and waits for it: on return the chunk files
+// hold the latest durable state and the WAL is empty. Caller must be
+// the serialised mutation path, so nothing stages behind the request.
+func (s *Store) checkpointNow() error {
+	s.gcMu.Lock()
+	defer s.gcMu.Unlock()
+	s.gcCkptWant++
+	want := s.gcCkptWant
+	s.gcSignal()
+	for s.failed == nil && s.gcCkptDone < want {
+		s.gcRead.Wait()
+	}
+	return s.failed
+}
+
 // commitLoop is the committer: the moment it observes staged work it
 // swaps the batch out, makes it durable with one WAL append + fsync,
 // acknowledges the waiters, folds the batch into the write-back cache,
-// and checkpoints when the WAL grows past its bound (and finally at
-// shutdown). It never waits for followers: what stages during a flush
-// is the next batch.
+// and checkpoints when the WAL grows past its bounds. Once nothing is
+// staged it answers checkpoint requests — Scan's, and Close's, which
+// ends the loop. It never waits for followers: what stages during a
+// flush is the next batch.
 func (s *Store) commitLoop() {
 	defer close(s.gcDone)
 	// The last applied batch's buffers, handed to the batch the next
@@ -284,7 +273,7 @@ func (s *Store) commitLoop() {
 	var spareIDs []client.ChunkID
 	for {
 		s.gcMu.Lock()
-		for s.gcCur.count == 0 && !s.gcClosed && s.failed == nil {
+		for s.gcCur.count == 0 && !s.gcClosed && s.gcCkptDone == s.gcCkptWant && s.failed == nil {
 			s.gcMu.Unlock()
 			<-s.gcWork
 			s.gcMu.Lock()
@@ -293,18 +282,23 @@ func (s *Store) commitLoop() {
 			s.gcMu.Unlock()
 			return
 		}
-		if s.gcClosed && s.gcCur.count == 0 {
+		if s.gcCur.count == 0 {
+			// Idle with a checkpoint requested: every batch staged before
+			// the request is committed and folded, so this one covers it.
+			closed, want := s.gcClosed, s.gcCkptWant
 			s.gcMu.Unlock()
-			// Clean shutdown: leave the directory fully durable and
-			// the WAL empty.
-			if s.gcWalBytes > 0 {
-				if err := s.checkpoint(); err != nil {
-					s.gcMu.Lock()
-					s.poisonLocked(err)
-					s.gcMu.Unlock()
-				}
+			err := s.checkpoint()
+			s.gcMu.Lock()
+			if err != nil {
+				s.poisonLocked(err)
 			}
-			return
+			s.gcCkptDone = want
+			s.gcRead.Broadcast()
+			s.gcMu.Unlock()
+			if closed || err != nil {
+				return
+			}
+			continue
 		}
 		batch := s.gcCur
 		epoch := s.gcEpoch
@@ -339,9 +333,8 @@ func (s *Store) commitLoop() {
 		s.gcRead.Broadcast()
 		if crash := s.crashAfterWAL; crash != nil {
 			// Test hook: the power cut between append and apply. The
-			// intent is durable, but — exactly like the per-mutation
-			// path — the batch is reported failed with unknown
-			// durability and the store poisons until reopen.
+			// intent is durable, but the batch is reported failed with
+			// unknown durability and the store poisons until reopen.
 			s.poisonLocked(crash)
 			failed := s.failed
 			s.gcMu.Unlock()
@@ -352,9 +345,7 @@ func (s *Store) commitLoop() {
 		batch.finish(nil)
 
 		if err := s.applyBatch(batch); err != nil {
-			s.gcMu.Lock()
-			s.poisonLocked(err)
-			s.gcMu.Unlock()
+			s.poison(err)
 			return
 		}
 		// Nothing references the batch's buffers any more (waiters hold
@@ -364,9 +355,7 @@ func (s *Store) commitLoop() {
 		}
 		if s.gcWalBytes >= gcCheckpointBytes || len(s.gcDirty) >= gcCheckpointDirty {
 			if err := s.checkpoint(); err != nil {
-				s.gcMu.Lock()
-				s.poisonLocked(err)
-				s.gcMu.Unlock()
+				s.poison(err)
 				return
 			}
 		}
@@ -374,14 +363,9 @@ func (s *Store) commitLoop() {
 }
 
 // applyBatch folds the batch's framed records into the committer's
-// write-back cache: only the latest record per chunk is kept, so the
-// file writes the checkpoint eventually performs are coalesced across
-// however many batches overwrote the same chunk. No file is touched
-// here (a wipe is the exception — it clears the directory on the
-// spot), which keeps the commit cycle at one WAL append + fsync. The
-// in-memory mirror was already updated at stage time and is not
-// touched either — the committer must not race engine-serialised
-// reads.
+// write-back cache. The in-memory mirror was already updated at stage
+// time and is not touched — the committer must not race
+// engine-serialised reads.
 func (s *Store) applyBatch(b *gcBatch) error {
 	raw := b.buf
 	for len(raw) > 0 {
@@ -397,11 +381,15 @@ func (s *Store) applyBatch(b *gcBatch) error {
 	return nil
 }
 
-// applyRecordCache folds one record into the write-back cache — the
-// group-commit twin of replayRecord. Put records are copied (the batch
-// buffer is recycled after the batch) and only their id is read here;
-// the checkpoint decodes the rest. A delete leaves a len-0 tombstone
-// so the checkpoint removes the file.
+// applyRecordCache folds one WAL record into the write-back cache; it
+// is the only interpreter of a record's effect on disk, run by the
+// committer for every acknowledged batch and by Open's recovery for
+// every complete record in the log. Only the latest record per chunk
+// is kept, so the checkpoint writes each chunk file once however many
+// times it was overwritten. Put records are copied (the batch buffer is
+// recycled) and only their id is read here; the checkpoint decodes the
+// rest. A delete leaves a len-0 tombstone so the checkpoint removes the
+// file. A wipe clears the directory on the spot.
 func (s *Store) applyRecordCache(payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("%w: empty wal record", ErrCorrupt)
@@ -422,7 +410,7 @@ func (s *Store) applyRecordCache(payload []byte) error {
 		s.gcDirty[id] = s.gcDirty[id][:0]
 		return nil
 	case opWipe:
-		if err := s.applyWipeFiles(); err != nil {
+		if err := s.removeAllChunkFiles(); err != nil {
 			return err
 		}
 		// Everything dirtied before the wipe is gone; the removals are
@@ -439,20 +427,19 @@ func (s *Store) applyRecordCache(payload []byte) error {
 // checkpoint drains the write-back cache — write each dirty chunk file
 // (temp + rename) or remove tombstoned ones, fsync the writes and the
 // directory — and truncates the WAL, whose cover the files no longer
-// need.
+// need. With an empty WAL there is nothing to do.
 func (s *Store) checkpoint() error {
+	if s.gcWalBytes == 0 {
+		return nil
+	}
 	for id, rec := range s.gcDirty {
 		if len(rec) == 0 {
-			if err := s.applyDeleteFile(id); err != nil {
+			if err := s.removeChunkFile(id); err != nil {
 				return err
 			}
 			continue
 		}
-		_, data, versions, meta, err := decodePutRecord(rec)
-		if err != nil {
-			return fmt.Errorf("%w: checkpoint record: %v", ErrCorrupt, err)
-		}
-		if err := s.applyPutFile(id, data, versions, meta, false); err != nil {
+		if err := s.writeChunkFile(id, rec); err != nil {
 			return err
 		}
 	}
@@ -489,7 +476,7 @@ func (s *Store) checkpoint() error {
 }
 
 // stopGroupCommit drains and stops the committer: the final batch is
-// committed and applied, a last checkpoint truncates the WAL, and the
+// committed and folded, a last checkpoint truncates the WAL, and the
 // goroutine exits. Called by Close.
 func (s *Store) stopGroupCommit() {
 	s.gcMu.Lock()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,25 +16,14 @@ import (
 	"trapquorum/internal/nodeengine"
 )
 
-// Group commit must preserve every durability property of the
-// per-mutation path: acknowledged mutations survive reopen, the crash
-// window between WAL append and apply replays, unknown-durability
-// failures poison the store, and reads never observe state a crash
-// could still revoke.
+// The committer's own properties: batches form from whatever stages
+// during a flush, reads never observe state a crash could still revoke,
+// a crash fails every batch behind it, and the at-rest scan runs clean
+// beside a stream of mutations. The durability properties every store
+// must keep are in diskstore_test.go.
 
 // Interface conformance with the engine's batching contract.
 var _ nodeengine.BatchStore = (*diskstore.Store)(nil)
-
-func openGroupStore(t *testing.T, dir string) *diskstore.Store {
-	t.Helper()
-	s, err := diskstore.Open(dir,
-		diskstore.WithSyncWrites(false),
-		diskstore.WithGroupCommit(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
 
 // heldCommits holds the committer at the commit gate — after it has
 // swapped a batch out, before that batch's WAL append — so a test
@@ -71,44 +62,13 @@ func waitResult(t *testing.T, wait func() error) error {
 	}
 }
 
-func TestGroupCommitRoundTrip(t *testing.T) {
-	s := openGroupStore(t, t.TempDir())
-	defer s.Close()
-	id := client.ChunkID{Stripe: 7, Shard: 2}
-	if err := s.Put(id, []byte{1, 2, 3}, []uint64{5, 6}, nodeengine.Meta{}); err != nil {
-		t.Fatal(err)
-	}
-	data, versions, _, ok, err := s.Get(id)
-	if err != nil || !ok {
-		t.Fatalf("Get = %v, %v", ok, err)
-	}
-	if string(data) != "\x01\x02\x03" || versions[0] != 5 || versions[1] != 6 {
-		t.Fatalf("got %v %v", data, versions)
-	}
-	if err := s.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, ok, _ := s.Get(id); ok {
-		t.Fatal("chunk survived delete")
-	}
-	if err := s.Put(id, []byte{9}, []uint64{1}, nodeengine.Meta{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Wipe(); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := s.Len(); n != 0 {
-		t.Fatalf("len after wipe = %d", n)
-	}
-}
-
-// TestGroupCommitReopenDurability closes a group-commit store and
-// reopens it with the plain per-mutation configuration: everything the
-// batched path acknowledged must be there, and the shutdown checkpoint
-// must have left an empty WAL behind.
+// TestGroupCommitReopenDurability closes a store after a run of
+// acknowledged mutations and reopens it: everything acknowledged must
+// be there, and the shutdown checkpoint must have left an empty WAL
+// behind.
 func TestGroupCommitReopenDurability(t *testing.T) {
 	dir := t.TempDir()
-	s := openGroupStore(t, dir)
+	s := openTestStore(t, dir)
 	for i := 0; i < 20; i++ {
 		id := client.ChunkID{Stripe: uint64(i), Shard: 1}
 		if err := s.Put(id, []byte{byte(i)}, []uint64{uint64(i)}, nodeengine.Meta{}); err != nil {
@@ -120,6 +80,9 @@ func TestGroupCommitReopenDurability(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if info, err := os.Stat(filepath.Join(dir, "wal")); err != nil || info.Size() != 0 {
+		t.Fatalf("wal after close: %v, %v; want empty", info, err)
 	}
 
 	r := openTestStore(t, dir)
@@ -136,47 +99,13 @@ func TestGroupCommitReopenDurability(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCrashAfterWAL is the group twin of
-// TestCrashBetweenWALAppendAndApply: the batch's WAL append is durable
-// but the process dies before the deferred applies. The mutation is
-// reported failed with unknown durability, the store poisons — and the
-// reopen replays the WAL, finishing the mutation.
-func TestGroupCommitCrashAfterWAL(t *testing.T) {
-	dir := t.TempDir()
-	s := openGroupStore(t, dir)
-	id := client.ChunkID{Stripe: 4, Shard: 1}
-	if err := s.Put(id, []byte{1, 1}, []uint64{1}, nodeengine.Meta{}); err != nil {
-		t.Fatal(err)
-	}
-	crash := errors.New("power cut")
-	s.SetCrashAfterWAL(crash)
-	if err := s.Put(id, []byte{2, 2}, []uint64{2}, nodeengine.Meta{}); !errors.Is(err, crash) {
-		t.Fatalf("err = %v", err)
-	}
-	// Poisoned until reopen: mutations and reads both refuse.
-	if err := s.Put(id, []byte{3}, []uint64{3}, nodeengine.Meta{}); !errors.Is(err, crash) {
-		t.Fatalf("post-poison put err = %v", err)
-	}
-	if _, _, _, _, err := s.Get(id); !errors.Is(err, crash) {
-		t.Fatalf("post-poison get err = %v", err)
-	}
-	s.Close()
-
-	r := openTestStore(t, dir)
-	defer r.Close()
-	data, versions, _, ok, _ := r.Get(id)
-	if !ok || data[0] != 2 || versions[0] != 2 {
-		t.Fatalf("recovered %v %v %v, want the WAL-committed v2", data, versions, ok)
-	}
-}
-
 // TestGroupCommitReadGating: a read of a staged-but-not-yet-durable
 // chunk blocks until the batch's fsync, so no client ever observes a
 // mutation a crash could revoke. The batch is held at the commit gate;
 // the Get must stay blocked for as long as it is, and see the new value
 // once it is let through.
 func TestGroupCommitReadGating(t *testing.T) {
-	s := openGroupStore(t, t.TempDir())
+	s := openTestStore(t, t.TempDir())
 	defer s.Close()
 	g := holdCommits(s)
 	id := client.ChunkID{Stripe: 1, Shard: 1}
@@ -221,7 +150,7 @@ func TestGroupCommitReadGating(t *testing.T) {
 // held at the gate standing in for a slow fsync.
 func TestGroupCommitNaturalBatching(t *testing.T) {
 	dir := t.TempDir()
-	s := openGroupStore(t, dir)
+	s := openTestStore(t, dir)
 	g := holdCommits(s)
 	e := nodeengine.New(s)
 	ctx := context.Background()
@@ -265,7 +194,7 @@ func TestGroupCommitNaturalBatching(t *testing.T) {
 // of batch 2, which never reached the log.
 func TestGroupCommitCrashFailsFollowers(t *testing.T) {
 	dir := t.TempDir()
-	s := openGroupStore(t, dir)
+	s := openTestStore(t, dir)
 	g := holdCommits(s)
 	first := client.ChunkID{Stripe: 1}
 	behind := []client.ChunkID{{Stripe: 2}, {Stripe: 3}}
@@ -318,7 +247,7 @@ func TestGroupCommitCrashFailsFollowers(t *testing.T) {
 // every acknowledged write is present — both live and after reopen.
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	e := nodeengine.New(openGroupStore(t, dir))
+	e := nodeengine.New(openTestStore(t, dir))
 	const writers, rounds = 8, 25
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
@@ -366,7 +295,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 // is no per-id pending entry to key on), and survives reopen.
 func TestGroupCommitWipeGatesReads(t *testing.T) {
 	dir := t.TempDir()
-	s := openGroupStore(t, dir)
+	s := openTestStore(t, dir)
 	id := client.ChunkID{Stripe: 5}
 	if err := s.Put(id, []byte{1}, []uint64{1}, nodeengine.Meta{}); err != nil {
 		t.Fatal(err)
@@ -391,18 +320,19 @@ func TestGroupCommitWipeGatesReads(t *testing.T) {
 
 // TestGroupCommitScanBesideCheckpoint: the at-rest scan runs under the
 // engine lock, the checkpoint on the committer goroutine — and the
-// checkpoint removes tombstoned chunk files. A file that vanishes
-// between the scan's directory listing and its read is a deleted chunk,
-// not a failed scan: the pass must carry on to the files behind it.
+// checkpoint writes and removes chunk files. A scan interleaved with a
+// stream of puts and deletes must never see a half-made directory: it
+// has the committer checkpoint first, and nothing touches chunks/ while
+// it reads.
 func TestGroupCommitScanBesideCheckpoint(t *testing.T) {
-	e := nodeengine.New(openGroupStore(t, t.TempDir()))
+	e := nodeengine.New(openTestStore(t, t.TempDir()))
 	defer e.Close()
 	ctx := context.Background()
 	// Deleting the chunk put `lag` mutations ago keeps a few dozen files
-	// on disk, so every checkpoint both writes and removes files while
-	// a scan is somewhere in its listing. Each mutation queues behind a
-	// scan pass for the engine lock, which is what sizes the loop: at
-	// this size the unfixed scan failed twenty runs of twenty.
+	// on disk, so checkpoints both write and remove files. Each mutation
+	// queues behind a scan pass for the engine lock, which is what sizes
+	// the loop: at this size a scan that read chunks/ while the
+	// committer worked in it failed twenty runs of twenty.
 	const mutations, lag = 1000, 64
 	stop := make(chan struct{})
 	scanned := make(chan error, 1)

@@ -7,13 +7,21 @@
 //	bitrot -dir /var/lib/trapnode -list
 //	bitrot -dir /var/lib/trapnode -stripe 7 -shard 3
 //
+// A chunk's file appears at the daemon's next checkpoint, not when the
+// write is acknowledged: until then its image lives in the write-ahead
+// log. Every at-rest scan checkpoints first, as does a clean shutdown,
+// so on a freshly written fleet let one scan tick pass (or restart the
+// daemon) before -list.
+//
 // The damage goes to the file behind the daemon's back, exactly like
 // real media rot: the node keeps serving its in-memory mirror until
 // its next at-rest scan (trapnode -scan-interval, or a restart)
 // re-reads the file, fails the CRC and quarantines the chunk. From
 // then on the node answers ErrCorrupt for it, the cluster's verified
 // reads decode around it, and the scrubber repairs it — zero manual
-// intervention.
+// intervention. Rot on a file whose chunk has been rewritten since the
+// last checkpoint never counts: the scan's checkpoint replaces that
+// file with the newer image before reading it.
 //
 // The tool never touches the WAL or the directory lock, and -flips
 // bytes rather than rewriting structure, so the damage is always the
