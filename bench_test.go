@@ -20,9 +20,7 @@ import (
 	"trapquorum/internal/availability"
 	"trapquorum/internal/erasure"
 	"trapquorum/internal/figures"
-	"trapquorum/internal/latency"
 	"trapquorum/internal/montecarlo"
-	"trapquorum/internal/sim"
 	"trapquorum/internal/trapezoid"
 )
 
@@ -291,36 +289,6 @@ func BenchmarkEndurance(b *testing.B) {
 			b.ReportMetric(s.Y[last], "write-repair@end")
 		}
 	}
-}
-
-// BenchmarkLatencyDistribution runs the A7 experiment: operation
-// latency percentiles under a fixed 200µs per-node-op delay (a LAN
-// RPC). Reported: p50 per scenario in milliseconds — healthy reads
-// touch r_0+1 nodes, degraded reads fan out to decode, writes touch
-// the whole write quorum.
-func BenchmarkLatencyDistribution(b *testing.B) {
-	tcfg, err := trapezoid.NewConfig(trapezoid.Shape{A: 2, B: 3, H: 1}, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := latency.Config{
-		N: 15, K: 8,
-		Trapezoid: tcfg,
-		BlockSize: 4096,
-		Delay:     sim.FixedDelay(200 * time.Microsecond),
-		Ops:       20,
-		Seed:      9,
-	}
-	var rep *latency.Report
-	for i := 0; i < b.N; i++ {
-		rep, err = latency.Measure(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(1e3*rep.Samples[latency.HealthyRead].Percentile(0.5), "readP50ms")
-	b.ReportMetric(1e3*rep.Samples[latency.DegradedRead].Percentile(0.5), "degradedP50ms")
-	b.ReportMetric(1e3*rep.Samples[latency.QuorumWrite].Percentile(0.5), "writeP50ms")
 }
 
 // lanBackend is the default fixture backend of the A8 concurrency

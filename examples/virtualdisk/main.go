@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"trapquorum"
-	"trapquorum/internal/workload"
 )
 
 const (
@@ -98,37 +97,14 @@ func main() {
 		vmWG.Add(1)
 		go func(vm int) {
 			defer vmWG.Done()
-			pattern, err := workload.NewZipf(blocksPerVM, 1.3, int64(vm))
-			if err != nil {
-				log.Fatal(err)
-			}
-			mix, err := workload.NewMix(pattern, 0.6, int64(vm)+100)
-			if err != nil {
-				log.Fatal(err)
-			}
-			payloads, err := workload.NewPayloadGenerator(blockSize, int64(vm)+200)
-			if err != nil {
-				log.Fatal(err)
-			}
+			// Zipf(1.3) skews accesses toward the VM's first block (FS
+			// metadata runs hot); 60% of operations are reads.
+			r := rand.New(rand.NewSource(int64(vm)))
+			zipf := rand.NewZipf(r, 1.3, 1, blocksPerVM-1)
 			last := make(map[int][]byte)
 			for op := 0; op < opsPerVM; op++ {
-				o := mix.Next()
-				block := vm*blocksPerVM + o.Block
-				switch o.Kind {
-				case workload.Write:
-					data := payloads.Next()
-					err := store.WriteBlock(ctx, 1, block, data)
-					mu.Lock()
-					if err == nil {
-						last[block] = data
-						okOps++
-					} else if errors.Is(err, trapquorum.ErrWriteFailed) {
-						failedWrites++
-					} else {
-						log.Fatalf("unexpected write error: %v", err)
-					}
-					mu.Unlock()
-				case workload.Read:
+				block := vm*blocksPerVM + int(zipf.Uint64())
+				if r.Float64() < 0.6 {
 					data, _, err := store.ReadBlock(ctx, 1, block)
 					mu.Lock()
 					switch {
@@ -144,7 +120,21 @@ func main() {
 						log.Fatalf("unexpected read error: %v", err)
 					}
 					mu.Unlock()
+					continue
 				}
+				data := make([]byte, blockSize)
+				r.Read(data)
+				err := store.WriteBlock(ctx, 1, block, data)
+				mu.Lock()
+				if err == nil {
+					last[block] = data
+					okOps++
+				} else if errors.Is(err, trapquorum.ErrWriteFailed) {
+					failedWrites++
+				} else {
+					log.Fatalf("unexpected write error: %v", err)
+				}
+				mu.Unlock()
 			}
 		}(vm)
 	}

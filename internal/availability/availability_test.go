@@ -277,6 +277,84 @@ func TestStorageEquations(t *testing.T) {
 	}
 }
 
+// WriteExact computes write availability by enumerating every state
+// of the trapezoid's nodes, as an independent cross-check of the
+// product form of equations (8)/(9).
+func WriteExact(cfg trapezoid.Config, p float64) (float64, error) {
+	lay, err := trapezoid.NewLayout(cfg)
+	if err != nil {
+		return 0, err
+	}
+	nb := lay.NbNodes()
+	total := 0.0
+	for state := 0; state < 1<<uint(nb); state++ {
+		prob := 1.0
+		for pos := 0; pos < nb; pos++ {
+			if state&(1<<uint(pos)) != 0 {
+				prob *= p
+			} else {
+				prob *= 1 - p
+			}
+		}
+		if prob == 0 {
+			continue
+		}
+		ok := true
+		for l := 0; l <= cfg.Shape.H && ok; l++ {
+			cnt := 0
+			for _, pos := range lay.Level(l) {
+				if state&(1<<uint(pos)) != 0 {
+					cnt++
+				}
+			}
+			if cnt < cfg.W[l] {
+				ok = false
+			}
+		}
+		if ok {
+			total += prob
+		}
+	}
+	return total, nil
+}
+
+// ReadFRExact computes full-replication read availability by
+// enumeration, cross-checking equation (10).
+func ReadFRExact(cfg trapezoid.Config, p float64) (float64, error) {
+	lay, err := trapezoid.NewLayout(cfg)
+	if err != nil {
+		return 0, err
+	}
+	nb := lay.NbNodes()
+	total := 0.0
+	for state := 0; state < 1<<uint(nb); state++ {
+		prob := 1.0
+		for pos := 0; pos < nb; pos++ {
+			if state&(1<<uint(pos)) != 0 {
+				prob *= p
+			} else {
+				prob *= 1 - p
+			}
+		}
+		if prob == 0 {
+			continue
+		}
+		for l := 0; l <= cfg.Shape.H; l++ {
+			cnt := 0
+			for _, pos := range lay.Level(l) {
+				if state&(1<<uint(pos)) != 0 {
+					cnt++
+				}
+			}
+			if cnt >= cfg.ReadThreshold(l) {
+				total += prob
+				break
+			}
+		}
+	}
+	return total, nil
+}
+
 func TestWriteMatchesExactEnumeration(t *testing.T) {
 	cfg, _ := trapezoid.NewConfig(trapezoid.Shape{A: 2, B: 3, H: 1}, 3)
 	for _, p := range []float64{0.2, 0.5, 0.8, 0.95} {

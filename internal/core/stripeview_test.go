@@ -43,8 +43,12 @@ func TestGatherRPCsPerOperation(t *testing.T) {
 		name    string
 		prepare func(*testing.T, *testSystem)
 		op      func(*testing.T, *testSystem)
-		// Inclusive bounds on ReadChunk and ReadVersions RPCs.
+		// Inclusive bounds on ReadChunk and ReadVersions RPCs. When
+		// downChunkMax is set, shard down's ReadChunk RPCs are bounded
+		// by it alone and the chunk bounds count the other shards.
 		chunkMin, chunkMax, probeMin, probeMax int64
+		down                                   int
+		downChunkMax                           int64
 	}{
 		{
 			name: "scrub healthy",
@@ -105,10 +109,14 @@ func TestGatherRPCsPerOperation(t *testing.T) {
 				}
 			},
 			// One decode attempt: at least the k shards it decodes from,
-			// at most the whole stripe — where first-k stops in between
-			// depends on scheduling. The version check probes at most
-			// the n−k+1 trapezoid positions.
-			chunkMin: k, chunkMax: n, probeMin: 1, probeMax: n - k + 1,
+			// at most every live shard — where first-k stops in between
+			// depends on scheduling. The down data node is asked at most
+			// twice: by the decode gather, and by an optimistic direct
+			// read when early termination cancelled its version probe.
+			// The version check probes at most the n−k+1 trapezoid
+			// positions.
+			chunkMin: k, chunkMax: n - 1, probeMin: 1, probeMax: n - k + 1,
+			down: 2, downChunkMax: 2,
 		},
 	}
 	for _, tc := range cases {
@@ -118,10 +126,20 @@ func TestGatherRPCsPerOperation(t *testing.T) {
 			if tc.prepare != nil {
 				tc.prepare(t, ts)
 			}
+			downReads := ts.shardNode(tc.down).Metrics().Reads.Load
 			chunk0, probe0 := ts.nodeRPCs()
+			down0 := downReads()
 			tc.op(t, ts)
 			chunk1, probe1 := ts.nodeRPCs()
-			if got := chunk1 - chunk0; got < tc.chunkMin || got > tc.chunkMax {
+			got := chunk1 - chunk0
+			if tc.downChunkMax > 0 {
+				down := downReads() - down0
+				if down > tc.downChunkMax {
+					t.Errorf("ReadChunk RPCs at down shard %d = %d, want at most %d", tc.down, down, tc.downChunkMax)
+				}
+				got -= down
+			}
+			if got < tc.chunkMin || got > tc.chunkMax {
 				t.Errorf("ReadChunk RPCs = %d, want %d..%d", got, tc.chunkMin, tc.chunkMax)
 			}
 			if got := probe1 - probe0; got < tc.probeMin || got > tc.probeMax {

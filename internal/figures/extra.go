@@ -195,17 +195,40 @@ func UpdateCost() (*Figure, error) {
 	}, nil
 }
 
+// builders maps every figure id to its generator at default settings,
+// in presentation order. Only mcval reads the trial count; mcval and
+// endurance read the seed.
+var builders = []struct {
+	id    string
+	build func(mcTrials int, seed int64) (*Figure, error)
+}{
+	{"fig2", func(int, int64) (*Figure, error) { return Fig2() }},
+	{"fig3", func(int, int64) (*Figure, error) { return Fig3() }},
+	{"fig4", func(int, int64) (*Figure, error) { return Fig4() }},
+	{"fig5", func(int, int64) (*Figure, error) { return Fig5() }},
+	{"mcval", MonteCarloValidation},
+	{"ablation-write", func(int, int64) (*Figure, error) { return AblationWrite() }},
+	{"ablation-read", func(int, int64) (*Figure, error) { return AblationRead() }},
+	{"update-cost", func(int, int64) (*Figure, error) { return UpdateCost() }},
+	{"endurance", func(_ int, seed int64) (*Figure, error) { return Endurance(3000, 15, seed) }},
+}
+
+// Build returns the one figure with the given id at default settings,
+// running only its generator.
+func Build(id string, mcTrials int, seed int64) (*Figure, error) {
+	for _, b := range builders {
+		if b.id == id {
+			return b.build(mcTrials, seed)
+		}
+	}
+	return nil, fmt.Errorf("unknown figure %q", id)
+}
+
 // All returns every figure at default settings, in presentation order.
 func All(mcTrials int, seed int64) ([]*Figure, error) {
-	builders := []func() (*Figure, error){
-		Fig2, Fig3, Fig4, Fig5,
-		func() (*Figure, error) { return MonteCarloValidation(mcTrials, seed) },
-		AblationWrite, AblationRead, UpdateCost,
-		func() (*Figure, error) { return Endurance(3000, 15, seed) },
-	}
 	var out []*Figure
-	for _, build := range builders {
-		fig, err := build()
+	for _, b := range builders {
+		fig, err := b.build(mcTrials, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -67,32 +67,6 @@ type EnduranceReport struct {
 	MeanNodeAvailability float64
 }
 
-// OverallWriteRate aggregates all windows.
-func (r *EnduranceReport) OverallWriteRate() float64 {
-	ok, n := 0, 0
-	for _, w := range r.Windows {
-		ok += w.WriteOK
-		n += w.WriteN
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(ok) / float64(n)
-}
-
-// OverallReadRate aggregates all windows.
-func (r *EnduranceReport) OverallReadRate() float64 {
-	ok, n := 0, 0
-	for _, w := range r.Windows {
-		ok += w.ReadOK
-		n += w.ReadN
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(ok) / float64(n)
-}
-
 // RunEndurance executes the run: a live protocol instance under a
 // generated failure schedule, one write and one read attempt per unit
 // of virtual time, with the repair daemon running at its period.

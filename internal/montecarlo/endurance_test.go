@@ -8,6 +8,32 @@ import (
 	"trapquorum/internal/failsched"
 )
 
+// OverallWriteRate aggregates all windows.
+func (r *EnduranceReport) OverallWriteRate() float64 {
+	ok, n := 0, 0
+	for _, w := range r.Windows {
+		ok += w.WriteOK
+		n += w.WriteN
+	}
+	if n == 0 {
+		return 0
+	}
+	return float64(ok) / float64(n)
+}
+
+// OverallReadRate aggregates all windows.
+func (r *EnduranceReport) OverallReadRate() float64 {
+	ok, n := 0, 0
+	for _, w := range r.Windows {
+		ok += w.ReadOK
+		n += w.ReadN
+	}
+	if n == 0 {
+		return 0
+	}
+	return float64(ok) / float64(n)
+}
+
 func enduranceBase(t testing.TB) EnduranceConfig {
 	t.Helper()
 	return EnduranceConfig{

@@ -33,7 +33,7 @@ func TestFREstimatorMatchesEq10(t *testing.T) {
 			t.Fatal(err)
 		}
 		eq8 := availability.Write(cfg, p)
-		if est := wres.Estimate(); est > eq8+4*wres.StdErr()+1e-9 {
+		if est := wres.Estimate(); est > eq8+4*wres.stdErr()+1e-9 {
 			t.Fatalf("p=%v: FR write %v exceeds eq8 %v", p, est, eq8)
 		}
 	}

@@ -13,18 +13,44 @@ package montecarlo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"trapquorum/internal/availability"
-	"trapquorum/internal/stats"
 	"trapquorum/internal/trapezoid"
 )
 
-// Result is a Bernoulli estimate plus the sampling parameters.
+// Result is a Bernoulli success count plus the sampling parameters.
 type Result struct {
-	stats.Proportion
-	P    float64 // node availability the masks were drawn with
-	Seed int64
+	Successes, Trials int
+	P                 float64 // node availability the masks were drawn with
+	Seed              int64
+}
+
+// Estimate returns the sample proportion, or 0 for an empty sample.
+func (r Result) Estimate() float64 {
+	if r.Trials == 0 {
+		return 0
+	}
+	return float64(r.Successes) / float64(r.Trials)
+}
+
+// ConfidenceInterval returns the normal-approximation interval
+// estimate ± z·stderr, clamped to [0,1]. z = 1.96 gives ~95%,
+// z = 3 gives ~99.7%.
+func (r Result) ConfidenceInterval(z float64) (lo, hi float64) {
+	est := r.Estimate()
+	half := z * r.stdErr()
+	return math.Max(est-half, 0), math.Min(est+half, 1)
+}
+
+// stdErr returns the standard error of the proportion estimate.
+func (r Result) stdErr() float64 {
+	if r.Trials == 0 {
+		return 0
+	}
+	est := r.Estimate()
+	return math.Sqrt(est * (1 - est) / float64(r.Trials))
 }
 
 // maskSampler draws iid availability masks.

@@ -31,7 +31,7 @@ func TestEstimateWriteMatchesEq8(t *testing.T) {
 		}
 		want := availability.Write(cfg, p)
 		if !res.Within(want, 3) {
-			t.Fatalf("p=%v: estimate %v (±%v) vs closed form %v", p, res.Estimate(), res.StdErr(), want)
+			t.Fatalf("p=%v: estimate %v (±%v) vs closed form %v", p, res.Estimate(), res.stdErr(), want)
 		}
 	}
 }
@@ -141,14 +141,14 @@ func TestProtocolEstimatorAgainstFormulas(t *testing.T) {
 		// Score test: at high p the estimate is often exactly 1, which
 		// collapses the Wald interval.
 		if !res.WithinScore(wantExact, 4) {
-			t.Fatalf("p=%v: protocol read %v vs exact %v (se %v)", p, res.Estimate(), wantExact, res.StdErr())
+			t.Fatalf("p=%v: protocol read %v vs exact %v (se %v)", p, res.Estimate(), wantExact, res.stdErr())
 		}
 		wres, err := pe.EstimateWrite(context.Background(), p, trials, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eq8 := availability.Write(cfg, p)
-		if est := wres.Estimate(); est > eq8+4*wres.StdErr()+1e-9 {
+		if est := wres.Estimate(); est > eq8+4*wres.stdErr()+1e-9 {
 			t.Fatalf("p=%v: protocol write %v exceeds eq8 %v", p, est, eq8)
 		}
 		// At high p the gap must be negligible.

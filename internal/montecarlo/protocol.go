@@ -106,7 +106,7 @@ func (pe *ProtocolEstimator) EstimateRead(ctx context.Context, p float64, trials
 // (a node that misses a delta while down stays version-stale and
 // rejects all later deltas until repaired). It still includes
 // Algorithm 1's initial read, which equation (8) does not model;
-// EXPERIMENTS.md quantifies the resulting gap at low p.
+// `trapbench sim -p 0.5` prints the resulting gap next to eq. 8.
 func (pe *ProtocolEstimator) EstimateWrite(ctx context.Context, p float64, trials int, seed int64) (Result, error) {
 	return pe.estimateWrite(ctx, p, trials, seed, true)
 }

@@ -1,12 +1,70 @@
 package quorum
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"trapquorum/internal/trapezoid"
 )
+
+// ExactWriteAvailability computes write availability by enumerating
+// all 2^Size() node states and asking the constructive side: the
+// reference the analytic side is checked against (Size ≤ 24).
+func ExactWriteAvailability(s System, p float64) float64 {
+	return exactAvailability(s.Size(), p, func(av func(int) bool) bool {
+		_, ok := s.WriteQuorum(av)
+		return ok
+	})
+}
+
+// ExactReadAvailability is the read-side analogue of
+// ExactWriteAvailability.
+func ExactReadAvailability(s System, p float64) float64 {
+	return exactAvailability(s.Size(), p, func(av func(int) bool) bool {
+		_, ok := s.ReadQuorum(av)
+		return ok
+	})
+}
+
+func exactAvailability(n int, p float64, ok func(func(int) bool) bool) float64 {
+	if n > 24 {
+		panic(fmt.Sprintf("quorum: exact enumeration over %d nodes is too large", n))
+	}
+	total := 0.0
+	for state := 0; state < 1<<uint(n); state++ {
+		prob := 1.0
+		for i := 0; i < n; i++ {
+			if state&(1<<uint(i)) != 0 {
+				prob *= p
+			} else {
+				prob *= 1 - p
+			}
+		}
+		if prob == 0 {
+			continue
+		}
+		if ok(func(i int) bool { return state&(1<<uint(i)) != 0 }) {
+			total += prob
+		}
+	}
+	return total
+}
+
+// Intersects reports whether two node sets share an element.
+func Intersects(a, b []int) bool {
+	set := make(map[int]struct{}, len(a))
+	for _, x := range a {
+		set[x] = struct{}{}
+	}
+	for _, y := range b {
+		if _, hit := set[y]; hit {
+			return true
+		}
+	}
+	return false
+}
 
 // systemsUnderTest returns one small instance of every System, sized
 // for exhaustive 2^n enumeration.
