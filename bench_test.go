@@ -161,11 +161,14 @@ func BenchmarkAblationUpdateCostDelta(b *testing.B) {
 	}
 	newBlock := make([]byte, 4096)
 	r.Read(newBlock)
+	delta, adj := make([]byte, 4096), make([]byte, 4096)
 	b.SetBytes(int64(code.ParityCount()) * 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		erasure.DataDeltaInto(delta, data[3], newBlock)
 		for j := 8; j < 15; j++ {
-			code.UpdateParity(shards[j], j, 3, data[3], newBlock)
+			code.ParityAdjustmentInto(adj, j, 3, delta)
+			erasure.ApplyAdjustment(shards[j], adj)
 		}
 	}
 }

@@ -84,6 +84,41 @@ func TestReadDoesNotWaitForStragglerDataNode(t *testing.T) {
 	}
 }
 
+// TestAbandonedChunkReadEndsWithCallerDeadline: the data node's link
+// swallows every request, so the stripe read abandons its chunk read at
+// the grace and decodes. The abandoned RPC outlives the read and the
+// caller's cancel — a transport's attempt timeout must still see the
+// stall — but not the caller's deadline: it aborts then, never earlier.
+func TestAbandonedChunkReadEndsWithCallerDeadline(t *testing.T) {
+	ts := fig3System(t, Options{})
+	data := ts.seed(t, 1, 64)
+	ts.cluster.SetLinkFault(3, sim.LinkFault{ReqLoss: 1}, 1)
+	aborts := &ts.shardNode(3).Engine().Metrics().CtxAborts
+	deadline := time.Now().Add(500 * time.Millisecond)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	got, _, err := ts.sys.ReadBlock(ctx, ts.stripe(1), 3)
+	cancel()
+	if err != nil || !bytes.Equal(got, data[3]) {
+		t.Fatalf("read through a silent data node: err = %v, right bytes = %v", err, bytes.Equal(got, data[3]))
+	}
+	// Any chunk read the decode issued to node 3 was cancelled, and has
+	// settled, before the read returned; the abandoned one is pending.
+	atReturn := aborts.Load()
+	for aborts.Load() == atReturn {
+		if time.Since(deadline) > budget {
+			t.Fatalf("no chunk read at node 3 ended after the read returned (%v past the caller's deadline): "+
+				"the abandoned one is stuck, or the grace cancelled it", budget)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if early := time.Until(deadline); early > 0 {
+		t.Fatalf("abandoned chunk read ended %v before the caller's deadline: cancel() reached it", early)
+	}
+	if got := aborts.Load() - atReturn; got != 1 {
+		t.Fatalf("node 3 aborted %d more RPCs after the read, want 1", got)
+	}
+}
+
 // TestDecodeDoesNotWaitForStragglerNode: the data node is down (Case 2
 // decode) and one surviving parity node is pathologically slow. The
 // first-k decode assembles a consistent set from the 13 prompt shards

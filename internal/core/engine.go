@@ -11,28 +11,19 @@ import (
 
 // This file is the concurrent dispatch engine shared by the protocol's
 // hot paths. All node RPCs of one quorum operation are issued through
-// Fanout: a bounded worker fan-out that streams settled results back to
-// the operation in completion order, supports early termination
-// ("first-k": stop as soon as a quorum or decodable set is in hand,
-// cancelling stragglers through the context), and guarantees that every
-// issued RPC has settled before it returns — the property the write
-// path's rollback bookkeeping depends on. Read-only RPCs can
-// additionally be hedged: re-issued once after a configurable delay so
-// one slow node does not drag the whole operation to its tail latency.
-//
-// The generic fan-out itself lives in internal/dispatch so that leaf
-// layers (the erasure data plane's stripe-parallel coder) share the
-// same engine without an import cycle; this wrapper is the protocol's
-// front door to it and keeps the core API stable for the sibling
-// internal layers (the service store's bulk repair) that dispatch
-// through core.Fanout.
+// Fanout, the protocol's front door to internal/dispatch (which leaf
+// layers such as the erasure coder share without an import cycle).
+// Read-only RPCs can additionally be hedged — re-issued once after a
+// configurable delay so one slow node does not drag the whole
+// operation to its tail latency — or, for a stripe read's data chunks,
+// abandoned rather than cancelled.
 
-// Fanout issues calls 0..n-1 concurrently through the shared dispatch
-// engine. See dispatch.Fanout for the full contract: bounded in-flight
-// RPCs, completion-order observation, early termination on observe
-// returning false, and settle-before-return — an RPC that settles with
-// a context error has left the node unchanged, and one that settles
-// with any other outcome reports what the node really did.
+// Fanout issues calls 0..n-1 concurrently. See dispatch.Fanout for the
+// contract: bounded in-flight RPCs, completion-order observation, early
+// termination ("first-k") on observe returning false, and
+// settle-before-return — an RPC that settles with a context error has
+// left the node unchanged, the property the write path's rollback
+// bookkeeping depends on.
 func Fanout[T any](ctx context.Context, limit, n int, call func(context.Context, int) (T, error), observe func(idx int, val T, err error) bool) {
 	dispatch.Fanout(ctx, limit, n, call, observe)
 }
@@ -208,6 +199,42 @@ func hedged[T any](ctx context.Context, h *hedger, call func(context.Context) (T
 				launch()
 			}
 		}
+	}
+}
+
+// abandonedReadLimit bounds an abandoned call whose caller set no
+// deadline: far past a transport's attempt timeout and retries.
+const abandonedReadLimit = 10 * time.Second
+
+// abandonable performs a read-only call the caller may stop waiting
+// for: call runs in its own goroutine, and abandonable returns ctx's
+// error as soon as ctx ends. The call keeps ctx's values and deadline
+// (abandonedReadLimit without one) but not its cancellation: callers
+// cancel as soon as an operation returns, and cancelling an abandoned
+// call would hide a stalled node from its transport's attempt timeout
+// and breaker.
+func abandonable[T any](ctx context.Context, call func(context.Context) (T, error)) (T, error) {
+	type res struct {
+		v   T
+		err error
+	}
+	ch := make(chan res, 1)
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		deadline = time.Now().Add(abandonedReadLimit)
+	}
+	go func() {
+		run, cancel := context.WithDeadline(context.WithoutCancel(ctx), deadline)
+		defer cancel()
+		v, err := call(run)
+		ch <- res{v, err}
+	}()
+	select {
+	case r := <-ch:
+		return r.v, r.err
+	case <-ctx.Done():
+		var zero T
+		return zero, ctx.Err()
 	}
 }
 

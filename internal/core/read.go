@@ -5,396 +5,285 @@ import (
 	"fmt"
 	"time"
 
-	"trapquorum/client"
 	"trapquorum/internal/blockpool"
 	"trapquorum/internal/erasure"
 )
 
-// ReadBlock implements Algorithm 2: read data block `block` of a
-// stripe. It returns the block content and the version it carries.
+// ReadBlock implements Algorithm 2 for one data block of a stripe — the
+// one-block case of ReadStripe. It returns the block content and the
+// version it carries.
+func (s *System) ReadBlock(ctx context.Context, st Stripe, block int) ([]byte, uint64, error) {
+	data, versions, err := s.ReadStripe(ctx, st, block, 1)
+	if err != nil {
+		return nil, 0, err
+	}
+	return data[0], versions[0], nil
+}
+
+// ReadStripe implements Algorithm 2 for data blocks [first, first+count)
+// of a stripe: it returns each block's content and the version it
+// carries.
 //
-// Step 1 (checking version): every level's version probes are issued
-// in parallel through the dispatch engine; the first level to collect
-// r_l = s_l−w_l+1 answers determines the latest version, and the
-// remaining probes are cancelled ("first-quorum" early termination).
+// The stripe is asked once, in one fan-out: a chunk read of every
+// requested block's data node and a record probe (ReadVersions) of
+// every parity node. Each block is then judged on that one snapshot.
 //
-// Step 2 (read or decode): if the data node N_i holds the latest
-// version the block is read from it directly (Case 1); otherwise the
-// block is decoded from k mutually consistent shards carrying the
-// latest version (Case 2), gathered in parallel and terminated as soon
-// as a decodable set is in hand ("first-k").
+// Step 1 (checking version) runs per block over the answers, the data
+// node's chunk standing in for its position-0 probe: the first level,
+// in level order, holding r_l = s_l−w_l+1 valid answers determines the
+// latest version, the largest among them.
+//
+// Step 2 (read or decode): the block is served from its data node
+// (Case 1) when the chunk carries at least that version and its bytes
+// match the plurality of the parity records (verify.go); otherwise it
+// is decoded from k mutually consistent shards at that version (Case
+// 2), for that block only.
+//
+// The fan-out stops as soon as every block is decided and cancels the
+// rest ("first-quorum"). A data node whose chunk is all a block still
+// lacks gets a grace period scaled to how fast the rest answered; past
+// it the block is decoded, so a slow data node never gates its block.
 //
 // A cancelled or expired context aborts the read; the returned OpError
 // wraps the context's error.
-func (s *System) ReadBlock(ctx context.Context, st Stripe, block int) ([]byte, uint64, error) {
-	if block < 0 || block >= s.code.K() {
-		return nil, 0, fmt.Errorf("%w: %d of k=%d", ErrBadIndex, block, s.code.K())
+func (s *System) ReadStripe(ctx context.Context, st Stripe, first, count int) ([][]byte, []uint64, error) {
+	if first < 0 || count < 1 || first+count > s.code.K() {
+		return nil, nil, fmt.Errorf("%w: blocks [%d,%d) of k=%d", ErrBadIndex, first, first+count, s.code.K())
 	}
 	if err := s.check(st); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	data, version, err := s.readBlock(ctx, st, block)
+	data, versions, err := s.readStripe(ctx, st, first, count)
 	if err != nil {
 		s.metrics.FailedReads.Add(1)
-		return nil, 0, err
 	}
-	return data, version, nil
+	return data, versions, err
 }
 
 // readRetryLimit bounds how often a read chases a version that
 // concurrent writes moved past mid-flight.
 const readRetryLimit = 4
 
-// dataNodeState classifies what the version check learned about the
-// data node N_i relative to the winning version.
-type dataNodeState int
+// directReadGraceFloor is the minimum time a stripe read waits for a
+// data node's chunk once everything else its block needs is in hand.
+// Generous on purpose: on a healthy cluster the chunk lands orders of
+// magnitude sooner, so the decode fallback practically never starts
+// unless the node really is a straggler.
+const directReadGraceFloor = 50 * time.Millisecond
 
-const (
-	// dataNodeUnknown: the probe was cancelled by the early
-	// termination before it settled — freshness unknown, the direct
-	// read is attempted optimistically (the chunk read re-verifies).
-	dataNodeUnknown dataNodeState = iota
-	// dataNodeFresh: N_i answered with the winning version.
-	dataNodeFresh
-	// dataNodeStale: N_i answered with an older version.
-	dataNodeStale
-	// dataNodeFailed: N_i's probe errored (down or missing chunk).
-	dataNodeFailed
-)
-
-// readBlock is ReadBlock without metrics/validation, shared with the
-// write path's initial read.
+// readStripe is ReadStripe without validation and metrics, shared with
+// the write path's initial read (Algorithm 1 line 15).
 //
-// The decode path can race concurrent writers: the check quorum pins
-// "latest = v", but by the time the shards are gathered every parity
-// has moved to v+1 and no consistent set at v exists any more. That
-// is not a failure of the stripe — re-running the version check
-// observes the newer version and succeeds. The retry is bounded; a
+// A decode can race concurrent writers: the snapshot pins "latest = v",
+// but by the time the shards are gathered every parity has moved to v+1
+// and no consistent set at v exists any more. That is not a failure of
+// the stripe — a fresh snapshot observes the newer version and
+// succeeds. The retry is bounded and re-judges only the blocks still
+// undecided; a block whose fresh snapshot pins the version its failed
+// decode pinned has a genuine availability gap and fails the read. A
 // stripe under relentless write pressure can still report
 // ErrNotReadable, which callers treat like any other transient quorum
 // failure.
-func (s *System) readBlock(ctx context.Context, st Stripe, block int) ([]byte, uint64, error) {
-	// wrap keeps every failure of this read behind one OpError, so
-	// errors.As works uniformly across the version-check, decode and
-	// cancellation paths.
-	wrap := func(err error) error {
+func (s *System) readStripe(ctx context.Context, st Stripe, first, count int) ([][]byte, []uint64, error) {
+	wrap := func(block int, err error) error {
 		return &OpError{Op: "read", Stripe: st.ID, Block: block, Level: -1, Node: -1, Err: err}
 	}
-	lastVersion := client.NoVersion
-	var lastErr error
-	for attempt := 0; attempt < readRetryLimit; attempt++ {
+	data := make([][]byte, count)
+	versions := make([]uint64, count)
+	// pinned and failed record each block's last failed decode.
+	pinned := make([]uint64, count)
+	failed := make([]error, count)
+	todo := make([]bool, s.code.K())
+	for b := first; b < first+count; b++ {
+		todo[b] = true
+	}
+	for attempt, left := 0, count; attempt < readRetryLimit && left > 0; attempt++ {
+		view, verdicts := s.snapshot(ctx, st, todo)
 		if err := ctx.Err(); err != nil {
-			return nil, 0, wrap(err)
+			return nil, nil, wrap(first, err)
 		}
-		checkStart := time.Now()
-		version, ni, expect, ok := s.checkVersion(ctx, st, block)
-		quorumElapsed := time.Since(checkStart)
-		if !ok {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, wrap(err)
+		for b, want := range todo {
+			if !want {
+				continue
 			}
-			return nil, 0, wrap(fmt.Errorf("%w: no level reached its version check threshold", ErrNotReadable))
-		}
-		if attempt > 0 && version == lastVersion {
-			// No concurrent progress: the previous decode failure was
-			// a genuine availability gap, not a race.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, 0, wrap(cerr)
-			}
-			return nil, 0, wrap(lastErr)
-		}
-		lastVersion = version
-		// Case 1: read directly from the data node when its probe
-		// settled with (at least) the latest version — it just
-		// answered the quorum promptly, so a blocking read is safe.
-		if ni == dataNodeFresh {
-			if !expect.known {
-				// The winning quorum settled without a single parity
-				// opinion (possible when a one-node level wins): gather
-				// opinions explicitly before trusting the data node's
-				// bytes, or a lying N_i could self-certify.
-				expect = s.gatherExpected(ctx, st, block, version)
-			}
-			if data, served, ok := s.tryDirectRead(ctx, st, block, version, expect); ok {
+			i, v := b-first, verdicts[b]
+			switch v.state {
+			case readDirect:
+				data[i], versions[i] = view.shards[b].data, v.version
 				s.metrics.DirectReads.Add(1)
-				return data, served, nil
+				todo[b] = false
+				left--
+				continue
+			case readUndecided, readNoQuorum:
+				return nil, nil, wrap(b, fmt.Errorf("%w: no level reached its version check threshold", ErrNotReadable))
+			case readConvicted:
+				s.reportCorrupt(st, b)
 			}
-			// The node failed, lagged, or served bytes the record
-			// majority disavows; fall through to the decode path.
-		}
-		// The data node's probe never settled (cancelled by the early
-		// termination): attempt the direct read optimistically — the
-		// chunk read re-verifies the version, so it can never serve
-		// stale data — but only trust the node for a grace period
-		// scaled to how fast the rest of the quorum answered; past it
-		// the node is treated as a straggler and the decode path races
-		// the still-pending read, so a slow data node never gates the
-		// block (the first-k guarantee).
-		if ni == dataNodeUnknown {
-			grace := 2 * quorumElapsed
-			if grace < directReadGraceFloor {
-				grace = directReadGraceFloor
+			if attempt > 0 && v.version == pinned[i] {
+				// No concurrent progress: the previous decode failure was
+				// a genuine availability gap, not a race.
+				return nil, nil, wrap(b, failed[i])
 			}
-			data, served, direct, derr := s.directOrDecode(ctx, st, block, version, expect, grace)
-			if derr == nil {
-				if direct {
-					s.metrics.DirectReads.Add(1)
-				} else {
-					s.metrics.DecodeReads.Add(1)
+			out, err := s.decodeBlock(ctx, st, b, v.version, v.expect)
+			if err != nil {
+				if cerr := ctx.Err(); cerr != nil {
+					// The shards stopped answering because the context
+					// died, not because the stripe degraded.
+					return nil, nil, wrap(b, cerr)
 				}
-				return data, served, nil
+				pinned[i], failed[i] = v.version, err
+				continue
 			}
-			lastErr = derr
-			continue
-		}
-		// Case 2: decode from k consistent shards at the latest version.
-		data, err := s.decodeBlock(ctx, st, block, version, expect)
-		if err == nil {
+			data[i], versions[i] = out, v.version
 			s.metrics.DecodeReads.Add(1)
-			return data, version, nil
+			todo[b] = false
+			left--
 		}
-		lastErr = err
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		// The shards stopped answering because the context died, not
-		// because the stripe degraded.
-		return nil, 0, wrap(cerr)
+	for b, want := range todo {
+		if want {
+			return nil, nil, wrap(b, failed[b-first])
+		}
 	}
-	return nil, 0, wrap(lastErr)
+	return data, versions, nil
 }
 
-// tryDirectRead is the Case-1 primitive shared by the fresh path and
-// the optimistic race: read the block from its data node (hedged) and
-// accept only a chunk carrying at least the target version. The ≥
-// acceptance mirrors the sequential engine: a node ahead of the
-// pinned version holds either a concurrent writer's in-flight update
-// or unrepaired residue, both of which the sequential scan — which
-// always counted N_i's probe into the version maximum — served the
-// same way (the residue anomaly is documented and demonstrated in the
-// safety tests; the paper assumes concurrency control above the
-// protocol).
-// When an expected content hash is known, a chunk served exactly at
-// the pinned version must match it — bytes the record majority
-// disavows are never returned; the read falls back to decoding from
-// survivors and the culprit is reported. A chunk ahead of the pinned
-// version belongs to a concurrent writer whose record quorum is still
-// forming and is served as before.
-func (s *System) tryDirectRead(ctx context.Context, st Stripe, block int, version uint64, expect sumOpinion) ([]byte, uint64, bool) {
-	chunk, err := hedged(ctx, s.hedge, func(hctx context.Context) (client.Chunk, error) {
-		return s.node(st, block).ReadChunk(hctx, chunkID(st.ID, block))
-	})
-	if err != nil {
-		if isCorruptErr(err) {
-			s.reportCorrupt(st, block)
-		}
-		return nil, 0, false
-	}
-	if len(chunk.Versions) == 0 || chunk.Versions[0] < version {
-		return nil, 0, false
-	}
-	if expect.known && chunk.Versions[0] == version && erasure.Sum64(chunk.Data) != expect.sum {
-		s.reportCorrupt(st, block)
-		return nil, 0, false
-	}
-	return chunk.Data, chunk.Versions[0], true
+// readState is what a stripe read's snapshot says of one block.
+type readState int
+
+const (
+	// readUndecided: no level holds its read threshold yet, and one
+	// still can.
+	readUndecided readState = iota
+	// readNoQuorum: no level can reach its read threshold any more —
+	// Algorithm 2's ∅.
+	readNoQuorum
+	// readAwaitChunk: the version is decided; the data node's chunk has
+	// not answered.
+	readAwaitChunk
+	// readAwaitRecords: the chunk is in hand, but the parity records
+	// that must judge it are still coming.
+	readAwaitRecords
+	// readDirect: Case 1, the chunk is served.
+	readDirect
+	// readDecode: Case 2 — the data node is down, stale or slow.
+	readDecode
+	// readConvicted: Case 2 as well — the chunk contradicts the record
+	// plurality, and its node is reported.
+	readConvicted
+)
+
+// blockVerdict is the judgement of one block: its state, the version
+// it is served or decoded at, and the record plurality for that
+// version.
+type blockVerdict struct {
+	state   readState
+	version uint64
+	expect  sumOpinion
 }
 
-// directReadGraceFloor is the minimum time a read with an unsettled
-// data-node probe trusts the optimistic direct read before racing the
-// decode path against it. Generous on purpose: on a healthy cluster
-// the direct read settles orders of magnitude sooner, so the decode
-// race — whose outcome depends on scheduling — practically never
-// starts unless the node really is a straggler.
-const directReadGraceFloor = 50 * time.Millisecond
-
-// directOrDecode resolves Case 1 vs Case 2 of Algorithm 2 when the
-// data node's freshness is unknown (its probe was cancelled by the
-// version check's early termination). The direct read is issued
-// immediately; if it settles within the grace period the result
-// decides the case on its own (success: direct; stale or error:
-// plain decode). Past the grace the node is suspected of straggling
-// and the decode runs concurrently — the first usable result wins and
-// the loser is cancelled. direct reports which path served the block.
-func (s *System) directOrDecode(ctx context.Context, st Stripe, block int, version uint64, expect sumOpinion, grace time.Duration) (data []byte, served uint64, direct bool, err error) {
+// snapshot asks the stripe once for the blocks marked in want — a
+// hedged chunk read of each one's data node and a hedged record probe
+// of every parity node, all in one fan-out — and judges each such
+// block on what came back. The fan-out stops when every block is
+// decided. When only data chunks are missing it waits a grace period
+// of twice the time taken so far (directReadGraceFloor at least), then
+// cuts the fan-out; judge treats a cut answer as never given.
+func (s *System) snapshot(ctx context.Context, st Stripe, want []bool) (*stripeView, []blockVerdict) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	type directRes struct {
-		data    []byte
-		version uint64
-		ok      bool
-	}
-	directCh := make(chan directRes, 1)
-	go func() {
-		d, v, ok := s.tryDirectRead(cctx, st, block, version, expect)
-		directCh <- directRes{data: d, version: v, ok: ok}
-	}()
-	timer := time.NewTimer(grace)
-	defer timer.Stop()
-	select {
-	case r := <-directCh:
-		if r.ok {
-			return r.data, r.version, true, nil
-		}
-		// The node answered promptly but stale/failed: normal decode.
-		data, err = s.decodeBlock(ctx, st, block, version, expect)
-		return data, version, false, err
-	case <-timer.C:
-	}
-	// Straggler suspected: race the decode against the pending read.
-	type decodeRes struct {
-		data []byte
-		err  error
-	}
-	decodeCh := make(chan decodeRes, 1)
-	go func() {
-		d, derr := s.decodeBlock(cctx, st, block, version, expect)
-		decodeCh <- decodeRes{data: d, err: derr}
-	}()
-	var decodeErr error
-	directDone, decodeDone := false, false
-	for !directDone || !decodeDone {
-		select {
-		case r := <-directCh:
-			directDone = true
-			if r.ok {
-				return r.data, r.version, true, nil
+	start := time.Now()
+	var grace *time.Timer
+	view := s.gather(cctx, st, -1, gatherOpt{read: want, hedge: true, stop: func(v *stripeView) bool {
+		awaitChunk := false
+		for b, w := range want {
+			if !w {
+				continue
 			}
-		case r := <-decodeCh:
-			decodeDone = true
-			if r.err == nil {
-				return r.data, version, false, nil
-			}
-			decodeErr = r.err
-			// Decode failed. Under write contention this is usually
-			// the pinned-version race that readBlock's retry loop
-			// exists to absorb — so give the pending direct read only
-			// a bounded extension (it is the last hope if the gap is
-			// genuine), then return the decode error and let the
-			// caller re-check the version instead of stalling behind
-			// the straggler.
-			timer.Reset(4 * grace)
-		case <-timer.C:
-			if decodeDone {
-				return nil, 0, false, decodeErr
+			switch s.judge(v, b).state {
+			case readUndecided, readAwaitRecords:
+				return false
+			case readAwaitChunk:
+				awaitChunk = true
 			}
 		}
+		if awaitChunk && grace == nil {
+			grace = time.AfterFunc(max(2*time.Since(start), directReadGraceFloor), cancel)
+		}
+		return !awaitChunk
+	}})
+	if grace != nil {
+		grace.Stop()
 	}
-	return nil, 0, false, decodeErr
+	verdicts := make([]blockVerdict, len(want))
+	for b, w := range want {
+		if w {
+			verdicts[b] = s.judge(view, b)
+		}
+	}
+	return view, verdicts
 }
 
-// verProbe is one version-probe answer: the shard's version vector
-// plus its cross-checksum record, carried together through the fan-out.
-type verProbe struct {
-	versions []uint64
-	sums     []client.BlockSum
-}
-
-// checkVersion performs Step 1 of Algorithm 2 concurrently: one
-// version probe per trapezoid position, all levels in flight at once.
-// The first level to reach its read threshold wins (any level's
-// threshold guarantees overlap with every committed write at that
-// level, so racing the levels is sound); the winner's version is the
-// maximum among its first r_l valid answers, exactly as the
-// sequential scan took the max of the first r_l responders. ok=false
-// means every level settled without reaching its threshold.
-//
-// Alongside the version, the probes' cross-checksum records are
-// tallied into the expected content hash of the block at the winning
-// version (parity opinions only — the data node's own record must not
-// vouch for its own bytes), so Step 2 can verify what it serves.
-func (s *System) checkVersion(ctx context.Context, st Stripe, block int) (version uint64, ni dataNodeState, expect sumOpinion, ok bool) {
+// judge runs Algorithm 2 for data block `block` on a stripe read's
+// snapshot. Any level's threshold overlaps every committed write at
+// that level, so the first level, in level order, holding r_l valid
+// answers wins without waiting for the ones below it. The chunk is
+// judged only by other nodes' records (opinion leaves the data node
+// out): their plurality at the chunk's version must be known or every
+// parity must have answered, and when the winning level holds no
+// parity position (level 0 with b = 1) every parity must have answered
+// in any case, so the node cannot certify itself on its own record.
+func (s *System) judge(v *stripeView, block int) blockVerdict {
 	cfg := s.lay.Config()
-	type probe struct {
-		level int
-		pos   int
-		shard int
+	winner, live := -1, false
+	var version uint64
+	for l := 0; l <= cfg.Shape.H && winner < 0; l++ {
+		counted, waiting := 0, 0
+		var latest uint64
+		for _, pos := range s.lay.Level(l) {
+			shard := s.shardForPosition(block, pos)
+			a := &v.shards[shard]
+			if !a.answered() {
+				waiting++
+				continue
+			}
+			if a.err != nil {
+				continue
+			}
+			if ver, ok := s.versionOfShard(block, shard, a.versions); ok {
+				latest = max(latest, ver)
+				counted++
+			}
+		}
+		need := cfg.ReadThreshold(l)
+		if counted >= need {
+			winner, version = l, latest
+		}
+		live = live || counted+waiting >= need
 	}
-	var probes []probe
-	type levelState struct {
-		need    int
-		total   int
-		counted int
-		settled int
-		dead    bool
-		version uint64
-	}
-	levels := make([]levelState, cfg.Shape.H+1)
-	for l := 0; l <= cfg.Shape.H; l++ {
-		positions := s.lay.Level(l)
-		levels[l] = levelState{need: cfg.ReadThreshold(l), total: len(positions), version: client.NoVersion}
-		for _, pos := range positions {
-			probes = append(probes, probe{level: l, pos: pos, shard: s.shardForPosition(block, pos)})
-		}
-	}
-	winner := -1
-	dead := 0
-	var niVersion uint64
-	niState := dataNodeUnknown
-	recs := make([][]client.BlockSum, len(probes))
-	Fanout(ctx, s.opLimit(), len(probes), func(cctx context.Context, i int) (verProbe, error) {
-		return hedged(cctx, s.hedge, func(hctx context.Context) (verProbe, error) {
-			vers, sums, err := s.node(st, probes[i].shard).ReadVersions(hctx, chunkID(st.ID, probes[i].shard))
-			return verProbe{versions: vers, sums: sums}, err
-		})
-	}, func(i int, pr verProbe, err error) bool {
-		if err != nil && isCorruptErr(err) {
-			// A quarantined or self-detected-rotten chunk surfaced on the
-			// probe path: record the observation even though the probe
-			// itself just reads as failed.
-			s.reportCorrupt(st, probes[i].shard)
-		}
-		if winner >= 0 || dead > cfg.Shape.H {
-			return true // decided; late stragglers carry no new information
-		}
-		p := probes[i]
-		lv := &levels[p.level]
-		lv.settled++
-		v, valid := uint64(0), false
-		if err == nil {
-			v, valid = s.versionOfShard(block, p.shard, pr.versions)
-		}
-		if valid {
-			if p.pos != 0 {
-				recs[i] = pr.sums
-			}
-			if p.pos == 0 {
-				niState = dataNodeFresh // refined against the winner below
-				niVersion = v
-			}
-			if lv.counted == 0 || v > lv.version {
-				lv.version = v
-			}
-			lv.counted++
-			if lv.counted == lv.need {
-				winner = p.level
-				return false // quorum in hand: cancel the stragglers
-			}
-		} else {
-			if p.pos == 0 {
-				niState = dataNodeFailed
-			}
-			if !lv.dead && lv.counted+(lv.total-lv.settled) < lv.need {
-				lv.dead = true
-				dead++
-				if dead > cfg.Shape.H {
-					return false // no level can reach its threshold any more
-				}
-			}
-		}
-		return true
-	})
 	if winner < 0 {
-		return 0, dataNodeUnknown, sumOpinion{}, false
+		if live {
+			return blockVerdict{state: readUndecided}
+		}
+		return blockVerdict{state: readNoQuorum}
 	}
-	version = levels[winner].version
-	if niState == dataNodeFresh && niVersion < version {
-		niState = dataNodeStale
+	a := &v.shards[block]
+	switch {
+	case !a.answered():
+		return blockVerdict{state: readAwaitChunk, version: version, expect: v.opinion(block, version, block)}
+	case a.err != nil || len(a.versions) == 0 || a.versions[0] < version:
+		return blockVerdict{state: readDecode, version: version, expect: v.opinion(block, version, block)}
 	}
-	tally := make(map[uint64]int)
-	for _, rec := range recs {
-		tallyOpinion(tally, rec, block, version)
+	served := a.versions[0]
+	expect := v.opinion(block, served, block)
+	alone := winner == 0 && len(s.lay.Level(0)) == 1
+	switch {
+	case (alone || !expect.known) && v.recordsPending():
+		return blockVerdict{state: readAwaitRecords, version: version, expect: v.opinion(block, version, block)}
+	case expect.known && a.sum != expect.sum:
+		return blockVerdict{state: readConvicted, version: served, expect: expect}
 	}
-	return version, niState, pluralitySum(tally), true
+	return blockVerdict{state: readDirect, version: served, expect: expect}
 }
 
 // decodeBlock implements Case 2 of Algorithm 2: reconstruct data block
@@ -408,8 +297,8 @@ func (s *System) checkVersion(ctx context.Context, st Stripe, block int) (versio
 // decode the same bytes, so taking the first viable set instead of the
 // largest changes nothing but the latency.
 func (s *System) decodeBlock(ctx context.Context, st Stripe, block int, version uint64, expect sumOpinion) ([]byte, error) {
-	// The hook runs after every answer that can change the sets, so
-	// when the gather returns they are the final view's.
+	// The hook runs after every answer until it stops the gather, so
+	// when the gather returns the sets are the frozen view's.
 	var sets []consistentSet
 	view := s.gather(ctx, st, -1, gatherOpt{hedge: true, stop: func(v *stripeView) bool {
 		sets = v.decodableSets(block, version, block)

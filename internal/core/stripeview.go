@@ -7,14 +7,15 @@ import (
 	"sort"
 
 	"trapquorum/client"
+	"trapquorum/internal/erasure"
 )
 
 // This file holds the one rule everything outside the healthy path
 // rests on — Case 2 of Algorithm 2, "k mutually consistent shards" —
-// and the one gather that feeds it. The degraded read, the verified
-// decode, shard and stripe repair and the scrubber all take a
-// stripeView from gather and judge it with the same three pure
-// functions: decodableSets, opinion and classify.
+// and the one gather that feeds it. The stripe read, the degraded
+// read, the verified decode, shard and stripe repair and the scrubber
+// all take a stripeView from gather; the degraded paths judge it with
+// the same three pure functions: decodableSets, opinion and classify.
 //
 // Consistency is judged on full version vectors, the information the
 // paper's V matrix carries: two parity shards agree iff their vectors
@@ -33,7 +34,14 @@ type shardAnswer struct {
 	versions []uint64
 	sums     []client.BlockSum
 	data     []byte // nil when the gather probed versions only
+	sum      uint64 // erasure.Sum64(data), taken by a probing gather
 	err      error
+}
+
+// answered reports whether the slot holds an answer: a shard the
+// gather has not heard from, or whose RPC it cancelled, gave none.
+func (a *shardAnswer) answered() bool {
+	return !errors.Is(a.err, errNotAsked) && !errors.Is(a.err, context.Canceled)
 }
 
 // stripeView is the snapshot one gather of a stripe took: one answer
@@ -46,13 +54,16 @@ type stripeView struct {
 
 // gatherOpt selects what a gather asks and when it stops.
 type gatherOpt struct {
-	// probe asks the parity shards for their version vectors and
-	// records only (ReadVersions) instead of reading every chunk.
-	probe bool
+	// read, when set, shapes the gather for a stripe read: the parity
+	// shards are asked for their records only (ReadVersions), and a data
+	// shard is read only when read marks it — a read that a gather ending
+	// early abandons rather than cancels (abandonable).
+	read []bool
 	// hedge re-issues slow reads under the system's hedging policy.
 	hedge bool
-	// stop, when set, is consulted after every successful answer; true
-	// cancels the reads still in flight ("first-k").
+	// stop, when set, is consulted after every answer; true cancels the
+	// reads still in flight ("first-k") and freezes the view: answers
+	// settling later are not recorded.
 	stop func(*stripeView) bool
 }
 
@@ -70,27 +81,53 @@ func (s *System) gather(ctx context.Context, st Stripe, without int, opt gatherO
 	if !opt.hedge {
 		hedge = nil
 	}
+	frozen := false
 	Fanout(ctx, s.opLimit(), n, func(cctx context.Context, shard int) (shardAnswer, error) {
-		if shard == without || (opt.probe && shard < k) {
+		stripeRead := opt.read != nil
+		if shard == without || stripeRead && shard < k && !opt.read[shard] {
 			return shardAnswer{}, errNotAsked
 		}
-		return hedged(cctx, hedge, func(hctx context.Context) (shardAnswer, error) {
-			if opt.probe {
-				versions, sums, err := s.node(st, shard).ReadVersions(hctx, chunkID(st.ID, shard))
-				return shardAnswer{versions: versions, sums: sums}, err
-			}
-			chunk, err := s.node(st, shard).ReadChunk(hctx, chunkID(st.ID, shard))
-			return shardAnswer{versions: chunk.Versions, sums: chunk.Sums, data: chunk.Data}, err
-		})
+		ask := func(hctx context.Context) (shardAnswer, error) {
+			return hedged(hctx, hedge, func(hctx context.Context) (shardAnswer, error) {
+				if stripeRead && shard >= k {
+					versions, sums, err := s.node(st, shard).ReadVersions(hctx, chunkID(st.ID, shard))
+					return shardAnswer{versions: versions, sums: sums}, err
+				}
+				chunk, err := s.node(st, shard).ReadChunk(hctx, chunkID(st.ID, shard))
+				a := shardAnswer{versions: chunk.Versions, sums: chunk.Sums, data: chunk.Data}
+				if stripeRead && err == nil {
+					a.sum = erasure.Sum64(chunk.Data)
+				}
+				return a, err
+			})
+		}
+		if stripeRead && shard < k {
+			return abandonable(cctx, ask)
+		}
+		return ask(cctx)
 	}, func(shard int, a shardAnswer, err error) bool {
-		a.err = err
-		v.shards[shard] = a
 		if isCorruptErr(err) {
 			s.reportCorrupt(st, shard)
 		}
-		return err != nil || opt.stop == nil || !opt.stop(v)
+		if frozen {
+			return true
+		}
+		a.err = err
+		v.shards[shard] = a
+		frozen = opt.stop != nil && opt.stop(v)
+		return !frozen
 	})
 	return v
+}
+
+// recordsPending reports whether some parity shard has not answered.
+func (v *stripeView) recordsPending() bool {
+	for shard := v.k; shard < len(v.shards); shard++ {
+		if !v.shards[shard].answered() {
+			return true
+		}
+	}
+	return false
 }
 
 // consistentSet is one mutually consistent set of shards: the version

@@ -268,7 +268,7 @@ func TestGatherSkipsAndReports(t *testing.T) {
 		t.Errorf("corruption reports = %d, want 1", reports)
 	}
 	chunk0, probe0 := ts.nodeRPCs()
-	view = ts.sys.gather(ctx, ts.stripe(1), -1, gatherOpt{probe: true})
+	view = ts.sys.gather(ctx, ts.stripe(1), -1, gatherOpt{read: make([]bool, 8)})
 	chunk1, probe1 := ts.nodeRPCs()
 	if chunk1 != chunk0 || probe1-probe0 != 7 {
 		t.Errorf("probe issued %d ReadChunk and %d ReadVersions, want 0 and 7", chunk1-chunk0, probe1-probe0)

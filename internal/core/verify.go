@@ -60,15 +60,6 @@ func pluralitySum(tally map[uint64]int) sumOpinion {
 	return sumOpinion{sum: best, known: true}
 }
 
-// gatherExpected establishes the expected content hash of a block by
-// probing every parity shard's record explicitly. Used when the
-// version-check quorum settled without a single parity opinion (a
-// one-node level can win on the data node alone) — serving the data
-// node's bytes on its own say-so would let a lying N_i self-certify.
-func (s *System) gatherExpected(ctx context.Context, st Stripe, block int, version uint64) sumOpinion {
-	return s.gather(ctx, st, -1, gatherOpt{probe: true}).opinion(block, version, block)
-}
-
 // verifiedDecode is the escalation path of Case 2: a fast decode
 // produced bytes the record plurality disavows, so some member of the
 // chosen set lied (or rotted undetected). It gathers every shard with

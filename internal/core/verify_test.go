@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"trapquorum/client"
+	"trapquorum/internal/erasure"
 	"trapquorum/internal/nodeengine"
 	"trapquorum/internal/trapezoid"
 )
@@ -110,6 +112,75 @@ func TestReadBlockSurvivesLyingDataNode(t *testing.T) {
 	}
 	if !rep.Healthy {
 		t.Fatalf("scrub after the node stopped lying: %v", rep)
+	}
+}
+
+// TestStripeReadSurvivesLyingDataNode: one stripe read over a lying
+// data node on a b = 1 shape, where only the parity records can judge
+// its bytes, serves the other blocks directly, decodes the liar's block
+// alone and convicts the liar.
+func TestStripeReadSurvivesLyingDataNode(t *testing.T) {
+	ts := newTestSystem(t, 9, 6, trapezoid.Shape{A: 2, B: 1, H: 1}, 2, Options{})
+	log := newCorruptionLog(ts.sys)
+	const stripe, liar = 1, 4
+	data := ts.seed(t, stripe, 64)
+
+	ts.shardNode(liar).SetReadCorrupt(true)
+	got, _, err := ts.sys.ReadStripe(context.Background(), ts.stripe(stripe), 0, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		if !bytes.Equal(got[i], data[i]) {
+			t.Fatalf("block %d: wrong bytes", i)
+		}
+	}
+	if log.reports(liar) == 0 {
+		t.Fatalf("lying node %d was never convicted", liar)
+	}
+	if m := ts.sys.Metrics(); m.DirectReads != int64(len(data)-1) || m.DecodeReads != 1 {
+		t.Fatalf("direct reads %d, decode reads %d; want %d and 1", m.DirectReads, m.DecodeReads, len(data)-1)
+	}
+}
+
+// TestOneNodeLevelWaitsForEveryParityRecord: on a b = 1 shape, a
+// parity record that vouches for a lying data node's bytes must not be
+// enough to serve them, however early it lands. The read waits for
+// every parity record, and the honest plurality convicts the liar.
+func TestOneNodeLevelWaitsForEveryParityRecord(t *testing.T) {
+	ts := newTestSystem(t, 9, 6, trapezoid.Shape{A: 2, B: 1, H: 1}, 2, Options{})
+	log := newCorruptionLog(ts.sys)
+	ctx := context.Background()
+	const stripe, liar, forger = 1, 2, 6
+	data := ts.seed(t, stripe, 64)
+
+	// The liar flips its first served byte; the forger's record for the
+	// liar's block agrees with the flipped bytes.
+	lie := append([]byte(nil), data[liar]...)
+	lie[0] ^= 0xa5
+	chunk, err := ts.shardNode(forger).ReadChunk(ctx, chunkID(stripe, forger))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := append([]client.BlockSum(nil), chunk.Sums...)
+	sums[liar].Sum = erasure.Sum64(lie)
+	if err := ts.shardNode(forger).PutChunk(ctx, chunkID(stripe, forger), chunk.Data, chunk.Versions, sums...); err != nil {
+		t.Fatal(err)
+	}
+	ts.shardNode(liar).SetReadCorrupt(true)
+	for _, honest := range []int{7, 8} {
+		ts.shardNode(honest).SetDelay(func(string) time.Duration { return 20 * time.Millisecond })
+	}
+
+	got, _, err := ts.sys.ReadBlock(ctx, ts.stripe(stripe), liar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data[liar]) {
+		t.Fatal("served the lying data node's bytes on one forged record")
+	}
+	if log.reports(liar) == 0 {
+		t.Fatalf("lying node %d was never convicted", liar)
 	}
 }
 

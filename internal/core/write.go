@@ -75,7 +75,7 @@ func (s *System) WriteBlock(ctx context.Context, st Stripe, block int, x []byte)
 	defer s.unlockBlock(key, s.lockBlock(key))
 
 	// Algorithm 1 line 15: read the old value and version.
-	old, oldVersion, err := s.readBlock(ctx, st, block)
+	olds, oldVersions, err := s.readStripe(ctx, st, block, 1)
 	if err != nil {
 		s.metrics.FailedWrites.Add(1)
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -84,6 +84,7 @@ func (s *System) WriteBlock(ctx context.Context, st Stripe, block int, x []byte)
 		return &OpError{Op: "write", Stripe: stripe, Block: block, Level: -1, Node: -1,
 			Err: fmt.Errorf("%w: initial read failed: %v", ErrWriteFailed, err)}
 	}
+	old, oldVersion := olds[0], oldVersions[0]
 	newVersion := oldVersion + 1
 	// The writer is the one party that knows the new content before it
 	// is sharded: it distributes the content hash to every node it

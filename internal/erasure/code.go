@@ -17,7 +17,7 @@
 // rows), blocks are processed in cache-sized segments that can be
 // fanned across a bounded worker set (WithParallelism), and every hot
 // operation has a destination-buffer variant (EncodeInto,
-// ReconstructInto, RepairShardInto, DecodeBlockInto) so steady-state
+// ReconstructInto, RepairShardInto) so steady-state
 // traffic runs allocation-free over pooled buffers. See DESIGN.md
 // "Buffer ownership" for the aliasing and retention rules.
 package erasure

@@ -78,23 +78,9 @@ func (c *Code) DecodeBlock(i int, shards [][]byte) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeBlockInto is DecodeBlock with a caller-provided destination:
-// dst must have exactly the shard size and is fully overwritten. On
-// the cached-decode path it performs no allocation, which makes it the
-// steady-state read primitive over pooled buffers.
-func (c *Code) DecodeBlockInto(dst []byte, i int, shards [][]byte) error {
-	size, err := c.checkShape(shards)
-	if err != nil {
-		return err
-	}
-	if len(dst) != size {
-		return fmt.Errorf("%w: destination has %d bytes, expected %d", ErrShardSize, len(dst), size)
-	}
-	return c.decodeBlockInto(dst, i, shards)
-}
-
-// decodeBlockInto is the shape-validated body shared by DecodeBlock
-// and DecodeBlockInto: dst is known to match the shard size.
+// decodeBlockInto is DecodeBlock's shape-validated body: dst is known
+// to match the shard size. On the cached-decode path it performs no
+// allocation.
 func (c *Code) decodeBlockInto(dst []byte, i int, shards [][]byte) error {
 	if i < 0 || i >= c.k {
 		return fmt.Errorf("erasure: DecodeBlock index %d out of range [0,%d)", i, c.k)

@@ -3,8 +3,12 @@ package erasure
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"trapquorum/internal/blockpool"
+	"trapquorum/internal/gf256"
 )
 
 func mustCode(t testing.TB, n, k int) *Code {
@@ -434,9 +438,10 @@ func TestDeltaUpdatesCommute(t *testing.T) {
 func TestDataDelta(t *testing.T) {
 	old := []byte{1, 2, 3}
 	new_ := []byte{1, 0, 0xff}
-	d := DataDelta(old, new_)
+	d := make([]byte, len(new_))
+	DataDeltaInto(d, old, new_)
 	if !bytes.Equal(d, []byte{0, 2, 0xfc}) {
-		t.Fatalf("DataDelta = %v", d)
+		t.Fatalf("DataDeltaInto = %v", d)
 	}
 }
 
@@ -446,7 +451,31 @@ func TestDataDeltaMismatchPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	DataDelta([]byte{1}, []byte{1, 2})
+	DataDeltaInto(make([]byte, 2), []byte{1}, []byte{1, 2})
+}
+
+// UpdateParity is the oracle of the delta-update tests: it folds
+// α_{j,i}·(new−old) into parity block j in place, the effect one write
+// has on parity node j.
+func (c *Code) UpdateParity(parity []byte, j, i int, oldData, newData []byte) {
+	scratch := blockpool.GetBlock(len(newData))
+	DataDeltaInto(scratch.B, oldData, newData)
+	gf256.MulAddSlice(c.Coefficient(j, i), parity, scratch.B)
+	scratch.Release()
+}
+
+// DecodeBlockInto is DecodeBlock into a caller-provided destination of
+// exactly the shard size — the allocation tests' window onto the
+// decode path.
+func (c *Code) DecodeBlockInto(dst []byte, i int, shards [][]byte) error {
+	size, err := c.checkShape(shards)
+	if err != nil {
+		return err
+	}
+	if len(dst) != size {
+		return fmt.Errorf("%w: destination has %d bytes, expected %d", ErrShardSize, len(dst), size)
+	}
+	return c.decodeBlockInto(dst, i, shards)
 }
 
 func TestParityAdjustmentDataRowPanics(t *testing.T) {

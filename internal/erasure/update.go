@@ -3,20 +3,12 @@ package erasure
 import (
 	"fmt"
 
-	"trapquorum/internal/blockpool"
 	"trapquorum/internal/gf256"
 )
 
-// DataDelta returns newData − oldData (elementwise XOR in GF(2^8)),
-// the quantity (x − chunk) of Algorithm 1 line 27. Both slices must
-// have equal length.
-func DataDelta(oldData, newData []byte) []byte {
-	out := make([]byte, len(newData))
-	DataDeltaInto(out, oldData, newData)
-	return out
-}
-
-// DataDeltaInto computes newData − oldData into dst, overwriting it.
+// DataDeltaInto computes newData − oldData (elementwise XOR in
+// GF(2^8)), the quantity (x − chunk) of Algorithm 1 line 27, into dst,
+// overwriting it.
 // All three slices must have equal length; dst may alias newData (the
 // in-place delta of a buffer being replaced) but not oldData.
 func DataDeltaInto(dst, oldData, newData []byte) {
@@ -53,17 +45,4 @@ func ApplyAdjustment(block, adjustment []byte) {
 		panic(fmt.Sprintf("erasure: ApplyAdjustment length mismatch %d vs %d", len(block), len(adjustment)))
 	}
 	gf256.XorSlice(block, adjustment)
-}
-
-// UpdateParity is the full update pipeline for one parity block:
-// it computes α_{j,i}·(new−old) and applies it to parity in place.
-// Equivalent to, but cheaper than, re-encoding the stripe; runs over
-// pooled scratch, allocating nothing.
-func (c *Code) UpdateParity(parity []byte, j, i int, oldData, newData []byte) {
-	scratch := blockpool.GetBlock(len(newData))
-	DataDeltaInto(scratch.B, oldData, newData)
-	// parity ^= α·delta is a single fused multiply-accumulate; no
-	// separate adjustment buffer needed.
-	gf256.MulAddSlice(c.Coefficient(j, i), parity, scratch.B)
-	scratch.Release()
 }

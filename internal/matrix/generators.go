@@ -24,25 +24,6 @@ func Vandermonde(rows, cols int) *Matrix {
 	return m
 }
 
-// Cauchy returns the rows×cols Cauchy matrix with
-// C[r][c] = 1 / (x_r + y_c) where x_r = r and y_c = rows + c. Every
-// square submatrix of a Cauchy matrix is invertible. rows+cols must not
-// exceed 256 so that all x and y are distinct field elements.
-func Cauchy(rows, cols int) *Matrix {
-	if rows+cols > 256 {
-		panic(fmt.Sprintf("matrix: Cauchy %d+%d exceeds field size", rows, cols))
-	}
-	m := New(rows, cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			x := byte(r)
-			y := byte(rows + c)
-			m.Set(r, c, gf256.Inv(gf256.Add(x, y)))
-		}
-	}
-	return m
-}
-
 // Systematic returns the n×k generator matrix of a systematic (n,k)
 // MDS code: the top k×k block is the identity (original blocks are
 // stored verbatim) and the bottom (n−k)×k block holds the parity

@@ -17,49 +17,6 @@ func (m *Matrix) Invert() (*Matrix, error) {
 	return work.SubMatrix(0, n, n, 2*n), nil
 }
 
-// IsSingular reports whether a square matrix has no inverse. Non-square
-// matrices are reported singular.
-func (m *Matrix) IsSingular() bool {
-	if m.rows != m.cols {
-		return true
-	}
-	_, err := m.Clone().InvertInPlaceCheck()
-	return err != nil
-}
-
-// InvertInPlaceCheck row-reduces a clone of the square part to detect
-// singularity without allocating the augmented identity. It returns the
-// rank reached and ErrSingular when rank < n.
-func (m *Matrix) InvertInPlaceCheck() (int, error) {
-	n := m.rows
-	for col := 0; col < n; col++ {
-		pivot := -1
-		for r := col; r < n; r++ {
-			if m.At(r, col) != 0 {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			return col, ErrSingular
-		}
-		m.SwapRows(col, pivot)
-		pivotRow := m.rowView(col)
-		inv := gf256.Inv(pivotRow[col])
-		gf256.MulSlice(inv, pivotRow, pivotRow)
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			factor := m.At(r, col)
-			if factor != 0 {
-				gf256.MulAddSlice(factor, m.rowView(r), pivotRow)
-			}
-		}
-	}
-	return n, nil
-}
-
 // gaussJordan reduces the left square block of an augmented matrix
 // [A | B] to the identity, transforming B into A^-1·B in place.
 func (m *Matrix) gaussJordan() error {
@@ -90,38 +47,4 @@ func (m *Matrix) gaussJordan() error {
 		}
 	}
 	return nil
-}
-
-// Rank returns the rank of the matrix (number of linearly independent
-// rows). The receiver is not modified.
-func (m *Matrix) Rank() int {
-	work := m.Clone()
-	rank := 0
-	for col := 0; col < work.cols && rank < work.rows; col++ {
-		pivot := -1
-		for r := rank; r < work.rows; r++ {
-			if work.At(r, col) != 0 {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		work.SwapRows(rank, pivot)
-		pivotRow := work.rowView(rank)
-		inv := gf256.Inv(pivotRow[col])
-		gf256.MulSlice(inv, pivotRow, pivotRow)
-		for r := 0; r < work.rows; r++ {
-			if r == rank {
-				continue
-			}
-			factor := work.At(r, col)
-			if factor != 0 {
-				gf256.MulAddSlice(factor, work.rowView(r), pivotRow)
-			}
-		}
-		rank++
-	}
-	return rank
 }

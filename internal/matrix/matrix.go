@@ -144,24 +144,6 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns the matrix-vector product m·v as a new slice. It
-// panics if len(v) != Cols().
-func (m *Matrix) MulVec(v []byte) []byte {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("matrix: vector length %d, want %d", len(v), m.cols))
-	}
-	out := make([]byte, m.rows)
-	for r := 0; r < m.rows; r++ {
-		row := m.rowView(r)
-		var acc byte
-		for c, coeff := range row {
-			acc ^= gf256.Mul(coeff, v[c])
-		}
-		out[r] = acc
-	}
-	return out
-}
-
 // SelectRows returns a new matrix made of the given rows, in order.
 // Rows may repeat. It panics on out-of-range indices.
 func (m *Matrix) SelectRows(idx []int) *Matrix {

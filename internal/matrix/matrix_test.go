@@ -109,35 +109,6 @@ func TestMulShapeMismatchPanics(t *testing.T) {
 	New(2, 3).Mul(New(2, 3))
 }
 
-func TestMulVecMatchesMul(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		a := randMatrix(r, 6, 4)
-		v := make([]byte, 4)
-		r.Read(v)
-		col := New(4, 1)
-		for i, x := range v {
-			col.Set(i, 0, x)
-		}
-		want := a.Mul(col)
-		got := a.MulVec(v)
-		for i := range got {
-			if got[i] != want.At(i, 0) {
-				t.Fatalf("MulVec[%d] = %d, want %d", i, got[i], want.At(i, 0))
-			}
-		}
-	}
-}
-
-func TestMulVecLengthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MulVec length mismatch did not panic")
-		}
-	}()
-	New(2, 3).MulVec([]byte{1, 2})
-}
-
 func TestCloneIndependent(t *testing.T) {
 	m := FromRows([][]byte{{1, 2}, {3, 4}})
 	c := m.Clone()
@@ -269,23 +240,6 @@ func TestInvertDoesNotModifyReceiver(t *testing.T) {
 	}
 	if !m.Equal(orig) {
 		t.Fatal("Invert modified receiver")
-	}
-}
-
-func TestRank(t *testing.T) {
-	if got := Identity(4).Rank(); got != 4 {
-		t.Fatalf("Rank(I4) = %d", got)
-	}
-	if got := New(3, 3).Rank(); got != 0 {
-		t.Fatalf("Rank(zero) = %d", got)
-	}
-	m := FromRows([][]byte{{1, 2, 3}, {2, 4, 6}, {0, 0, 1}}) // row1 = 2*row0 in GF(2^8)
-	if got := m.Rank(); got != 2 {
-		t.Fatalf("Rank = %d, want 2", got)
-	}
-	// Rank of a wide full-rank matrix equals its row count.
-	if got := Vandermonde(3, 5).Rank(); got != 3 {
-		t.Fatalf("Rank(V 3x5) = %d, want 3", got)
 	}
 }
 

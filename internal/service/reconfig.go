@@ -565,11 +565,11 @@ func (f *Fleet) broadcastEpoch(ctx context.Context, installed, retired uint64) e
 }
 
 // migrateObject moves one object into the target epoch: under the
-// object's exclusive lock, stream it out of its current stripes block
-// by block into the one seeding pipeline (seedStream) on the target
-// placement — two stripes of memory however large the object, source
+// object's exclusive lock, stream it out of its current stripes stripe
+// by stripe into the one seeding pipeline (seedStream) on the target
+// placement — a few stripes of memory however large the object, source
 // reads overlapping target seeds — swap the directory entry atomically,
-// then drop the old chunks. A source block that cannot be read, or a
+// then drop the old chunks. A source stripe that cannot be read, or a
 // seed that fails, unwinds the target stripes and leaves the object
 // serving from its old epoch; the step is retried. Readers never block
 // — they retry across the swap with refreshed metadata; writers and
@@ -589,7 +589,9 @@ func (s *Store) migrateObject(ctx context.Context, key string, target *epochCfg)
 	src := objectMeta{size: m.size, stripes: append([]uint64(nil), m.stripes...), ec: m.ec}
 	f.mu.Unlock()
 
-	placed, err := s.seedStream(ctx, target, s.objectReader(ctx, key, src), src.size)
+	r := s.objectReader(ctx, key, src)
+	defer r.close()
+	placed, err := s.seedStream(ctx, target, r, src.size)
 	if err != nil {
 		return 0, err
 	}

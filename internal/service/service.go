@@ -545,8 +545,10 @@ func (s *Store) GetAppend(ctx context.Context, key string, dst []byte) ([]byte, 
 		return dst, err
 	}
 	out := dst
-	for o := s.objectReader(ctx, key, m); ; {
-		data, err := o.next()
+	o := s.objectReader(ctx, key, m)
+	defer o.close()
+	for {
+		data, err := o.block()
 		if err == io.EOF {
 			break
 		}
@@ -600,24 +602,26 @@ func (s *Store) locate(m objectMeta, logicalBlock int) (placedStripe, int, error
 	return p, logicalBlock % k, nil
 }
 
-// readLogicalBlock reads one logical block of the object, retrying
-// with refreshed metadata when a concurrent migration moved the object
-// between epochs mid-read (the old stripes vanish; the same logical
-// block is re-read from the new ones — the byte mapping is
-// epoch-invariant). When the metadata did not change, the failure is
-// real and surfaces after a single attempt, so read error latency is
-// untouched outside reconfigurations. On a successful retry *m is left
-// refreshed for the caller's next blocks.
-func (s *Store) readLogicalBlock(ctx context.Context, m *objectMeta, key string, logical int) ([]byte, error) {
+// readStripeAt reads the object's logical blocks from `logical` on, at
+// most limit of them and no further than the end of the stripe holding
+// it, through one stripe read. It retries with refreshed metadata when
+// a concurrent migration moved the object between epochs mid-read (the
+// old stripes vanish; the same logical blocks are re-read from the new
+// ones — the byte mapping is epoch-invariant, only the stripe bounds
+// follow the epoch's k). When the metadata did not change, the failure
+// is real and surfaces after a single attempt, so read error latency
+// is untouched outside reconfigurations. On a successful retry *m is
+// left refreshed for the caller's next stripes.
+func (s *Store) readStripeAt(ctx context.Context, m *objectMeta, key string, logical, limit int) ([][]byte, error) {
 	for attempt := 0; ; attempt++ {
 		p, idx, err := s.locate(*m, logical)
 		if err == nil {
-			var data []byte
-			data, _, err = p.ec.sys.ReadBlock(ctx, p.Stripe, idx)
+			var blocks [][]byte
+			blocks, _, err = p.ec.sys.ReadStripe(ctx, p.Stripe, idx, min(p.ec.k-idx, limit))
 			if err == nil {
-				return data, nil
+				return blocks, nil
 			}
-			err = fmt.Errorf("stripe %d block %d: %w", p.ID, idx, err)
+			err = fmt.Errorf("stripe %d: %w", p.ID, err)
 		}
 		if attempt >= 2 {
 			return nil, err
@@ -635,7 +639,8 @@ func (s *Store) readLogicalBlock(ctx context.Context, m *objectMeta, key string,
 }
 
 // ReadAt reads length bytes at the given offset through quorum reads
-// of only the affected blocks.
+// of only the affected blocks, one stripe read per stripe the range
+// touches.
 func (s *Store) ReadAt(ctx context.Context, key string, offset, length int) ([]byte, error) {
 	out, err := s.ReadAtAppend(ctx, key, offset, length, nil)
 	if err != nil {
@@ -648,7 +653,6 @@ func (s *Store) ReadAt(ctx context.Context, key string, offset, length int) ([]b
 // to dst (which may be nil) and returning the extended slice — the
 // destination-buffer variant of ReadAt (see GetAppend).
 func (s *Store) ReadAtAppend(ctx context.Context, key string, offset, length int, dst []byte) ([]byte, error) {
-	f := s.fleet
 	m, err := s.meta(key)
 	if err != nil {
 		return dst, err
@@ -658,20 +662,20 @@ func (s *Store) ReadAtAppend(ctx context.Context, key string, offset, length int
 	}
 	out := out0(dst, length)
 	served := length
+	bs := s.fleet.cfg.BlockSize
 	for length > 0 {
-		logical := offset / f.cfg.BlockSize
-		within := offset % f.cfg.BlockSize
-		data, err := s.readLogicalBlock(ctx, &m, key, logical)
+		within := offset % bs
+		blocks, err := s.readStripeAt(ctx, &m, key, offset/bs, (within+length+bs-1)/bs)
 		if err != nil {
 			return dst, err
 		}
-		take := len(data) - within
-		if take > length {
-			take = length
+		for _, data := range blocks {
+			take := min(len(data)-within, length)
+			out = append(out, data[within:within+take]...)
+			offset += take
+			length -= take
+			within = 0
 		}
-		out = append(out, data[within:within+take]...)
-		offset += take
-		length -= take
 	}
 	s.ctr.readAts.Add(1)
 	s.ctr.bytesOut.Add(int64(served))

@@ -14,7 +14,7 @@ import (
 // the previous stripe is being encoded and seeded — a bounded pipeline
 // of depth one — so an object of any size moves through at most two
 // stripes of memory and never materialises in a single buffer.
-// GetWriter streams one back out a block at a time.
+// GetWriter streams one back out a stripe at a time.
 
 // PutReader stores size bytes read from r under key. The key must not
 // exist (ErrExists otherwise; objects are immutable in extent — use
@@ -185,45 +185,91 @@ func releaseBlocks(blks []*blockpool.Block) {
 	}
 }
 
-// objectReader walks an object's logical blocks through quorum reads,
-// trimmed to its size, one block in memory at a time: the io.Reader
-// the migration feeds seedStream from, and as an io.WriterTo the walk
-// behind GetWriter.
+// objectReader walks an object's logical blocks through stripe reads,
+// trimmed to its size: the io.Reader the migration feeds seedStream
+// from, and as an io.WriterTo the walk behind Get and GetWriter. It
+// reads one stripe per call, never a padding block past the object's
+// end, and keeps the next stripe's read in flight while the current
+// one is handed out — two stripes in memory whatever the object's
+// size. close ends the read in flight.
 type objectReader struct {
 	ctx       context.Context
+	cancel    context.CancelFunc
 	s         *Store
 	key       string
-	m         objectMeta
-	logical   int    // next logical block to read
-	remaining int    // object bytes not yet read
-	buf       []byte // unread tail of the current block (Read only)
+	m         objectMeta      // the metadata the next read starts from
+	next, end int             // next logical block to read; blocks the object spans
+	remaining int             // object bytes not yet handed out
+	ahead     chan stripeRead // the read in flight, nil when none
+	blocks    [][]byte        // the current stripe's blocks not yet handed out
+	buf       []byte          // unread tail of the current block (Read only)
+}
+
+// stripeRead is one stripe read's blocks and the metadata it ended on.
+type stripeRead struct {
+	blocks [][]byte
+	m      objectMeta
+	err    error
 }
 
 func (s *Store) objectReader(ctx context.Context, key string, m objectMeta) *objectReader {
-	return &objectReader{ctx: ctx, s: s, key: key, m: m, remaining: m.size}
+	ctx, cancel := context.WithCancel(ctx)
+	bs := s.fleet.cfg.BlockSize
+	return &objectReader{ctx: ctx, cancel: cancel, s: s, key: key, m: m, end: (m.size + bs - 1) / bs, remaining: m.size}
 }
 
-// next returns the object's next logical block, io.EOF past its end.
-func (o *objectReader) next() ([]byte, error) {
-	if o.remaining == 0 {
-		return nil, io.EOF
+// fetch starts reading the stripe holding logical block first, from
+// there on.
+func (o *objectReader) fetch(m objectMeta, first int) chan stripeRead {
+	ch := make(chan stripeRead, 1)
+	go func() {
+		blocks, err := o.s.readStripeAt(o.ctx, &m, o.key, first, o.end-first)
+		ch <- stripeRead{blocks: blocks, m: m, err: err}
+	}()
+	return ch
+}
+
+// block returns the object's next logical block, io.EOF past its end.
+func (o *objectReader) block() ([]byte, error) {
+	if len(o.blocks) == 0 {
+		if o.remaining == 0 {
+			return nil, io.EOF
+		}
+		if o.ahead == nil {
+			o.ahead = o.fetch(o.m, o.next)
+		}
+		r := <-o.ahead
+		o.ahead = nil
+		if r.err != nil {
+			return nil, r.err
+		}
+		o.m, o.blocks = r.m, r.blocks
+		if o.next += len(r.blocks); o.next < o.end {
+			o.ahead = o.fetch(o.m, o.next)
+		}
 	}
-	data, err := o.s.readLogicalBlock(o.ctx, &o.m, o.key, o.logical)
-	if err != nil {
-		return nil, err
-	}
+	data := o.blocks[0]
+	o.blocks = o.blocks[1:]
 	if len(data) > o.remaining {
 		data = data[:o.remaining]
 	}
-	o.logical++
 	o.remaining -= len(data)
 	return data, nil
+}
+
+// close cancels the read in flight, if any, and waits for it.
+func (o *objectReader) close() {
+	o.cancel()
+	if o.ahead != nil {
+		<-o.ahead
+		o.ahead = nil
+	}
 }
 
 func (o *objectReader) Read(p []byte) (int, error) {
 	if len(o.buf) == 0 {
 		var err error
-		if o.buf, err = o.next(); err != nil {
+		if o.buf, err = o.block(); err != nil {
 			return 0, err
 		}
 	}
@@ -237,7 +283,7 @@ func (o *objectReader) Read(p []byte) (int, error) {
 func (o *objectReader) WriteTo(w io.Writer) (int64, error) {
 	var written int64
 	for {
-		data, err := o.next()
+		data, err := o.block()
 		if err == io.EOF {
 			return written, nil
 		}
@@ -252,16 +298,19 @@ func (o *objectReader) WriteTo(w io.Writer) (int64, error) {
 	}
 }
 
-// GetWriter streams the object to w through quorum reads, one block at
-// a time — peak memory is one block plus the protocol's own working
-// set, however large the object. It returns the bytes written; on a
-// read or write error the count says how much of the object reached w.
+// GetWriter streams the object to w through quorum reads, one stripe
+// at a time with the next one read ahead — peak memory is two stripes
+// plus the protocol's own working set, however large the object. It
+// returns the bytes written; on a read or write error the count says
+// how much of the object reached w.
 func (s *Store) GetWriter(ctx context.Context, key string, w io.Writer) (int64, error) {
 	m, err := s.meta(key)
 	if err != nil {
 		return 0, err
 	}
-	written, err := s.objectReader(ctx, key, m).WriteTo(w)
+	o := s.objectReader(ctx, key, m)
+	defer o.close()
+	written, err := o.WriteTo(w)
 	if err != nil {
 		return written, err
 	}

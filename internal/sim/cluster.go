@@ -177,18 +177,6 @@ func (c *Cluster) RestartAll() {
 	}
 }
 
-// TotalMetrics aggregates the operation counters across all nodes.
-func (c *Cluster) TotalMetrics() (reads, writes, adds, versionQueries int64) {
-	for _, n := range c.Nodes() {
-		m := n.Metrics()
-		reads += m.Reads.Load()
-		writes += m.Writes.Load()
-		adds += m.Adds.Load()
-		versionQueries += m.VersionQueries.Load()
-	}
-	return
-}
-
 // Close stops every node actor. The cluster is unusable afterwards.
 func (c *Cluster) Close() {
 	c.once.Do(func() {
