@@ -191,6 +191,40 @@ func TestWriteValidation(t *testing.T) {
 	if err := ts.sys.WriteBlock(context.Background(), ts.stripe(1), 0, make([]byte, 31)); !errors.Is(err, ErrBlockSize) {
 		t.Fatalf("err = %v", err)
 	}
+	// A patch must be non-empty and lie inside the block.
+	for _, r := range []struct{ off, n int }{{-1, 4}, {0, 0}, {30, 3}, {32, 1}} {
+		if err := ts.sys.WriteBlockAt(context.Background(), ts.stripe(1), 0, r.off, make([]byte, r.n)); !errors.Is(err, ErrBlockSize) {
+			t.Fatalf("patch [%d,%d): err = %v", r.off, r.off+r.n, err)
+		}
+	}
+	if err := ts.sys.WriteBlockAt(context.Background(), ts.stripe(1), 8, 0, make([]byte, 4)); !errors.Is(err, ErrBadIndex) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestWriteBlockAtPatchesInPlace: a patch rewrites only its bytes and
+// bumps the block's version like a whole-block write.
+func TestWriteBlockAtPatchesInPlace(t *testing.T) {
+	ts := fig3System(t, Options{})
+	data := ts.seed(t, 1, 64)
+	want := append([]byte(nil), data[3]...)
+	patch := []byte("patched")
+	copy(want[20:], patch)
+	if err := ts.sys.WriteBlockAt(context.Background(), ts.stripe(1), 3, 20, patch); err != nil {
+		t.Fatal(err)
+	}
+	got, version, err := ts.sys.ReadBlock(context.Background(), ts.stripe(1), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if version != 2 || !bytes.Equal(got, want) {
+		t.Fatalf("after the patch: version %d, bytes match %v", version, bytes.Equal(got, want))
+	}
+	// The parities took the patch's delta: a decode agrees.
+	ts.cluster.Crash(3)
+	if got, _, err = ts.sys.ReadBlock(context.Background(), ts.stripe(1), 3); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("degraded read after the patch: %v", err)
+	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {

@@ -29,14 +29,30 @@ type appliedUpdate struct {
 }
 
 // WriteBlock implements Algorithm 1: write value x into data block
-// `block` of a stripe.
+// `block` of a stripe — the whole-block case of WriteBlockAt, so x must
+// be exactly the stripe's block size.
+func (s *System) WriteBlock(ctx context.Context, st Stripe, block int, x []byte) error {
+	if err := s.checkWrite(st, block); err != nil {
+		return err
+	}
+	if len(x) != st.BlockSize {
+		return fmt.Errorf("%w: got %d bytes, stripe uses %d", ErrBlockSize, len(x), st.BlockSize)
+	}
+	return s.writeBlock(ctx, st, block, 0, x)
+}
+
+// WriteBlockAt implements Algorithm 1 for bytes [off, off+len(p)) of
+// data block `block`: the block's other bytes keep their content.
 //
 // The protocol first performs a full read of the block (line 15) to
-// learn the current version and content, computes the parity delta
-// α_{j,i}·(x−old), then updates the trapezoid nodes — the data node
-// receives the new block outright, each parity node receives the delta
-// conditionally on its version matching the version just read. Every
-// node update, across all levels, is issued in parallel through the
+// learn the current version and content, patches p into that content,
+// computes the parity delta α_{j,i}·(x−old), then updates the
+// trapezoid nodes — the data node receives the patched block outright,
+// each parity node receives the delta conditionally on its version
+// matching the version just read. The read, the patch and the updates
+// all run under the block's writer lock, so writers of disjoint byte
+// ranges of one block never lose each other's bytes. Every node
+// update, across all levels, is issued in parallel through the
 // dispatch engine, so write latency tracks the slowest individual node
 // RPC instead of the sum over the quorum. A level that cannot reach
 // w_l successful updates fails the write (lines 35–37); the failure is
@@ -53,17 +69,28 @@ type appliedUpdate struct {
 // the write the same way — the partial footprint is rolled back and
 // nothing commits — and the returned OpError wraps the context's
 // error.
-func (s *System) WriteBlock(ctx context.Context, st Stripe, block int, x []byte) error {
+func (s *System) WriteBlockAt(ctx context.Context, st Stripe, block, off int, p []byte) error {
+	if err := s.checkWrite(st, block); err != nil {
+		return err
+	}
+	if off < 0 || len(p) == 0 || off+len(p) > st.BlockSize {
+		return fmt.Errorf("%w: bytes [%d,%d) of a %d-byte block", ErrBlockSize, off, off+len(p), st.BlockSize)
+	}
+	return s.writeBlock(ctx, st, block, off, p)
+}
+
+// checkWrite validates a write's block index and handle.
+func (s *System) checkWrite(st Stripe, block int) error {
 	if block < 0 || block >= s.code.K() {
 		return fmt.Errorf("%w: %d of k=%d", ErrBadIndex, block, s.code.K())
 	}
-	if err := s.check(st); err != nil {
-		return err
-	}
+	return s.check(st)
+}
+
+// writeBlock is Algorithm 1's one body, behind WriteBlock and
+// WriteBlockAt, on a validated request.
+func (s *System) writeBlock(ctx context.Context, st Stripe, block, off int, p []byte) error {
 	size := st.BlockSize
-	if len(x) != size {
-		return fmt.Errorf("%w: got %d bytes, stripe uses %d", ErrBlockSize, len(x), size)
-	}
 	stripe := st.ID
 	if err := ctx.Err(); err != nil {
 		// Counted like every other aborted write attempt, so the
@@ -86,6 +113,17 @@ func (s *System) WriteBlock(ctx context.Context, st Stripe, block int, x []byte)
 	}
 	old, oldVersion := olds[0], oldVersions[0]
 	newVersion := oldVersion + 1
+	// The new value x: p itself for a whole block, otherwise the old
+	// content with p patched in, in a pooled buffer (the transports
+	// snapshot what they send).
+	x := p
+	if len(p) != size {
+		xBlk := blockpool.GetBlock(size)
+		defer xBlk.Release()
+		x = xBlk.B
+		copy(x, old)
+		copy(x[off:], p)
+	}
 	// The writer is the one party that knows the new content before it
 	// is sharded: it distributes the content hash to every node it
 	// touches, so readers can later verify the data node's bytes against

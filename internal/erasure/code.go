@@ -384,7 +384,7 @@ func (c *Code) Encode(data [][]byte) ([][]byte, error) {
 }
 
 // Verify checks that the parity blocks are consistent with the data
-// blocks. All n shards must be present (non-nil); use Reconstruct
+// blocks. All n shards must be present (non-nil); use ReconstructInto
 // first if some are missing. Verification re-derives the parity
 // word-wise per segment and compares lanes in place, allocating
 // nothing beyond pooled scratch.

@@ -102,22 +102,16 @@ func (c *Code) decodeBlockInto(dst []byte, i int, shards [][]byte) error {
 	return nil
 }
 
-// Reconstruct fills every nil entry of shards (data and parity alike)
-// from the k (or more) present shards, in place, allocating the
-// missing blocks. Present shards are never modified. It returns
-// ErrTooFew when fewer than k shards are available.
-func (c *Code) Reconstruct(shards [][]byte) error {
-	return c.reconstruct(shards, len(shards), nil)
-}
-
 // ReconstructData fills only the missing data blocks (indices < k),
-// leaving missing parity blocks nil. Cheaper than Reconstruct when the
-// caller only needs the original data.
+// leaving missing parity blocks nil. Cheaper than ReconstructInto when
+// the caller only needs the original data.
 func (c *Code) ReconstructData(shards [][]byte) error {
 	return c.reconstruct(shards, c.k, nil)
 }
 
-// ReconstructInto is Reconstruct with caller-provided destinations:
+// ReconstructInto fills every nil entry of shards (data and parity
+// alike) from the k (or more) present shards, in place; present shards
+// are never modified, and fewer than k present fails with ErrTooFew.
 // dst[idx], when non-nil, receives the rebuilt shard idx instead of a
 // fresh allocation (it must have exactly the shard size and is fully
 // overwritten; shards[idx] is then set to dst[idx]). Missing

@@ -608,3 +608,11 @@ func BenchmarkDeltaUpdate15_8_4K(b *testing.B) {
 		}
 	}
 }
+
+// Reconstruct is a test oracle: it fills every nil entry of shards (data and parity alike)
+// from the k (or more) present shards, in place, allocating the
+// missing blocks. Present shards are never modified. It returns
+// ErrTooFew when fewer than k shards are available.
+func (c *Code) Reconstruct(shards [][]byte) error {
+	return c.reconstruct(shards, len(shards), nil)
+}

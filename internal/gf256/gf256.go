@@ -104,17 +104,6 @@ func Sub(a, b byte) byte { return a ^ b }
 // Mul returns a * b in GF(2^8).
 func Mul(a, b byte) byte { return mulTable[a][b] }
 
-// Div returns a / b in GF(2^8). It panics if b is zero.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTable[logTable[a]+255-logTable[b]]
-}
-
 // Inv returns the multiplicative inverse of a. It panics if a is zero.
 func Inv(a byte) byte {
 	if a == 0 {
@@ -129,15 +118,6 @@ func Exp(e int) byte {
 		panic(fmt.Sprintf("gf256: negative exponent %d", e))
 	}
 	return expTable[e%255]
-}
-
-// Log returns the discrete logarithm of a with respect to the field
-// generator. It panics if a is zero.
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf256: log of zero")
-	}
-	return logTable[a]
 }
 
 // Pow returns a^e for e >= 0, with 0^0 = 1.

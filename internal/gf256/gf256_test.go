@@ -210,3 +210,26 @@ func TestNoZeroDivisors(t *testing.T) {
 		}
 	}
 }
+
+// Div and Log are test oracles over the field tables: nothing outside
+// the tests divides or takes logarithms.
+
+// Div returns a / b in GF(2^8). It panics if b is zero.
+func Div(a, b byte) byte {
+	if b == 0 {
+		panic("gf256: division by zero")
+	}
+	if a == 0 {
+		return 0
+	}
+	return expTable[logTable[a]+255-logTable[b]]
+}
+
+// Log returns the discrete logarithm of a with respect to the field
+// generator. It panics if a is zero.
+func Log(a byte) int {
+	if a == 0 {
+		panic("gf256: log of zero")
+	}
+	return logTable[a]
+}

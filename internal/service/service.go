@@ -1,8 +1,10 @@
 // Package service is the storage-system layer over the TRAP-ERC
 // protocol: a keyed object store on a cluster larger than one stripe.
-// Objects are chunked into stripes of k fixed-size blocks, each stripe
-// is placed on n of the cluster's nodes by a placement strategy, and
-// all reads and in-place updates go through the quorum protocol.
+// Objects are chunked into stripes of k blocks — every stripe but the
+// last of Config.BlockSize, the last right-sized to its bytes — each
+// stripe is placed on n of the cluster's nodes by a placement
+// strategy, and all reads and in-place updates go through the quorum
+// protocol.
 //
 // This is the layer a storage virtualization middleware (the paper's
 // target context) would embed: Put/Get/WriteAt over virtual-disk
@@ -62,7 +64,11 @@ type Config struct {
 	// Shape and W parameterise the trapezoid quorum (see trapezoid).
 	Shape trapezoid.Shape
 	W     int
-	// BlockSize is the fixed size of every data block, in bytes.
+	// BlockSize is the block size of every full stripe, in bytes. An
+	// object's last stripe is right-sized instead: its blocks are the
+	// smallest multiple of 64 bytes (at most BlockSize) that holds the
+	// bytes left, so a small object stores n/k of its size, not a
+	// stripe of padded BlockSize blocks.
 	BlockSize int
 	// Placement maps stripes to cluster nodes; its node count must
 	// be at least N.
@@ -344,6 +350,18 @@ func (s *Store) Fleet() *Fleet { return s.fleet }
 // capacity returns the payload bytes one stripe holds in this epoch.
 func (ec *epochCfg) capacity(blockSize int) int { return ec.k * blockSize }
 
+// tailAlign is the granularity of a right-sized stripe's block size.
+const tailAlign = 64
+
+// blockSize returns the block size of a stripe holding r bytes in this
+// epoch: full (Config.BlockSize) for a full stripe, otherwise the
+// smallest multiple of tailAlign that holds ⌈r/k⌉ bytes, never above
+// full — an empty object's one stripe gets tailAlign-byte blocks.
+func (ec *epochCfg) blockSize(full, r int) int {
+	per := max(1, (r+ec.k-1)/ec.k)
+	return min(full, (per+tailAlign-1)/tailAlign*tailAlign)
+}
+
 // SetCorruptionHandler installs the fleet-wide corruption observer:
 // fn receives the cluster node index of every shard any protocol
 // instance caught serving bytes its peers' cross-checksum records
@@ -416,9 +434,10 @@ type placedStripe struct {
 	ec *epochCfg
 }
 
-// placeStripe allocates the next stripe id and places it in epoch ec.
-// The stripe stays unregistered until registerLocked.
-func (f *Fleet) placeStripe(ec *epochCfg) (placedStripe, error) {
+// placeStripe allocates the next stripe id and places a stripe of the
+// given block size in epoch ec. The stripe stays unregistered until
+// registerLocked.
+func (f *Fleet) placeStripe(ec *epochCfg, blockSize int) (placedStripe, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	id := f.nextStripe
@@ -427,7 +446,7 @@ func (f *Fleet) placeStripe(ec *epochCfg) (placedStripe, error) {
 	if err != nil {
 		return placedStripe{}, err
 	}
-	return placedStripe{core.Stripe{ID: id, Nodes: nodes, BlockSize: f.cfg.BlockSize}, ec}, nil
+	return placedStripe{core.Stripe{ID: id, Nodes: nodes, BlockSize: blockSize}, ec}, nil
 }
 
 // registerLocked enters seeded stripes into the stripe table and
@@ -583,42 +602,53 @@ func (s *Store) Keys() []string {
 	return out
 }
 
-// locate maps a logical block index of an object to its stripe and
-// in-stripe block index. The logical-block↔byte mapping (BlockSize) is
-// epoch-invariant; how logical blocks group into stripes (k) follows
-// the object's epoch.
-func (s *Store) locate(m objectMeta, logicalBlock int) (placedStripe, int, error) {
-	k := m.ec.k
-	stripeIdx := logicalBlock / k
-	if stripeIdx >= len(m.stripes) {
-		return placedStripe{}, 0, fmt.Errorf("%w: block %d beyond object", ErrBadRange, logicalBlock)
+// locate maps a byte offset of an object to its stripe, the data block
+// holding it and the offset within that block. Every stripe but the
+// last is full — k blocks of Config.BlockSize — so the stripe is
+// offset / (k·BlockSize); inside it the stripe's own BlockSize, smaller
+// on a right-sized last stripe, finds the block. The byte mapping is
+// epoch-invariant; how bytes group into stripes (k, and with it the
+// last stripe's block size) follows the object's epoch.
+func (s *Store) locate(m objectMeta, offset int) (p placedStripe, block, within int, err error) {
+	span := m.ec.capacity(s.fleet.cfg.BlockSize)
+	idx := offset / span
+	if idx >= len(m.stripes) {
+		return placedStripe{}, 0, 0, fmt.Errorf("%w: byte %d beyond object", ErrBadRange, offset)
 	}
-	p, ok := s.fleet.stripe(m.stripes[stripeIdx])
+	p, ok := s.fleet.stripe(m.stripes[idx])
 	if !ok {
 		// The object was deleted — or migrated to another epoch —
 		// concurrently; the caller refreshes its metadata to tell which.
-		return placedStripe{}, 0, fmt.Errorf("%w: stripe %d", ErrUnknownKey, m.stripes[stripeIdx])
+		return placedStripe{}, 0, 0, fmt.Errorf("%w: stripe %d", ErrUnknownKey, m.stripes[idx])
 	}
-	return p, logicalBlock % k, nil
+	in := offset - idx*span
+	return p, in / p.BlockSize, in % p.BlockSize, nil
 }
 
-// readStripeAt reads the object's logical blocks from `logical` on, at
-// most limit of them and no further than the end of the stripe holding
-// it, through one stripe read. It retries with refreshed metadata when
-// a concurrent migration moved the object between epochs mid-read (the
-// old stripes vanish; the same logical blocks are re-read from the new
-// ones — the byte mapping is epoch-invariant, only the stripe bounds
+// readStripeAt reads the object's bytes from offset on, at most length
+// of them and no further than the end of the stripe holding offset,
+// through one stripe read of the blocks they span. It returns them
+// block by block, trimmed to the range. It retries with refreshed
+// metadata when a concurrent migration moved the object between epochs
+// mid-read (the old stripes vanish; the same bytes are re-read from the
+// new ones — only the stripe bounds and the last stripe's block size
 // follow the epoch's k). When the metadata did not change, the failure
 // is real and surfaces after a single attempt, so read error latency
 // is untouched outside reconfigurations. On a successful retry *m is
 // left refreshed for the caller's next stripes.
-func (s *Store) readStripeAt(ctx context.Context, m *objectMeta, key string, logical, limit int) ([][]byte, error) {
+func (s *Store) readStripeAt(ctx context.Context, m *objectMeta, key string, offset, length int) ([][]byte, error) {
 	for attempt := 0; ; attempt++ {
-		p, idx, err := s.locate(*m, logical)
+		p, block, within, err := s.locate(*m, offset)
 		if err == nil {
+			bs := p.BlockSize
+			take := min(length, (p.ec.k-block)*bs-within)
 			var blocks [][]byte
-			blocks, _, err = p.ec.sys.ReadStripe(ctx, p.Stripe, idx, min(p.ec.k-idx, limit))
+			blocks, _, err = p.ec.sys.ReadStripe(ctx, p.Stripe, block, (within+take+bs-1)/bs)
 			if err == nil {
+				blocks[0] = blocks[0][within:]
+				last := len(blocks) - 1
+				excess := len(blocks)*bs - within - take
+				blocks[last] = blocks[last][:len(blocks[last])-excess]
 				return blocks, nil
 			}
 			err = fmt.Errorf("stripe %d: %w", p.ID, err)
@@ -662,19 +692,15 @@ func (s *Store) ReadAtAppend(ctx context.Context, key string, offset, length int
 	}
 	out := out0(dst, length)
 	served := length
-	bs := s.fleet.cfg.BlockSize
 	for length > 0 {
-		within := offset % bs
-		blocks, err := s.readStripeAt(ctx, &m, key, offset/bs, (within+length+bs-1)/bs)
+		blocks, err := s.readStripeAt(ctx, &m, key, offset, length)
 		if err != nil {
 			return dst, err
 		}
 		for _, data := range blocks {
-			take := min(len(data)-within, length)
-			out = append(out, data[within:within+take]...)
-			offset += take
-			length -= take
-			within = 0
+			out = append(out, data...)
+			offset += len(data)
+			length -= len(data)
 		}
 	}
 	s.ctr.readAts.Add(1)
@@ -692,14 +718,15 @@ func out0(dst []byte, length int) []byte {
 }
 
 // WriteAt overwrites bytes [offset, offset+len(p)) in place through
-// quorum writes: each affected block is read, patched and written via
-// Algorithm 1, shipping only parity deltas. Writes cannot extend the
-// object. A context abort between blocks leaves earlier blocks
-// committed and later ones untouched (each block write is atomic; the
-// multi-block span is not). Two WriteAt calls overlapping on the same
-// block are independent read-modify-write cycles — last writer wins
-// at block granularity; overlapping writers need coordination above
-// this layer.
+// quorum writes: each affected block gets one Algorithm 1 write that
+// patches the block's bytes in the range under the block's writer
+// lock, shipping only parity deltas. Writes cannot extend the object.
+// A context abort between blocks leaves earlier blocks committed and
+// later ones untouched (each block write is atomic; the multi-block
+// span is not). Patches are byte-granular: WriteAt calls on disjoint
+// byte ranges never lose each other's bytes, even within one block;
+// calls overlapping on the same bytes apply in some order, last writer
+// wins per block, and need coordination above this layer.
 func (s *Store) WriteAt(ctx context.Context, key string, offset int, p []byte) error {
 	f := s.fleet
 	// Hold the object's reconfiguration lock shared for the whole
@@ -717,31 +744,13 @@ func (s *Store) WriteAt(ctx context.Context, key string, offset int, p []byte) e
 	}
 	written := len(p)
 	for len(p) > 0 {
-		logical := offset / f.cfg.BlockSize
-		within := offset % f.cfg.BlockSize
-		st, idx, err := s.locate(m, logical)
+		st, block, within, err := s.locate(m, offset)
 		if err != nil {
 			return err
 		}
-		var patched []byte
-		take := f.cfg.BlockSize - within
-		if take > len(p) {
-			take = len(p)
-		}
-		if within == 0 && take == f.cfg.BlockSize {
-			// The write covers the whole block: no need to pay a
-			// quorum read just to overwrite every byte of it.
-			patched = p[:take]
-		} else {
-			data, _, err := st.ec.sys.ReadBlock(ctx, st.Stripe, idx)
-			if err != nil {
-				return fmt.Errorf("stripe %d block %d: %w", st.ID, idx, err)
-			}
-			patched = append([]byte(nil), data...)
-			copy(patched[within:], p[:take])
-		}
-		if err := st.ec.sys.WriteBlock(ctx, st.Stripe, idx, patched); err != nil {
-			return fmt.Errorf("stripe %d block %d: %w", st.ID, idx, err)
+		take := min(st.BlockSize-within, len(p))
+		if err := st.ec.sys.WriteBlockAt(ctx, st.Stripe, block, within, p[:take]); err != nil {
+			return fmt.Errorf("stripe %d block %d: %w", st.ID, block, err)
 		}
 		offset += take
 		p = p[take:]

@@ -93,10 +93,8 @@ func (s *Store) PutReader(ctx context.Context, key string, r io.Reader, size int
 func (s *Store) seedStream(ctx context.Context, ec *epochCfg, r io.Reader, size int) ([]placedStripe, error) {
 	f := s.fleet
 	capacity := ec.capacity(f.cfg.BlockSize)
-	stripeCount := (size + capacity - 1) / capacity
-	if stripeCount == 0 {
-		stripeCount = 1 // empty objects still own one stripe for WriteAt growth semantics
-	}
+	// An empty object still owns one stripe, of the smallest blocks.
+	stripeCount := max(1, (size+capacity-1)/capacity)
 	var (
 		placed   = make([]placedStripe, 0, stripeCount)
 		inflight []*blockpool.Block // the pipeline slot: blocks of the stripe being seeded
@@ -133,11 +131,14 @@ func (s *Store) seedStream(ctx context.Context, ec *epochCfg, r io.Reader, size 
 
 	remaining := size
 	for range stripeCount {
-		blks, err := readStripe(r, ec.k, f.cfg.BlockSize, &remaining)
+		// Full stripes use the configured block size; the last one is
+		// right-sized to the bytes left.
+		bs := ec.blockSize(f.cfg.BlockSize, min(remaining, capacity))
+		blks, err := readStripe(r, ec.k, bs, &remaining)
 		if err != nil {
 			return unwind(fmt.Errorf("reading at byte %d of %d: %w", size-remaining, size, err))
 		}
-		st, err := f.placeStripe(ec)
+		st, err := f.placeStripe(ec, bs)
 		if err == nil {
 			placed = append(placed, st)
 			// Overlap: wait out the previous stripe's seed only after
@@ -185,27 +186,25 @@ func releaseBlocks(blks []*blockpool.Block) {
 	}
 }
 
-// objectReader walks an object's logical blocks through stripe reads,
-// trimmed to its size: the io.Reader the migration feeds seedStream
-// from, and as an io.WriterTo the walk behind Get and GetWriter. It
-// reads one stripe per call, never a padding block past the object's
-// end, and keeps the next stripe's read in flight while the current
-// one is handed out — two stripes in memory whatever the object's
-// size. close ends the read in flight.
+// objectReader walks an object's bytes through stripe reads: the
+// io.Reader the migration feeds seedStream from, and as an io.WriterTo
+// the walk behind Get and GetWriter. It reads one stripe per call,
+// never a block past the object's end, and keeps the next stripe's read
+// in flight while the current one is handed out — two stripes in
+// memory whatever the object's size. close ends the read in flight.
 type objectReader struct {
-	ctx       context.Context
-	cancel    context.CancelFunc
-	s         *Store
-	key       string
-	m         objectMeta      // the metadata the next read starts from
-	next, end int             // next logical block to read; blocks the object spans
-	remaining int             // object bytes not yet handed out
-	ahead     chan stripeRead // the read in flight, nil when none
-	blocks    [][]byte        // the current stripe's blocks not yet handed out
-	buf       []byte          // unread tail of the current block (Read only)
+	ctx    context.Context
+	cancel context.CancelFunc
+	s      *Store
+	key    string
+	m      objectMeta      // the metadata the next read starts from
+	next   int             // the object byte the next read starts at
+	ahead  chan stripeRead // the read in flight, nil when none
+	blocks [][]byte        // the current stripe's bytes not yet handed out
+	buf    []byte          // unread tail of the current block (Read only)
 }
 
-// stripeRead is one stripe read's blocks and the metadata it ended on.
+// stripeRead is one stripe read's bytes and the metadata it ended on.
 type stripeRead struct {
 	blocks [][]byte
 	m      objectMeta
@@ -214,25 +213,24 @@ type stripeRead struct {
 
 func (s *Store) objectReader(ctx context.Context, key string, m objectMeta) *objectReader {
 	ctx, cancel := context.WithCancel(ctx)
-	bs := s.fleet.cfg.BlockSize
-	return &objectReader{ctx: ctx, cancel: cancel, s: s, key: key, m: m, end: (m.size + bs - 1) / bs, remaining: m.size}
+	return &objectReader{ctx: ctx, cancel: cancel, s: s, key: key, m: m}
 }
 
-// fetch starts reading the stripe holding logical block first, from
+// fetch starts reading the stripe holding object byte offset, from
 // there on.
-func (o *objectReader) fetch(m objectMeta, first int) chan stripeRead {
+func (o *objectReader) fetch(m objectMeta, offset int) chan stripeRead {
 	ch := make(chan stripeRead, 1)
 	go func() {
-		blocks, err := o.s.readStripeAt(o.ctx, &m, o.key, first, o.end-first)
+		blocks, err := o.s.readStripeAt(o.ctx, &m, o.key, offset, m.size-offset)
 		ch <- stripeRead{blocks: blocks, m: m, err: err}
 	}()
 	return ch
 }
 
-// block returns the object's next logical block, io.EOF past its end.
+// block returns the object's next block of bytes, io.EOF past its end.
 func (o *objectReader) block() ([]byte, error) {
 	if len(o.blocks) == 0 {
-		if o.remaining == 0 {
+		if o.next == o.m.size {
 			return nil, io.EOF
 		}
 		if o.ahead == nil {
@@ -244,16 +242,15 @@ func (o *objectReader) block() ([]byte, error) {
 			return nil, r.err
 		}
 		o.m, o.blocks = r.m, r.blocks
-		if o.next += len(r.blocks); o.next < o.end {
+		for _, b := range r.blocks {
+			o.next += len(b)
+		}
+		if o.next < o.m.size {
 			o.ahead = o.fetch(o.m, o.next)
 		}
 	}
 	data := o.blocks[0]
 	o.blocks = o.blocks[1:]
-	if len(data) > o.remaining {
-		data = data[:o.remaining]
-	}
-	o.remaining -= len(data)
 	return data, nil
 }
 

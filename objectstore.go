@@ -10,11 +10,12 @@ import (
 // ObjectStore is the headline API: a keyed erasure-coded object store
 // with quorum consistency, spreading stripes across a cluster larger
 // than one stripe by a placement strategy. Objects are chunked into
-// stripes of k fixed-size blocks; Get/ReadAt/WriteAt go through the
-// quorum protocol block by block, so reads stay strictly consistent
-// with in-place updates even while nodes fail. It is safe for
-// concurrent use; see WriteAt for the block-granularity semantics of
-// overlapping writers.
+// stripes of k blocks — full stripes of the configured block size, the
+// last one right-sized to the bytes it holds; Get/ReadAt/WriteAt go
+// through the quorum protocol block by block, so reads stay strictly
+// consistent with in-place updates even while nodes fail. It is safe
+// for concurrent use; see WriteAt for the semantics of overlapping
+// writers.
 type ObjectStore struct {
 	clusterHandle
 	clusterSize int
@@ -102,9 +103,9 @@ func (s *ObjectStore) Get(ctx context.Context, key string) ([]byte, error) {
 	return s.svc.Get(ctx, key)
 }
 
-// GetWriter streams the object to w through quorum reads, one block at
-// a time — the streaming form of Get, with peak memory of one block
-// however large the object. It returns the bytes written; on error the
+// GetWriter streams the object to w through quorum reads, one stripe
+// at a time with the next read ahead — the streaming form of Get, with
+// peak memory of two stripes however large the object. It returns the bytes written; on error the
 // count reports how much of the object reached w.
 func (s *ObjectStore) GetWriter(ctx context.Context, key string, w io.Writer) (int64, error) {
 	return s.svc.GetWriter(ctx, key, w)
@@ -120,13 +121,15 @@ func (s *ObjectStore) ReadAt(ctx context.Context, key string, offset, length int
 // quorum writes, shipping only parity deltas for the affected blocks.
 // Writes cannot extend the object (ErrBadRange).
 //
-// Consistency granularity is the block: each block update is an
-// atomic quorum write, but a multi-block span is not a transaction,
-// and two WriteAt calls overlapping on the *same* block perform
-// independent read-modify-write cycles — the last writer wins at
-// block granularity. Callers updating overlapping ranges concurrently
-// need their own coordination (the paper assumes classical
-// concurrency control above the protocol).
+// Each block update is an atomic quorum write that patches only the
+// bytes in range, under the block's writer lock, onto the content the
+// write's own quorum read returned: WriteAt calls on disjoint byte
+// ranges never lose each other's bytes, even within one block. A
+// multi-block span is not a transaction, and calls overlapping on the
+// same bytes apply in some order, the last writer winning per block.
+// Callers updating overlapping ranges concurrently need their own
+// coordination (the paper assumes classical concurrency control above
+// the protocol).
 func (s *ObjectStore) WriteAt(ctx context.Context, key string, offset int, p []byte) error {
 	return s.svc.WriteAt(ctx, key, offset, p)
 }

@@ -114,9 +114,12 @@ func WithPlacement(p placement.Strategy) Option {
 	}
 }
 
-// WithBlockSize sets the fixed data-block size in bytes for the
-// object store's stripes (default 4096). Only meaningful for Open;
-// OpenStore derives block sizes from the payloads it is given.
+// WithBlockSize sets the block size in bytes of the object store's
+// full stripes (default 4096). An object's last stripe is right-sized
+// instead, to the smallest multiple of 64 bytes (at most this size)
+// that holds its remaining bytes, so a small object is not padded to a
+// whole stripe. Only meaningful for Open; OpenStore derives block sizes
+// from the payloads it is given.
 func WithBlockSize(bytes int) Option {
 	return func(c *config) { c.blockSize = bytes }
 }

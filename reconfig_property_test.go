@@ -104,3 +104,54 @@ func runReconfigSchedule(t *testing.T, seed int64) {
 		t.Fatal("schedule deleted every object; the property checked nothing")
 	}
 }
+
+// TestReconfigResizesTailStripes recodes (9,6) to (12,8) under a full
+// foreground workload, over objects whose last stripe is right-sized:
+// the recode re-cuts every object, so the last stripe's block size
+// changes with k while readers and writers run, and every acked byte
+// must read back.
+func TestReconfigResizesTailStripes(t *testing.T) {
+	ctx := context.Background()
+	const blockSize = 1024
+	store, err := trapquorum.Open(ctx,
+		trapquorum.WithCode(9, 6),
+		trapquorum.WithTrapezoid(2, 1, 1, 2),
+		trapquorum.WithBlockSize(blockSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	// tailBlock is the block size of an object's last stripe under k.
+	tailBlock := func(size, k int) int {
+		r := size - (max(1, (size+k*blockSize-1)/(k*blockSize))-1)*k*blockSize
+		return min(blockSize, (max(1, (r+k-1)/k)+63)/64*64)
+	}
+	oracle := make(map[string][]byte)
+	resized := 0
+	for i, size := range []int{1, 100, 1000, 3000, 6143, 6145, 9000, 13000} {
+		key := fmt.Sprintf("tail-%d", i)
+		data := make([]byte, size)
+		rand.New(rand.NewSource(int64(size))).Read(data)
+		if err := store.Put(ctx, key, data); err != nil {
+			t.Fatal(err)
+		}
+		oracle[key] = data
+		if tailBlock(size, 6) != tailBlock(size, 8) {
+			resized++
+		}
+	}
+	if resized < 4 {
+		t.Fatalf("only %d objects change their last stripe's block size; the case checks too little", resized)
+	}
+	fg := startForeground(store, "tail", 5, oracle, fgReads|fgWrites|fgPuts|fgDeletes)
+	rerr := store.Reconfigure(ctx, trapquorum.Reconfig{
+		N: 12, K: 8, TrapezoidA: 1, TrapezoidB: 2, TrapezoidH: 1, W: 2, AddNodes: 3,
+	})
+	oracle = fg.finish(t)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	t.Logf("foreground ops during the recode: %d", fg.ops)
+	verifyAll(t, store, oracle)
+	requireConverged(t, store, 2)
+}
