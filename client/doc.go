@@ -68,11 +68,13 @@
 // # Buffer ownership
 //
 // Request buffers (the data of PutChunk/CompareAndPut/
-// PutChunkIfFresher, the delta of CompareAndAdd) are only valid for
-// the duration of the call: the protocol core runs its data plane
-// over pooled buffers and recycles them once the RPC has settled, so
-// a backend must copy what it needs before returning and must never
-// retain a reference past the call. Symmetrically, a Chunk returned
+// PutChunkIfFresher, the delta of CompareAndAdd, and every request's
+// versions and checksum entries) are only valid for the duration of
+// the call: the protocol core runs its data plane over pooled buffers
+// and recycles them once the RPC has settled, and a network server
+// decodes into per-connection storage and pooled frames it reuses for
+// the next request — so a backend must copy what it needs before
+// returning and must never retain a reference past the call. Symmetrically, a Chunk returned
 // by ReadChunk is owned by the caller — the backend must not alias it
 // to state it might mutate later. (DESIGN.md "Buffer ownership" has
 // the full data-plane rules.)

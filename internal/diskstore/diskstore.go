@@ -100,7 +100,6 @@ type Store struct {
 	// it. Values describe what was found, for error messages.
 	quar     map[client.ChunkID]string
 	sync     bool
-	scratch  []byte // WAL record staging
 	fscratch []byte // chunk-file image staging
 	// failed poisons the store after a mutation error of unknown
 	// durability: the disk and the in-memory mirror may disagree, so
@@ -366,11 +365,15 @@ func (s *Store) removeAllChunkFiles() error {
 // ---- write-ahead log ---------------------------------------------
 
 // appendWALFrame appends one framed record — length, CRC, payload —
-// to dst.
-func appendWALFrame(dst, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+// to dst, the payload written in place by encode: the 8-byte header is
+// reserved first and filled in once the payload's extent is known.
+func appendWALFrame(dst []byte, encode func([]byte) []byte) []byte {
+	start := len(dst)
+	dst = encode(append(dst, make([]byte, 8)...))
+	payload := dst[start+8:]
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
 // nextWALFrame decodes the leading frame of raw, returning its payload

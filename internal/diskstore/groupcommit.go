@@ -147,12 +147,15 @@ func (s *Store) poisonLocked(err error) error {
 	return err
 }
 
-// stageRecord frames payload into the current batch and returns that
-// batch. It applies the gcMaxBatch back-pressure and fails fast on a
-// poisoned store. ids lists the chunk ids the record mutates; an empty
-// list means a wipe, which gates every subsequent read. Caller must be
-// the serialised mutation path.
-func (s *Store) stageRecord(payload []byte, ids ...client.ChunkID) (*gcBatch, error) {
+// stageRecord frames one record into the current batch and returns
+// that batch. encode appends the record's payload; it runs under gcMu,
+// writing straight into the batch buffer, so a chunk's bytes are
+// copied once on their way to the WAL. It applies the gcMaxBatch
+// back-pressure and fails fast on a poisoned store. ids lists the
+// chunk ids the record mutates; an empty list means a wipe, which
+// gates every subsequent read. Caller must be the serialised mutation
+// path.
+func (s *Store) stageRecord(encode func([]byte) []byte, ids ...client.ChunkID) (*gcBatch, error) {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
 	for s.failed == nil && s.gcCur.count >= gcMaxBatch {
@@ -162,7 +165,7 @@ func (s *Store) stageRecord(payload []byte, ids ...client.ChunkID) (*gcBatch, er
 		return nil, s.failed
 	}
 	b := s.gcCur
-	b.buf = appendWALFrame(b.buf, payload)
+	b.buf = appendWALFrame(b.buf, encode)
 	b.ids = append(b.ids, ids...)
 	b.count++
 	for _, id := range ids {
@@ -179,9 +182,9 @@ func (s *Store) stageRecord(payload []byte, ids ...client.ChunkID) (*gcBatch, er
 // immediately visible to (durability-gated) reads, and the returned
 // wait reports once it is durable. Part of nodeengine.BatchStore.
 func (s *Store) PutBatched(id client.ChunkID, data []byte, versions []uint64, meta chunkmeta.Meta) (func() error, error) {
-	payload := appendPutRecord(s.scratch[:0], id, data, versions, meta)
-	s.scratch = payload[:0]
-	b, err := s.stageRecord(payload, id)
+	b, err := s.stageRecord(func(dst []byte) []byte {
+		return appendPutRecord(dst, id, data, versions, meta)
+	}, id)
 	if err != nil {
 		return nil, err
 	}
@@ -194,9 +197,7 @@ func (s *Store) PutBatched(id client.ChunkID, data []byte, versions []uint64, me
 
 // DeleteBatched stages a delete. Part of nodeengine.BatchStore.
 func (s *Store) DeleteBatched(id client.ChunkID) (func() error, error) {
-	payload := appendDeleteRecord(s.scratch[:0], id)
-	s.scratch = payload[:0]
-	b, err := s.stageRecord(payload, id)
+	b, err := s.stageRecord(func(dst []byte) []byte { return appendDeleteRecord(dst, id) }, id)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +210,7 @@ func (s *Store) DeleteBatched(id client.ChunkID) (func() error, error) {
 
 // WipeBatched stages a wipe. Part of nodeengine.BatchStore.
 func (s *Store) WipeBatched() (func() error, error) {
-	b, err := s.stageRecord([]byte{opWipe})
+	b, err := s.stageRecord(func(dst []byte) []byte { return append(dst, opWipe) })
 	if err != nil {
 		return nil, err
 	}

@@ -59,6 +59,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trapquorum/internal/blockpool"
 	"trapquorum/internal/gwire"
 	"trapquorum/internal/service"
 )
@@ -191,18 +192,13 @@ type Stats struct {
 	EventsDropped int64
 }
 
-// frameBuf boxes a pooled buffer behind a stable pointer so pool
-// round-trips never re-box a slice header (a []byte stored directly
-// in a sync.Pool allocates on every Put).
-type frameBuf struct{ b []byte }
-
-// task is one request handed to the worker pool. The frame buffer
-// travels with it (req's Key and Data alias fb.b) and returns to the
-// read pool when the worker is done.
+// task is one request handed to the worker pool. Its pooled frame
+// travels with it (req's Key and Data alias frame.B) and is released
+// when the worker is done.
 type task struct {
-	s   *session
-	fb  *frameBuf
-	req gwire.Request
+	s     *session
+	frame *blockpool.Block
+	req   gwire.Request
 }
 
 // Server is one gateway process: an accept loop, a shared worker
@@ -229,9 +225,6 @@ type Server struct {
 	listeners map[net.Listener]struct{}
 	sessions  map[*session]struct{}
 	watchers  map[string]map[*session]struct{} // tenant -> watching sessions
-
-	readPool sync.Pool
-	outPool  sync.Pool
 }
 
 // NewServer builds a gateway over the given tenant backends.
@@ -248,8 +241,6 @@ func NewServer(tenants TenantProvider, cfg Config) *Server {
 		sessions:  make(map[*session]struct{}),
 		watchers:  make(map[string]map[*session]struct{}),
 	}
-	srv.readPool.New = func() any { return &frameBuf{b: make([]byte, 0, 4096)} }
-	srv.outPool.New = func() any { return &frameBuf{b: make([]byte, 0, 4096)} }
 	srv.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go srv.worker()
@@ -410,7 +401,7 @@ func (srv *Server) worker() {
 		select {
 		case t := <-srv.tasks:
 			t.s.handle(&t.req)
-			srv.putReadBuf(t.fb)
+			t.frame.Release()
 			t.s.inflight.Add(-1)
 			srv.inflight.Add(-1)
 		case <-srv.ctx.Done():
@@ -419,22 +410,26 @@ func (srv *Server) worker() {
 	}
 }
 
-// maxKeptScratch bounds pooled buffers: one giant frame must not pin
-// its buffer forever.
-const maxKeptScratch = 64 << 10
+// Frames are pooled (internal/blockpool): a request frame is taken for
+// one read and released once its request is answered, a response frame
+// once it is written. No buffer outlives its frame, so an idle session
+// holds no frame memory, and a 1 MiB part or ReadAt answer costs a pool
+// round trip, not an allocation.
 
-func (srv *Server) getReadBuf() *frameBuf { return srv.readPool.Get().(*frameBuf) }
-func (srv *Server) getOutBuf() *frameBuf  { return srv.outPool.Get().(*frameBuf) }
+// respHeaderLen is a response frame's length prefix plus the fixed part
+// of the header gwire.BeginResponse writes: seq, status, flag, detail
+// length and data length.
+const respHeaderLen = 4 + 8 + 1 + 1 + 2 + 4
 
-func (srv *Server) putReadBuf(fb *frameBuf) { putBuf(&srv.readPool, fb) }
-func (srv *Server) putOutBuf(fb *frameBuf)  { putBuf(&srv.outPool, fb) }
-
-func putBuf(p *sync.Pool, fb *frameBuf) {
-	if cap(fb.b) > maxKeptScratch {
-		fb.b = make([]byte, 0, 4096)
-	}
-	fb.b = fb.b[:0]
-	p.Put(fb)
+// beginResponse takes a pooled buffer sized for a response frame
+// carrying data bytes, reserves the frame's length prefix (send
+// patches it in) and writes the response header after it. It returns
+// the buffer, the frame so far, and the data-length offset for
+// gwire.FinishResponse.
+func beginResponse(data int, seq uint64, status gwire.Status, flag bool, detail string) (*blockpool.Block, []byte, int) {
+	blk := blockpool.GetBlock(respHeaderLen + len(detail) + data)
+	body, dlenOff := gwire.BeginResponse(append(blk.B[:0], 0, 0, 0, 0), seq, status, flag, detail)
+	return blk, body, dlenOff
 }
 
 // registerWatch subscribes a session to its tenant's object-change
@@ -584,68 +579,75 @@ func (s *session) readLoop() {
 		// it had seeded before this returns.
 		s.abortUpload(errUploadAborted)
 	}()
-	srv := s.srv
-	fb := srv.getReadBuf()
 	for {
-		payload, err := gwire.ReadFrame(s.conn, fb.b[:0], srv.cfg.MaxFrame)
+		frame, err := gwire.ReadPooledFrame(s.conn, s.srv.cfg.MaxFrame)
 		if err != nil {
 			// EOF, torn frame, oversized frame or a closed connection:
 			// in every case the stream is unusable — drop the session.
-			srv.putReadBuf(fb)
 			return
 		}
-		fb.b = payload
-		req, err := gwire.DecodeRequest(payload)
+		req, err := gwire.DecodeRequest(frame.B)
 		if err != nil {
 			// A peer speaking garbage gets disconnected, not parsed
 			// charitably.
-			srv.putReadBuf(fb)
+			frame.Release()
 			return
 		}
-		switch {
-		case req.Op == gwire.OpHello:
-			// Bind synchronously: the handshake must win any race with
-			// pipelined requests arriving behind it.
-			s.handleHello(&req)
-			continue
-		case req.Op == gwire.OpHealth:
-			// Health stays answerable during drain and before Hello —
-			// it is how operators and balancers probe the gateway.
-			s.handleHealth(req.Seq)
-			continue
-		case s.store == nil:
-			s.respondErr(req.Seq, gwire.StatusBadRequest, "hello required before any other op")
-			continue
+		if !s.dispatch(task{s: s, frame: frame, req: req}) {
+			frame.Release()
 		}
-		if s.inflight.Add(1) > int64(srv.cfg.MaxInflight) {
-			s.inflight.Add(-1)
-			srv.overloads.Add(1)
-			s.respondErr(req.Seq, gwire.StatusOverloaded, "connection in-flight window full")
-			continue
-		}
-		// Count the request in-flight before checking the drain flag:
-		// Drain sets the flag and then polls the counter, so a request
-		// it does not observe here is guaranteed to observe draining
-		// and be refused before reaching the queue.
-		srv.inflight.Add(1)
-		if srv.draining.Load() {
-			s.inflight.Add(-1)
-			srv.inflight.Add(-1)
-			s.respondErr(req.Seq, gwire.StatusDraining, "gateway is draining")
-			continue
-		}
-		select {
-		case srv.tasks <- task{s: s, fb: fb, req: req}:
-			srv.requests.Add(1)
-			// The frame buffer now belongs to the worker; read the next
-			// frame into a fresh one.
-			fb = srv.getReadBuf()
-		default:
-			s.inflight.Add(-1)
-			srv.inflight.Add(-1)
-			srv.overloads.Add(1)
-			s.respondErr(req.Seq, gwire.StatusOverloaded, "worker queue full")
-		}
+	}
+}
+
+// dispatch answers a request the reader handles itself, refuses one
+// the session or the gateway cannot take, and queues the rest for the
+// worker pool. It reports whether the task — its frame with it — now
+// belongs to a worker.
+func (s *session) dispatch(t task) bool {
+	srv := s.srv
+	req := &t.req
+	switch {
+	case req.Op == gwire.OpHello:
+		// Bind synchronously: the handshake must win any race with
+		// pipelined requests arriving behind it.
+		s.handleHello(req)
+		return false
+	case req.Op == gwire.OpHealth:
+		// Health stays answerable during drain and before Hello — it is
+		// how operators and balancers probe the gateway.
+		s.handleHealth(req.Seq)
+		return false
+	case s.store == nil:
+		s.respondErr(req.Seq, gwire.StatusBadRequest, "hello required before any other op")
+		return false
+	}
+	if s.inflight.Add(1) > int64(srv.cfg.MaxInflight) {
+		s.inflight.Add(-1)
+		srv.overloads.Add(1)
+		s.respondErr(req.Seq, gwire.StatusOverloaded, "connection in-flight window full")
+		return false
+	}
+	// Count the request in-flight before checking the drain flag: Drain
+	// sets the flag and then polls the counter, so a request it does
+	// not observe here is guaranteed to observe draining and be refused
+	// before reaching the queue.
+	srv.inflight.Add(1)
+	if srv.draining.Load() {
+		s.inflight.Add(-1)
+		srv.inflight.Add(-1)
+		s.respondErr(req.Seq, gwire.StatusDraining, "gateway is draining")
+		return false
+	}
+	select {
+	case srv.tasks <- t:
+		srv.requests.Add(1)
+		return true
+	default:
+		s.inflight.Add(-1)
+		srv.inflight.Add(-1)
+		srv.overloads.Add(1)
+		s.respondErr(req.Seq, gwire.StatusOverloaded, "worker queue full")
+		return false
 	}
 }
 
@@ -676,11 +678,10 @@ func (s *session) handleHealth(seq uint64) {
 	st := srv.Stats()
 	summary := fmt.Sprintf("conns=%d requests=%d overloads=%d events-dropped=%d",
 		st.Active, st.Requests, st.Overloads, st.EventsDropped)
-	fb := srv.getOutBuf()
-	body, dlenOff := gwire.BeginResponse(append(fb.b, 0, 0, 0, 0), seq, gwire.StatusOK, !srv.draining.Load(), "")
+	blk, body, dlenOff := beginResponse(len(summary), seq, gwire.StatusOK, !srv.draining.Load(), "")
 	body = append(body, summary...)
 	gwire.FinishResponse(body, dlenOff)
-	s.send(body, fb)
+	s.send(body, blk)
 }
 
 // handle executes one admitted request on a pool worker.
@@ -697,34 +698,37 @@ func (s *session) handle(req *gwire.Request) {
 		s.respondStatus(req.Seq, err)
 	case gwire.OpGet:
 		key := s.internKey(req.Key)
-		fb := srv.getOutBuf()
-		hdr, dlenOff := gwire.BeginResponse(append(fb.b, 0, 0, 0, 0), req.Seq, gwire.StatusOK, false, "")
+		// Size the frame for the object; should a Delete and a larger
+		// Put race in between, GetAppend grows it once instead.
+		size, err := s.store.Size(key)
+		if err != nil {
+			s.respondStatus(req.Seq, err)
+			return
+		}
+		blk, hdr, dlenOff := beginResponse(size, req.Seq, gwire.StatusOK, false, "")
 		body, err := s.store.GetAppend(ctx, key, hdr)
 		if err != nil {
-			fb.b = hdr
-			srv.putOutBuf(fb)
+			blk.Release()
 			s.respondStatus(req.Seq, err)
 			return
 		}
 		gwire.FinishResponse(body, dlenOff)
-		s.send(body, fb)
+		s.send(body, blk)
 	case gwire.OpReadAt:
 		key := s.internKey(req.Key)
 		if req.Offset < 0 || req.Length < 0 || req.Length > int64(srv.cfg.MaxFrame) {
 			s.respondErr(req.Seq, gwire.StatusBadRange, "offset/length out of range")
 			return
 		}
-		fb := srv.getOutBuf()
-		hdr, dlenOff := gwire.BeginResponse(append(fb.b, 0, 0, 0, 0), req.Seq, gwire.StatusOK, false, "")
+		blk, hdr, dlenOff := beginResponse(int(req.Length), req.Seq, gwire.StatusOK, false, "")
 		body, err := s.store.ReadAtAppend(ctx, key, int(req.Offset), int(req.Length), hdr)
 		if err != nil {
-			fb.b = hdr
-			srv.putOutBuf(fb)
+			blk.Release()
 			s.respondStatus(req.Seq, err)
 			return
 		}
 		gwire.FinishResponse(body, dlenOff)
-		s.send(body, fb)
+		s.send(body, blk)
 	case gwire.OpWriteAt:
 		key := s.internKey(req.Key)
 		if req.Offset < 0 {
@@ -914,33 +918,31 @@ func (s *session) respondStatus(seq uint64, err error) {
 }
 
 func (s *session) respondOK(seq uint64) {
-	fb := s.srv.getOutBuf()
-	body, dlenOff := gwire.BeginResponse(append(fb.b, 0, 0, 0, 0), seq, gwire.StatusOK, false, "")
+	blk, body, dlenOff := beginResponse(0, seq, gwire.StatusOK, false, "")
 	gwire.FinishResponse(body, dlenOff)
-	s.send(body, fb)
+	s.send(body, blk)
 }
 
 func (s *session) respondData(seq uint64, data []byte) {
-	fb := s.srv.getOutBuf()
-	body, dlenOff := gwire.BeginResponse(append(fb.b, 0, 0, 0, 0), seq, gwire.StatusOK, false, "")
+	blk, body, dlenOff := beginResponse(len(data), seq, gwire.StatusOK, false, "")
 	body = append(body, data...)
 	gwire.FinishResponse(body, dlenOff)
-	s.send(body, fb)
+	s.send(body, blk)
 }
 
 func (s *session) respondErr(seq uint64, status gwire.Status, detail string) {
-	fb := s.srv.getOutBuf()
-	body, dlenOff := gwire.BeginResponse(append(fb.b, 0, 0, 0, 0), seq, status, false, detail)
+	blk, body, dlenOff := beginResponse(0, seq, status, false, detail)
 	gwire.FinishResponse(body, dlenOff)
-	s.send(body, fb)
+	s.send(body, blk)
 }
 
-// send writes one response frame and returns its buffer to the pool.
-// The buffer's first four bytes are reserved for the frame header
-// (the layout every respond* helper and the zero-copy read path
-// build): patch the length in and write the whole thing with a single
-// conn.Write under the session's write mutex.
-func (s *session) send(body []byte, fb *frameBuf) {
+// send writes one response frame and releases its pooled buffer. The
+// frame's first four bytes are reserved for the length prefix (the
+// layout beginResponse builds): patch the length in and write the
+// whole thing with a single conn.Write under the session's write
+// mutex. body is usually blk's own bytes; when an append outgrew blk,
+// body is the larger copy and blk goes back to the pool unused.
+func (s *session) send(body []byte, blk *blockpool.Block) {
 	binary.BigEndian.PutUint32(body[:4], uint32(len(body)-4))
 	s.writeMu.Lock()
 	// Arm the write deadline, refreshing only once the remaining
@@ -961,8 +963,7 @@ func (s *session) send(body []byte, fb *frameBuf) {
 		// the connection so the reader tears the session down.
 		s.conn.Close()
 	}
-	fb.b = body
-	s.srv.putOutBuf(fb)
+	blk.Release()
 }
 
 // enqueueEvent queues a watch notification, dropping it if the
@@ -1000,11 +1001,10 @@ func (s *session) startNotifier() {
 		defer close(done)
 		for ev := range ch {
 			seq := s.watchSeq.Load()
-			fb := s.srv.getOutBuf()
-			body, dlenOff := gwire.BeginResponse(append(fb.b, 0, 0, 0, 0), seq, gwire.StatusEvent, false, "")
+			blk, body, dlenOff := beginResponse(3+len(ev.key), seq, gwire.StatusEvent, false, "")
 			body = gwire.AppendEvent(body, &gwire.Event{Kind: ev.kind, Key: []byte(ev.key)})
 			gwire.FinishResponse(body, dlenOff)
-			s.send(body, fb)
+			s.send(body, blk)
 		}
 	}(s.events, s.notifierDone)
 }

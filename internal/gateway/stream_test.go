@@ -6,13 +6,20 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"trapquorum/client"
+	"trapquorum/internal/core"
 	"trapquorum/internal/gwire"
+	"trapquorum/internal/memstore"
+	"trapquorum/internal/nodeengine"
 	"trapquorum/internal/service"
+	"trapquorum/internal/trapezoid"
+	"trapquorum/placement"
+	"trapquorum/transport/tcp"
 )
 
 // The streaming plumbing: PutReader travels as a bracketed upload
@@ -329,5 +336,65 @@ func TestDrainAbortsUploads(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("wedged part never answered")
+	}
+}
+
+// TestBulkStreamOverPooledFrames moves a multi-MiB object through every
+// pooled frame on the data path: 1 MiB upload parts and ReadAt answers
+// at the gateway, 64 KiB-block PutChunk and ReadChunk frames on real
+// TCP links to the nodes, stripes seeded a window at a time. Two
+// objects of the same size travel in turn, so every frame of the second
+// reuses a buffer the first released; each must read back as itself.
+func TestBulkStreamOverPooledFrames(t *testing.T) {
+	const n = 5
+	nodes := make([]core.NodeClient, n)
+	for j := range nodes {
+		engine := nodeengine.New(memstore.New())
+		t.Cleanup(func() { engine.Close() })
+		srv := tcp.NewServer(engine)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		cl := tcp.NewClient(ln.Addr().String())
+		t.Cleanup(func() { cl.Close() })
+		nodes[j] = cl
+	}
+	strat, err := placement.NewRoundRobin(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := service.NewFleet(nodes, service.Config{
+		N: n, K: 3,
+		Shape: trapezoid.Shape{A: 0, B: 3, H: 0}, W: 2,
+		BlockSize: 64 << 10,
+		Placement: strat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, l := startServer(t, FleetTenants{Fleet: fleet}, Config{Workers: 4})
+	conn := dialTenant(t, l, "bulk")
+	ctx := context.Background()
+
+	// 3 MiB and a ragged tail: 17 stripes of 192 KiB, the last short.
+	const size = 3<<20 + 12345
+	objects := map[string][]byte{"first": wirePattern(size), "second": bytes.Repeat([]byte{0x5a}, size)}
+	for _, key := range []string{"first", "second"} {
+		if err := conn.PutReader(ctx, key, bytes.NewReader(objects[key]), size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, key := range []string{"first", "second"} {
+		var sink bytes.Buffer
+		got, err := conn.GetWriter(ctx, key, &sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != size || !bytes.Equal(sink.Bytes(), objects[key]) {
+			t.Fatalf("%s: GetWriter returned %d bytes, mismatch=%v", key, got, !bytes.Equal(sink.Bytes(), objects[key]))
+		}
 	}
 }

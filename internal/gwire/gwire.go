@@ -53,6 +53,7 @@ import (
 	"strings"
 
 	"trapquorum/client"
+	"trapquorum/internal/blockpool"
 	"trapquorum/internal/core"
 	"trapquorum/internal/service"
 	"trapquorum/internal/wire"
@@ -468,6 +469,12 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // cleanly between frames.
 func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, error) {
 	return wire.ReadFrame(r, buf, max)
+}
+
+// ReadPooledFrame reads one frame into a pooled buffer (see
+// wire.ReadPooledFrame); the caller releases it.
+func ReadPooledFrame(r io.Reader, max int) (*blockpool.Block, error) {
+	return wire.ReadPooledFrame(r, max)
 }
 
 // Err converts a response status (plus its detail) back into the

@@ -21,9 +21,10 @@ func align64(x int) int { return (x + 63) / 64 * 64 }
 // both with 4 KiB blocks over exactly n nodes. Every expected value is
 // a formula in n, k, the block size BS and the object size: a stripe
 // holding r < k·BS bytes stores n chunks of align64(⌈r/k⌉) bytes (eq.
-// 15's n/k, up to the 64-byte alignment), and a WriteAt costs two
-// rounds per block it touches, aligned or not. Run with -v to print
-// the table.
+// 15's n/k, up to the 64-byte alignment), a WriteAt costs two rounds
+// per block it touches, aligned or not, and a PutReader of s stripes
+// seeds them seedWindow (W) at a time: ⌈s/W⌉ rounds, each stripe's n
+// PutChunks in the wave of its window. Run with -v to print the table.
 func TestServiceCountTable(t *testing.T) {
 	const bs = 4096
 	ctx := context.Background()
@@ -77,13 +78,14 @@ func TestServiceCountTable(t *testing.T) {
 				rounds: 1, stored: n * smallBS,
 			},
 			{
-				// Seeds are pipelined behind the reads, one stripe at a time.
+				// The stripes are read while the window seeds: with
+				// s ≤ W every seed of the object is one wave.
 				name: "PutReader, 3 stripes",
 				op: func() error {
 					return store.PutReader(ctx, "big", bytes.NewReader(oracle["big"]), big)
 				},
 				rpcs:   rpccount.Counts{rpccount.PutChunk: s * n},
-				rounds: s, stored: (s-1)*n*bs + n*tailBS,
+				rounds: (s + seedWindow - 1) / seedWindow, stored: (s-1)*n*bs + n*tailBS,
 			},
 			{
 				name:   "Get, one stripe",
@@ -125,9 +127,34 @@ func TestServiceCountTable(t *testing.T) {
 				rounds: 4, stored: 2 * tailBS,
 			},
 			{
+				// After the writes: the stream sees every patched byte.
+				name: "GetWriter, 3 stripes",
+				op:   getWriterChecked(ctx, store, "big", oracle),
+				rpcs: rpccount.Counts{
+					rpccount.ReadChunk:    (s-1)*k + blocksRead(r, tailBS),
+					rpccount.ReadVersions: s * (n - k),
+				},
+				rounds: s,
+			},
+			{
+				// The last block of stripe 0 and the first of stripe 1:
+				// one stripe read each, one after the other.
+				name:   "ReadAt, across two stripes",
+				op:     readAtChecked(ctx, store, "big", oracle, k*bs-100, 200),
+				rpcs:   rpccount.Counts{rpccount.ReadChunk: 2, rpccount.ReadVersions: 2 * (n - k)},
+				rounds: 2,
+			},
+			{
 				name:   "Delete, one stripe",
 				op:     func() error { return store.Delete(ctx, "small") },
 				rpcs:   rpccount.Counts{rpccount.DeleteChunk: n},
+				rounds: 1,
+			},
+			{
+				// Every stripe's chunks are dropped in one fan-out.
+				name:   "Delete, 3 stripes",
+				op:     func() error { return store.Delete(ctx, "big") },
+				rpcs:   rpccount.Counts{rpccount.DeleteChunk: s * n},
 				rounds: 1,
 			},
 		}
@@ -150,9 +177,6 @@ func TestServiceCountTable(t *testing.T) {
 				}
 			})
 		}
-		if err := getChecked(ctx, store, "big", oracle)(); err != nil {
-			t.Fatalf("after the writes: %v", err)
-		}
 	}
 }
 
@@ -165,6 +189,36 @@ func getChecked(ctx context.Context, store *Store, key string, oracle map[string
 		}
 		if !bytes.Equal(got, oracle[key]) {
 			return fmt.Errorf("get %q: bytes differ from the oracle", key)
+		}
+		return nil
+	}
+}
+
+// getWriterChecked is a count-table op: GetWriter, checked against the
+// oracle.
+func getWriterChecked(ctx context.Context, store *Store, key string, oracle map[string][]byte) func() error {
+	return func() error {
+		var got bytes.Buffer
+		if _, err := store.GetWriter(ctx, key, &got); err != nil {
+			return err
+		}
+		if !bytes.Equal(got.Bytes(), oracle[key]) {
+			return fmt.Errorf("GetWriter %q: bytes differ from the oracle", key)
+		}
+		return nil
+	}
+}
+
+// readAtChecked is a count-table op: ReadAt of length bytes at offset,
+// checked against the oracle.
+func readAtChecked(ctx context.Context, store *Store, key string, oracle map[string][]byte, offset, length int) func() error {
+	return func() error {
+		got, err := store.ReadAt(ctx, key, offset, length)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, oracle[key][offset:offset+length]) {
+			return fmt.Errorf("ReadAt %q [%d,%d): bytes differ from the oracle", key, offset, offset+length)
 		}
 		return nil
 	}

@@ -28,11 +28,13 @@ const removeNodes = 9
 
 // probe is what the probed node clients of one fleet share: faults to
 // inject into PutChunk (breaking a seed midway) and ReadChunk (breaking
-// a migration's source read), and a rendezvous that holds DeleteChunk
-// calls until enough of them are in flight.
+// a migration's source read), a hook that may hold a PutChunk before it
+// goes on, and a rendezvous that holds DeleteChunk calls until enough
+// of them are in flight.
 type probe struct {
 	failPut  atomic.Pointer[func(client.ChunkID) bool]
 	failRead atomic.Pointer[func(client.ChunkID) bool]
+	holdPut  atomic.Pointer[func(client.ChunkID)]
 
 	mu       sync.Mutex
 	want     int // 0: DeleteChunk passes straight through
@@ -70,6 +72,9 @@ type probedNode struct {
 }
 
 func (n probedNode) PutChunk(ctx context.Context, id client.ChunkID, data []byte, versions []uint64, sums ...client.BlockSum) error {
+	if hold := n.p.holdPut.Load(); hold != nil {
+		(*hold)(id)
+	}
 	if fail := n.p.failPut.Load(); fail != nil && (*fail)(id) {
 		return fmt.Errorf("%w: injected", client.ErrNodeDown)
 	}

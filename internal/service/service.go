@@ -555,15 +555,16 @@ func (s *Store) Get(ctx context.Context, key string) ([]byte, error) {
 
 // GetAppend reads the whole object through quorum reads, appending its
 // bytes to dst (which may be nil) and returning the extended slice —
-// the destination-buffer variant the gateway's pooled serve path uses:
-// with enough capacity in dst, the service layer adds no allocation of
-// its own.
+// the destination-buffer variant the gateway's pooled serve path uses.
+// dst is grown once, to its final length, before any byte is read: with
+// enough capacity in dst, the service layer adds no allocation of its
+// own, and without it the one allocation is exactly the object's size.
 func (s *Store) GetAppend(ctx context.Context, key string, dst []byte) ([]byte, error) {
 	m, err := s.meta(key)
 	if err != nil {
 		return dst, err
 	}
-	out := dst
+	out := slices.Grow(dst, m.size)
 	o := s.objectReader(ctx, key, m)
 	defer o.close()
 	for {
@@ -583,9 +584,11 @@ func (s *Store) GetAppend(ctx context.Context, key string, dst []byte) ([]byte, 
 
 // Size returns the object's byte size.
 func (s *Store) Size(key string) (int, error) {
-	m, err := s.meta(key)
-	if err != nil {
-		return 0, err
+	s.fleet.mu.Lock()
+	defer s.fleet.mu.Unlock()
+	m, ok := s.directory[key]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrUnknownKey, key)
 	}
 	return m.size, nil
 }
@@ -681,7 +684,8 @@ func (s *Store) ReadAt(ctx context.Context, key string, offset, length int) ([]b
 
 // ReadAtAppend reads length bytes at the given offset, appending them
 // to dst (which may be nil) and returning the extended slice — the
-// destination-buffer variant of ReadAt (see GetAppend).
+// destination-buffer variant of ReadAt, growing dst once like
+// GetAppend.
 func (s *Store) ReadAtAppend(ctx context.Context, key string, offset, length int, dst []byte) ([]byte, error) {
 	m, err := s.meta(key)
 	if err != nil {
@@ -690,7 +694,7 @@ func (s *Store) ReadAtAppend(ctx context.Context, key string, offset, length int
 	if offset < 0 || length < 0 || offset+length > m.size {
 		return dst, fmt.Errorf("%w: [%d,%d) of %d", ErrBadRange, offset, offset+length, m.size)
 	}
-	out := out0(dst, length)
+	out := slices.Grow(dst, length)
 	served := length
 	for length > 0 {
 		blocks, err := s.readStripeAt(ctx, &m, key, offset, length)
@@ -706,15 +710,6 @@ func (s *Store) ReadAtAppend(ctx context.Context, key string, offset, length int
 	s.ctr.readAts.Add(1)
 	s.ctr.bytesOut.Add(int64(served))
 	return out, nil
-}
-
-// out0 sizes the append destination: reuse dst when it exists,
-// otherwise start a fresh slice with the exact capacity.
-func out0(dst []byte, length int) []byte {
-	if dst == nil {
-		return make([]byte, 0, length)
-	}
-	return dst
 }
 
 // WriteAt overwrites bytes [offset, offset+len(p)) in place through

@@ -11,20 +11,29 @@ import (
 // Object write and streamed read paths. Every object enters the store
 // through one pipeline, seedStream: Put, PutReader and the migration's
 // copy into a target epoch all read a stripe into pooled blocks while
-// the previous stripe is being encoded and seeded — a bounded pipeline
-// of depth one — so an object of any size moves through at most two
-// stripes of memory and never materialises in a single buffer.
+// up to seedWindow earlier stripes are being encoded and seeded — a
+// bounded window of stripes in flight — so an object of any size moves
+// through at most seedWindow+1 stripes of data (plus the parity of
+// those in flight) and never materialises in a single buffer.
 // GetWriter streams one back out a stripe at a time.
+
+// seedWindow is how many stripes seedStream seeds at once. The seeds
+// of a window reach each node together, where group commit folds their
+// PutChunks into one WAL batch, so a multi-stripe write costs about
+// ⌈stripes/seedWindow⌉ durable rounds instead of one per stripe.
+const seedWindow = 4
 
 // PutReader stores size bytes read from r under key. The key must not
 // exist (ErrExists otherwise; objects are immutable in extent — use
 // WriteAt for in-place updates, or Delete then Put to replace), and a
 // tenant quota the declared size would overflow fails the call with
 // client.ErrQuotaExceeded before any node is touched. All placed nodes
-// must be up for the initial seeding. The reader must deliver exactly
+// must be up for the initial seeding. Stripes are seeded seedWindow at
+// a time while the next one is read. The reader must deliver exactly
 // size bytes; a short read (io.ErrUnexpectedEOF), a reader error, or a
-// seeding failure unwinds every stripe already placed — no partial
-// object is ever visible, and the key is free for a retry.
+// seeding failure waits out every seed in flight and then unwinds every
+// stripe placed — no partial object is ever visible, and the key is
+// free for a retry.
 func (s *Store) PutReader(ctx context.Context, key string, r io.Reader, size int) error {
 	if size < 0 {
 		return fmt.Errorf("%w: negative size %d", ErrBadRange, size)
@@ -84,12 +93,15 @@ func (s *Store) PutReader(ctx context.Context, key string, r io.Reader, size int
 // seedStream places size bytes read from r onto fresh stripes of epoch
 // ec and returns them, seeded but not yet registered. It is the only
 // seeder: stripe ids are allocated and initial placements made nowhere
-// else. Stripes are read, encoded and seeded one after another, the
-// read of each overlapping the seed of the one before, so peak memory
-// is two stripes of pooled blocks whatever the size. On any failure
-// nothing of the stream survives: the chunks of every stripe attempted
-// (the failing one may be partly installed) are removed, and removals
-// that fail are counted in ChunksOrphaned.
+// else. Each stripe is read, planned and handed to a seed of its own,
+// with at most seedWindow seeds in flight: the next stripe is read
+// while the window seeds, and a full window waits for any one seed to
+// finish. Peak memory is seedWindow+1 stripes of pooled data blocks
+// plus the parity of the seeds in flight, whatever the size. On any
+// failure nothing of the stream survives: every seed in flight is
+// waited out, then the chunks of every stripe attempted (a failing one
+// may be partly installed) are removed, and removals that fail are
+// counted in ChunksOrphaned.
 func (s *Store) seedStream(ctx context.Context, ec *epochCfg, r io.Reader, size int) ([]placedStripe, error) {
 	f := s.fleet
 	capacity := ec.capacity(f.cfg.BlockSize)
@@ -97,34 +109,34 @@ func (s *Store) seedStream(ctx context.Context, ec *epochCfg, r io.Reader, size 
 	stripeCount := max(1, (size+capacity-1)/capacity)
 	var (
 		placed   = make([]placedStripe, 0, stripeCount)
-		inflight []*blockpool.Block // the pipeline slot: blocks of the stripe being seeded
-		seedErr  = make(chan error, 1)
+		inflight int
+		// One slot per seed in flight, so a finishing seed never blocks.
+		seedErr = make(chan error, seedWindow)
 	)
+	// seed installs one stripe and recycles its blocks.
 	seed := func(st placedStripe, blks []*blockpool.Block) {
 		data := make([][]byte, len(blks))
 		for b, blk := range blks {
 			data[b] = blk.B
 		}
 		err := st.ec.sys.SeedStripe(ctx, st.Stripe, data)
+		releaseBlocks(blks)
 		if err != nil {
 			err = fmt.Errorf("seeding stripe %d: %w", st.ID, err)
 		}
 		seedErr <- err
 	}
-	// waitSeed drains the pipeline slot and recycles its blocks.
-	waitSeed := func() error {
-		if inflight == nil {
-			return nil
-		}
-		err := <-seedErr
-		releaseBlocks(inflight)
-		inflight = nil
-		return err
+	// wait takes one finished seed off the window.
+	wait := func() error {
+		inflight--
+		return <-seedErr
 	}
-	// unwind settles the slot, then removes what the stream installed;
-	// err is the first failure and the one reported.
+	// unwind waits out the window, then removes what the stream
+	// installed; err is the first failure and the one reported.
 	unwind := func(err error) ([]placedStripe, error) {
-		_ = waitSeed()
+		for inflight > 0 {
+			_ = wait()
+		}
 		s.ctr.chunksOrphaned.Add(int64(f.dropStripes(placed)))
 		return nil, err
 	}
@@ -141,19 +153,23 @@ func (s *Store) seedStream(ctx context.Context, ec *epochCfg, r io.Reader, size 
 		st, err := f.placeStripe(ec, bs)
 		if err == nil {
 			placed = append(placed, st)
-			// Overlap: wait out the previous stripe's seed only after
-			// this stripe is fully read and planned.
-			err = waitSeed()
+			// Overlap: a full window gives up a slot only after this
+			// stripe is fully read and planned.
+			if inflight == seedWindow {
+				err = wait()
+			}
 		}
 		if err != nil {
 			releaseBlocks(blks)
 			return unwind(err)
 		}
-		inflight = blks
+		inflight++
 		go seed(st, blks)
 	}
-	if err := waitSeed(); err != nil {
-		return unwind(err)
+	for inflight > 0 {
+		if err := wait(); err != nil {
+			return unwind(err)
+		}
 	}
 	return placed, nil
 }

@@ -241,8 +241,8 @@ func TestStreamGiBObjectStaysStripeSized(t *testing.T) {
 		t.Fatalf("stream corrupt at byte %d", bad-1)
 	}
 	// O(stripe), not O(object): the stripe payload is 2 MiB and the
-	// pipeline holds at most two stripes plus parity and protocol
-	// working set. 128 MiB of headroom absorbs GC slack and still sits
+	// pipeline holds at most a window of stripes (four seeding, a fifth
+	// being read) plus their parity and the protocol working set. 128 MiB of headroom absorbs GC slack and still sits
 	// 8× below the object size — a buffered path would hold the full
 	// GiB (and its encoded shards) live.
 	const headroom = 128 << 20
@@ -294,7 +294,8 @@ func TestMigrationStaysStripeSized(t *testing.T) {
 	if bad := vw.bad.Load(); bad != 0 {
 		t.Fatalf("object corrupt at byte %d after the recode", bad-1)
 	}
-	// 64 MiB of headroom over a two-stripe pipeline is GC slack; an
+	// 64 MiB of headroom over the stripe window (four target stripes
+	// seeding, a fifth being read, two source stripes) is GC slack; an
 	// object-sized buffer alone is three times that.
 	const headroom = 64 << 20
 	if growth > headroom {

@@ -44,8 +44,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"trapquorum/client"
+	"trapquorum/internal/blockpool"
 )
 
 // Op identifies one node operation on the wire.
@@ -173,11 +175,12 @@ type Request struct {
 	// guard-only field on every op.
 	Epoch uint64
 	// Versions is the proposed version vector of the put-family
-	// operations (decoded into a fresh slice).
+	// operations (decoded into the Request's own storage, which a
+	// later Decode into the same Request reuses).
 	Versions []uint64
 	// Sums carries the cross-checksum entries of the mutating
-	// operations (decoded into a fresh slice; empty when the writer
-	// sent no opinion). Encoded between the versions and the data.
+	// operations (decoded like Versions; empty when the writer sent no
+	// opinion). Encoded between the versions and the data.
 	Sums []client.BlockSum
 	// Data is the chunk payload or delta. Decoding aliases the frame
 	// buffer; copy before the next read if retained.
@@ -222,10 +225,11 @@ func appendSums(dst []byte, sums []client.BlockSum) []byte {
 	return dst
 }
 
-// decodeSums parses a checksum-entry list, returning the entries and
-// the remaining payload. The count is bounds-checked against the
-// payload before allocating, like the version vector.
-func decodeSums(p []byte) ([]client.BlockSum, []byte, error) {
+// decodeSums parses a checksum-entry list into dst's storage (grown
+// when too small), returning the entries and the remaining payload.
+// The count is bounds-checked against the payload before allocating,
+// like the version vector.
+func decodeSums(dst []client.BlockSum, p []byte) ([]client.BlockSum, []byte, error) {
 	if len(p) < 4 {
 		return nil, nil, fmt.Errorf("%w: checksum count truncated", ErrMalformed)
 	}
@@ -234,9 +238,9 @@ func decodeSums(p []byte) ([]client.BlockSum, []byte, error) {
 	if uint64(nsums)*16 > uint64(len(p)) {
 		return nil, nil, fmt.Errorf("%w: checksums truncated (%d declared, %d bytes left)", ErrMalformed, nsums, len(p))
 	}
-	var sums []client.BlockSum
+	sums := dst[:0]
 	if nsums > 0 {
-		sums = make([]client.BlockSum, nsums)
+		sums = slices.Grow(sums, int(nsums))[:nsums]
 		for i := range sums {
 			sums[i].Version = binary.BigEndian.Uint64(p[16*i:])
 			sums[i].Sum = binary.BigEndian.Uint64(p[16*i+8:])
@@ -244,6 +248,27 @@ func decodeSums(p []byte) ([]client.BlockSum, []byte, error) {
 		p = p[16*nsums:]
 	}
 	return sums, p, nil
+}
+
+// decodeVersions is decodeSums for a version vector.
+func decodeVersions(dst []uint64, p []byte) ([]uint64, []byte, error) {
+	if len(p) < 4 {
+		return nil, nil, fmt.Errorf("%w: version count truncated", ErrMalformed)
+	}
+	nver := binary.BigEndian.Uint32(p[0:4])
+	p = p[4:]
+	if uint64(nver)*8 > uint64(len(p)) {
+		return nil, nil, fmt.Errorf("%w: versions truncated (%d declared, %d bytes left)", ErrMalformed, nver, len(p))
+	}
+	versions := dst[:0]
+	if nver > 0 {
+		versions = slices.Grow(versions, int(nver))[:nver]
+		for i := range versions {
+			versions[i] = binary.BigEndian.Uint64(p[8*i:])
+		}
+		p = p[8*nver:]
+	}
+	return versions, p, nil
 }
 
 // AppendRequest encodes req after dst and returns the extended slice.
@@ -268,12 +293,21 @@ func AppendRequest(dst []byte, req *Request) []byte {
 // aliases p.
 func DecodeRequest(p []byte) (Request, error) {
 	var req Request
+	err := req.Decode(p)
+	return req, err
+}
+
+// Decode parses a request payload into req, reusing the storage of its
+// Versions and Sums: a server decoding every request of a connection
+// into one Request allocates nothing per request. Data aliases p. On
+// error req is left partly decoded.
+func (req *Request) Decode(p []byte) error {
 	if len(p) < requestHeaderLen {
-		return req, fmt.Errorf("%w: request header truncated (%d bytes)", ErrMalformed, len(p))
+		return fmt.Errorf("%w: request header truncated (%d bytes)", ErrMalformed, len(p))
 	}
 	op := Op(p[0])
 	if op == 0 || op >= opMax {
-		return req, fmt.Errorf("%w: unknown op %d", ErrMalformed, p[0])
+		return fmt.Errorf("%w: unknown op %d", ErrMalformed, p[0])
 	}
 	req.Op = op
 	req.ID.Stripe = binary.BigEndian.Uint64(p[1:9])
@@ -282,35 +316,26 @@ func DecodeRequest(p []byte) (Request, error) {
 	req.Expect = binary.BigEndian.Uint64(p[17:25])
 	req.Next = binary.BigEndian.Uint64(p[25:33])
 	req.Epoch = binary.BigEndian.Uint64(p[33:41])
-	nver := binary.BigEndian.Uint32(p[41:45])
-	p = p[requestHeaderLen:]
-	if uint64(nver)*8 > uint64(len(p)) {
-		return req, fmt.Errorf("%w: versions truncated (%d declared, %d bytes left)", ErrMalformed, nver, len(p))
+	var err error
+	if req.Versions, p, err = decodeVersions(req.Versions, p[requestHeaderLen-4:]); err != nil {
+		return err
 	}
-	if nver > 0 {
-		req.Versions = make([]uint64, nver)
-		for i := range req.Versions {
-			req.Versions[i] = binary.BigEndian.Uint64(p[8*i:])
-		}
-		p = p[8*nver:]
+	if req.Sums, p, err = decodeSums(req.Sums, p); err != nil {
+		return err
 	}
-	sums, p, err := decodeSums(p)
-	if err != nil {
-		return req, err
-	}
-	req.Sums = sums
 	if len(p) < 4 {
-		return req, fmt.Errorf("%w: data length truncated", ErrMalformed)
+		return fmt.Errorf("%w: data length truncated", ErrMalformed)
 	}
 	dlen := binary.BigEndian.Uint32(p[0:4])
 	p = p[4:]
 	if uint64(dlen) != uint64(len(p)) {
-		return req, fmt.Errorf("%w: data length %d, %d bytes left", ErrMalformed, dlen, len(p))
+		return fmt.Errorf("%w: data length %d, %d bytes left", ErrMalformed, dlen, len(p))
 	}
+	req.Data = nil
 	if dlen > 0 {
 		req.Data = p
 	}
-	return req, nil
+	return nil
 }
 
 // AppendResponse encodes resp after dst and returns the extended
@@ -363,26 +388,13 @@ func DecodeResponse(p []byte) (Response, error) {
 	}
 	resp.Detail = string(p[:detailLen])
 	p = p[detailLen:]
-	if len(p) < 4 {
-		return resp, fmt.Errorf("%w: version count truncated", ErrMalformed)
-	}
-	nver := binary.BigEndian.Uint32(p[0:4])
-	p = p[4:]
-	if uint64(nver)*8 > uint64(len(p)) {
-		return resp, fmt.Errorf("%w: versions truncated (%d declared, %d bytes left)", ErrMalformed, nver, len(p))
-	}
-	if nver > 0 {
-		resp.Versions = make([]uint64, nver)
-		for i := range resp.Versions {
-			resp.Versions[i] = binary.BigEndian.Uint64(p[8*i:])
-		}
-		p = p[8*nver:]
-	}
-	sums, p, err := decodeSums(p)
-	if err != nil {
+	var err error
+	if resp.Versions, p, err = decodeVersions(nil, p); err != nil {
 		return resp, err
 	}
-	resp.Sums = sums
+	if resp.Sums, p, err = decodeSums(nil, p); err != nil {
+		return resp, err
+	}
 	if len(p) < 4 {
 		return resp, fmt.Errorf("%w: data length truncated", ErrMalformed)
 	}
@@ -438,6 +450,70 @@ func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, error) {
 		return nil, fmt.Errorf("wire: truncated frame payload: %w", err)
 	}
 	return buf, nil
+}
+
+// Pooled frames. A transport on the data path encodes and reads whole
+// frames in internal/blockpool buffers: a buffer is taken for one frame
+// and released as soon as that frame is written or decoded, so a
+// connection holds no frame memory between requests and a 64 KiB-block
+// frame costs a pool round trip, not an allocation. What a decoded
+// message aliases (Data) is valid only until the buffer is released.
+
+// RequestFrame encodes req as one complete frame — length prefix and
+// payload — in a pooled buffer of exactly its size. The caller writes
+// blk.B and releases blk.
+func RequestFrame(req *Request) *blockpool.Block {
+	size := EncodedRequestSize(req)
+	blk := blockpool.GetBlock(4 + size)
+	binary.BigEndian.PutUint32(blk.B, uint32(size))
+	AppendRequest(blk.B[:4], req)
+	return blk
+}
+
+// ResponseFrame is RequestFrame for a response.
+func ResponseFrame(resp *Response) *blockpool.Block {
+	size := encodedResponseSize(resp)
+	blk := blockpool.GetBlock(4 + size)
+	binary.BigEndian.PutUint32(blk.B, uint32(size))
+	AppendResponse(blk.B[:4], resp)
+	return blk
+}
+
+// encodedResponseSize is the payload length AppendResponse produces.
+func encodedResponseSize(resp *Response) int {
+	return 4 + min(len(resp.Detail), 0xffff) + 4 + 8*len(resp.Versions) + 4 + 16*len(resp.Sums) + 4 + len(resp.Data)
+}
+
+// ReadPooledFrame reads one frame into a pooled buffer of the payload's
+// size and returns it; the caller releases it once the payload is
+// decoded. Limits and errors are ReadFrame's.
+func ReadPooledFrame(r io.Reader, max int) (*blockpool.Block, error) {
+	// The header lands in the smallest pool class, which also holds any
+	// payload that fits it; see ReadFrame for why not a stack array.
+	blk := blockpool.GetBlock(4)
+	if _, err := io.ReadFull(r, blk.B); err != nil {
+		blk.Release()
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, fmt.Errorf("wire: truncated frame header: %w", err)
+		}
+		return nil, err
+	}
+	size := binary.BigEndian.Uint32(blk.B)
+	if int64(size) > int64(max) {
+		blk.Release()
+		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, size, max)
+	}
+	if int(size) <= cap(blk.B) {
+		blk.B = blk.B[:size]
+	} else {
+		blk.Release()
+		blk = blockpool.GetBlock(int(size))
+	}
+	if _, err := io.ReadFull(r, blk.B); err != nil {
+		blk.Release()
+		return nil, fmt.Errorf("wire: truncated frame payload: %w", err)
+	}
+	return blk, nil
 }
 
 // Err converts a response status (plus its detail) back into the

@@ -201,6 +201,76 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPooledFramesRoundTrip sends every fixture as a pooled frame and
+// decodes the requests into one reused Request, as a server does: no
+// field of an earlier request may survive into a later one, and the
+// frame reader enforces the same limits as ReadFrame.
+func TestPooledFramesRoundTrip(t *testing.T) {
+	var stream bytes.Buffer
+	reqs, resps := requestFixtures(), responseFixtures()
+	for i := range reqs {
+		frame := RequestFrame(&reqs[i])
+		stream.Write(frame.B)
+		frame.Release()
+	}
+	for i := range resps {
+		frame := ResponseFrame(&resps[i])
+		stream.Write(frame.B)
+		frame.Release()
+	}
+	// The codec does not preserve nil versus empty.
+	norm := func(v *[]uint64, s *[]client.BlockSum, d *[]byte) {
+		if len(*v) == 0 {
+			*v = nil
+		}
+		if len(*s) == 0 {
+			*s = nil
+		}
+		if len(*d) == 0 {
+			*d = nil
+		}
+	}
+	var got Request
+	for _, want := range reqs {
+		frame, err := ReadPooledFrame(&stream, DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Decode(frame.B); err != nil {
+			t.Fatalf("%s: %v", want.Op, err)
+		}
+		norm(&got.Versions, &got.Sums, &got.Data)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s round trip:\n in: %+v\nout: %+v", want.Op, want, got)
+		}
+		frame.Release()
+	}
+	for i, want := range resps {
+		frame, err := ReadPooledFrame(&stream, DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeResponse(frame.B)
+		if err != nil {
+			t.Fatalf("fixture %d: %v", i, err)
+		}
+		norm(&got.Versions, &got.Sums, &got.Data)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("fixture %d round trip:\n in: %+v\nout: %+v", i, want, got)
+		}
+		frame.Release()
+	}
+	if _, err := ReadPooledFrame(&stream, DefaultMaxFrame); err != io.EOF {
+		t.Fatalf("err = %v, want clean EOF", err)
+	}
+	if _, err := ReadPooledFrame(bytes.NewReader([]byte{0x40, 0, 0, 0}), DefaultMaxFrame); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("1 GiB header: err = %v, want ErrFrameTooLarge", err)
+	}
+	if _, err := ReadPooledFrame(bytes.NewReader([]byte{0, 0, 0, 10, 1, 2, 3}), DefaultMaxFrame); err == nil {
+		t.Fatal("truncated frame accepted")
+	}
+}
+
 // TestOversizedFrameRejectedBeforeAllocation writes a frame header
 // declaring 1 GiB and asserts the reader refuses it without trying to
 // allocate the payload.

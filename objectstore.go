@@ -88,9 +88,10 @@ func (s *ObjectStore) Put(ctx context.Context, key string, data []byte) error {
 
 // PutReader stores size bytes streamed from r under key — the
 // streaming form of Put for objects too large to hold in memory.
-// Stripes are read, encoded and seeded in a bounded pipeline, so peak
-// memory stays at two stripes (2·k·BlockSize) however large the
-// object. The reader must deliver exactly size bytes; a short read, a
+// Stripes are read, encoded and seeded in a bounded window — four
+// stripes seeding while the next is read — so peak memory stays at
+// about five stripes of data (5·k·BlockSize) plus the parity of the
+// four in flight, however large the object. The reader must deliver exactly size bytes; a short read, a
 // reader error or a node failure unwinds every stripe already placed —
 // no partial object is ever visible, and the key stays free for a
 // retry. See docs/PERFORMANCE.md for sizing the stripe to the stream.

@@ -38,13 +38,12 @@ func WithClientMaxFrame(max int) ClientOption {
 	return func(c *NodeClient) { c.maxFrame = max }
 }
 
-// conn is one pooled connection with its per-connection buffers.
+// conn is one pooled connection. It keeps no frame buffers: each
+// exchange takes its request and response frames from the block pool
+// and releases them once written or decoded.
 type conn struct {
-	nc   net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	sbuf []byte // request encode scratch
-	rbuf []byte // response frame scratch
+	nc net.Conn
+	br *bufio.Reader
 }
 
 // NodeClient implements the public client.NodeClient contract over
@@ -195,13 +194,8 @@ func (c *NodeClient) dial(ctx context.Context) (*conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &conn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}, nil
+	return &conn{nc: nc, br: bufio.NewReader(nc)}, nil
 }
-
-// maxPooledScratch caps the per-connection frame buffers an idle
-// connection may keep: one large transfer must not pin
-// maxIdle × maxFrame of heap for the pool's lifetime.
-const maxPooledScratch = 64 << 10
 
 // putConn returns a healthy connection to the pool.
 func (c *NodeClient) putConn(cn *conn) {
@@ -209,12 +203,6 @@ func (c *NodeClient) putConn(cn *conn) {
 	if err := cn.nc.SetDeadline(time.Time{}); err != nil {
 		cn.nc.Close()
 		return
-	}
-	if cap(cn.sbuf) > maxPooledScratch {
-		cn.sbuf = nil
-	}
-	if cap(cn.rbuf) > maxPooledScratch {
-		cn.rbuf = nil
 	}
 	c.mu.Lock()
 	if c.closed || len(c.idle) >= c.maxIdle {
@@ -409,25 +397,26 @@ func (c *NodeClient) exchange(ctx context.Context, cn *conn, req *wire.Request) 
 		defer func() { close(stop); <-parked }()
 	}
 
-	cn.sbuf = wire.AppendRequest(cn.sbuf[:0], req)
-	if err := wire.WriteFrame(cn.bw, cn.sbuf); err != nil {
-		return wire.Response{}, false, err
-	}
-	if err := cn.bw.Flush(); err != nil {
+	// The whole frame goes out in one write: the request data is copied
+	// once, into the pooled frame, and the frame is released right after.
+	frame := wire.RequestFrame(req)
+	_, err = cn.nc.Write(frame.B)
+	frame.Release()
+	if err != nil {
 		return wire.Response{}, false, err
 	}
 	wrote = true
-	payload, err := wire.ReadFrame(cn.br, cn.rbuf, c.maxFrame)
+	frame, err = wire.ReadPooledFrame(cn.br, c.maxFrame)
 	if err != nil {
 		return wire.Response{}, wrote, err
 	}
-	cn.rbuf = payload[:0]
-	resp, err = wire.DecodeResponse(payload)
+	defer frame.Release()
+	resp, err = wire.DecodeResponse(frame.B)
 	if err != nil {
 		return wire.Response{}, wrote, err
 	}
-	// The response data aliases the connection's frame buffer; copy it
-	// before the connection serves anyone else.
+	// The response data aliases the pooled frame; copy it out before
+	// the frame is released.
 	if len(resp.Data) > 0 {
 		resp.Data = append([]byte(nil), resp.Data...)
 	}

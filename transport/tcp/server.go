@@ -190,9 +190,9 @@ func (s *NodeServer) Close() error {
 }
 
 // serveConn answers requests on one connection until it breaks or the
-// server closes. Requests are served strictly in order — the per-node
-// atomicity lives in the Service, but frame handling reuses one buffer
-// per connection, so responses must not interleave.
+// server closes. Requests are served strictly in order, one frame at a
+// time — the per-node atomicity lives in the Service, and the
+// protocol has no request ids, so responses must not interleave.
 func (s *NodeServer) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -202,13 +202,9 @@ func (s *NodeServer) serveConn(conn net.Conn) {
 		s.wg.Done()
 	}()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	// Frame buffers are reused across requests but trimmed after
-	// oversized ones, so one large transfer does not pin
-	// frame-sized heap for the connection's lifetime (mirrors the
-	// client pool's maxPooledScratch).
-	const maxKeptScratch = 64 << 10
-	var readBuf, writeBuf []byte
+	// One Request per connection: decoding reuses its version and
+	// checksum storage, which services copy like the data.
+	var req wire.Request
 	for {
 		// Idle wait: block without a deadline until the next request's
 		// first byte, so pooled connections can rest indefinitely. Once
@@ -224,30 +220,28 @@ func (s *NodeServer) serveConn(conn net.Conn) {
 				return
 			}
 		}
-		payload, err := wire.ReadFrame(br, readBuf, s.maxFrame)
+		// The request frame is pooled and released once handle returns:
+		// services copy the request buffers they keep (client package,
+		// "Buffer ownership"), so nothing aliases it past the call.
+		frame, err := wire.ReadPooledFrame(br, s.maxFrame)
 		if err != nil {
 			// Clean EOF, a broken peer, a stalled frame or an oversized
 			// one: the connection is unusable either way.
 			return
 		}
-		readBuf = payload[:0]
-		req, err := wire.DecodeRequest(payload)
-		var resp wire.Response
-		if err != nil {
+		if err := req.Decode(frame.B); err != nil {
+			frame.Release()
 			// The framing survived but the payload did not parse:
 			// answer the error, then drop the connection (the peer's
 			// encoder is broken).
-			resp = wire.Response{Status: wire.StatusBadRequest, Detail: err.Error()}
 			if s.ioTimeout > 0 {
 				conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
 			}
-			writeBuf = wire.AppendResponse(writeBuf[:0], &resp)
-			if wire.WriteFrame(bw, writeBuf) == nil {
-				bw.Flush()
-			}
+			writeResponse(conn, wire.Response{Status: wire.StatusBadRequest, Detail: err.Error()})
 			return
 		}
-		resp = s.handle(&req)
+		resp := s.handle(&req)
+		frame.Release()
 		// A peer that stops draining its socket must not pin the
 		// handler in a blocked write (the read-side twin of slow-loris).
 		if s.ioTimeout > 0 {
@@ -255,20 +249,18 @@ func (s *NodeServer) serveConn(conn net.Conn) {
 				return
 			}
 		}
-		writeBuf = wire.AppendResponse(writeBuf[:0], &resp)
-		if err := wire.WriteFrame(bw, writeBuf); err != nil {
+		if err := writeResponse(conn, resp); err != nil {
 			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		if cap(readBuf) > maxKeptScratch {
-			readBuf = nil
-		}
-		if cap(writeBuf) > maxKeptScratch {
-			writeBuf = nil
 		}
 	}
+}
+
+// writeResponse writes one response as a single pooled frame.
+func writeResponse(conn net.Conn, resp wire.Response) error {
+	frame := wire.ResponseFrame(&resp)
+	_, err := conn.Write(frame.B)
+	frame.Release()
+	return err
 }
 
 // epochGuarder is the optional stale-epoch enforcement surface of a
