@@ -4,21 +4,56 @@ import (
 	"context"
 
 	"trapquorum/internal/availability"
+	"trapquorum/internal/service"
 	"trapquorum/internal/trapezoid"
 )
 
-// clusterHandle is the node-management and availability-analytics
-// surface Store and ObjectStore share: both sit on one backend-provided
-// cluster and one (n,k)+trapezoid configuration.
+// clusterHandle is the node-management, repair and
+// availability-analytics surface Store and ObjectStore share: both are
+// views of one service.Fleet over one backend-provided cluster and one
+// (n,k)+trapezoid configuration.
 type clusterHandle struct {
 	n, k    int
 	tcfg    trapezoid.Config
 	backend Backend
+	fleet   *service.Fleet
 	heal    *healer // nil unless WithSelfHeal was configured
 }
 
-func newClusterHandle(cfg *config, tcfg trapezoid.Config) clusterHandle {
-	return clusterHandle{n: cfg.n, k: cfg.k, tcfg: tcfg, backend: cfg.backend}
+// openFleet provisions the backend's cluster (sized by the placement
+// strategy), builds the fleet over it and, with WithSelfHeal, starts
+// the self-healing subsystem on the fleet.
+func openFleet(ctx context.Context, cfg *config) (clusterHandle, error) {
+	tcfg, err := cfg.trapezoidConfig()
+	if err != nil {
+		return clusterHandle{}, err
+	}
+	nodes, err := cfg.backend.Open(ctx, cfg.place.Nodes())
+	if err != nil {
+		return clusterHandle{}, err
+	}
+	fleet, err := service.NewFleet(nodes, service.Config{
+		N: cfg.n, K: cfg.k,
+		Shape: cfg.shape, W: cfg.w,
+		BlockSize:         cfg.blockSize,
+		Placement:         cfg.place,
+		Concurrency:       cfg.concurrency,
+		CodingParallelism: cfg.codingParallel,
+		Hedge:             cfg.hedge,
+		NodeGate:          nodeGate(cfg.backend),
+	})
+	if err != nil {
+		cfg.backend.Close()
+		return clusterHandle{}, err
+	}
+	h := clusterHandle{n: cfg.n, k: cfg.k, tcfg: tcfg, backend: cfg.backend, fleet: fleet}
+	if cfg.selfHeal != nil {
+		if h.heal, err = startSelfHeal(cfg, fleet); err != nil {
+			cfg.backend.Close()
+			return clusterHandle{}, err
+		}
+	}
+	return h, nil
 }
 
 // Close stops the self-healing subsystem (when enabled) and releases
@@ -42,8 +77,34 @@ func (h *clusterHandle) Health() HealthReport {
 	return r
 }
 
-// CodeParams returns the (n, k) MDS code parameters.
-func (h *clusterHandle) CodeParams() (n, k int) { return h.n, h.k }
+// CodeParams returns the current placement epoch's (n, k) — after an
+// ObjectStore recode, the target geometry, shadowing the Open-time
+// value the availability analytics keep using.
+func (h *clusterHandle) CodeParams() (n, k int) { return h.fleet.CodeParams() }
+
+// NodeCount returns the number of provisioned cluster nodes — the
+// Open-time size plus any nodes added by Reconfigure (removed nodes
+// keep their ids, so the count never shrinks; see ActiveNodes for the
+// serving roster).
+func (h *clusterHandle) NodeCount() int { return h.fleet.NodeCount() }
+
+// RepairNode rebuilds every stripe shard placed on cluster node j
+// (after the node returns, possibly with a fresh disk) from the
+// surviving nodes (exact repair). It returns how many chunks were
+// rebuilt.
+func (h *clusterHandle) RepairNode(ctx context.Context, j int) (int, error) {
+	return h.fleet.RepairClusterNode(ctx, j)
+}
+
+// Metrics returns a snapshot of the store-level counters: the
+// protocol counters summed over every placement epoch, plus the
+// self-heal counters when WithSelfHeal is enabled.
+func (h *clusterHandle) Metrics() Metrics {
+	m := metricsFromCore(h.fleet.Metrics())
+	h.heal.fold(&m)
+	h.foldResilience(&m)
+	return m
+}
 
 // CrashNode fail-stops cluster node j: data survives, operations
 // against the node fail until RestartNode. It requires a

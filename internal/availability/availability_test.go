@@ -381,6 +381,49 @@ func TestReadFRMatchesExactEnumeration(t *testing.T) {
 	}
 }
 
+// TestReadERCExactAtK1IsReadFR pins TRAP-FR as TRAP-ERC at k = 1: with
+// one data block the protocol's exact read availability is equation
+// (10), on every shape and valid w, and eq. 15's storage is eq. 14's.
+// Equation (13) does not reduce the same way: its P2 term waives the
+// version check when N_i is down, so at k = 1 it overstates the read.
+func TestReadERCExactAtK1IsReadFR(t *testing.T) {
+	for _, shape := range []trapezoid.Shape{{A: 2, B: 3, H: 1}, {A: 2, B: 3, H: 2}, {A: 1, B: 1, H: 2}} {
+		nb := shape.NbNodes()
+		valid := 0
+		for w := 1; w <= nb; w++ {
+			cfg, err := trapezoid.NewConfig(shape, w)
+			if err != nil {
+				continue
+			}
+			valid++
+			for _, p := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+				exact, err := ReadERCExact(ERCParams{Config: cfg, N: nb, K: 1}, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fr := ReadFR(cfg, p); !approx(exact, fr, 1e-12) {
+					t.Fatalf("%+v w=%d p=%v: exact k=1 %v, eq10 %v", shape, w, p, exact, fr)
+				}
+			}
+		}
+		if valid == 0 {
+			t.Fatalf("%+v: no valid w", shape)
+		}
+		if StorageERC(nb, 1) != StorageFR(nb, 1) {
+			t.Fatalf("%+v: eq15 %v != eq14 %v at k=1", shape, StorageERC(nb, 1), StorageFR(nb, 1))
+		}
+	}
+	cfg, _ := trapezoid.NewConfig(trapezoid.Shape{A: 2, B: 3, H: 1}, 1)
+	eq13, err := ReadERC(ERCParams{Config: cfg, N: 8, K: 1}, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The figures EXPERIMENTS.md's preamble quotes.
+	if fr := ReadFR(cfg, 0.5); !approx(eq13, 0.875, 1e-12) || !approx(fr, 0.516, 5e-4) {
+		t.Fatalf("k=1 (2,3,1) w=1 p=0.5: eq13 %v (want 0.875), eq10 %v (want 0.516)", eq13, fr)
+	}
+}
+
 // TestReadERCExactLowerBoundsEq13 documents the relationship between
 // the paper's equation (13) and the protocol as actually specified:
 // the P2 term of eq. 13 skips the version-check requirement when N_i

@@ -21,14 +21,15 @@ func TestLinearizabilityUnderCrashSchedules(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		seed := seed
 		t.Run("", func(t *testing.T) {
-			runCrashSchedule(t, seed, 250)
+			runCrashSchedule(t, fig3System(t, Options{}), seed, 250)
 		})
 	}
 }
 
-func runCrashSchedule(t *testing.T, seed int64, ops int) {
+// runCrashSchedule drives ops random crashes, restarts, writes and
+// reads against stripe 1 of ts and fails on any stale or garbage read.
+func runCrashSchedule(t *testing.T, ts *testSystem, seed int64, ops int) {
 	t.Helper()
-	ts := fig3System(t, Options{})
 	const blockSize = 32
 	data := ts.seed(t, 1, blockSize)
 	r := rand.New(rand.NewSource(seed))
@@ -41,10 +42,10 @@ func runCrashSchedule(t *testing.T, seed int64, ops int) {
 		switch r.Intn(10) {
 		case 0, 1: // crash a random node (cap total down at n-1)
 			if ts.cluster.AliveCount() > 1 {
-				ts.cluster.Crash(r.Intn(15))
+				ts.cluster.Crash(r.Intn(ts.code.N()))
 			}
 		case 2: // restart a random node
-			ts.cluster.Restart(r.Intn(15))
+			ts.cluster.Restart(r.Intn(ts.code.N()))
 		case 3, 4, 5: // write a random block
 			i := r.Intn(ts.code.K())
 			x := make([]byte, blockSize)

@@ -8,16 +8,26 @@ import (
 	"trapquorum/internal/trapezoid"
 )
 
+// TRAP-FR is TRAP-ERC at k = 1: the live full-replication protocol is
+// the (8,1) ProtocolEstimator on the Figure-3 trapezoid.
+
+// newFREstimator seeds the (8,1) protocol on the Figure-3 trapezoid.
+func newFREstimator(t *testing.T, seed int64) *ProtocolEstimator {
+	t.Helper()
+	fe, err := NewProtocolEstimator(context.Background(), 8, 1, fig3Config(t), 64, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fe.Close)
+	return fe
+}
+
 // TestFREstimatorMatchesEq10 validates the live full-replication
 // protocol against equation (10) for reads and against equation (8)
 // as an upper bound for writes.
 func TestFREstimatorMatchesEq10(t *testing.T) {
 	cfg := fig3Config(t)
-	fe, err := NewFREstimator(context.Background(), cfg, 64, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
+	fe := newFREstimator(t, 3)
 	const trials = 4000
 	for _, p := range []float64{0.4, 0.6, 0.8, 0.95} {
 		res, err := fe.EstimateRead(context.Background(), p, trials, 21)
@@ -39,18 +49,16 @@ func TestFREstimatorMatchesEq10(t *testing.T) {
 	}
 }
 
-// TestFRNoStalenessDecay runs many write trials without any repair:
-// unlike TRAP-ERC (whose conditional parity deltas strand stale
-// nodes — the A4 decay), full replication self-heals because writes
-// overwrite replicas outright. Success rates in the first and second
-// halves of the run must be statistically indistinguishable.
+// TestFRNoStalenessDecay runs two long write series back to back:
+// with stale replicas repaired between trials, success rates in the
+// two halves must be statistically indistinguishable and near eq. 8.
+// Without the repair the k = 1 system decays like any TRAP-ERC stripe
+// (a replica that missed a write rejects every later delta until
+// repaired), where a blind full-block overwrite would have healed it:
+// the steady-state series pins that difference.
 func TestFRNoStalenessDecay(t *testing.T) {
 	cfg := fig3Config(t)
-	fe, err := NewFREstimator(context.Background(), cfg, 64, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
+	fe := newFREstimator(t, 5)
 	const trials = 4000
 	first, err := fe.EstimateWrite(context.Background(), 0.85, trials, 31)
 	if err != nil {
@@ -68,18 +76,24 @@ func TestFRNoStalenessDecay(t *testing.T) {
 	if !second.WithinScore(eq8, 5) {
 		t.Fatalf("late FR writes %v far from eq8 %v", second.Estimate(), eq8)
 	}
+	steady, err := fe.EstimateWriteSteadyState(context.Background(), 0.85, trials, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steady.Estimate() > second.Estimate()-0.2 {
+		t.Fatalf("unrepaired FR writes %v did not decay below repaired %v", steady.Estimate(), second.Estimate())
+	}
 }
 
 func TestFREstimatorValidation(t *testing.T) {
 	badCfg := trapezoid.Config{Shape: trapezoid.Shape{A: -1, B: 1, H: 0}, W: []int{1}}
-	if _, err := NewFREstimator(context.Background(), badCfg, 64, 1); err == nil {
+	if _, err := NewProtocolEstimator(context.Background(), 8, 1, badCfg, 64, 1); err == nil {
 		t.Fatal("invalid trapezoid accepted")
 	}
-	fe, err := NewFREstimator(context.Background(), fig3Config(t), 64, 1)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewProtocolEstimator(context.Background(), 7, 1, fig3Config(t), 64, 1); err == nil {
+		t.Fatal("8-position trapezoid accepted over 7 replicas")
 	}
-	defer fe.Close()
+	fe := newFREstimator(t, 1)
 	if _, err := fe.EstimateRead(context.Background(), -1, 10, 1); err == nil {
 		t.Fatal("p<0 accepted")
 	}

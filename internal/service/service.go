@@ -25,6 +25,17 @@
 // chunk ids never collide across tenants. Repair, scrub and the
 // self-healing orchestrator operate at fleet scope: a node repair
 // rebuilds every tenant's chunks placed there.
+//
+// # Caller-named stripes
+//
+// Beside the allocator, Fleet.SeedStripe registers a stripe under an id
+// the caller names, placed shard j on roster node j of the current
+// epoch, and Fleet.Stripe hands back its handle and protocol instance.
+// The allocator skips past every caller-named id, and the stripe sits
+// in the one stripe table with the tenants' stripes, so repair, scrub
+// and self-heal cover it too. Reconfigure migrates tenant objects only:
+// a caller-named stripe stays in the epoch that seeded it. The root
+// package's low-level block store is built on this.
 package service
 
 import (
@@ -478,6 +489,39 @@ func (f *Fleet) stripe(id uint64) (placedStripe, bool) {
 	defer f.mu.Unlock()
 	p, ok := f.stripes[id]
 	return p, ok
+}
+
+// SeedStripe seeds k equally sized data blocks as the caller-named
+// stripe id in the current epoch — shard j on roster node j — and
+// registers it beside the tenants' stripes, so node repair, scrub and
+// self-heal cover it. The allocator skips past id: it never hands a
+// caller's id to a tenant Put. Seeding an id again replaces the stripe.
+func (f *Fleet) SeedStripe(ctx context.Context, id uint64, blocks [][]byte) error {
+	f.mu.Lock()
+	ec := f.cur
+	f.nextStripe = max(f.nextStripe, id+1)
+	f.mu.Unlock()
+	st := core.Stripe{ID: id, Nodes: slices.Clip(ec.active[:ec.n])}
+	if len(blocks) > 0 {
+		st.BlockSize = len(blocks[0])
+	}
+	if err := ec.sys.SeedStripe(ctx, st, blocks); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	f.registerLocked([]placedStripe{{st, ec}})
+	f.mu.Unlock()
+	return nil
+}
+
+// Stripe returns a registered stripe's handle and the protocol
+// instance serving it, or a core.ErrUnknownStripe wrap.
+func (f *Fleet) Stripe(id uint64) (core.Stripe, *core.System, error) {
+	p, ok := f.stripe(id)
+	if !ok {
+		return core.Stripe{}, nil, fmt.Errorf("%w: %d", core.ErrUnknownStripe, id)
+	}
+	return p.Stripe, p.ec.sys, nil
 }
 
 // dropStripes removes every chunk of the given stripes from its placed

@@ -18,8 +18,7 @@ import (
 // writers.
 type ObjectStore struct {
 	clusterHandle
-	clusterSize int
-	svc         *service.Store
+	svc *service.Store
 }
 
 // Open validates the configuration, asks the backend to provision the
@@ -34,48 +33,16 @@ func Open(ctx context.Context, opts ...Option) (*ObjectStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	tcfg, err := cfg.trapezoidConfig()
+	h, err := openFleet(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	clusterSize := cfg.place.Nodes()
-	nodes, err := cfg.backend.Open(ctx, clusterSize)
+	svc, err := h.fleet.Tenant(service.DefaultTenant, service.Quota{})
 	if err != nil {
+		h.Close()
 		return nil, err
 	}
-	svc, err := service.New(nodes, service.Config{
-		N: cfg.n, K: cfg.k,
-		Shape: cfg.shape, W: cfg.w,
-		BlockSize:         cfg.blockSize,
-		Placement:         cfg.place,
-		Concurrency:       cfg.concurrency,
-		CodingParallelism: cfg.codingParallel,
-		Hedge:             cfg.hedge,
-		NodeGate:          nodeGate(cfg.backend),
-	})
-	if err != nil {
-		cfg.backend.Close()
-		return nil, err
-	}
-	store := &ObjectStore{
-		clusterHandle: newClusterHandle(cfg, tcfg),
-		clusterSize:   clusterSize,
-		svc:           svc,
-	}
-	if cfg.selfHeal != nil {
-		// Repair, scrub and migration are fleet-scope: the orchestrator
-		// drives the fleet, not the tenant namespace.
-		heal, err := startSelfHeal(cfg, clusterSize, svc.Fleet())
-		if err != nil {
-			cfg.backend.Close()
-			return nil, err
-		}
-		store.heal = heal
-		// Route corruption observations, already named by cluster node,
-		// into the health monitor.
-		svc.Fleet().SetCorruptionHandler(heal.mon.ReportCorrupt)
-	}
-	return store, nil
+	return &ObjectStore{clusterHandle: h, svc: svc}, nil
 }
 
 // Put stores data under key. The key must not exist (ErrExists
@@ -150,31 +117,8 @@ func (s *ObjectStore) Keys() []string { return s.svc.Keys() }
 // StripesOf reports the stripe ids backing an object (diagnostics).
 func (s *ObjectStore) StripesOf(key string) ([]uint64, error) { return s.svc.StripesOf(key) }
 
-// RepairNode rebuilds every stripe shard placed on the given cluster
-// node (after the node returns, possibly with a fresh disk). It
-// returns how many chunks were rebuilt.
-func (s *ObjectStore) RepairNode(ctx context.Context, node int) (int, error) {
-	return s.svc.Fleet().RepairClusterNode(ctx, node)
-}
-
 // Scrub audits every stripe of the object read-only, one ScrubReport
 // per stripe. Pair with RepairNode when it reports degradation.
 func (s *ObjectStore) Scrub(ctx context.Context, key string) ([]ScrubReport, error) {
 	return s.svc.Scrub(ctx, key)
-}
-
-// NodeCount returns the number of provisioned cluster nodes — the
-// Open-time size plus any nodes added by Reconfigure (removed nodes
-// keep their ids, so the count never shrinks; see ActiveNodes for the
-// serving roster).
-func (s *ObjectStore) NodeCount() int { return s.svc.Fleet().NodeCount() }
-
-// Metrics returns a snapshot of the store-level counters: the
-// protocol counters summed over every placement epoch, plus the
-// self-heal counters when WithSelfHeal is enabled.
-func (s *ObjectStore) Metrics() Metrics {
-	m := metricsFromCore(s.svc.Fleet().Metrics())
-	s.heal.fold(&m)
-	s.foldResilience(&m)
-	return m
 }

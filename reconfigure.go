@@ -202,11 +202,6 @@ func (s *ObjectStore) Epoch() uint64 { return s.svc.Fleet().Epoch() }
 // are absent here).
 func (s *ObjectStore) ActiveNodes() []int { return s.svc.Fleet().ActiveNodes() }
 
-// CodeParams returns the current epoch's (n, k) — after a recode, the
-// target geometry, shadowing the Open-time value the availability
-// analytics keep using.
-func (s *ObjectStore) CodeParams() (n, k int) { return s.svc.Fleet().CodeParams() }
-
 // Health returns the self-healing snapshot extended with the
 // reconfiguration state: the placement epochs and, while a migration
 // drains, its progress. The migration report is populated with or

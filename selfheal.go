@@ -9,6 +9,7 @@ import (
 	"trapquorum/internal/core"
 	"trapquorum/internal/health"
 	"trapquorum/internal/repairsched"
+	"trapquorum/internal/service"
 )
 
 // NodeProber is the optional Backend extension the self-healing
@@ -214,9 +215,11 @@ type healer struct {
 	orc *repairsched.Orchestrator
 }
 
-// startSelfHeal assembles and starts the subsystem for a store whose
-// cluster has clusterSize nodes, repairing through target.
-func startSelfHeal(cfg *config, clusterSize int, target repairsched.Target) (*healer, error) {
+// startSelfHeal assembles and starts the subsystem on the fleet:
+// the monitor probes every cluster node, the orchestrator repairs and
+// scrubs the fleet, and the fleet's corruption observations, named by
+// cluster node, feed the monitor.
+func startSelfHeal(cfg *config, fleet *service.Fleet) (*healer, error) {
 	prober, ok := cfg.backend.(NodeProber)
 	if !ok {
 		return nil, fmt.Errorf(
@@ -237,11 +240,11 @@ func startSelfHeal(cfg *config, clusterSize int, target repairsched.Target) (*he
 	if lr, ok := cfg.backend.(LatencyReporter); ok {
 		hcfg.Latency = lr.NodeLatency
 	}
-	mon, err := health.New(clusterSize, prober.ProbeNode, hcfg)
+	mon, err := health.New(fleet.NodeCount(), prober.ProbeNode, hcfg)
 	if err != nil {
 		return nil, err
 	}
-	orc := repairsched.New(target, mon, repairsched.Config{
+	orc := repairsched.New(fleet, mon, repairsched.Config{
 		RepairConcurrency: sh.RepairConcurrency,
 		RetryInterval:     sh.RepairRetry,
 		ScrubInterval:     sh.ScrubInterval,
@@ -250,6 +253,7 @@ func startSelfHeal(cfg *config, clusterSize int, target repairsched.Target) (*he
 	})
 	orc.Start()
 	mon.Start()
+	fleet.SetCorruptionHandler(mon.ReportCorrupt)
 	return &healer{mon: mon, orc: orc}, nil
 }
 
