@@ -203,3 +203,35 @@ type NodeClient interface {
 	// no-op.
 	DeleteChunk(ctx context.Context, id ChunkID) error
 }
+
+// ChunkRemover is the optional node capability behind vectored chunk
+// removal: DeleteChunks removes every listed chunk in one request, so
+// dropping an object costs each node one message and one durable
+// mutation batch however many of its stripes the node holds. Missing
+// chunks are skipped, as with DeleteChunk. An error reports that some
+// of the removals may not have happened; the caller counts every listed
+// chunk as not removed. Coordinators type-assert for it, like
+// EpochSetter, and fall back to one DeleteChunk per chunk on nodes that
+// do not implement it. The ids slice is only valid for the duration of
+// the call.
+type ChunkRemover interface {
+	// DeleteChunks removes every listed chunk; missing ones are
+	// no-ops.
+	DeleteChunks(ctx context.Context, ids []ChunkID) error
+}
+
+// DeleteChunks removes ids from node: in one request when the node is
+// a ChunkRemover, else one DeleteChunk per id, attempting every one
+// and returning the first error.
+func DeleteChunks(ctx context.Context, node NodeClient, ids []ChunkID) error {
+	if r, ok := node.(ChunkRemover); ok {
+		return r.DeleteChunks(ctx, ids)
+	}
+	var first error
+	for _, id := range ids {
+		if err := node.DeleteChunk(ctx, id); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}

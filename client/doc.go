@@ -13,6 +13,16 @@
 // so "implementing a backend" means carrying these operations to an
 // engine, not re-implementing their semantics.
 //
+// # Optional node capabilities
+//
+// Two optional interfaces extend NodeClient; coordinators type-assert
+// for them and degrade gracefully on nodes that lack them.
+// EpochSetter persists the placement epoch behind online
+// reconfiguration and fences stale-epoch traffic. ChunkRemover takes
+// all of one node's removals of a Delete in one request and one
+// durable batch; without it the coordinator sends one DeleteChunk per
+// chunk.
+//
 // # Fault injection
 //
 // Crash/restart/wipe fault injection is an optional backend extension

@@ -365,3 +365,105 @@ func TestGroupCommitScanBesideCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// copyDir copies a store directory the way a power cut leaves it: the
+// files as they are on disk at this instant, no Close.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeleteChunksOneDurableBatch: an engine's DeleteChunks stages
+// every removal under one engine-lock hold, so with a commit in flight
+// they all join the batch open behind it — one WAL append and fsync for
+// the frame. The call is not acknowledged before that batch is
+// durable, and once it is, a crash image taken right after the ack
+// recovers with every listed chunk absent and nothing else touched.
+func TestDeleteChunksOneDurableBatch(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir)
+	var armed atomic.Bool
+	var batches atomic.Int32 // batches that reached the gate while armed
+	arrived, open := make(chan struct{}, 1), make(chan struct{})
+	s.SetCommitGate(func() {
+		if armed.Load() {
+			if batches.Add(1) == 1 {
+				arrived <- struct{}{}
+			}
+			<-open
+		}
+	})
+	e := nodeengine.New(s)
+	ctx := context.Background()
+	ids := make([]client.ChunkID, 16)
+	for i := range ids {
+		ids[i] = client.ChunkID{Stripe: uint64(i), Shard: 2}
+	}
+	keep := client.ChunkID{Stripe: 99}
+	for _, id := range append(ids, keep) {
+		if err := e.PutChunk(ctx, id, []byte{1}, []uint64{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A put held at the gate stands in for a slow fsync in flight.
+	armed.Store(true)
+	blocker := make(chan error, 1)
+	go func() { blocker <- e.PutChunk(ctx, client.ChunkID{Stripe: 100}, []byte{2}, []uint64{1}) }()
+	<-arrived
+	removed := make(chan error, 1)
+	go func() { removed <- e.DeleteChunks(ctx, ids) }()
+	for s.Staged() < len(ids) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	select {
+	case err := <-removed:
+		t.Fatalf("DeleteChunks acknowledged (%v) before its batch reached the WAL", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(open)
+	if err := <-blocker; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-removed; err != nil {
+		t.Fatal(err)
+	}
+	if n := batches.Load(); n != 2 {
+		t.Fatalf("the held put and a %d-id frame took %d batches, want 2", len(ids), n)
+	}
+
+	image := filepath.Join(t.TempDir(), "image")
+	copyDir(t, dir, image)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openTestStore(t, image)
+	defer r.Close()
+	for _, id := range ids {
+		if _, _, _, ok, _ := r.Get(id); ok {
+			t.Fatalf("%v back after recovery from a crash image taken after the ack", id)
+		}
+	}
+	if _, _, _, ok, _ := r.Get(keep); !ok {
+		t.Fatal("an unlisted chunk is gone after recovery")
+	}
+}

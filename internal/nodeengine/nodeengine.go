@@ -159,7 +159,10 @@ type Engine struct {
 }
 
 // Compile-time conformance with the public transport contract.
-var _ client.NodeClient = (*Engine)(nil)
+var (
+	_ client.NodeClient   = (*Engine)(nil)
+	_ client.ChunkRemover = (*Engine)(nil)
+)
 
 // Option customises an Engine.
 type Option func(*Engine)
@@ -572,6 +575,39 @@ func (e *Engine) DeleteChunk(ctx context.Context, id client.ChunkID) error {
 	return e.mutate(func() (func() error, error) {
 		return e.stageDelete(id)
 	})
+}
+
+// DeleteChunks removes every listed chunk (client.ChunkRemover). All
+// the removals stage under one hold of the engine lock, so on a
+// group-commit store they join the open batch together and share its
+// fsync, and the call returns once every one of them is durable.
+// Missing chunks are no-ops, as in DeleteChunk.
+func (e *Engine) DeleteChunks(ctx context.Context, ids []client.ChunkID) error {
+	if err := e.begin(ctx); err != nil {
+		return err
+	}
+	waits := make([]func() error, 0, len(ids))
+	err := e.mutate(func() (func() error, error) {
+		for _, id := range ids {
+			wait, err := e.stageDelete(id)
+			if err != nil {
+				return nil, err
+			}
+			if wait != nil {
+				waits = append(waits, wait)
+			}
+		}
+		return nil, nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, wait := range waits {
+		if err := wait(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // HasChunk reports whether the node stores the chunk. A quarantined

@@ -266,3 +266,44 @@ func TestMetricsCounting(t *testing.T) {
 		t.Fatalf("served = %d", m.ServedOperations.Load())
 	}
 }
+
+// TestDeleteChunks: a vectored removal deletes every listed chunk,
+// skips missing ones like DeleteChunk, counts as one served operation,
+// and on a cancelled context leaves the store untouched.
+func TestDeleteChunks(t *testing.T) {
+	e := newTestEngine(t)
+	ctx := context.Background()
+	ids := []client.ChunkID{{Stripe: 1}, {Stripe: 1, Shard: 7}, {Stripe: 2, Shard: 3}}
+	for _, id := range ids {
+		if err := e.PutChunk(ctx, id, []byte{1}, []uint64{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := client.ChunkID{Stripe: 3}
+	if err := e.PutChunk(ctx, keep, []byte{2}, []uint64{1}); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := e.DeleteChunks(cancelled, ids); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled: err = %v", err)
+	}
+	if n, _ := e.ChunkCount(ctx); n != len(ids)+1 {
+		t.Fatalf("cancelled removal left %d chunks, want %d", n, len(ids)+1)
+	}
+	served := e.Metrics().ServedOperations.Load()
+	if err := e.DeleteChunks(ctx, append(ids, client.ChunkID{Stripe: 99})); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Metrics().ServedOperations.Load() - served; got != 1 {
+		t.Fatalf("DeleteChunks served as %d operations, want 1", got)
+	}
+	for _, id := range ids {
+		if ok, _ := e.HasChunk(ctx, id); ok {
+			t.Fatalf("%v survived DeleteChunks", id)
+		}
+	}
+	if ok, _ := e.HasChunk(ctx, keep); !ok {
+		t.Fatal("an unlisted chunk was removed")
+	}
+}

@@ -214,3 +214,15 @@ func (c *node) DeleteChunk(ctx context.Context, id client.ChunkID) error {
 	}
 	return c.NodeClient.DeleteChunk(ctx, id)
 }
+
+// DeleteChunks counts a vectored removal as one DeleteChunk-kind RPC:
+// one frame, one hold, whatever the number of ids. A wrapped node
+// without client.ChunkRemover is sent one DeleteChunk per id behind
+// that single count.
+func (c *node) DeleteChunks(ctx context.Context, ids []client.ChunkID) error {
+	defer c.log.begin(c.node, DeleteChunk)()
+	if err := hold(ctx); err != nil {
+		return err
+	}
+	return client.DeleteChunks(ctx, c.NodeClient, ids)
+}

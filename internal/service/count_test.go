@@ -26,8 +26,10 @@ func align64(x int) int { return (x + 63) / 64 * 64 }
 // seeds them seedWindow (W) at a time: ⌈s/W⌉ rounds, each stripe's n
 // PutChunks in the wave of its window. A node repair reads n−1
 // survivors and installs one chunk per stripe the fleet holds, whoever
-// placed it — the one path both root stores repair through — and a
-// scrub reads every shard of each of the object's stripes in turn.
+// placed it — the one path both root stores repair through — a scrub
+// reads every shard of each of the object's stripes in turn, and a
+// Delete sends each node one removal, whatever the object's stripe
+// count.
 // Run with -v to print the table.
 func TestServiceCountTable(t *testing.T) {
 	const bs = 4096
@@ -200,10 +202,11 @@ func TestServiceCountTable(t *testing.T) {
 				rounds: 1,
 			},
 			{
-				// Every stripe's chunks are dropped in one fan-out.
+				// Every node is sent its s chunks in one DeleteChunks
+				// frame (counted as one DeleteChunk), all in one fan-out.
 				name:   "Delete, 3 stripes",
 				op:     func() error { return store.Delete(ctx, "big") },
-				rpcs:   rpccount.Counts{rpccount.DeleteChunk: s * n},
+				rpcs:   rpccount.Counts{rpccount.DeleteChunk: n},
 				rounds: 1,
 			},
 		}

@@ -279,6 +279,166 @@ func TestDeleteWithNodeDownCountsOrphans(t *testing.T) {
 	}
 }
 
+// removalLog records, by node, the removals a fleet sent: single
+// DeleteChunk calls, and the id count of every DeleteChunks request.
+type removalLog struct {
+	mu     sync.Mutex
+	single []int
+	frames [][]int
+}
+
+func (l *removalLog) reset() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	clear(l.single)
+	clear(l.frames)
+}
+
+// node returns what node j was sent.
+func (l *removalLog) node(j int) (single int, frames []int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.single[j], append([]int(nil), l.frames[j]...)
+}
+
+// loggedNode logs the removals sent to one node. It hides
+// client.ChunkRemover; loggedRemover exposes it.
+type loggedNode struct {
+	core.NodeClient
+	j   int
+	log *removalLog
+}
+
+func (n loggedNode) DeleteChunk(ctx context.Context, id client.ChunkID) error {
+	n.log.mu.Lock()
+	n.log.single[n.j]++
+	n.log.mu.Unlock()
+	return n.NodeClient.DeleteChunk(ctx, id)
+}
+
+type loggedRemover struct{ loggedNode }
+
+func (n loggedRemover) DeleteChunks(ctx context.Context, ids []client.ChunkID) error {
+	n.log.mu.Lock()
+	n.log.frames[n.j] = append(n.log.frames[n.j], len(ids))
+	n.log.mu.Unlock()
+	return n.NodeClient.(client.ChunkRemover).DeleteChunks(ctx, ids)
+}
+
+// newLoggedStore is newProbedStore over logged nodes, which implement
+// client.ChunkRemover when remover is set.
+func newLoggedStore(t *testing.T, remover bool) (*Store, *sim.Cluster, *removalLog) {
+	t.Helper()
+	cluster, err := sim.NewCluster(removeNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Close)
+	log := &removalLog{single: make([]int, removeNodes), frames: make([][]int, removeNodes)}
+	nodes := make([]core.NodeClient, removeNodes)
+	for j := range nodes {
+		n := loggedNode{NodeClient: cluster.Node(j), j: j, log: log}
+		if remover {
+			nodes[j] = loggedRemover{n}
+		} else {
+			nodes[j] = n
+		}
+	}
+	strat, err := placement.NewRoundRobin(removeNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := New(nodes, Config{
+		N: 9, K: 6,
+		Shape: trapezoid.Shape{A: 2, B: 1, H: 1}, W: 2,
+		BlockSize: testBlockSize,
+		Placement: strat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store, cluster, log
+}
+
+// TestDeleteSendsOneFramePerNode: a node implementing
+// client.ChunkRemover is sent all of its chunks of a Delete in one
+// request, split at removalFrame ids, and a node that holds one chunk
+// a plain DeleteChunk; a node without the capability gets one
+// DeleteChunk per chunk. Either way every chunk is gone.
+func TestDeleteSendsOneFramePerNode(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		name    string
+		remover bool
+		stripes int
+		single  int   // DeleteChunk calls per node
+		frames  []int // ids per DeleteChunks request, per node
+	}{
+		{"ChunkRemover/1 stripe", true, 1, 1, nil},
+		{"ChunkRemover/3 stripes", true, 3, 0, []int{3}},
+		{"ChunkRemover/removalFrame+1 stripes", true, removalFrame + 1, 1, []int{removalFrame}},
+		{"per chunk/3 stripes", false, 3, 3, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store, cluster, log := newLoggedStore(t, tc.remover)
+			if err := store.Put(ctx, "obj", stripesOfBytes(tc.stripes)); err != nil {
+				t.Fatal(err)
+			}
+			log.reset()
+			if err := store.Delete(ctx, "obj"); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < removeNodes; j++ {
+				single, frames := log.node(j)
+				if single != tc.single || fmt.Sprint(frames) != fmt.Sprint(tc.frames) {
+					t.Errorf("node %d: %d DeleteChunk and frames %v, want %d and %v", j, single, frames, tc.single, tc.frames)
+				}
+			}
+			for j, n := range chunkCounts(t, cluster) {
+				if n != 0 {
+					t.Errorf("node %d holds %d chunks after the delete", j, n)
+				}
+			}
+			if m := store.TenantMetrics(); m.ChunksOrphaned != 0 {
+				t.Fatalf("ChunksOrphaned = %d with every node up", m.ChunksOrphaned)
+			}
+		})
+	}
+}
+
+// TestDeleteFrameToDownNodeCountsEveryID: a removal request that
+// fails orphans every chunk it listed — with one node down, the count
+// is that node's chunk count, exactly as with per-chunk removals.
+func TestDeleteFrameToDownNodeCountsEveryID(t *testing.T) {
+	ctx := context.Background()
+	const stripes, down = 4, 4
+	store, cluster, log := newLoggedStore(t, true)
+	if err := store.Put(ctx, "obj", stripesOfBytes(stripes)); err != nil {
+		t.Fatal(err)
+	}
+	cluster.Crash(down)
+	log.reset()
+	if err := store.Delete(ctx, "obj"); err != nil {
+		t.Fatalf("delete with one node down: %v", err)
+	}
+	if _, frames := log.node(down); fmt.Sprint(frames) != fmt.Sprint([]int{stripes}) {
+		t.Fatalf("down node was sent frames %v, want one of %d ids", frames, stripes)
+	}
+	for j, n := range chunkCounts(t, cluster) {
+		want := 0
+		if j == down {
+			want = stripes
+		}
+		if n != want {
+			t.Errorf("node %d holds %d chunks, want %d", j, n, want)
+		}
+	}
+	if got := store.TenantMetrics().ChunksOrphaned; got != stripes {
+		t.Fatalf("ChunksOrphaned = %d, want %d", got, stripes)
+	}
+}
+
 // TestFailedSeedLeavesNoChunks fails the one seeding pipeline partway
 // through a three-stripe object from each of its callers — a seed of
 // the second stripe breaks on one shard (the first stripe is whole, the

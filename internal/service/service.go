@@ -524,34 +524,60 @@ func (f *Fleet) Stripe(id uint64) (core.Stripe, *core.System, error) {
 	return p.Stripe, p.ec.sys, nil
 }
 
+// removalFrame caps the ids of one DeleteChunks request, so dropping
+// a huge object never holds a node's engine lock for long; it is also
+// the node's group-commit batch bound (internal/diskstore).
+const removalFrame = 256
+
 // dropStripes removes every chunk of the given stripes from its placed
 // node and returns how many removals failed. Best-effort on a detached
 // context: the caller's may be dead, and since stripe ids are never
 // reused a chunk skipped here stays orphaned until its node is repaired
-// or re-placed. The removals fan out stripe-major (consecutive tasks
-// land on distinct nodes) under the sweep bound, so the call costs the
-// slowest node of each round, not the sum over shards; the order in
-// which shards disappear is unspecified. Every removal has settled when
-// it returns.
+// or re-placed. A node that implements client.ChunkRemover is sent all
+// of its chunks in one DeleteChunks request (per removalFrame ids),
+// which it applies as one durable batch; a node that holds a single
+// chunk gets a plain DeleteChunk, and a node without the capability
+// one DeleteChunk per chunk, stripe-major so consecutive tasks land on
+// distinct nodes. The tasks fan out under the sweep bound, so the call
+// costs the slowest node, not the sum over nodes; the order in which
+// chunks disappear is unspecified. A failed request counts every one
+// of its ids. Every removal has settled when it returns.
 func (f *Fleet) dropStripes(set []placedStripe) (orphaned int) {
 	type removal struct {
 		node core.NodeClient
-		id   client.ChunkID
+		ids  []client.ChunkID
 	}
 	var tasks []removal
 	f.mu.Lock()
+	batched := make([][]client.ChunkID, len(f.nodes))
 	for _, st := range set {
 		for shard, node := range st.Nodes {
-			tasks = append(tasks, removal{f.nodes[node], client.ChunkID{Stripe: st.ID, Shard: shard}})
+			id := client.ChunkID{Stripe: st.ID, Shard: shard}
+			if _, ok := f.nodes[node].(client.ChunkRemover); ok {
+				batched[node] = append(batched[node], id)
+			} else {
+				tasks = append(tasks, removal{f.nodes[node], []client.ChunkID{id}})
+			}
+		}
+	}
+	for node, ids := range batched {
+		for len(ids) > 0 {
+			n := min(len(ids), removalFrame)
+			tasks = append(tasks, removal{f.nodes[node], ids[:n:n]})
+			ids = ids[n:]
 		}
 	}
 	f.mu.Unlock()
 	core.Fanout(context.Background(), core.BulkLimit(f.cfg.Concurrency), len(tasks),
 		func(ctx context.Context, i int) (struct{}, error) {
-			return struct{}{}, tasks[i].node.DeleteChunk(ctx, tasks[i].id)
-		}, func(_ int, _ struct{}, err error) bool {
+			t := tasks[i]
+			if len(t.ids) == 1 {
+				return struct{}{}, t.node.DeleteChunk(ctx, t.ids[0])
+			}
+			return struct{}{}, t.node.(client.ChunkRemover).DeleteChunks(ctx, t.ids)
+		}, func(i int, _ struct{}, err error) bool {
 			if err != nil {
-				orphaned++
+				orphaned += len(tasks[i].ids)
 			}
 			return true
 		})

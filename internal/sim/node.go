@@ -401,6 +401,20 @@ func (n *Node) DeleteChunk(ctx context.Context, id ChunkID) error {
 	return err
 }
 
+// DeleteChunks removes every listed chunk in one request
+// (client.ChunkRemover): one admission gate and one response trip for
+// the whole frame, like a vectored RPC on the wire.
+func (n *Node) DeleteChunks(ctx context.Context, ids []ChunkID) error {
+	if err := n.gate(ctx, "delete"); err != nil {
+		return err
+	}
+	err := n.engine.DeleteChunks(ctx, ids)
+	if gerr := n.respGate(ctx); gerr != nil {
+		return gerr
+	}
+	return err
+}
+
 // SetEpoch durably records the cluster's epoch watermarks and
 // placement blob on this node (see client.EpochSetter). It crosses the
 // same admission gate and link faults as real operations, so a crashed
@@ -430,8 +444,12 @@ func (n *Node) EpochState(ctx context.Context) (installed, retired uint64, blob 
 	return installed, retired, blob, err
 }
 
-// Compile-time conformance with the optional reconfiguration surface.
-var _ client.EpochSetter = (*Node)(nil)
+// Compile-time conformance with the optional reconfiguration and
+// vectored-removal surfaces.
+var (
+	_ client.EpochSetter  = (*Node)(nil)
+	_ client.ChunkRemover = (*Node)(nil)
+)
 
 // HasChunk reports whether the node stores the chunk.
 func (n *Node) HasChunk(ctx context.Context, id ChunkID) (bool, error) {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestDeleteChunk(t *testing.T) {
@@ -28,6 +30,44 @@ func TestDeleteChunk(t *testing.T) {
 	n.Crash()
 	if err := n.DeleteChunk(context.Background(), id); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestDeleteChunksOneGate: a vectored removal crosses the simulated
+// network once — one latency window for the whole frame — removes every
+// listed chunk, skips missing ones, and on a crashed node removes
+// nothing.
+func TestDeleteChunksOneGate(t *testing.T) {
+	c := newTestCluster(t, 1)
+	n := c.Node(0)
+	ctx := context.Background()
+	ids := []ChunkID{{Stripe: 1}, {Stripe: 2, Shard: 3}, {Stripe: 3, Shard: 8}}
+	for _, id := range ids {
+		if err := n.PutChunk(ctx, id, []byte{1}, []uint64{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Crash()
+	if err := n.DeleteChunks(ctx, ids); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("crashed node: err = %v", err)
+	}
+	if got, _ := n.Engine().ChunkCount(ctx); got != len(ids) {
+		t.Fatalf("crashed node holds %d chunks, want %d", got, len(ids))
+	}
+	n.Restart()
+	var gates atomic.Int32
+	n.SetDelay(func(op string) time.Duration {
+		gates.Add(1)
+		return 0
+	})
+	if err := n.DeleteChunks(ctx, append(ids, ChunkID{Stripe: 99})); err != nil {
+		t.Fatal(err)
+	}
+	if got := gates.Load(); got != 1 {
+		t.Fatalf("the frame crossed %d latency windows, want 1", got)
+	}
+	if got, _ := n.Engine().ChunkCount(ctx); got != 0 {
+		t.Fatalf("%d chunks survived DeleteChunks", got)
 	}
 }
 

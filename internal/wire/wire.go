@@ -21,10 +21,12 @@
 //	nver(4) versions(8·nver) nsums(4) sums(16·nsums) dlen(4) data(dlen)
 //
 // Fields an operation does not use are zero; every request uses the
-// same layout so the decoder is a single bounds-checked pass. The sums
-// list carries cross-checksum entries (version, hash pairs — see
-// DESIGN.md §6) alongside mutations and back with reads. A response
-// payload is:
+// same layout so the decoder is a single bounds-checked pass. The one
+// vectored operation, OpDeleteChunks, names its chunks in the versions
+// list as (stripe, shard) pairs and leaves the header's id zero
+// (AppendChunkIDs and ChunkIDs convert). The sums list carries
+// cross-checksum entries (version, hash pairs — see DESIGN.md §6)
+// alongside mutations and back with reads. A response payload is:
 //
 //	status(1) flag(1) dlen... detail(len-prefixed string)
 //	nver(4) versions(8·nver) nsums(4) sums(16·nsums) dlen(4) data(dlen)
@@ -68,6 +70,7 @@ const (
 	OpWipe
 	OpEpochGet
 	OpEpochSet
+	OpDeleteChunks
 	opMax
 )
 
@@ -98,6 +101,8 @@ func (op Op) String() string {
 		return "epoch-get"
 	case OpEpochSet:
 		return "epoch-set"
+	case OpDeleteChunks:
+		return "delete-chunks"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(op))
 	}
@@ -108,9 +113,9 @@ func (op Op) String() string {
 // no response came back). That is stricter than idempotence against a
 // quiet node: other writers can land between the lost first copy and
 // the replay, so an unconditional mutation (PutChunk, DeleteChunk,
-// Wipe) could silently roll their update back, and a conditional one
-// (CompareAndPut, CompareAndAdd) would mis-report its applied first
-// copy as a version mismatch. Only the read-only operations and the
+// DeleteChunks, Wipe) could silently roll their update back, and a
+// conditional one (CompareAndPut, CompareAndAdd) would mis-report its
+// applied first copy as a version mismatch. Only the read-only operations and the
 // version-guarded PutChunkIfFresher — whose guard re-evaluates
 // against the node's current state on every attempt — are safe.
 // OpEpochSet qualifies because the epoch watermarks it installs are
@@ -175,8 +180,9 @@ type Request struct {
 	// guard-only field on every op.
 	Epoch uint64
 	// Versions is the proposed version vector of the put-family
-	// operations (decoded into the Request's own storage, which a
-	// later Decode into the same Request reuses).
+	// operations, or OpDeleteChunks' (stripe, shard) pairs (decoded
+	// into the Request's own storage, which a later Decode into the
+	// same Request reuses).
 	Versions []uint64
 	// Sums carries the cross-checksum entries of the mutating
 	// operations (decoded like Versions; empty when the writer sent no
@@ -248,6 +254,33 @@ func decodeSums(dst []client.BlockSum, p []byte) ([]client.BlockSum, []byte, err
 		p = p[16*nsums:]
 	}
 	return sums, p, nil
+}
+
+// AppendChunkIDs encodes ids as the (stripe, shard) pairs an
+// OpDeleteChunks request carries in its Versions list.
+func AppendChunkIDs(dst []uint64, ids []client.ChunkID) []uint64 {
+	for _, id := range ids {
+		dst = append(dst, id.Stripe, uint64(int64(id.Shard)))
+	}
+	return dst
+}
+
+// ChunkIDs decodes the (stripe, shard) pairs of an OpDeleteChunks
+// request's Versions list. An odd count, or a shard outside the int32
+// range the single-chunk header can carry, is a client.ErrBadRequest.
+func ChunkIDs(pairs []uint64) ([]client.ChunkID, error) {
+	if len(pairs)%2 != 0 {
+		return nil, fmt.Errorf("%w: %d values do not form (stripe, shard) pairs", client.ErrBadRequest, len(pairs))
+	}
+	dst := make([]client.ChunkID, 0, len(pairs)/2)
+	for i := 0; i < len(pairs); i += 2 {
+		shard := int64(pairs[i+1])
+		if shard != int64(int32(shard)) {
+			return nil, fmt.Errorf("%w: shard %d of stripe %d outside int32", client.ErrBadRequest, shard, pairs[i])
+		}
+		dst = append(dst, client.ChunkID{Stripe: pairs[i], Shard: int(shard)})
+	}
+	return dst, nil
 }
 
 // decodeVersions is decodeSums for a version vector.

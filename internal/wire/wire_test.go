@@ -37,6 +37,10 @@ func requestFixtures() []Request {
 			Epoch: 1 << 40, Data: []byte{6, 6, 6}},
 		{Op: OpEpochGet},
 		{Op: OpEpochSet, Expect: 4, Next: 5, Data: []byte("placement-map-blob")},
+		// Vectored removal: the chunks ride the versions list as
+		// (stripe, shard) pairs.
+		{Op: OpDeleteChunks, Versions: AppendChunkIDs(nil, []client.ChunkID{{Stripe: 9, Shard: 0}, {Stripe: 10, Shard: 8}, {Stripe: 1 << 62, Shard: 14}})},
+		{Op: OpDeleteChunks, Epoch: 2, Versions: AppendChunkIDs(nil, []client.ChunkID{{Stripe: 3, Shard: 5}})},
 	}
 }
 
@@ -350,5 +354,25 @@ func TestRemoteErrorSurvivesRoundTrip(t *testing.T) {
 	}
 	if err := got.Status.Err(got.Detail); !errors.Is(err, client.ErrVersionMismatch) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestChunkIDsPairs: OpDeleteChunks' ids round-trip through the pair
+// encoding, and an odd count or a shard the single-chunk header could
+// not carry is a bad request, not a silently truncated id.
+func TestChunkIDsPairs(t *testing.T) {
+	ids := []client.ChunkID{{Stripe: 0, Shard: 0}, {Stripe: 1<<64 - 1, Shard: 1<<31 - 1}, {Stripe: 5, Shard: -1}}
+	got, err := ChunkIDs(AppendChunkIDs(nil, ids))
+	if err != nil || !reflect.DeepEqual(got, ids) {
+		t.Fatalf("ChunkIDs = %v, %v; want %v", got, err, ids)
+	}
+	for name, pairs := range map[string][]uint64{
+		"odd count":         {7, 1, 8},
+		"shard above int32": {7, 1 << 31},
+		"shard below int32": {7, uint64(1<<64 - 1<<31 - 1)},
+	} {
+		if _, err := ChunkIDs(pairs); !errors.Is(err, client.ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)
+		}
 	}
 }

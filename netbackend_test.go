@@ -22,16 +22,17 @@ import (
 // store, a node engine and a TCP server, restartable on a fixed
 // address like a real daemon.
 type tcpNode struct {
-	t      *testing.T
+	t      testing.TB
 	dir    string
 	addr   string
+	fsync  bool // fsync every WAL batch, as trapnode does
 	engine *nodeengine.Engine
 	srv    *tcp.NodeServer
 }
 
 func (n *tcpNode) start() {
 	n.t.Helper()
-	store, err := diskstore.Open(n.dir, diskstore.WithSyncWrites(false))
+	store, err := diskstore.Open(n.dir, diskstore.WithSyncWrites(n.fsync))
 	if err != nil {
 		n.t.Fatal(err)
 	}
@@ -59,14 +60,18 @@ func (n *tcpNode) crash() {
 }
 
 // startFleet boots n durable TCP nodes on loopback.
-func startFleet(t *testing.T, n int) []*tcpNode {
+func startFleet(t testing.TB, n int) []*tcpNode { return bootFleet(t, n, false) }
+
+// bootFleet is startFleet, fsyncing every WAL batch when fsync is set.
+func bootFleet(t testing.TB, n int, fsync bool) []*tcpNode {
 	t.Helper()
 	nodes := make([]*tcpNode, n)
 	for i := range nodes {
 		nodes[i] = &tcpNode{
-			t:    t,
-			dir:  filepath.Join(t.TempDir(), fmt.Sprintf("node%d", i)),
-			addr: "127.0.0.1:0",
+			t:     t,
+			dir:   filepath.Join(t.TempDir(), fmt.Sprintf("node%d", i)),
+			addr:  "127.0.0.1:0",
+			fsync: fsync,
 		}
 		nodes[i].start()
 	}

@@ -371,10 +371,11 @@ func (c *NodeClient) attempt(ctx context.Context, req *wire.Request) (wire.Respo
 }
 
 // exchange runs the frame round trip on one connection, honouring the
-// context through socket deadlines plus a cancellation watcher. wrote
-// reports whether the request frame completely reached the socket —
-// before that point the node cannot have applied anything, so the
-// caller may retry any operation on a fresh connection.
+// context through socket deadlines plus a cancellation callback
+// (context.AfterFunc, so no goroutine waits beside the exchange).
+// wrote reports whether the request frame completely reached the
+// socket — before that point the node cannot have applied anything,
+// so the caller may retry any operation on a fresh connection.
 func (c *NodeClient) exchange(ctx context.Context, cn *conn, req *wire.Request) (resp wire.Response, wrote bool, err error) {
 	if deadline, ok := ctx.Deadline(); ok {
 		if err := cn.nc.SetDeadline(deadline); err != nil {
@@ -382,19 +383,19 @@ func (c *NodeClient) exchange(ctx context.Context, cn *conn, req *wire.Request) 
 		}
 	}
 	if ctx.Done() != nil {
-		stop := make(chan struct{})
-		parked := make(chan struct{})
-		go func() {
-			defer close(parked)
-			select {
-			case <-ctx.Done():
-				cn.nc.SetDeadline(aLongTimeAgo)
-			case <-stop:
+		fired := make(chan struct{})
+		stop := context.AfterFunc(ctx, func() {
+			cn.nc.SetDeadline(aLongTimeAgo)
+			close(fired)
+		})
+		// A callback that has already started is waited out, so a late
+		// cancellation cannot poison the connection after it returns to
+		// the pool; one that has not is simply unregistered.
+		defer func() {
+			if !stop() {
+				<-fired
 			}
 		}()
-		// Wait the watcher out so a late cancellation cannot poison
-		// the connection after it returns to the pool.
-		defer func() { close(stop); <-parked }()
 	}
 
 	// The whole frame goes out in one write: the request data is copied
@@ -516,6 +517,13 @@ func (c *NodeClient) DeleteChunk(ctx context.Context, id client.ChunkID) error {
 	return err
 }
 
+// DeleteChunks implements client.ChunkRemover: every id rides one
+// OpDeleteChunks frame, which the node applies as one durable batch.
+func (c *NodeClient) DeleteChunks(ctx context.Context, ids []client.ChunkID) error {
+	_, err := c.call(ctx, &wire.Request{Op: wire.OpDeleteChunks, Versions: wire.AppendChunkIDs(make([]uint64, 0, 2*len(ids)), ids)})
+	return err
+}
+
 // HasChunk reports whether the node stores the chunk.
 func (c *NodeClient) HasChunk(ctx context.Context, id client.ChunkID) (bool, error) {
 	resp, err := c.call(ctx, &wire.Request{Op: wire.OpHasChunk, ID: id})
@@ -552,5 +560,9 @@ func (c *NodeClient) EpochState(ctx context.Context) (installed, retired uint64,
 	return installed, retired, resp.Data, nil
 }
 
-// Compile-time conformance with the optional reconfiguration surface.
-var _ client.EpochSetter = (*NodeClient)(nil)
+// Compile-time conformance with the optional reconfiguration and
+// vectored-removal surfaces.
+var (
+	_ client.EpochSetter  = (*NodeClient)(nil)
+	_ client.ChunkRemover = (*NodeClient)(nil)
+)

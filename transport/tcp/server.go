@@ -312,6 +312,14 @@ func (s *NodeServer) handle(req *wire.Request) wire.Response {
 		return errResponse(s.svc.CompareAndAdd(ctx, req.ID, req.Slot, req.Expect, req.Next, req.Data, req.Sums...))
 	case wire.OpDeleteChunk:
 		return errResponse(s.svc.DeleteChunk(ctx, req.ID))
+	case wire.OpDeleteChunks:
+		// A service without client.ChunkRemover gets one DeleteChunk
+		// per id.
+		ids, err := wire.ChunkIDs(req.Versions)
+		if err != nil {
+			return errResponse(err)
+		}
+		return errResponse(client.DeleteChunks(ctx, s.svc, ids))
 	case wire.OpHasChunk:
 		ok, err := s.svc.HasChunk(ctx, req.ID)
 		if err != nil {
