@@ -153,10 +153,10 @@ func hedged[T any](ctx context.Context, h *hedger, call func(context.Context) (T
 	ch := make(chan res, 2)
 	launch := func() {
 		attemptStart := time.Now()
-		go func() {
+		dispatch.Go(func() {
 			v, err := call(cctx)
 			ch <- res{v, err, time.Since(attemptStart)}
-		}()
+		})
 	}
 	launch()
 	timer := time.NewTimer(delay)
@@ -223,12 +223,12 @@ func abandonable[T any](ctx context.Context, call func(context.Context) (T, erro
 	if !ok {
 		deadline = time.Now().Add(abandonedReadLimit)
 	}
-	go func() {
+	dispatch.Go(func() {
 		run, cancel := context.WithDeadline(context.WithoutCancel(ctx), deadline)
 		defer cancel()
 		v, err := call(run)
 		ch <- res{v, err}
-	}()
+	})
 	select {
 	case r := <-ch:
 		return r.v, r.err

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"trapquorum/internal/blockpool"
+	"trapquorum/internal/dispatch"
 )
 
 // Object write and streamed read paths. Every object enters the store
@@ -164,7 +165,7 @@ func (s *Store) seedStream(ctx context.Context, ec *epochCfg, r io.Reader, size 
 			return unwind(err)
 		}
 		inflight++
-		go seed(st, blks)
+		dispatch.Go(func() { seed(st, blks) })
 	}
 	for inflight > 0 {
 		if err := wait(); err != nil {
@@ -236,10 +237,10 @@ func (s *Store) objectReader(ctx context.Context, key string, m objectMeta) *obj
 // there on.
 func (o *objectReader) fetch(m objectMeta, offset int) chan stripeRead {
 	ch := make(chan stripeRead, 1)
-	go func() {
+	dispatch.Go(func() {
 		blocks, err := o.s.readStripeAt(o.ctx, &m, o.key, offset, m.size-offset)
 		ch <- stripeRead{blocks: blocks, m: m, err: err}
-	}()
+	})
 	return ch
 }
 
