@@ -41,6 +41,7 @@
 package chaosnet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -48,6 +49,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"trapquorum/internal/clock"
 )
 
 // ErrLinkClosed reports IO on a connection the link tore down.
@@ -136,12 +139,13 @@ type connEntry struct {
 	seq       int64
 	closeOnce sync.Once
 	closers   []net.Conn
-	done      chan struct{}
+	ctx       context.Context // ended by close
+	cancel    context.CancelFunc
 }
 
 func (e *connEntry) close() {
 	e.closeOnce.Do(func() {
-		close(e.done)
+		e.cancel()
 		for _, c := range e.closers {
 			c.Close()
 		}
@@ -249,7 +253,8 @@ func (l *Link) admit(closers ...net.Conn) *connEntry {
 		return nil
 	}
 	l.connSeq++
-	e := &connEntry{seq: l.connSeq, closers: closers, done: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	e := &connEntry{seq: l.connSeq, closers: closers, ctx: ctx, cancel: cancel}
 	l.conns[e] = struct{}{}
 	l.mu.Unlock()
 	l.admits.Add(1)
@@ -270,7 +275,7 @@ func (l *Link) newFlow(d Direction, e *connEntry) *flow {
 		link: l,
 		dir:  d,
 		rng:  rand.New(rand.NewSource(l.seed ^ (e.seq * 0x9e3779b97f4a7c) ^ int64(d))),
-		done: e.done,
+		ctx:  e.ctx,
 	}
 }
 
@@ -279,7 +284,7 @@ type flow struct {
 	link *Link
 	dir  Direction
 	rng  *rand.Rand
-	done <-chan struct{}
+	ctx  context.Context
 	sent int64
 	dead bool // stream silently dropped; every later burst vanishes
 }
@@ -335,17 +340,7 @@ func (f *flow) plan(n int) (sleep time.Duration, deliver int, action int) {
 // wait sleeps the planned duration, abandoning early when the
 // connection is torn down. It reports whether the sleep completed.
 func (f *flow) wait(d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-f.done:
-		return false
-	}
+	return d <= 0 || clock.Sleep(f.ctx, clock.Real{}, d) == nil
 }
 
 // Side says which end of the link a wrapped connection sits on, which

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trapquorum/internal/clock"
 	"trapquorum/internal/dispatch"
 )
 
@@ -159,7 +160,8 @@ func hedged[T any](ctx context.Context, h *hedger, call func(context.Context) (T
 		})
 	}
 	launch()
-	timer := time.NewTimer(delay)
+	fire := make(chan struct{}, 1)
+	timer := clock.Real{}.AfterFunc(delay, func() { fire <- struct{}{} })
 	defer timer.Stop()
 	launched, settled := 1, 0
 	var firstErr error
@@ -190,7 +192,7 @@ func hedged[T any](ctx context.Context, h *hedger, call func(context.Context) (T
 			// must not beat a slow success, or hedging would turn a
 			// momentary blip (say, a crash racing an RPC already past
 			// its delay window) into a lost shard. Keep waiting.
-		case <-timer.C:
+		case <-fire:
 			if launched == 1 && settled == 0 {
 				launched++
 				if h.hedges != nil {

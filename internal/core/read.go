@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"trapquorum/internal/blockpool"
+	"trapquorum/internal/clock"
 	"trapquorum/internal/erasure"
 )
 
@@ -193,7 +194,7 @@ func (s *System) snapshot(ctx context.Context, st Stripe, want []bool) (*stripeV
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	start := time.Now()
-	var grace *time.Timer
+	var grace clock.Timer
 	view := s.gather(cctx, st, -1, gatherOpt{read: want, hedge: true, stop: func(v *stripeView) bool {
 		awaitChunk := false
 		for b, w := range want {
@@ -208,7 +209,7 @@ func (s *System) snapshot(ctx context.Context, st Stripe, want []bool) (*stripeV
 			}
 		}
 		if awaitChunk && grace == nil {
-			grace = time.AfterFunc(max(2*time.Since(start), directReadGraceFloor), cancel)
+			grace = clock.Real{}.AfterFunc(max(2*time.Since(start), directReadGraceFloor), cancel)
 		}
 		return !awaitChunk
 	}})

@@ -60,6 +60,7 @@ import (
 	"time"
 
 	"trapquorum/internal/blockpool"
+	"trapquorum/internal/clock"
 	"trapquorum/internal/gwire"
 	"trapquorum/internal/service"
 )
@@ -344,14 +345,8 @@ func (srv *Server) Drain(ctx context.Context) error {
 	// a WaitGroup would have against the admission fast path; drain is
 	// not a hot path.
 	var err error
-	for srv.inflight.Load() > 0 {
-		select {
-		case <-ctx.Done():
-			err = ctx.Err()
-		case <-time.After(time.Millisecond):
-			continue
-		}
-		break
+	for err == nil && srv.inflight.Load() > 0 {
+		err = clock.Sleep(ctx, clock.Real{}, time.Millisecond)
 	}
 	srv.shutdown()
 	return err
@@ -1019,9 +1014,12 @@ func (s *session) waitNotifier(grace time.Duration) {
 	if done == nil {
 		return
 	}
+	expired := make(chan struct{})
+	t := clock.Real{}.AfterFunc(grace, func() { close(expired) })
+	defer t.Stop()
 	select {
 	case <-done:
-	case <-time.After(grace):
+	case <-expired:
 	}
 }
 

@@ -49,6 +49,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"trapquorum/internal/clock"
 )
 
 // State is one position of the per-node liveness state machine.
@@ -74,8 +76,8 @@ const (
 	// records disavow. Probe success never clears Corrupt (a lying node
 	// pings fine); the node returns to Up only after a repair plan
 	// completes AND the node then stays free of corruption reports for
-	// the CorruptQuiet dwell, so a persistently corrupt node stays
-	// pinned here instead of flapping between plans.
+	// two probe intervals, so a persistently corrupt node stays pinned
+	// here instead of flapping between plans.
 	Corrupt
 	// Brownout: the node answers probes but slowly — its smoothed
 	// latency exceeds Config.BrownoutLatency. Degraded, not down: it
@@ -142,13 +144,11 @@ type Config struct {
 	// node is declared Down (default 3). 1 declares Down on the first
 	// failure (the Suspect transition is still emitted).
 	Threshold int
-	// CorruptQuiet is how long a Corrupt node must go without a fresh
-	// corruption report before a completed repair plan may clear the
-	// pin (default 2×Interval). Without the dwell, a plan completing in
-	// the gap between two reads would clear a node that is still lying
-	// and Health() would flap up↔corrupt; with it, the pin only lifts
-	// once the readers and scrubber have had a chance to disagree.
-	CorruptQuiet time.Duration
+	// Clock arms the probe timer and dates probes, transitions and
+	// corruption reports, so the Corrupt dwell is measured on it (nil:
+	// clock.Real). Probe durations and timeouts stay on the runtime
+	// clock.
+	Clock clock.Clock
 	// BrownoutLatency, when positive, enables brownout detection: a
 	// node whose smoothed latency exceeds it moves Up→Brownout, and
 	// returns once the latency drops below half of it (hysteresis, so
@@ -181,8 +181,8 @@ func (c Config) withDefaults() Config {
 	if c.Threshold < 1 {
 		c.Threshold = 3
 	}
-	if c.CorruptQuiet <= 0 {
-		c.CorruptQuiet = 2 * c.Interval
+	if c.Clock == nil {
+		c.Clock = clock.Real{}
 	}
 	return c
 }
@@ -269,9 +269,9 @@ type nodeState struct {
 	corruptPlanned int64
 	// lastCorrupt is when the latest corruption report arrived;
 	// pendingClear marks a Corrupt node whose plan completed quietly
-	// but within CorruptQuiet of the last report — the probe loop
-	// clears it to Up once the dwell elapses report-free, and a fresh
-	// report instead re-plans it.
+	// but within the dwell of the last report — the probe loop clears
+	// it to Up once the dwell elapses report-free, and a fresh report
+	// instead re-plans it.
 	lastCorrupt  time.Time
 	pendingClear bool
 	// probeEWMA smooths successful probe durations — the fallback
@@ -308,7 +308,8 @@ type Monitor struct {
 
 	counters Counters
 
-	done      chan struct{}
+	ctx       context.Context // ended by Close
+	cancel    context.CancelFunc
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 	started   atomic.Bool
@@ -328,8 +329,8 @@ func New(n int, probe ProbeFunc, cfg Config) (*Monitor, error) {
 		cfg:         cfg.withDefaults(),
 		nodes:       make([]nodeState, n),
 		transitions: make(chan Transition, 16),
-		done:        make(chan struct{}),
 	}
+	m.ctx, m.cancel = context.WithCancel(context.Background())
 	m.qcond = sync.NewCond(&m.qmu)
 	return m, nil
 }
@@ -350,7 +351,7 @@ func (m *Monitor) Start() {
 // more than once.
 func (m *Monitor) Close() {
 	m.closeOnce.Do(func() {
-		close(m.done)
+		m.cancel()
 		m.qmu.Lock()
 		m.qclosed = true
 		m.qmu.Unlock()
@@ -428,7 +429,7 @@ func (m *Monitor) ReportCorrupt(node int) {
 	m.mu.Lock()
 	st := &m.nodes[node]
 	st.corruptSeq++
-	st.lastCorrupt = time.Now()
+	st.lastCorrupt = m.cfg.Clock.Now()
 	switch {
 	case st.state == Up || st.state == Suspect || st.state == Brownout:
 		st.corruptPlanned = st.corruptSeq
@@ -469,7 +470,7 @@ func (m *Monitor) RepairDone(node int, ok bool) {
 			st.corruptPlanned = st.corruptSeq
 			m.counters.CorruptEvents.Add(1)
 			m.stage(*m.applyLocked(node, Corrupt))
-		case time.Since(st.lastCorrupt) >= m.cfg.CorruptQuiet:
+		case m.cfg.Clock.Now().Sub(st.lastCorrupt) >= corruptDwell*m.cfg.Interval:
 			m.stage(*m.applyLocked(node, Up))
 			m.counters.Recoveries.Add(1)
 		default:
@@ -486,7 +487,7 @@ func (m *Monitor) RepairDone(node int, ok bool) {
 // returns the transition to emit. Caller holds m.mu.
 func (m *Monitor) applyLocked(node int, to State) *Transition {
 	n := &m.nodes[node]
-	tr := Transition{Node: node, From: n.state, To: to, At: time.Now()}
+	tr := Transition{Node: node, From: n.state, To: to, At: m.cfg.Clock.Now()}
 	n.state = to
 	n.lastTransition = tr.At
 	n.pendingClear = false
@@ -532,7 +533,7 @@ func (m *Monitor) dispatch() {
 		}
 		select {
 		case m.transitions <- tr:
-		case <-m.done:
+		case <-m.ctx.Done():
 			return
 		}
 	}
@@ -541,22 +542,8 @@ func (m *Monitor) dispatch() {
 // run is the probe loop: one round of parallel probes every Interval.
 func (m *Monitor) run() {
 	defer m.wg.Done()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-m.done
-		cancel()
-	}()
-	timer := time.NewTimer(m.cfg.Interval)
-	defer timer.Stop()
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-timer.C:
-		}
-		m.probeRound(ctx)
-		timer.Reset(m.cfg.Interval)
+	for clock.Sleep(m.ctx, m.cfg.Clock, m.cfg.Interval) == nil {
+		m.probeRound(m.ctx)
 	}
 }
 
@@ -578,15 +565,13 @@ func (m *Monitor) probeRound(ctx context.Context) {
 		}(i)
 	}
 	wg.Wait()
-	select {
-	case <-m.done:
+	if ctx.Err() != nil {
 		// The probes were cancelled by shutdown; their errors say
 		// nothing about the nodes.
 		return
-	default:
 	}
 	m.counters.Probes.Add(int64(n))
-	now := time.Now()
+	now := m.cfg.Clock.Now()
 	var out []Transition
 	m.mu.Lock()
 	for i := 0; i < n; i++ {
@@ -599,6 +584,14 @@ func (m *Monitor) probeRound(ctx context.Context) {
 	}
 	m.mu.Unlock()
 }
+
+// corruptDwell is how many probe intervals a Corrupt node must go
+// without a fresh corruption report before a completed repair plan may
+// clear the pin. Without the dwell, a plan completing in the gap
+// between two reads would clear a node that is still lying and
+// Health() would flap up↔corrupt; with it, the pin only lifts once the
+// readers and scrubber have had a chance to disagree.
+const corruptDwell = 2
 
 // probeEWMAAlpha smooths successful probe durations for the fallback
 // brownout latency source.
@@ -649,9 +642,9 @@ func (m *Monitor) applyProbeLocked(node int, err error, dur time.Duration, now t
 			// A corrupt node answers probes just fine — liveness says
 			// nothing about the bytes it serves. The pin clears only
 			// after a repair plan completed AND the node then stayed
-			// report-free for the CorruptQuiet dwell.
+			// report-free for the dwell.
 			if st.pendingClear && st.corruptSeq == st.corruptPlanned &&
-				now.Sub(st.lastCorrupt) >= m.cfg.CorruptQuiet {
+				now.Sub(st.lastCorrupt) >= corruptDwell*m.cfg.Interval {
 				out = append(out, *m.applyLocked(node, Up))
 				m.counters.Recoveries.Add(1)
 			}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"trapquorum/internal/clock"
 )
 
 var errProbe = errors.New("probe failed")
@@ -51,37 +53,84 @@ func (l *transitionLog) snapshot() []Transition {
 	return append([]Transition(nil), l.trs...)
 }
 
+// epoch is where every test's manual clock starts.
+var epoch = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// waitFor polls for what an asynchronous goroutine does; it never
+// stands in for a probe interval, which the manual clock steps.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(50 * time.Microsecond)
 	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
-func newTestMonitor(t *testing.T, n int, fleet *fakeFleet, log *transitionLog, threshold int) *Monitor {
+// manualMonitor is a started monitor whose probe loop sleeps on a
+// manual clock, so a test runs each probe round itself.
+type manualMonitor struct {
+	*Monitor
+	clk *clock.Manual
+}
+
+// startManual builds and starts a monitor on a fresh manual clock.
+// With drain set, a goroutine drains Transitions, for tests that only
+// watch the callback log.
+func startManual(t *testing.T, n int, probe ProbeFunc, cfg Config, drain bool) manualMonitor {
 	t.Helper()
-	cfg := Config{Interval: 2 * time.Millisecond, Threshold: threshold}
-	if log != nil {
-		cfg.OnTransition = log.add
-	}
-	m, err := New(n, fleet.probe, cfg)
+	clk := clock.NewManual(epoch)
+	cfg.Clock = clk
+	m, err := New(n, probe, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	// Drain the channel so blocking emits never stall the loop in
-	// tests that only watch the callback log.
-	go func() {
-		for range m.Transitions() {
-		}
-	}()
+	if drain {
+		go func() {
+			for range m.Transitions() {
+			}
+		}()
+	}
 	m.Start()
-	return m
+	return manualMonitor{m, clk}
+}
+
+// round runs exactly one probe round: the loop is parked on its one
+// timer, the clock steps one interval, and the loop parks again only
+// after it applied the round.
+func (m manualMonitor) round(t *testing.T) {
+	t.Helper()
+	waitFor(t, "probe loop parked", func() bool { return m.clk.Pending() == 1 })
+	m.clk.Advance(m.cfg.Interval)
+	waitFor(t, "probe round applied", func() bool { return m.clk.Pending() == 1 })
+}
+
+// rounds runs k probe rounds.
+func (m manualMonitor) rounds(t *testing.T, k int) {
+	t.Helper()
+	for i := 0; i < k; i++ {
+		m.round(t)
+	}
+}
+
+// wantState fails unless node is in state want.
+func (m manualMonitor) wantState(t *testing.T, node int, want State) {
+	t.Helper()
+	if got := m.NodeState(node); got != want {
+		t.Fatalf("node %d is %v, want %v", node, got, want)
+	}
+}
+
+func newTestMonitor(t *testing.T, n int, fleet *fakeFleet, log *transitionLog, threshold int) manualMonitor {
+	t.Helper()
+	cfg := Config{Threshold: threshold}
+	if log != nil {
+		cfg.OnTransition = log.add
+	}
+	return startManual(t, n, fleet.probe, cfg, true)
 }
 
 func TestNewValidation(t *testing.T) {
@@ -98,17 +147,26 @@ func TestStateMachineDownAndBack(t *testing.T) {
 	log := &transitionLog{}
 	m := newTestMonitor(t, 3, fleet, log, 3)
 
-	waitFor(t, "first probe round", func() bool {
-		return m.Counters().Probes >= 3
-	})
+	m.round(t)
+	if p := m.Counters().Probes; p != 3 {
+		t.Fatalf("%d probes after one round of 3 nodes", p)
+	}
 	for _, st := range m.Snapshot() {
 		if st.State != Up {
 			t.Fatalf("node %d starts %v, want up", st.Node, st.State)
 		}
+		if !st.LastProbe.Equal(epoch.Add(m.cfg.Interval)) {
+			t.Fatalf("node %d last probed at %v, want the round's virtual time", st.Node, st.LastProbe)
+		}
 	}
 
+	// Three consecutive failures: suspect after the first and second,
+	// down on the third.
 	fleet.set(1, true)
-	waitFor(t, "node 1 down", func() bool { return m.NodeState(1) == Down })
+	m.rounds(t, 2)
+	m.wantState(t, 1, Suspect)
+	m.round(t)
+	m.wantState(t, 1, Down)
 
 	// The path there must have visited Suspect first (the observer is
 	// dispatched asynchronously: wait for it to catch up).
@@ -136,20 +194,15 @@ func TestStateMachineDownAndBack(t *testing.T) {
 	// Node answers again: down -> repairing, and it stays there until
 	// the orchestrator reports the repair done.
 	fleet.set(1, false)
-	waitFor(t, "node 1 repairing", func() bool { return m.NodeState(1) == Repairing })
-	time.Sleep(10 * time.Millisecond)
-	if got := m.NodeState(1); got != Repairing {
-		t.Fatalf("node 1 left repairing without RepairDone: %v", got)
-	}
+	m.round(t)
+	m.wantState(t, 1, Repairing)
+	m.rounds(t, 3)
+	m.wantState(t, 1, Repairing)
 
 	m.RepairDone(1, false)
-	if got := m.NodeState(1); got != Repairing {
-		t.Fatalf("failed RepairDone moved state to %v", got)
-	}
+	m.wantState(t, 1, Repairing)
 	m.RepairDone(1, true)
-	if got := m.NodeState(1); got != Up {
-		t.Fatalf("node 1 after RepairDone: %v, want up", got)
-	}
+	m.wantState(t, 1, Up)
 	if c := m.Counters(); c.Recoveries != 1 || c.DownEvents != 1 || c.Suspicions != 1 {
 		t.Fatalf("counters %+v, want 1 suspicion, 1 down, 1 recovery", c)
 	}
@@ -161,9 +214,11 @@ func TestSuspectRecoversWithoutDown(t *testing.T) {
 	m := newTestMonitor(t, 1, fleet, log, 50) // high threshold: never Down
 
 	fleet.set(0, true)
-	waitFor(t, "node 0 suspect", func() bool { return m.NodeState(0) == Suspect })
+	m.rounds(t, 3)
+	m.wantState(t, 0, Suspect)
 	fleet.set(0, false)
-	waitFor(t, "node 0 recovered", func() bool { return m.NodeState(0) == Up })
+	m.round(t)
+	m.wantState(t, 0, Up)
 
 	for _, tr := range log.snapshot() {
 		if tr.To == Down || tr.To == Repairing {
@@ -181,7 +236,8 @@ func TestThresholdOneGoesStraightThroughSuspect(t *testing.T) {
 	m := newTestMonitor(t, 1, fleet, log, 1)
 
 	fleet.set(0, true)
-	waitFor(t, "node 0 down", func() bool { return m.NodeState(0) == Down })
+	m.round(t)
+	m.wantState(t, 0, Down)
 	waitFor(t, "down observed", func() bool { return len(log.snapshot()) >= 2 })
 	var saw []State
 	for _, tr := range log.snapshot() {
@@ -197,11 +253,16 @@ func TestRepairingNodeFallsBackToDown(t *testing.T) {
 	m := newTestMonitor(t, 1, fleet, nil, 2)
 
 	fleet.set(0, true)
-	waitFor(t, "down", func() bool { return m.NodeState(0) == Down })
+	m.rounds(t, 2)
+	m.wantState(t, 0, Down)
 	fleet.set(0, false)
-	waitFor(t, "repairing", func() bool { return m.NodeState(0) == Repairing })
+	m.round(t)
+	m.wantState(t, 0, Repairing)
 	fleet.set(0, true)
-	waitFor(t, "down again", func() bool { return m.NodeState(0) == Down })
+	m.round(t)
+	m.wantState(t, 0, Repairing) // one failure is below the threshold
+	m.round(t)
+	m.wantState(t, 0, Down)
 	if c := m.Counters(); c.DownEvents != 2 {
 		t.Fatalf("DownEvents = %d, want 2", c.DownEvents)
 	}
@@ -239,7 +300,7 @@ func TestCountersMonotoneUnderConcurrentReads(t *testing.T) {
 	// Flap nodes while readers sample.
 	for i := 0; i < 20; i++ {
 		fleet.set(i%4, i%3 == 0)
-		time.Sleep(2 * time.Millisecond)
+		m.round(t)
 	}
 	close(stop)
 	wg.Wait()
@@ -251,38 +312,34 @@ func TestCountersMonotoneUnderConcurrentReads(t *testing.T) {
 // goroutine itself) must keep running far past the channel's buffer.
 func TestEmitNeverBlocksWithoutConsumer(t *testing.T) {
 	fleet := newFakeFleet()
-	m, err := New(1, fleet.probe, Config{Interval: time.Millisecond, Threshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
-	m.Start() // note: no drain goroutine
+	m := startManual(t, 1, fleet.probe, Config{Threshold: 1}, false) // no drain goroutine
 
 	// Flap the node: every round emits transitions into the undrained
-	// channel. Far more transitions than any buffer could hold.
-	for i := 0; i < 200; i++ {
+	// channel, far more than its buffer holds. Each round returning
+	// proves the loop did not stall.
+	for i := 0; i < 60; i++ {
 		fleet.set(0, i%2 == 0)
-		time.Sleep(time.Millisecond)
-		if i == 100 {
+		m.round(t)
+		if i == 30 {
 			m.RepairDone(0, true) // must not block either
 		}
 	}
-	before := m.Counters().Probes
-	time.Sleep(20 * time.Millisecond)
-	if after := m.Counters().Probes; after <= before {
-		t.Fatalf("probe loop stalled with an undrained transition channel (%d -> %d probes)", before, after)
+	if p := m.Counters().Probes; p != 60 {
+		t.Fatalf("%d probes after 60 rounds", p)
 	}
 }
 
+// TestCloseIsIdempotentAndClosesTransitions: Close ends the probe
+// loop's sleep, leaving no timer armed, and closes the channel.
 func TestCloseIsIdempotentAndClosesTransitions(t *testing.T) {
 	fleet := newFakeFleet()
-	m, err := New(2, fleet.probe, Config{Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	m := startManual(t, 2, fleet.probe, Config{}, false)
+	m.round(t)
+	m.Close()
+	m.Close()
+	if p := m.clk.Pending(); p != 0 {
+		t.Fatalf("%d timers armed after Close", p)
 	}
-	m.Start()
-	m.Close()
-	m.Close()
 	if _, ok := <-m.Transitions(); ok {
 		// Draining any buffered transitions is fine; the channel must
 		// eventually report closed.
@@ -298,21 +355,14 @@ func TestReportCorruptPinsNode(t *testing.T) {
 	fleet := newFakeFleet()
 	log := &transitionLog{}
 	m := newTestMonitor(t, 2, fleet, log, 3)
-	waitFor(t, "first probes", func() bool { return m.Counters().Probes >= 2 })
+	m.round(t)
 
 	m.ReportCorrupt(0)
-	if got := m.NodeState(0); got != Corrupt {
-		t.Fatalf("state after ReportCorrupt: %v, want corrupt", got)
-	}
+	m.wantState(t, 0, Corrupt)
 	// Probes keep succeeding; the pin must hold.
-	before := m.Counters().Probes
-	waitFor(t, "more probe rounds", func() bool { return m.Counters().Probes >= before+6 })
-	if got := m.NodeState(0); got != Corrupt {
-		t.Fatalf("probe success cleared the corruption pin: %v", got)
-	}
-	if m.NodeState(1) != Up {
-		t.Fatal("unrelated node left Up")
-	}
+	m.rounds(t, 3)
+	m.wantState(t, 0, Corrupt)
+	m.wantState(t, 1, Up)
 	c := m.Counters()
 	if c.CorruptReports != 1 || c.CorruptEvents != 1 {
 		t.Fatalf("counters %+v, want 1 corrupt report and 1 corrupt event", c)
@@ -333,53 +383,52 @@ func TestReportCorruptPinsNode(t *testing.T) {
 }
 
 // TestCorruptClearsOnQuietRepair: RepairDone(ok) releases the pin only
-// after no corruption report has arrived for the CorruptQuiet dwell —
-// a plan completing in the gap between two reads must not flap a
-// still-lying node through Up. A transient rot victim heals to Up once
-// the dwell passes clean; fresh reports re-plan instead.
+// once no corruption report has arrived for the dwell of two probe
+// intervals — a plan completing in the gap between two reads must not
+// flap a still-lying node through Up. A transient rot victim heals to
+// Up once the dwell passes clean; fresh reports re-plan instead.
 func TestCorruptClearsOnQuietRepair(t *testing.T) {
 	fleet := newFakeFleet()
-	m := newTestMonitor(t, 1, fleet, nil, 3) // dwell = 2×2ms interval
+	m := newTestMonitor(t, 1, fleet, nil, 3)
 
 	// Honest bit-rot: one report, one plan. The plan completes within
-	// the dwell of the report, so the clear is deferred — the node
-	// stays pinned until the probe loop sees a report-free dwell.
+	// the dwell of the report, so the clear is deferred to the probe
+	// loop: one interval later the node is still pinned, two intervals
+	// later it is released.
 	m.ReportCorrupt(0)
-	if m.NodeState(0) != Corrupt {
-		t.Fatal("not pinned")
-	}
+	m.wantState(t, 0, Corrupt)
 	m.RepairDone(0, true)
-	if got := m.NodeState(0); got != Corrupt {
-		t.Fatalf("repair inside the dwell cleared the pin: %v, want corrupt", got)
-	}
-	waitFor(t, "dwell elapsed clean, pin released", func() bool { return m.NodeState(0) == Up })
+	m.wantState(t, 0, Corrupt)
+	m.round(t)
+	m.wantState(t, 0, Corrupt)
+	m.round(t)
+	m.wantState(t, 0, Up)
 	if c := m.Counters(); c.Recoveries != 1 {
 		t.Fatalf("counters %+v, want 1 recovery", c)
 	}
 
 	// A report landing after the plan finished (deferred-clear window)
-	// re-plans: the node must stay Corrupt through a full dwell because
-	// a plan is outstanding again.
+	// re-plans: the node stays Corrupt however long the dwell has
+	// passed, because a plan is outstanding again. Its completion, past
+	// the dwell, releases the node at once.
 	m.ReportCorrupt(0) // pin again (from Up)
 	m.RepairDone(0, true)
 	m.ReportCorrupt(0) // fresh rot while waiting out the dwell
-	time.Sleep(12 * time.Millisecond)
-	if got := m.NodeState(0); got != Corrupt {
-		t.Fatalf("re-reported node cleared without a completed plan: %v", got)
-	}
+	m.rounds(t, 3)
+	m.wantState(t, 0, Corrupt)
 	m.RepairDone(0, true)
-	waitFor(t, "re-planned node released after clean dwell", func() bool { return m.NodeState(0) == Up })
+	m.wantState(t, 0, Up)
 
 	// Persistent liar: a fresh report lands while the plan runs, so the
 	// completed repair re-arms instead of clearing.
 	m.ReportCorrupt(0)
 	m.ReportCorrupt(0) // observation during the "plan"
 	m.RepairDone(0, true)
-	if got := m.NodeState(0); got != Corrupt {
-		t.Fatalf("repair cleared a mid-plan-reported node: %v, want corrupt", got)
-	}
+	m.wantState(t, 0, Corrupt)
 	m.RepairDone(0, true)
-	waitFor(t, "liar reformed, released after clean dwell", func() bool { return m.NodeState(0) == Up })
+	m.wantState(t, 0, Corrupt)
+	m.rounds(t, 2)
+	m.wantState(t, 0, Up)
 	if c := m.Counters(); c.CorruptReports != 5 || c.CorruptEvents != 5 || c.Recoveries != 3 {
 		t.Fatalf("counters %+v, want 5 reports / 5 events / 3 recoveries", c)
 	}
@@ -391,17 +440,17 @@ func TestCorruptClearsOnQuietRepair(t *testing.T) {
 func TestCorruptNodeFallsToDown(t *testing.T) {
 	fleet := newFakeFleet()
 	m := newTestMonitor(t, 1, fleet, nil, 2)
-	waitFor(t, "first probe", func() bool { return m.Counters().Probes >= 1 })
+	m.round(t)
 
 	m.ReportCorrupt(0)
 	fleet.set(0, true)
-	waitFor(t, "corrupt node down", func() bool { return m.NodeState(0) == Down })
+	m.rounds(t, 2)
+	m.wantState(t, 0, Down)
 	fleet.set(0, false)
-	waitFor(t, "repairing on return", func() bool { return m.NodeState(0) == Repairing })
+	m.round(t)
+	m.wantState(t, 0, Repairing)
 	m.RepairDone(0, true)
-	if got := m.NodeState(0); got != Up {
-		t.Fatalf("state %v, want up (the down/up cycle cleared the pin)", got)
-	}
+	m.wantState(t, 0, Up) // the down/up cycle cleared the pin
 }
 
 // TestReportCorruptIgnoredWhileDownOrOutOfRange: reports against Down
@@ -411,12 +460,11 @@ func TestReportCorruptIgnoredWhileDownOrOutOfRange(t *testing.T) {
 	fleet := newFakeFleet()
 	m := newTestMonitor(t, 1, fleet, nil, 1)
 	fleet.set(0, true)
-	waitFor(t, "down", func() bool { return m.NodeState(0) == Down })
+	m.round(t)
+	m.wantState(t, 0, Down)
 
 	m.ReportCorrupt(0)
-	if got := m.NodeState(0); got != Down {
-		t.Fatalf("report flipped a down node to %v", got)
-	}
+	m.wantState(t, 0, Down)
 	c := m.Counters()
 	if c.CorruptReports != 1 || c.CorruptEvents != 0 {
 		t.Fatalf("counters %+v, want the report counted but no event", c)
@@ -448,10 +496,9 @@ func (s *latSource) get(int) (time.Duration, bool) {
 
 // newBrownoutMonitor builds a monitor with brownout detection fed by
 // an external latency source.
-func newBrownoutMonitor(t *testing.T, fleet *fakeFleet, log *transitionLog, src *latSource) *Monitor {
+func newBrownoutMonitor(t *testing.T, fleet *fakeFleet, log *transitionLog, src *latSource) manualMonitor {
 	t.Helper()
 	cfg := Config{
-		Interval:        2 * time.Millisecond,
 		Threshold:       3,
 		BrownoutLatency: 50 * time.Millisecond,
 		Latency:         src.get,
@@ -459,17 +506,7 @@ func newBrownoutMonitor(t *testing.T, fleet *fakeFleet, log *transitionLog, src 
 	if log != nil {
 		cfg.OnTransition = log.add
 	}
-	m, err := New(3, fleet.probe, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
-	go func() {
-		for range m.Transitions() {
-		}
-	}()
-	m.Start()
-	return m
+	return startManual(t, 3, fleet.probe, cfg, true)
 }
 
 func TestBrownoutDetectsAndClearsWithHysteresis(t *testing.T) {
@@ -478,14 +515,13 @@ func TestBrownoutDetectsAndClearsWithHysteresis(t *testing.T) {
 	src.set(time.Millisecond)
 	m := newBrownoutMonitor(t, fleet, nil, src)
 
-	waitFor(t, "first round", func() bool { return m.Counters().Probes >= 3 })
-	if st := m.NodeState(0); st != Up {
-		t.Fatalf("node 0 = %v, want up", st)
-	}
+	m.round(t)
+	m.wantState(t, 0, Up)
 
 	// Latency climbs over the threshold: brownout, not down.
 	src.set(200 * time.Millisecond)
-	waitFor(t, "brownout", func() bool { return m.NodeState(0) == Brownout })
+	m.round(t)
+	m.wantState(t, 0, Brownout)
 	if c := m.Counters(); c.Brownouts < 1 || c.DownEvents != 0 {
 		t.Fatalf("counters = %+v, want brownouts without down events", c)
 	}
@@ -493,15 +529,13 @@ func TestBrownoutDetectsAndClearsWithHysteresis(t *testing.T) {
 	// Back under the threshold but above half of it: hysteresis holds
 	// the brownout.
 	src.set(40 * time.Millisecond)
-	probes := m.Counters().Probes
-	waitFor(t, "a few more rounds", func() bool { return m.Counters().Probes >= probes+9 })
-	if st := m.NodeState(0); st != Brownout {
-		t.Fatalf("node 0 = %v, want brownout held by hysteresis", st)
-	}
+	m.rounds(t, 3)
+	m.wantState(t, 0, Brownout)
 
 	// Well below half: clears to Up.
 	src.set(10 * time.Millisecond)
-	waitFor(t, "brownout clears", func() bool { return m.NodeState(0) == Up })
+	m.round(t)
+	m.wantState(t, 0, Up)
 }
 
 func TestBrownoutNodeFallsToDownOnFailures(t *testing.T) {
@@ -511,40 +545,35 @@ func TestBrownoutNodeFallsToDownOnFailures(t *testing.T) {
 	src.set(200 * time.Millisecond)
 	m := newBrownoutMonitor(t, fleet, log, src)
 
-	waitFor(t, "brownout", func() bool { return m.NodeState(1) == Brownout })
+	m.round(t)
+	m.wantState(t, 1, Brownout)
 
 	// The browned-out node stops answering entirely: same
 	// Suspect→Down road as an Up node.
 	fleet.set(1, true)
-	waitFor(t, "down", func() bool { return m.NodeState(1) == Down })
-	var sawSuspect bool
-	for _, tr := range log.snapshot() {
-		if tr.Node == 1 && tr.From == Brownout && tr.To == Suspect {
-			sawSuspect = true
+	m.rounds(t, 3)
+	m.wantState(t, 1, Down)
+	waitFor(t, "brownout->suspect observed", func() bool {
+		for _, tr := range log.snapshot() {
+			if tr.Node == 1 && tr.From == Brownout && tr.To == Suspect {
+				return true
+			}
 		}
-	}
-	if !sawSuspect {
-		t.Fatalf("transitions %v missing brownout->suspect", log.snapshot())
-	}
+		return false
+	})
 
 	// And when it answers again it goes through Repairing, with its
 	// brownout history forgotten.
 	src.set(time.Millisecond)
 	fleet.set(1, false)
-	waitFor(t, "repairing", func() bool { return m.NodeState(1) == Repairing })
+	m.round(t)
+	m.wantState(t, 1, Repairing)
 }
 
 func TestProbeEWMAFallbackDrivesBrownout(t *testing.T) {
 	// Without an external latency source the monitor's own probe
-	// durations feed the detector.
-	slow := make(chan struct{})
+	// durations, on the runtime clock, feed the detector.
 	probe := func(ctx context.Context, node int) error {
-		select {
-		case <-slow:
-			// Closed: probes answer instantly.
-			return nil
-		default:
-		}
 		if node == 2 {
 			select {
 			case <-time.After(30 * time.Millisecond):
@@ -554,29 +583,16 @@ func TestProbeEWMAFallbackDrivesBrownout(t *testing.T) {
 		}
 		return nil
 	}
-	cfg := Config{
-		Interval:        2 * time.Millisecond,
+	m := startManual(t, 3, probe, Config{
 		Timeout:         time.Second,
 		Threshold:       3,
 		BrownoutLatency: 15 * time.Millisecond,
-	}
-	m, err := New(3, probe, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
-	go func() {
-		for range m.Transitions() {
-		}
-	}()
-	m.Start()
+	}, true)
 
-	waitFor(t, "slow node browns out", func() bool { return m.NodeState(2) == Brownout })
-	if st := m.NodeState(0); st != Up {
-		t.Fatalf("fast node 0 = %v, want up", st)
-	}
-	snap := m.Snapshot()
-	if snap[2].Latency < 15*time.Millisecond {
-		t.Fatalf("node 2 latency = %v, want >= threshold", snap[2].Latency)
+	m.round(t)
+	m.wantState(t, 2, Brownout)
+	m.wantState(t, 0, Up)
+	if lat := m.Snapshot()[2].Latency; lat < 15*time.Millisecond {
+		t.Fatalf("node 2 latency = %v, want >= threshold", lat)
 	}
 }

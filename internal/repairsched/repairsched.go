@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trapquorum/internal/clock"
 	"trapquorum/internal/health"
 )
 
@@ -145,8 +146,9 @@ type Config struct {
 	// within a pass — the rate limit keeping scrub I/O off the
 	// foreground path (default 2ms).
 	ScrubPace time.Duration
-	// Seed seeds the jitter source; 0 uses a time-derived seed.
-	Seed int64
+	// Clock arms every pause and retry timer and seeds the jitter
+	// source from its reading (nil: clock.Real).
+	Clock clock.Clock
 }
 
 // withDefaults resolves zero fields.
@@ -166,8 +168,8 @@ func (c Config) withDefaults() Config {
 	if c.ScrubPace <= 0 {
 		c.ScrubPace = 2 * time.Millisecond
 	}
-	if c.Seed == 0 {
-		c.Seed = time.Now().UnixNano()
+	if c.Clock == nil {
+		c.Clock = clock.Real{}
 	}
 	return c
 }
@@ -307,7 +309,7 @@ type Orchestrator struct {
 	inflight int
 	plans    map[int]*nodeRepair
 	planGen  uint64
-	retries  map[int]*time.Timer
+	retries  map[int]clock.Timer
 	scrub    struct {
 		audited int
 		total   int
@@ -333,8 +335,8 @@ func New(target Target, mon *health.Monitor, cfg Config) *Orchestrator {
 		cancel:  cancel,
 		queued:  make(map[itemKey]bool),
 		plans:   make(map[int]*nodeRepair),
-		retries: make(map[int]*time.Timer),
-		jitter:  rand.New(rand.NewSource(cfg.Seed)),
+		retries: make(map[int]clock.Timer),
+		jitter:  rand.New(rand.NewSource(cfg.Clock.Now().UnixNano())),
 	}
 	o.cond = sync.NewCond(&o.mu)
 	return o
@@ -374,7 +376,7 @@ func (o *Orchestrator) migrationLoop(ms MigrationSource) {
 	defer o.wg.Done()
 	for {
 		if !ms.MigrationPending() {
-			if !o.sleep(o.cfg.RetryInterval) {
+			if clock.Sleep(o.ctx, o.cfg.Clock, o.cfg.RetryInterval) != nil {
 				return
 			}
 			continue
@@ -385,7 +387,7 @@ func (o *Orchestrator) migrationLoop(ms MigrationSource) {
 		}
 		if err != nil {
 			o.counters.MigrationFailures.Add(1)
-			if !o.sleep(o.cfg.RetryInterval) {
+			if clock.Sleep(o.ctx, o.cfg.Clock, o.cfg.RetryInterval) != nil {
 				return
 			}
 			continue
@@ -394,7 +396,7 @@ func (o *Orchestrator) migrationLoop(ms MigrationSource) {
 			continue // re-check MigrationPending; idles on RetryInterval
 		}
 		o.counters.MigrationSteps.Add(1)
-		if !o.sleep(o.cfg.ScrubPace) {
+		if clock.Sleep(o.ctx, o.cfg.Clock, o.cfg.ScrubPace) != nil {
 			return
 		}
 	}
@@ -635,7 +637,7 @@ func (o *Orchestrator) finishPlan(node int, failed bool) {
 	if o.closed || o.retries[node] != nil {
 		return
 	}
-	o.retries[node] = time.AfterFunc(o.cfg.RetryInterval, func() {
+	o.retries[node] = o.cfg.Clock.AfterFunc(o.cfg.RetryInterval, func() {
 		o.mu.Lock()
 		delete(o.retries, node)
 		closed := o.closed
@@ -654,7 +656,7 @@ func (o *Orchestrator) finishPlan(node int, failed bool) {
 func (o *Orchestrator) scrubLoop() {
 	defer o.wg.Done()
 	for {
-		if !o.sleep(o.jittered(o.cfg.ScrubInterval)) {
+		if clock.Sleep(o.ctx, o.cfg.Clock, o.jittered(o.cfg.ScrubInterval)) != nil {
 			return
 		}
 		o.scrubPass()
@@ -673,18 +675,6 @@ func (o *Orchestrator) jittered(d time.Duration) time.Duration {
 	return j
 }
 
-// sleep waits for d, returning false when the orchestrator closed.
-func (o *Orchestrator) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-o.ctx.Done():
-		return false
-	}
-}
-
 // scrubPass audits every live stripe once, paced, enqueueing repair
 // work for the degradation it finds.
 func (o *Orchestrator) scrubPass() {
@@ -693,7 +683,7 @@ func (o *Orchestrator) scrubPass() {
 	o.scrub.audited, o.scrub.total = 0, len(stripes)
 	o.mu.Unlock()
 	for i, stripe := range stripes {
-		if i > 0 && !o.sleep(o.cfg.ScrubPace) {
+		if i > 0 && clock.Sleep(o.ctx, o.cfg.Clock, o.cfg.ScrubPace) != nil {
 			return
 		}
 		tasks, err := o.target.ScrubStripe(o.ctx, stripe, o.down)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"trapquorum/internal/clock"
 	"trapquorum/internal/health"
 )
 
@@ -102,34 +103,101 @@ func (f *fleet) probe(_ context.Context, node int) error {
 	return nil
 }
 
+// epoch is where the rig's manual clocks start.
+var epoch = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// waitFor polls for what an asynchronous goroutine does; it never
+// stands in for a probe, retry or scrub interval, which the rig's
+// manual clocks step.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(50 * time.Microsecond)
 	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
-// rig assembles a monitor + orchestrator over a fake fleet/target.
-func rig(t *testing.T, n int, target *fakeTarget, cfg Config) (*fleet, *health.Monitor, *Orchestrator) {
+// rigged is a monitor and an orchestrator over a fake fleet and
+// target. Each runs on its own manual clock, so a test steps probe
+// rounds without firing a retry or scrub timer, and the other way
+// round.
+type rigged struct {
+	fl     *fleet
+	mon    *health.Monitor
+	orc    *Orchestrator
+	probes *clock.Manual // the monitor's: one timer, the probe loop's
+	sched  *clock.Manual // the orchestrator's: retries, scrub and pace sleeps
+}
+
+// probeInterval is the monitor's default interval, which the rig keeps.
+const probeInterval = 500 * time.Millisecond
+
+// rig starts a Threshold-2 monitor over n nodes and an orchestrator on
+// the target.
+func rig(t *testing.T, n int, target Target, cfg Config) *rigged {
 	t.Helper()
-	fl := &fleet{down: make(map[int]bool)}
-	mon, err := health.New(n, fl.probe, health.Config{Interval: 2 * time.Millisecond, Threshold: 2})
+	r := &rigged{
+		fl:     &fleet{down: make(map[int]bool)},
+		probes: clock.NewManual(epoch),
+		sched:  clock.NewManual(epoch),
+	}
+	mon, err := health.New(n, r.fl.probe, health.Config{Threshold: 2, Clock: r.probes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	orc := New(target, mon, cfg)
-	orc.Start()
+	cfg.Clock = r.sched
+	r.mon, r.orc = mon, New(target, mon, cfg)
+	r.orc.Start()
 	mon.Start()
 	t.Cleanup(func() {
-		orc.Close()
+		r.orc.Close()
 		mon.Close()
 	})
-	return fl, mon, orc
+	return r
+}
+
+// round runs exactly one probe round: the probe loop is parked on its
+// timer, the clock steps one interval, and the loop parks again only
+// after it applied the round. The orchestrator reacts asynchronously.
+func (r *rigged) round(t *testing.T) {
+	t.Helper()
+	waitFor(t, "probe loop parked", func() bool { return r.probes.Pending() == 1 })
+	r.probes.Advance(probeInterval)
+	waitFor(t, "probe round applied", func() bool { return r.probes.Pending() == 1 })
+}
+
+// cycle takes node down for the two rounds of the threshold, then back
+// up for one round, which hands it to the orchestrator as Repairing.
+func (r *rigged) cycle(t *testing.T, node int) {
+	t.Helper()
+	r.fl.set(node, true)
+	r.round(t)
+	r.round(t)
+	if st := r.mon.NodeState(node); st != health.Down {
+		t.Fatalf("node %d is %v after two failed rounds, want down", node, st)
+	}
+	r.fl.set(node, false)
+	r.round(t)
+}
+
+// stepUntil fires the orchestrator's timers, each once a goroutine has
+// parked on it, stepping the clock by d, until cond holds.
+func (r *rigged) stepUntil(t *testing.T, what string, d time.Duration, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		if r.sched.Pending() > 0 {
+			r.sched.Advance(d)
+		} else {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
 }
 
 func TestNodePlanRunsOnRepairingAndMarksUp(t *testing.T) {
@@ -138,12 +206,10 @@ func TestNodePlanRunsOnRepairingAndMarksUp(t *testing.T) {
 		{Stripe: 7, Shard: 1, Priority: 1},
 		{Stripe: 9, Shard: 1, Priority: 2},
 	}
-	fl, mon, orc := rig(t, 3, target, Config{ScrubInterval: -1})
+	r := rig(t, 3, target, Config{ScrubInterval: -1})
 
-	fl.set(1, true)
-	waitFor(t, "node 1 down", func() bool { return mon.NodeState(1) == health.Down })
-	fl.set(1, false)
-	waitFor(t, "node 1 healed", func() bool { return mon.NodeState(1) == health.Up })
+	r.cycle(t, 1)
+	waitFor(t, "node 1 healed", func() bool { return r.mon.NodeState(1) == health.Up })
 
 	got := target.executed()
 	if len(got) != 2 {
@@ -158,34 +224,43 @@ func TestNodePlanRunsOnRepairingAndMarksUp(t *testing.T) {
 			t.Fatalf("task %v not retargeted at node 1", task)
 		}
 	}
-	if c := orc.Counters(); c.Repairs != 2 || c.PlansExecuted != 1 {
+	if c := r.orc.Counters(); c.Repairs != 2 || c.PlansExecuted != 1 {
 		t.Fatalf("counters %+v, want 2 repairs / 1 plan", c)
 	}
 }
 
 func TestEmptyPlanHealsImmediately(t *testing.T) {
 	target := newFakeTarget()
-	fl, mon, _ := rig(t, 2, target, Config{ScrubInterval: -1})
-	fl.set(0, true)
-	waitFor(t, "down", func() bool { return mon.NodeState(0) == health.Down })
-	fl.set(0, false)
-	waitFor(t, "up", func() bool { return mon.NodeState(0) == health.Up })
+	r := rig(t, 2, target, Config{ScrubInterval: -1})
+	r.cycle(t, 0)
+	waitFor(t, "up", func() bool { return r.mon.NodeState(0) == health.Up })
 	if got := target.executed(); len(got) != 0 {
 		t.Fatalf("executed %v on an empty plan", got)
 	}
 }
 
+// TestFailedPlanRetriesUntilHealed: a plan with a failed repair arms
+// one retry, RetryInterval out on the orchestrator's clock; the node
+// stays Repairing until the retry fires and its plan succeeds.
 func TestFailedPlanRetriesUntilHealed(t *testing.T) {
 	target := newFakeTarget()
 	target.plans[0] = []Task{{Stripe: 1, Shard: 0, Priority: 1}}
 	target.failNext = 1 // first repair attempt fails, retry succeeds
-	fl, mon, orc := rig(t, 2, target, Config{ScrubInterval: -1, RetryInterval: 5 * time.Millisecond})
+	const retry = 2 * time.Second
+	r := rig(t, 2, target, Config{ScrubInterval: -1, RetryInterval: retry})
 
-	fl.set(0, true)
-	waitFor(t, "down", func() bool { return mon.NodeState(0) == health.Down })
-	fl.set(0, false)
-	waitFor(t, "healed after retry", func() bool { return mon.NodeState(0) == health.Up })
-	c := orc.Counters()
+	r.cycle(t, 0)
+	waitFor(t, "retry armed", func() bool { return r.sched.Pending() == 1 })
+	r.sched.Advance(retry - time.Nanosecond)
+	if p := r.sched.Pending(); p != 1 {
+		t.Fatalf("retry fired before RetryInterval (%d timers armed)", p)
+	}
+	if st := r.mon.NodeState(0); st != health.Repairing {
+		t.Fatalf("node 0 is %v while its retry is pending, want repairing", st)
+	}
+	r.sched.Advance(time.Nanosecond)
+	waitFor(t, "healed after retry", func() bool { return r.mon.NodeState(0) == health.Up })
+	c := r.orc.Counters()
 	if c.RepairFailures != 1 || c.Repairs != 1 {
 		t.Fatalf("counters %+v, want exactly 1 failure then 1 success", c)
 	}
@@ -202,18 +277,17 @@ func TestDownDropsQueuedWork(t *testing.T) {
 	}
 	target.plans[0] = tasks
 	target.repairGap = 2 * time.Millisecond // slow workers: the queue stays deep
-	fl, mon, orc := rig(t, 2, target, Config{ScrubInterval: -1, RepairConcurrency: 1})
+	r := rig(t, 2, target, Config{ScrubInterval: -1, RepairConcurrency: 1})
 
-	fl.set(0, true)
-	waitFor(t, "down", func() bool { return mon.NodeState(0) == health.Down })
-	fl.set(0, false)
+	r.cycle(t, 0)
 	waitFor(t, "repairing with backlog", func() bool {
-		return mon.NodeState(0) == health.Repairing && orc.Status().Backlog > 10
+		return r.mon.NodeState(0) == health.Repairing && r.orc.Status().Backlog > 10
 	})
-	fl.set(0, true)
-	waitFor(t, "down again", func() bool { return mon.NodeState(0) == health.Down })
+	r.fl.set(0, true)
+	r.round(t)
+	r.round(t)
 	waitFor(t, "queue drained by drop", func() bool {
-		s := orc.Status()
+		s := r.orc.Status()
 		return s.Backlog == 0 && s.InFlight == 0
 	})
 	if got := len(target.executed()); got >= 50 {
@@ -247,7 +321,7 @@ func (g *gateTarget) Repair(ctx context.Context, t Task) error {
 // flight when its node goes Down (dropping the plan) settles only
 // after the node returned and a new plan was issued. Its failure must
 // not be charged to the new plan — the node heals on the new plan's
-// own all-success completion, with no retry round.
+// own all-success completion, with no retry armed.
 func TestStaleInFlightTaskDoesNotCorruptSuccessorPlan(t *testing.T) {
 	inner := newFakeTarget()
 	inner.plans[0] = []Task{
@@ -256,62 +330,50 @@ func TestStaleInFlightTaskDoesNotCorruptSuccessorPlan(t *testing.T) {
 		{Stripe: 3, Shard: 0, Priority: 1},
 	}
 	target := &gateTarget{fakeTarget: inner, entered: make(chan struct{}), release: make(chan struct{})}
-	fl, mon, orc := rig2(t, target, Config{ScrubInterval: -1, RepairConcurrency: 1, RetryInterval: time.Hour})
+	r := rig(t, 2, target, Config{ScrubInterval: -1, RepairConcurrency: 1})
 
 	// Plan A starts; its first task (stripe 1) blocks in flight.
-	fl.set(0, true)
-	waitFor(t, "down", func() bool { return mon.NodeState(0) == health.Down })
-	fl.set(0, false)
+	r.cycle(t, 0)
 	<-target.entered
 
 	// The node dies again (plan A dropped, stripe-1 task still in
 	// flight), then returns: plan B is issued.
-	fl.set(0, true)
-	waitFor(t, "down again", func() bool { return mon.NodeState(0) == health.Down })
-	fl.set(0, false)
+	r.cycle(t, 0)
 	waitFor(t, "plan B queued behind the straggler", func() bool {
-		return mon.NodeState(0) == health.Repairing && orc.Status().Backlog == 3
+		return r.mon.NodeState(0) == health.Repairing && r.orc.Status().Backlog == 3
 	})
 
 	// The stale task settles — with an error. Plan B's three repairs
-	// then run and succeed; the node must go Up on B's completion
-	// (RetryInterval is an hour: any retry round would hang the test).
+	// then run and succeed; the node must go Up on B's completion,
+	// and no retry timer may be armed for the stale failure.
 	close(target.release)
-	waitFor(t, "healed by plan B alone", func() bool { return mon.NodeState(0) == health.Up })
-	if c := orc.Counters(); c.PlansExecuted != 1 || c.RepairFailures != 1 || c.Repairs != 3 {
+	waitFor(t, "healed by plan B alone", func() bool { return r.mon.NodeState(0) == health.Up })
+	if c := r.orc.Counters(); c.PlansExecuted != 1 || c.RepairFailures != 1 || c.Repairs != 3 {
 		t.Fatalf("counters %+v, want exactly plan B executed (1), 1 stale failure, 3 repairs", c)
 	}
-}
-
-// rig2 is rig for a Target that is not a *fakeTarget.
-func rig2(t *testing.T, target Target, cfg Config) (*fleet, *health.Monitor, *Orchestrator) {
-	t.Helper()
-	fl := &fleet{down: make(map[int]bool)}
-	mon, err := health.New(2, fl.probe, health.Config{Interval: 2 * time.Millisecond, Threshold: 2})
-	if err != nil {
-		t.Fatal(err)
+	if p := r.sched.Pending(); p != 0 {
+		t.Fatalf("%d retry timers armed, want none", p)
 	}
-	orc := New(target, mon, cfg)
-	orc.Start()
-	mon.Start()
-	t.Cleanup(func() {
-		orc.Close()
-		mon.Close()
-	})
-	return fl, mon, orc
 }
 
+// TestScrubFindsAndRepairsDegradation: the first pass starts no sooner
+// than the shortest jittered ScrubInterval, audits every stripe and
+// queues what it finds.
 func TestScrubFindsAndRepairsDegradation(t *testing.T) {
 	target := newFakeTarget()
 	target.stripes = []uint64{1, 2, 3}
 	target.scrubOut[2] = []Task{{Stripe: 2, Shard: 4, Node: 4, Priority: 1}}
-	_, _, orc := rig(t, 5, target, Config{
-		ScrubInterval: 5 * time.Millisecond,
-		ScrubPace:     time.Millisecond,
-	})
+	const interval, jitter = time.Minute, 0.2
+	r := rig(t, 5, target, Config{ScrubInterval: interval, ScrubJitter: jitter})
 
-	waitFor(t, "scrub pass + repair", func() bool {
-		c := orc.Counters()
+	waitFor(t, "scrub loop parked", func() bool { return r.sched.Pending() == 1 })
+	shortest := time.Duration(float64(interval) * (1 - jitter))
+	r.sched.Advance(shortest - time.Nanosecond)
+	if p := r.sched.Pending(); p != 1 || r.orc.Counters().ScrubStripes != 0 {
+		t.Fatal("a scrub pass started before the shortest jittered interval")
+	}
+	r.stepUntil(t, "scrub pass + repair", interval, func() bool {
+		c := r.orc.Counters()
 		return c.ScrubPasses >= 1 && c.Repairs >= 1
 	})
 	target.mu.Lock()
@@ -324,7 +386,7 @@ func TestScrubFindsAndRepairsDegradation(t *testing.T) {
 	if len(got) == 0 || got[0].Stripe != 2 || got[0].Shard != 4 {
 		t.Fatalf("scrub repairs %v, want stripe 2 shard 4", got)
 	}
-	if c := orc.Counters(); c.ScrubDegraded < 1 {
+	if c := r.orc.Counters(); c.ScrubDegraded < 1 {
 		t.Fatalf("ScrubDegraded = %d, want >= 1", c.ScrubDegraded)
 	}
 }
@@ -363,9 +425,13 @@ func TestDropNodeDiscardsAllTasksTargetingNode(t *testing.T) {
 func TestScrubDisabled(t *testing.T) {
 	target := newFakeTarget()
 	target.stripes = []uint64{1}
-	_, _, orc := rig(t, 2, target, Config{ScrubInterval: -1})
-	time.Sleep(20 * time.Millisecond)
-	if c := orc.Counters(); c.ScrubStripes != 0 {
+	r := rig(t, 2, target, Config{ScrubInterval: -1})
+	r.round(t) // the orchestrator's goroutines have had a round to start
+	if p := r.sched.Pending(); p != 0 {
+		t.Fatalf("%d timers armed with scrubbing disabled", p)
+	}
+	r.sched.Advance(time.Hour)
+	if c := r.orc.Counters(); c.ScrubStripes != 0 {
 		t.Fatalf("scrubbed %d stripes with scrubbing disabled", c.ScrubStripes)
 	}
 }
@@ -373,13 +439,16 @@ func TestScrubDisabled(t *testing.T) {
 func TestCloseIsIdempotentAndStopsWork(t *testing.T) {
 	target := newFakeTarget()
 	target.stripes = []uint64{1, 2}
-	_, _, orc := rig(t, 2, target, Config{ScrubInterval: 2 * time.Millisecond})
-	time.Sleep(10 * time.Millisecond)
-	orc.Close()
-	orc.Close()
-	before := orc.Counters().ScrubStripes
-	time.Sleep(15 * time.Millisecond)
-	if after := orc.Counters().ScrubStripes; after != before {
+	r := rig(t, 2, target, Config{})
+	r.stepUntil(t, "a stripe scrubbed", time.Hour, func() bool { return r.orc.Counters().ScrubStripes >= 1 })
+	r.orc.Close()
+	r.orc.Close()
+	if p := r.sched.Pending(); p != 0 {
+		t.Fatalf("%d timers still armed after Close", p)
+	}
+	before := r.orc.Counters().ScrubStripes
+	r.sched.Advance(time.Hour)
+	if after := r.orc.Counters().ScrubStripes; after != before {
 		t.Fatalf("scrubbing continued after Close: %d -> %d", before, after)
 	}
 }
@@ -432,20 +501,27 @@ func TestDegradationTasksPolicy(t *testing.T) {
 
 // TestCorruptNodeGetsPlannedAndHeals: a corruption observation (not a
 // probe failure — the node answers pings throughout) triggers a full
-// node plan, and the plan's success releases the pin.
+// node plan, and the plan's success releases the pin once the monitor's
+// dwell of two probe intervals has passed without a fresh report.
 func TestCorruptNodeGetsPlannedAndHeals(t *testing.T) {
 	target := newFakeTarget()
 	target.plans[1] = []Task{{Stripe: 3, Shard: 1, Priority: 2}}
-	_, mon, orc := rig(t, 3, target, Config{ScrubInterval: -1})
-	waitFor(t, "probes running", func() bool { return mon.Counters().Probes >= 3 })
+	r := rig(t, 3, target, Config{ScrubInterval: -1})
+	r.round(t)
 
-	mon.ReportCorrupt(1)
-	waitFor(t, "corrupt node healed by its plan", func() bool { return mon.NodeState(1) == health.Up })
+	r.mon.ReportCorrupt(1)
+	waitFor(t, "the node-1 plan executed", func() bool { return r.orc.Counters().PlansExecuted == 1 })
+	r.round(t)
+	if st := r.mon.NodeState(1); st != health.Corrupt {
+		t.Fatalf("node 1 is %v one probe interval after its report, want corrupt", st)
+	}
+	r.round(t)
+	waitFor(t, "corrupt node released after the dwell", func() bool { return r.mon.NodeState(1) == health.Up })
 	got := target.executed()
 	if len(got) != 1 || got[0].Stripe != 3 || got[0].Node != 1 {
 		t.Fatalf("executed %v, want the node-1 plan", got)
 	}
-	if c := orc.Counters(); c.PlansExecuted != 1 || c.Repairs != 1 {
+	if c := r.orc.Counters(); c.PlansExecuted != 1 || c.Repairs != 1 {
 		t.Fatalf("counters %+v, want 1 plan / 1 repair", c)
 	}
 }
@@ -456,24 +532,30 @@ func TestCorruptNodeGetsPlannedAndHeals(t *testing.T) {
 func TestPersistentlyLyingNodeStaysPinned(t *testing.T) {
 	inner := newFakeTarget()
 	inner.plans[0] = []Task{{Stripe: 1, Shard: 0, Priority: 1}}
-	fl, mon, orc := rig2(t, &lyingTarget{fakeTarget: inner, mon: func() *health.Monitor { return nil }}, Config{ScrubInterval: -1})
-	_ = fl
+	lt := &lyingTarget{fakeTarget: inner, mon: func() *health.Monitor { return nil }}
+	r := rig(t, 2, lt, Config{ScrubInterval: -1})
 
 	// Wire the target's re-report hook to the monitor now that it exists.
-	lt := orc.target.(*lyingTarget)
-	lt.mon = func() *health.Monitor { return mon }
+	lt.mon = func() *health.Monitor { return r.mon }
 
-	waitFor(t, "probes running", func() bool { return mon.Counters().Probes >= 1 })
-	mon.ReportCorrupt(0)
+	r.round(t)
+	r.mon.ReportCorrupt(0)
 	// Every completed plan re-arms; after several the node is still pinned.
-	waitFor(t, "three plans executed", func() bool { return orc.Counters().PlansExecuted >= 3 })
-	if got := mon.NodeState(0); got != health.Corrupt {
+	waitFor(t, "three plans executed", func() bool { return r.orc.Counters().PlansExecuted >= 3 })
+	if got := r.mon.NodeState(0); got != health.Corrupt {
 		t.Fatalf("liar state %v, want corrupt (pinned across plans)", got)
 	}
 
-	// The liar reforms: the next quiet plan releases it.
+	// The liar reforms: the next quiet plan releases it once probe
+	// rounds have carried the clock past the dwell.
 	lt.setLying(false)
-	waitFor(t, "reformed node healed", func() bool { return mon.NodeState(0) == health.Up })
+	deadline := time.Now().Add(10 * time.Second)
+	for r.mon.NodeState(0) != health.Up {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the reformed node to heal")
+		}
+		r.round(t)
+	}
 }
 
 // lyingTarget re-reports corruption on every repair while lying is

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"trapquorum/client"
+	"trapquorum/internal/clock"
 )
 
 // Hold is long against goroutine start-up skew, even under -race, and
@@ -145,16 +146,7 @@ type node struct {
 }
 
 // hold delays an RPC by Hold, or until its context ends.
-func hold(ctx context.Context) error {
-	t := time.NewTimer(Hold)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+func hold(ctx context.Context) error { return clock.Sleep(ctx, clock.Real{}, Hold) }
 
 func (c *node) ReadChunk(ctx context.Context, id client.ChunkID) (client.Chunk, error) {
 	defer c.log.begin(c.node, ReadChunk)()

@@ -29,7 +29,9 @@ func align64(x int) int { return (x + 63) / 64 * 64 }
 // placed it — the one path both root stores repair through — a scrub
 // reads every shard of each of the object's stripes in turn, and a
 // Delete sends each node one removal, whatever the object's stripe
-// count.
+// count. Rows with a node down crash it for the one operation and count
+// its RPCs as issued: a Get missing a data chunk decodes it from a
+// second round over all n nodes, and a Delete still costs n removals.
 // Run with -v to print the table.
 func TestServiceCountTable(t *testing.T) {
 	const bs = 4096
@@ -72,9 +74,28 @@ func TestServiceCountTable(t *testing.T) {
 		// stripes is how many stripes the fleet holds once both objects
 		// are stored.
 		const stripes = 1 + s
+		// down runs op with the cluster node holding shard of key's
+		// first stripe crashed, and restarts it afterwards so the later
+		// rows see a healthy fleet.
+		down := func(key string, shard int, op func() error) func() error {
+			return func() error {
+				ids, err := store.StripesOf(key)
+				if err != nil {
+					return err
+				}
+				st, _, err := store.Fleet().Stripe(ids[0])
+				if err != nil {
+					return err
+				}
+				cluster.Crash(st.Nodes[shard])
+				defer cluster.Restart(st.Nodes[shard])
+				return op()
+			}
+		}
 
 		rows := []struct {
 			name   string
+			before func() error // uncounted set-up
 			op     func() error
 			rpcs   rpccount.Counts
 			rounds int
@@ -102,6 +123,19 @@ func TestServiceCountTable(t *testing.T) {
 				op:     getChecked(ctx, store, "small", oracle),
 				rpcs:   rpccount.Counts{rpccount.ReadChunk: blocksRead(small, smallBS), rpccount.ReadVersions: n - k},
 				rounds: 1,
+			},
+			{
+				// Block 0's data node is down: its chunk read, issued
+				// with the others, fails at once. The block is then
+				// decoded from a second round that asks every node for
+				// its chunk, the down one included.
+				name: "Get, one stripe, one data node down",
+				op:   down("small", 0, getChecked(ctx, store, "small", oracle)),
+				rpcs: rpccount.Counts{
+					rpccount.ReadChunk:    blocksRead(small, smallBS) + n,
+					rpccount.ReadVersions: n - k,
+				},
+				rounds: 2,
 			},
 			{
 				// One stripe read per stripe, the next one in flight
@@ -202,6 +236,15 @@ func TestServiceCountTable(t *testing.T) {
 				rounds: 1,
 			},
 			{
+				// The down node is sent its removal like every other
+				// node, in the same round; its chunk stays orphaned.
+				name:   "Delete, one stripe, one node down",
+				before: func() error { return store.Put(ctx, "small", oracle["small"]) },
+				op:     down("small", 0, func() error { return store.Delete(ctx, "small") }),
+				rpcs:   rpccount.Counts{rpccount.DeleteChunk: n},
+				rounds: 1,
+			},
+			{
 				// Every node is sent its s chunks in one DeleteChunks
 				// frame (counted as one DeleteChunk), all in one fan-out.
 				name:   "Delete, 3 stripes",
@@ -212,6 +255,11 @@ func TestServiceCountTable(t *testing.T) {
 		}
 		for _, row := range rows {
 			t.Run(fmt.Sprintf("n%d.k%d/%s", n, k, row.name), func(t *testing.T) {
+				if row.before != nil {
+					if err := row.before(); err != nil {
+						t.Fatal(err)
+					}
+				}
 				log.Reset()
 				if err := row.op(); err != nil {
 					t.Fatal(err)

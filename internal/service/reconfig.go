@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"trapquorum/client"
+	"trapquorum/internal/clock"
 	"trapquorum/internal/core"
 	"trapquorum/internal/erasure"
 	"trapquorum/internal/trapezoid"
@@ -478,8 +479,8 @@ func (f *Fleet) DriveMigration(ctx context.Context) error {
 			if ctx.Err() != nil {
 				return err
 			}
-			if !sleepCtx(ctx, 10*time.Millisecond) {
-				return ctx.Err()
+			if err := clock.Sleep(ctx, clock.Real{}, 10*time.Millisecond); err != nil {
+				return err
 			}
 			continue
 		}
@@ -488,8 +489,8 @@ func (f *Fleet) DriveMigration(ctx context.Context) error {
 		}
 		// Yield between objects so the drain paces itself and the
 		// queue-drained/waiting-on-puts probe does not spin.
-		if !sleepCtx(ctx, time.Millisecond) {
-			return ctx.Err()
+		if err := clock.Sleep(ctx, clock.Real{}, time.Millisecond); err != nil {
+			return err
 		}
 	}
 }
@@ -504,18 +505,6 @@ func (f *Fleet) Reconfigure(ctx context.Context, spec ReconfigSpec) error {
 		return err
 	}
 	return f.DriveMigration(ctx)
-}
-
-// sleepCtx waits for d, returning false when the context dies first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // epochBlob is the opaque state broadcast alongside the watermarks —

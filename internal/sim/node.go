@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"trapquorum/client"
+	"trapquorum/internal/clock"
 	"trapquorum/internal/memstore"
 	"trapquorum/internal/nodeengine"
 )
@@ -184,15 +185,16 @@ func (n *Node) gate(ctx context.Context, op string) error {
 	}
 	if dp := n.delay.Load(); dp != nil {
 		if d := (*dp)(op); d > 0 {
-			timer := time.NewTimer(d)
+			woke := make(chan struct{})
+			t := clock.Real{}.AfterFunc(d, func() { close(woke) })
 			select {
-			case <-timer.C:
+			case <-woke:
 			case <-ctx.Done():
-				timer.Stop()
+				t.Stop()
 				n.engine.Metrics().CtxAborts.Add(1)
 				return ctx.Err()
 			case <-n.quit:
-				timer.Stop()
+				t.Stop()
 				return ErrClusterClosed
 			}
 			// Fail-stop can land while the request is in flight:

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"trapquorum/client"
+	"trapquorum/internal/clock"
 	"trapquorum/internal/wire"
 )
 
@@ -283,7 +284,7 @@ func (c *NodeClient) do(ctx context.Context, req *wire.Request) (wire.Response, 
 			return wire.Response{}, err
 		}
 		r.retries.Add(1)
-		if serr := sleepCtx(ctx, r.backoff(n+1)); serr != nil {
+		if serr := clock.Sleep(ctx, clock.Real{}, r.backoff(n+1)); serr != nil {
 			return wire.Response{}, c.mapErr(ctx, req.Op, serr)
 		}
 	}
@@ -307,21 +308,6 @@ func (c *NodeClient) boundedAttempt(ctx context.Context, req *wire.Request) (wir
 			client.ErrNodeDown, req.Op, c.addr, at)
 	}
 	return resp, err
-}
-
-// sleepCtx sleeps d unless the context ends first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // attempt performs one request/response exchange, mapping every

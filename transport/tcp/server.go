@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"trapquorum/client"
+	"trapquorum/internal/clock"
 	"trapquorum/internal/wire"
 )
 
@@ -128,9 +129,7 @@ func (s *NodeServer) Serve(ln net.Listener) error {
 			} else if backoff *= 2; backoff > time.Second {
 				backoff = time.Second
 			}
-			select {
-			case <-time.After(backoff):
-			case <-s.ctx.Done():
+			if clock.Sleep(s.ctx, clock.Real{}, backoff) != nil {
 				return nil
 			}
 			continue
