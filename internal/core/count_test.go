@@ -79,10 +79,20 @@ func TestRPCCountTable(t *testing.T) {
 				rounds: 1,
 			},
 			{
-				// The snapshot, then one decode gather of all n shards.
+				// The snapshot, then one decode gather of every shard but
+				// the down one.
 				name: "ReadBlock, data node down", first: 2, j: 1, down: true,
 				op:     readOne(ctx, 2),
-				target: rpccount.Counts{rpccount.ReadChunk: 2}, other: rpccount.Counts{rpccount.ReadChunk: k - 1},
+				target: rpccount.Counts{rpccount.ReadChunk: 1}, other: rpccount.Counts{rpccount.ReadChunk: k - 1},
+				parity: rpccount.Counts{rpccount.ReadChunk: n - k, rpccount.ReadVersions: n - k},
+				rounds: 2,
+			},
+			{
+				// The snapshot served k − 1 chunks direct: the decode
+				// gather reuses them and asks the parity nodes alone.
+				name: "ReadStripe of every block, data node down", first: 0, j: k, down: true,
+				op:     readRange(ctx, 0, k),
+				target: rpccount.Counts{rpccount.ReadChunk: k},
 				parity: rpccount.Counts{rpccount.ReadChunk: n - k, rpccount.ReadVersions: n - k},
 				rounds: 2,
 			},

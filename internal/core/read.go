@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"trapquorum/internal/blockpool"
@@ -103,6 +104,9 @@ func (s *System) readStripe(ctx context.Context, st Stripe, first, count int) ([
 		if err := ctx.Err(); err != nil {
 			return nil, nil, wrap(first, err)
 		}
+		// served holds the data chunks this snapshot served direct, for
+		// a decode to reuse instead of asking their nodes again.
+		var served []shardAnswer
 		for b, want := range todo {
 			if !want {
 				continue
@@ -125,7 +129,15 @@ func (s *System) readStripe(ctx context.Context, st Stripe, first, count int) ([
 				// a genuine availability gap, not a race.
 				return nil, nil, wrap(b, failed[i])
 			}
-			out, err := s.decodeBlock(ctx, st, b, v.version, v.expect)
+			if served == nil {
+				served = make([]shardAnswer, len(view.shards))
+				for d, dv := range verdicts {
+					if dv.state == readDirect {
+						served[d] = view.shards[d]
+					}
+				}
+			}
+			out, err := s.decodeBlock(ctx, st, b, v.version, v.expect, served)
 			if err != nil {
 				if cerr := ctx.Err(); cerr != nil {
 					// The shards stopped answering because the context
@@ -290,21 +302,30 @@ func (s *System) judge(v *stripeView, block int) blockVerdict {
 // decodeBlock implements Case 2 of Algorithm 2: reconstruct data block
 // `block` at the target version from any k mutually consistent shards
 // (see stripeview.go for the rule). The block's own shard never counts:
-// it is stale or suspect here — Case 1 handles it fresh.
+// it is stale or suspect here — Case 1 handles it fresh — so it is not
+// asked.
 //
-// All n chunk reads are issued in parallel, hedged, and the gather
-// stops as soon as some set reaches k members ("first-k"), cancelling
-// the straggler reads. Any k mutually consistent shards of an MDS code
-// decode the same bytes, so taking the first viable set instead of the
-// largest changes nothing but the latency.
-func (s *System) decodeBlock(ctx context.Context, st Stripe, block int, version uint64, expect sumOpinion) ([]byte, error) {
+// The data chunks the stripe read already served direct (served, by
+// shard; nil slots were not) are reused, and every other shard's chunk
+// read is issued in parallel, hedged. The gather stops as soon as some
+// set reaches k members ("first-k"), cancelling the straggler reads.
+// Any k mutually consistent shards of an MDS code decode the same
+// bytes, so taking the first viable set instead of the largest changes
+// nothing but the latency. When the reused chunks fit no set — writes
+// moved their blocks on since — one more gather asks every shard.
+func (s *System) decodeBlock(ctx context.Context, st Stripe, block int, version uint64, expect sumOpinion, served []shardAnswer) ([]byte, error) {
 	// The hook runs after every answer until it stops the gather, so
 	// when the gather returns the sets are the frozen view's.
 	var sets []consistentSet
-	view := s.gather(ctx, st, -1, gatherOpt{hedge: true, stop: func(v *stripeView) bool {
+	opt := gatherOpt{hedge: true, known: served, stop: func(v *stripeView) bool {
 		sets = v.decodableSets(block, version, block)
 		return len(sets) > 0
-	}})
+	}}
+	view := s.gather(ctx, st, block, opt)
+	if len(sets) == 0 && ctx.Err() == nil && slices.ContainsFunc(served, func(a shardAnswer) bool { return a.data != nil }) {
+		opt.known = nil
+		view = s.gather(ctx, st, block, opt)
+	}
 	if len(sets) == 0 {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr

@@ -61,6 +61,9 @@ type gatherOpt struct {
 	read []bool
 	// hedge re-issues slow reads under the system's hedging policy.
 	hedge bool
+	// known holds what an earlier round of the same read gathered: a
+	// shard whose slot carries data is answered from it, not asked.
+	known []shardAnswer
 	// stop, when set, is consulted after every answer; true cancels the
 	// reads still in flight ("first-k") and freezes the view: answers
 	// settling later are not recorded.
@@ -86,6 +89,9 @@ func (s *System) gather(ctx context.Context, st Stripe, without int, opt gatherO
 		stripeRead := opt.read != nil
 		if shard == without || stripeRead && shard < k && !opt.read[shard] {
 			return shardAnswer{}, errNotAsked
+		}
+		if opt.known != nil && opt.known[shard].data != nil {
+			return opt.known[shard], nil
 		}
 		ask := func(hctx context.Context) (shardAnswer, error) {
 			return hedged(hctx, hedge, func(hctx context.Context) (shardAnswer, error) {

@@ -15,17 +15,22 @@
 //  2. Commit: one committer goroutine appends the batch to the WAL with
 //     one write and one fsync, then acknowledges every mutation in it.
 //  3. Checkpoint: acknowledged records wait in a write-back cache
-//     (latest record per chunk) until a checkpoint writes them out as
-//     chunk files (temp + atomic rename, then file and directory
-//     fsyncs) and only then truncates the WAL.
+//     (latest image per chunk) until the WAL reaches 8 MiB, a Scan, or
+//     Close. The checkpoint writes each cached chunk file in place
+//     through one descriptor and fsyncs it, removes deleted ones,
+//     fsyncs the directory, and only then truncates the WAL. A chunk
+//     put and deleted inside one window never gets a file.
 //
 // Open recovers through the same code: every complete WAL record is
 // folded into the write-back cache, a torn tail — the crash hit
 // mid-append, so nothing in it was acknowledged — is discarded, one
 // checkpoint writes the result out, and then the chunk files are
-// loaded. Chunk files are self-describing (magic, chunk id, version
-// vector, data, CRC), so loading is a directory scan; file names are
-// only a lookup convenience.
+// loaded. A chunk file that a crash tore mid-write is still covered by
+// the WAL, so that checkpoint rewrites it before it is loaded. Chunk
+// files are self-describing (magic, chunk id, version vector, data,
+// CRC), so loading is a directory scan; file names are only a lookup
+// convenience. Every file call goes through the fileSystem seam
+// (fs.go), the directory lock aside.
 //
 // The in-memory mirror makes reads memory-speed. A read of a chunk
 // whose mutation is staged but not yet durable waits for its batch.
@@ -36,7 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,7 +94,8 @@ var ErrLocked = errors.New("diskstore: directory locked by another process")
 type Store struct {
 	dir       string
 	chunksDir string
-	wal       *os.File
+	fs        fileSystem
+	wal       file            // opened O_APPEND: every write lands at the end
 	lock      *os.File        // flock'd while open; auto-released on process death
 	mem       *memstore.Store // in-memory mirror of the durable state
 	// quar holds the ids of quarantined chunks: files whose on-disk
@@ -98,9 +103,8 @@ type Store struct {
 	// chunk still *exists* (repair decides what to do with it), but
 	// every Get fails with ErrCorrupt until a Put or Delete replaces
 	// it. Values describe what was found, for error messages.
-	quar     map[client.ChunkID]string
-	sync     bool
-	fscratch []byte // chunk-file image staging
+	quar map[client.ChunkID]string
+	sync bool
 	// failed poisons the store after a mutation error of unknown
 	// durability: the disk and the in-memory mirror may disagree, so
 	// every further operation refuses until a reopen reconverges them
@@ -114,7 +118,8 @@ type Store struct {
 
 	// Group commit (see groupcommit.go). gcMu guards the batch state,
 	// pending/durable epochs, the checkpoint requests and failed.
-	// gcDirty and gcWalBytes are committer-owned once Open returns.
+	// gcDirty, gcWalBytes and gcFiles are committer-owned once Open
+	// returns.
 	gcMu        sync.Mutex
 	gcSpace     sync.Cond // batch has room (stager back-pressure)
 	gcRead      sync.Cond // durable epoch or gcCkptDone advanced
@@ -128,12 +133,18 @@ type Store struct {
 	gcCkptDone  uint64 // requests the committer has answered
 	gcClosed    bool
 	gcDone      chan struct{}
-	// gcDirty is the committer's write-back cache: the latest WAL
-	// record per chunk mutated since the last checkpoint (len 0 =
-	// delete pending). The checkpoint turns it into chunk files — one
-	// write per id however many times it was overwritten.
+	// gcDirty is the committer's write-back cache: the chunk-file
+	// image of the latest put per chunk mutated since the last
+	// checkpoint (nil = delete pending). The checkpoint turns it into
+	// chunk files — one write per id however many times it was
+	// overwritten.
 	gcDirty    map[client.ChunkID][]byte
 	gcWalBytes int64
+	// gcFiles holds the ids whose chunk file is on disk, so removing a
+	// chunk that never got a file costs no syscall. It is nil until
+	// loadChunkFiles has read the directory, so recovery's checkpoint
+	// removes every tombstoned file.
+	gcFiles map[client.ChunkID]struct{}
 	// commitGate, when set (tests only, before the first mutation), is
 	// called by the committer after it swaps a batch out and before
 	// that batch's WAL append — tests hold a batch there.
@@ -145,8 +156,10 @@ type Option func(*Store)
 
 // WithSyncWrites controls whether every WAL append and every checkpoint
 // fsync (the default). Disabling trades crash durability for speed;
-// the write ordering and atomic renames are kept, so a clean process
-// exit still leaves a consistent directory.
+// the write ordering is kept — no chunk file is written before its
+// record is in the WAL, and the WAL is truncated only after the
+// checkpoint — so a process crash or a clean exit still leaves a
+// directory that recovers consistent.
 func WithSyncWrites(sync bool) Option {
 	return func(s *Store) { s.sync = sync }
 }
@@ -155,9 +168,14 @@ func WithSyncWrites(sync bool) Option {
 // complete WAL record into the chunk files, discards a torn WAL tail and
 // loads the chunk files — and starts the committer.
 func Open(dir string, opts ...Option) (*Store, error) {
+	return open(dir, osFS{}, opts...)
+}
+
+func open(dir string, fsys fileSystem, opts ...Option) (*Store, error) {
 	s := &Store{
 		dir:       dir,
 		chunksDir: filepath.Join(dir, "chunks"),
+		fs:        fsys,
 		mem:       memstore.New(),
 		quar:      make(map[client.ChunkID]string),
 		sync:      true,
@@ -173,7 +191,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	for _, opt := range opts {
 		opt(s)
 	}
-	if err := os.MkdirAll(s.chunksDir, 0o755); err != nil {
+	if err := s.fs.MkdirAll(s.chunksDir); err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
 	lock, err := acquireDirLock(filepath.Join(dir, "lock"))
@@ -181,7 +199,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, err
 	}
 	s.lock = lock
-	wal, err := os.OpenFile(filepath.Join(dir, "wal"), os.O_CREATE|os.O_RDWR, 0o644)
+	wal, err := s.fs.OpenFile(s.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND)
 	if err != nil {
 		lock.Close()
 		return nil, fmt.Errorf("diskstore: %w", err)
@@ -271,12 +289,11 @@ func (s *Store) Scan() ([]client.ChunkID, error) {
 	}
 	// Nothing writes chunks/ from here on: the engine serialises this
 	// call with every stager, and the committer has nothing to do.
-	entries, err := os.ReadDir(s.chunksDir)
+	names, err := s.fs.ReadDir(s.chunksDir)
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
-	for _, ent := range entries {
-		name := ent.Name()
+	for _, name := range names {
 		if !strings.HasSuffix(name, ".chunk") {
 			continue
 		}
@@ -284,7 +301,7 @@ func (s *Store) Scan() ([]client.ChunkID, error) {
 		if !ok {
 			continue
 		}
-		raw, err := os.ReadFile(filepath.Join(s.chunksDir, name))
+		raw, err := s.fs.ReadFile(filepath.Join(s.chunksDir, name))
 		if err != nil {
 			return nil, fmt.Errorf("diskstore: %w", err)
 		}
@@ -318,22 +335,27 @@ func (s *Store) Close() error {
 
 // ---- chunk files -------------------------------------------------
 
-// writeChunkFile replaces id's chunk file with the image a put record
-// carries (temp + rename). It syncs nothing: the checkpoint fsyncs
-// every file it wrote, then the directory, before it truncates the WAL.
-func (s *Store) writeChunkFile(id client.ChunkID, rec []byte) error {
-	_, data, versions, meta, err := decodePutRecord(rec)
+// writeChunkFile writes id's chunk file in place through one
+// descriptor — create or truncate, write, fsync, close — from the file
+// image the write-back cache holds, filling in its CRC. A crash can
+// leave the file torn; the WAL still holds the record until the
+// checkpoint truncates it, and recovery rewrites every chunk file the
+// WAL covers before it loads any.
+func (s *Store) writeChunkFile(id client.ChunkID, img []byte) error {
+	binary.BigEndian.PutUint32(img[len(img)-4:], crc32.ChecksumIEEE(img[4:len(img)-4]))
+	f, err := s.fs.OpenFile(filepath.Join(s.chunksDir, chunkFileName(id)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY)
 	if err != nil {
-		return fmt.Errorf("%w: checkpoint record: %v", ErrCorrupt, err)
+		return fmt.Errorf("diskstore: checkpoint: %w", err)
 	}
-	final := filepath.Join(s.chunksDir, chunkFileName(id))
-	payload := appendChunkFile(s.fscratch[:0], id, data, versions, meta)
-	s.fscratch = payload[:0]
-	if err := os.WriteFile(final+".tmp", payload, 0o644); err != nil {
-		return fmt.Errorf("diskstore: %w", err)
+	_, err = f.Write(img)
+	if err == nil && s.sync {
+		err = f.Sync()
 	}
-	if err := os.Rename(final+".tmp", final); err != nil {
-		return fmt.Errorf("diskstore: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("diskstore: checkpoint: %w", err)
 	}
 	return nil
 }
@@ -341,7 +363,7 @@ func (s *Store) writeChunkFile(id client.ChunkID, rec []byte) error {
 // removeChunkFile removes the chunk file without the directory sync;
 // removing a missing chunk is a no-op.
 func (s *Store) removeChunkFile(id client.ChunkID) error {
-	if err := os.Remove(filepath.Join(s.chunksDir, chunkFileName(id))); err != nil && !os.IsNotExist(err) {
+	if err := s.fs.Remove(filepath.Join(s.chunksDir, chunkFileName(id))); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("diskstore: %w", err)
 	}
 	return nil
@@ -350,12 +372,12 @@ func (s *Store) removeChunkFile(id client.ChunkID) error {
 // removeAllChunkFiles removes every chunk file without the directory
 // sync.
 func (s *Store) removeAllChunkFiles() error {
-	entries, err := os.ReadDir(s.chunksDir)
+	names, err := s.fs.ReadDir(s.chunksDir)
 	if err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
-	for _, ent := range entries {
-		if err := os.Remove(filepath.Join(s.chunksDir, ent.Name())); err != nil {
+	for _, name := range names {
+		if err := s.fs.Remove(filepath.Join(s.chunksDir, name)); err != nil {
 			return fmt.Errorf("diskstore: %w", err)
 		}
 	}
@@ -416,9 +438,6 @@ func (s *Store) walReset() error {
 	if err := s.wal.Truncate(0); err != nil {
 		return fmt.Errorf("diskstore: wal reset: %w", err)
 	}
-	if _, err := s.wal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("diskstore: wal reset: %w", err)
-	}
 	// No sync needed: replaying an already-checkpointed record is
 	// idempotent, so a stale-but-valid WAL after a crash is harmless.
 	return nil
@@ -433,10 +452,7 @@ func (s *Store) walReset() error {
 // Replay stops at the first torn frame (short frame or checksum
 // mismatch): nothing after it was acknowledged.
 func (s *Store) recover() error {
-	if _, err := s.wal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	raw, err := io.ReadAll(s.wal)
+	raw, err := s.fs.ReadFile(s.walPath())
 	if err != nil {
 		return fmt.Errorf("diskstore: wal read: %w", err)
 	}
@@ -457,30 +473,32 @@ func (s *Store) recover() error {
 	return s.loadChunkFiles()
 }
 
-// loadChunkFiles scans the chunks directory, removing orphaned temp
-// files (a crash mid-checkpoint) and loading every committed chunk. A
+// loadChunkFiles scans the chunks directory, removing the temp files a
+// crash mid-checkpoint left behind in directories written before
+// checkpoints wrote in place, and loading every committed chunk. A
 // chunk file that fails its checksum is quarantined under the id parsed
 // from its name — the node keeps serving everything else, the
 // quarantined id fails reads with ErrCorrupt, and repair eventually
 // rewrites it — rather than refusing to open the whole store for one
 // rotten file.
 func (s *Store) loadChunkFiles() error {
-	entries, err := os.ReadDir(s.chunksDir)
+	names, err := s.fs.ReadDir(s.chunksDir)
 	if err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
-	for _, ent := range entries {
-		name := ent.Name()
+	s.gcFiles = make(map[client.ChunkID]struct{}, len(names))
+	for _, name := range names {
 		path := filepath.Join(s.chunksDir, name)
 		if strings.HasSuffix(name, ".tmp") {
-			// An interrupted checkpoint write: the WAL replay that ran
-			// before this scan has already redone it.
-			if err := os.Remove(path); err != nil {
+			// An interrupted temp-file checkpoint write of an older
+			// binary: the WAL replay that ran before this scan has
+			// already redone it.
+			if err := s.fs.Remove(path); err != nil {
 				return fmt.Errorf("diskstore: %w", err)
 			}
 			continue
 		}
-		raw, err := os.ReadFile(path)
+		raw, err := s.fs.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("diskstore: %w", err)
 		}
@@ -488,6 +506,7 @@ func (s *Store) loadChunkFiles() error {
 		if err != nil {
 			if qid, ok := parseChunkFileName(name); ok {
 				s.quar[qid] = err.Error()
+				s.gcFiles[qid] = struct{}{}
 				continue
 			}
 			return fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
@@ -495,11 +514,14 @@ func (s *Store) loadChunkFiles() error {
 		if err := s.mem.Put(id, data, versions, meta); err != nil {
 			return err
 		}
+		s.gcFiles[id] = struct{}{}
 	}
 	return nil
 }
 
 // ---- encoding ----------------------------------------------------
+
+func (s *Store) walPath() string { return filepath.Join(s.dir, "wal") }
 
 func chunkFileName(id client.ChunkID) string {
 	return fmt.Sprintf("%016x-%08x.chunk", id.Stripe, uint32(id.Shard))
@@ -603,13 +625,6 @@ func appendPutRecord(dst []byte, id client.ChunkID, data []byte, versions []uint
 	return appendChunkBody(dst, id, data, versions, meta)
 }
 
-func decodePutRecord(p []byte) (id client.ChunkID, data []byte, versions []uint64, meta chunkmeta.Meta, err error) {
-	if len(p) < 1 || (p[0] != opPut && p[0] != opPut2) {
-		return id, nil, nil, meta, fmt.Errorf("not a put record")
-	}
-	return decodeChunkBody(p[1:], p[0] == opPut2)
-}
-
 // putRecordID reads only the chunk id of a put record, which heads the
 // body of both record versions.
 func putRecordID(p []byte) (id client.ChunkID, err error) {
@@ -641,15 +656,6 @@ func decodeDeleteRecord(p []byte) (id client.ChunkID, err error) {
 	return decodeChunkID(p[1:]), nil
 }
 
-// appendChunkFile encodes a self-describing chunk file: magic, body,
-// CRC over the body.
-func appendChunkFile(dst []byte, id client.ChunkID, data []byte, versions []uint64, meta chunkmeta.Meta) []byte {
-	start := len(dst)
-	dst = binary.BigEndian.AppendUint32(dst, chunkMagic2)
-	dst = appendChunkBody(dst, id, data, versions, meta)
-	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start+4:]))
-}
-
 func decodeChunkFile(raw []byte) (id client.ChunkID, data []byte, versions []uint64, meta chunkmeta.Meta, err error) {
 	if len(raw) < 8 {
 		return id, nil, nil, meta, fmt.Errorf("short file")
@@ -668,13 +674,13 @@ func decodeChunkFile(raw []byte) (id client.ChunkID, data []byte, versions []uin
 
 // ---- filesystem helpers ------------------------------------------
 
-// syncDir fsyncs a directory so a just-renamed or just-removed entry
+// syncDir fsyncs a directory so a just-created or just-removed entry
 // survives power loss.
 func (s *Store) syncDir(dir string) error {
 	if !s.sync {
 		return nil
 	}
-	d, err := os.Open(dir)
+	d, err := s.fs.OpenFile(dir, os.O_RDONLY)
 	if err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}

@@ -1,9 +1,9 @@
 package diskstore
 
 import (
+	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"time"
 
 	"trapquorum/client"
@@ -29,19 +29,20 @@ import (
 //     nothing else (docs/PERFORMANCE.md §6 has what a 200 µs linger
 //     really cost an idle process, and CI keeps timers out).
 //   - After the acknowledgement the batch is folded into a write-back
-//     cache, latest record per chunk; no chunk file is written then.
-//     The WAL therefore grows until a checkpoint — when it passes its
-//     bounds, when Scan asks, and at Close — writes every cached chunk
-//     file, fsyncs them and the directory, and only then truncates the
-//     log. Open's recovery folds the log through the same function and
-//     runs the same checkpoint.
+//     cache, latest image per chunk; no chunk file is written then.
+//     The WAL therefore grows until a checkpoint — when it passes
+//     gcCheckpointBytes, when Scan asks, and at Close — writes every
+//     cached chunk file in place and fsyncs it, fsyncs the directory,
+//     and only then truncates the log. Open's recovery folds the log
+//     through the same function and runs the same checkpoint.
 //
 // Crash-point semantics: the intent is durable before the mutation is
 // acknowledged, a torn WAL tail discards only unacknowledged mutations,
 // and any committer error of unknown durability poisons the store
-// until a reopen reconverges state through recovery. A chunk file torn
-// because its checkpoint fsync was lost in a crash is rewritten from
-// the WAL by the replay, which runs before the chunk files are loaded.
+// until a reopen reconverges state through recovery. A chunk file that
+// a crash tore mid-checkpoint is rewritten from the WAL by the replay,
+// which runs before the chunk files are loaded. crashimage_test.go
+// reopens the disk states a crash at each fsync can leave.
 //
 // Read visibility: the mirror is updated at stage time so the engine's
 // serialised reads observe staged state, but Get gates on the staging
@@ -53,11 +54,10 @@ const (
 	// until the committer drains.
 	gcMaxBatch = 256
 	// gcCheckpointBytes triggers a checkpoint once the WAL grows past
-	// it: every dirty chunk file is fsynced and the log truncated.
+	// it: every dirty chunk file is written and fsynced and the log
+	// truncated. It is the only trigger, and it bounds the write-back
+	// cache too, since every cached record is in the WAL.
 	gcCheckpointBytes = 8 << 20
-	// gcCheckpointDirty bounds the dirty-file set between checkpoints,
-	// so one checkpoint never fsyncs an unbounded number of files.
-	gcCheckpointDirty = 512
 	// gcRecycleBytes bounds the batch buffer kept for reuse, so one
 	// outsized batch does not pin its memory for the store's lifetime.
 	gcRecycleBytes = 4 << 20
@@ -354,7 +354,7 @@ func (s *Store) commitLoop() {
 		if cap(batch.buf) <= gcRecycleBytes {
 			spareBuf, spareIDs = batch.buf, batch.ids
 		}
-		if s.gcWalBytes >= gcCheckpointBytes || len(s.gcDirty) >= gcCheckpointDirty {
+		if s.gcWalBytes >= gcCheckpointBytes {
 			if err := s.checkpoint(); err != nil {
 				s.poison(err)
 				return
@@ -387,10 +387,11 @@ func (s *Store) applyBatch(b *gcBatch) error {
 // committer for every acknowledged batch and by Open's recovery for
 // every complete record in the log. Only the latest record per chunk
 // is kept, so the checkpoint writes each chunk file once however many
-// times it was overwritten. Put records are copied (the batch buffer is
-// recycled) and only their id is read here; the checkpoint decodes the
-// rest. A delete leaves a len-0 tombstone so the checkpoint removes the
-// file. A wipe clears the directory on the spot.
+// times it was overwritten. A put is kept as the chunk file's image —
+// the magic its op byte names, the record body, and room for the CRC
+// the checkpoint fills in — copied, since the batch buffer is
+// recycled. A delete leaves a nil tombstone so the checkpoint removes
+// the file. A wipe clears the directory on the spot.
 func (s *Store) applyRecordCache(payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("%w: empty wal record", ErrCorrupt)
@@ -401,14 +402,20 @@ func (s *Store) applyRecordCache(payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("%w: wal put record: %v", ErrCorrupt, err)
 		}
-		s.gcDirty[id] = append(s.gcDirty[id][:0], payload...)
+		magic := uint32(chunkMagic2)
+		if payload[0] == opPut {
+			magic = chunkMagic
+		}
+		img := slices.Grow(s.gcDirty[id][:0], len(payload)+7)
+		img = append(binary.BigEndian.AppendUint32(img, magic), payload[1:]...)
+		s.gcDirty[id] = append(img, 0, 0, 0, 0)
 		return nil
 	case opDelete:
 		id, err := decodeDeleteRecord(payload)
 		if err != nil {
 			return fmt.Errorf("%w: wal delete record: %v", ErrCorrupt, err)
 		}
-		s.gcDirty[id] = s.gcDirty[id][:0]
+		s.gcDirty[id] = nil
 		return nil
 	case opWipe:
 		if err := s.removeAllChunkFiles(); err != nil {
@@ -416,9 +423,8 @@ func (s *Store) applyRecordCache(payload []byte) error {
 		}
 		// Everything dirtied before the wipe is gone; the removals are
 		// made durable by the wipe's own directory sync.
-		for id := range s.gcDirty {
-			delete(s.gcDirty, id)
-		}
+		clear(s.gcDirty)
+		clear(s.gcFiles)
 		return s.syncDir(s.chunksDir)
 	default:
 		return fmt.Errorf("%w: wal op %d", ErrCorrupt, payload[0])
@@ -426,51 +432,39 @@ func (s *Store) applyRecordCache(payload []byte) error {
 }
 
 // checkpoint drains the write-back cache — write each dirty chunk file
-// (temp + rename) or remove tombstoned ones, fsync the writes and the
-// directory — and truncates the WAL, whose cover the files no longer
-// need. With an empty WAL there is nothing to do.
+// in place, fsynced, or remove a tombstoned one — fsyncs the directory,
+// and only then truncates the WAL, whose cover the files no longer
+// need. A chunk put and deleted since the last checkpoint gets no file
+// and no removal. With an empty WAL there is nothing to do.
 func (s *Store) checkpoint() error {
 	if s.gcWalBytes == 0 {
 		return nil
 	}
-	for id, rec := range s.gcDirty {
-		if len(rec) == 0 {
-			if err := s.removeChunkFile(id); err != nil {
-				return err
-			}
-			continue
+	for id, img := range s.gcDirty {
+		var err error
+		switch _, onDisk := s.gcFiles[id]; {
+		case img != nil:
+			err = s.writeChunkFile(id, img)
+		case onDisk || s.gcFiles == nil:
+			err = s.removeChunkFile(id)
 		}
-		if err := s.writeChunkFile(id, rec); err != nil {
+		if err != nil {
 			return err
 		}
 	}
-	if s.sync {
-		for id, rec := range s.gcDirty {
-			if len(rec) == 0 {
-				continue // removal: the directory sync below covers it
-			}
-			f, err := os.Open(filepath.Join(s.chunksDir, chunkFileName(id)))
-			if err != nil {
-				return fmt.Errorf("diskstore: checkpoint: %w", err)
-			}
-			serr := f.Sync()
-			cerr := f.Close()
-			if serr != nil {
-				return fmt.Errorf("diskstore: checkpoint sync: %w", serr)
-			}
-			if cerr != nil {
-				return fmt.Errorf("diskstore: checkpoint: %w", cerr)
-			}
-		}
-		if err := s.syncDir(s.chunksDir); err != nil {
-			return err
-		}
+	if err := s.syncDir(s.chunksDir); err != nil {
+		return err
 	}
 	if err := s.walReset(); err != nil {
 		return err
 	}
 	s.gcWalBytes = 0
-	for id := range s.gcDirty {
+	for id, img := range s.gcDirty {
+		if img == nil {
+			delete(s.gcFiles, id)
+		} else if s.gcFiles != nil {
+			s.gcFiles[id] = struct{}{}
+		}
 		delete(s.gcDirty, id)
 	}
 	return nil

@@ -31,7 +31,8 @@ func align64(x int) int { return (x + 63) / 64 * 64 }
 // Delete sends each node one removal, whatever the object's stripe
 // count. Rows with a node down crash it for the one operation and count
 // its RPCs as issued: a Get missing a data chunk decodes it from a
-// second round over all n nodes, and a Delete still costs n removals.
+// second round that reuses the chunks the first one served and reads
+// the rest, n ReadChunk in all, and a Delete still costs n removals.
 // Run with -v to print the table.
 func TestServiceCountTable(t *testing.T) {
 	const bs = 4096
@@ -127,12 +128,13 @@ func TestServiceCountTable(t *testing.T) {
 			{
 				// Block 0's data node is down: its chunk read, issued
 				// with the others, fails at once. The block is then
-				// decoded from a second round that asks every node for
-				// its chunk, the down one included.
+				// decoded from a second round that reuses the chunks the
+				// first one served and asks every other node but the
+				// down one for its chunk: n ReadChunk in all.
 				name: "Get, one stripe, one data node down",
 				op:   down("small", 0, getChecked(ctx, store, "small", oracle)),
 				rpcs: rpccount.Counts{
-					rpccount.ReadChunk:    blocksRead(small, smallBS) + n,
+					rpccount.ReadChunk:    n,
 					rpccount.ReadVersions: n - k,
 				},
 				rounds: 2,
