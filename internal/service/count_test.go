@@ -32,7 +32,9 @@ func align64(x int) int { return (x + 63) / 64 * 64 }
 // count. Rows with a node down crash it for the one operation and count
 // its RPCs as issued: a Get missing a data chunk decodes it from a
 // second round that reuses the chunks the first one served and reads
-// the rest, n ReadChunk in all, and a Delete still costs n removals.
+// the rest, n ReadChunk in all (a one-block ReadAt the same), a
+// WriteAt with a parity node down costs what a healthy one does, and a
+// Delete still costs n removals.
 // Run with -v to print the table.
 func TestServiceCountTable(t *testing.T) {
 	const bs = 4096
@@ -191,6 +193,15 @@ func TestServiceCountTable(t *testing.T) {
 				rounds: 2,
 			},
 			{
+				// Like the Get above, on a one-block range: the block's
+				// chunk read fails at once, and the decode round asks
+				// the n − 1 other nodes, n ReadChunk in all.
+				name:   "ReadAt, one block, its data node down",
+				op:     down("big", 0, readAtChecked(ctx, store, "big", oracle, 0, bs)),
+				rpcs:   rpccount.Counts{rpccount.ReadChunk: n, rpccount.ReadVersions: n - k},
+				rounds: 2,
+			},
+			{
 				// Node 0 loses its disk and is rebuilt: one chunk per
 				// live stripe (the small object's and the big one's),
 				// every stripe at once. Each stripe reads its n−1
@@ -230,6 +241,17 @@ func TestServiceCountTable(t *testing.T) {
 				},
 				rpcs:   rpccount.Counts{rpccount.ReadChunk: s * n},
 				rounds: s,
+			},
+			{
+				// The write costs what a healthy one does: the down
+				// parity node is still asked for its versions and sent
+				// its delta, both failing, and the write still reaches
+				// its quorum. That parity is left stale, so this row
+				// runs after the scrub.
+				name:   "WriteAt, aligned block, one parity node down",
+				op:     down("big", k, writeAtChecked(ctx, store, "big", oracle, 0, bs)),
+				rpcs:   rpccount.Counts{rpccount.ReadChunk: 1, rpccount.ReadVersions: n - k, rpccount.PutChunk: 1, rpccount.CompareAndAdd: n - k},
+				rounds: 2, stored: bs,
 			},
 			{
 				name:   "Delete, one stripe",
