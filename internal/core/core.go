@@ -266,16 +266,9 @@ func NewSystem(code *erasure.Code, cfg trapezoid.Config, nodes []NodeClient, opt
 		opts:  opts,
 		locks: make(map[blockKey]*blockLock),
 	}
-	for j := range s.nodes {
-		// Innermost wrapper: the epoch tag must ride every RPC that
-		// reaches the transport, including ones the gate lets through.
-		if opts.Epoch != 0 {
-			s.nodes[j] = &epochNode{NodeClient: s.nodes[j], epoch: opts.Epoch}
-		}
-		// The gate covers each RPC the engine can issue — fan-out,
-		// hedging, repair, scrub — without call-site changes.
-		if opts.NodeGate != nil {
-			s.nodes[j] = &gatedNode{NodeClient: s.nodes[j], node: j, gate: opts.NodeGate}
+	if opts.Epoch != 0 || opts.NodeGate != nil {
+		for j, n := range s.nodes {
+			s.nodes[j] = &wrappedNode{NodeClient: n, node: j, gate: opts.NodeGate, epoch: opts.Epoch}
 		}
 	}
 	s.hedge = newHedger(opts.Hedge, &s.metrics.HedgedRPCs)

@@ -85,6 +85,10 @@ var ErrCorrupt = fmt.Errorf("diskstore: corrupt chunk file: %w", client.ErrCorru
 // store (for example a second daemon started on the same -dir).
 var ErrLocked = errors.New("diskstore: directory locked by another process")
 
+// ErrClosed reports a mutation or a scan on a store that Close has
+// stopped: no committer is left to make it durable.
+var ErrClosed = errors.New("diskstore: store closed")
+
 // Store implements nodeengine.ChunkStore and nodeengine.BatchStore over
 // a per-node directory. It is not safe for concurrent use on its own:
 // the node engine serialises all calls, the staging ones (PutBatched,

@@ -23,3 +23,6 @@ func (s *Store) Staged() int {
 	defer s.gcMu.Unlock()
 	return s.gcCur.count
 }
+
+// MaxBatch is how many mutations one batch holds before stagers wait.
+const MaxBatch = gcMaxBatch

@@ -151,15 +151,18 @@ func (s *Store) poisonLocked(err error) error {
 // that batch. encode appends the record's payload; it runs under gcMu,
 // writing straight into the batch buffer, so a chunk's bytes are
 // copied once on their way to the WAL. It applies the gcMaxBatch
-// back-pressure and fails fast on a poisoned store. ids lists the
+// back-pressure and fails fast on a closed or poisoned store. ids lists the
 // chunk ids the record mutates; an empty list means a wipe, which
 // gates every subsequent read. Caller must be the serialised mutation
 // path.
 func (s *Store) stageRecord(encode func([]byte) []byte, ids ...client.ChunkID) (*gcBatch, error) {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
-	for s.failed == nil && s.gcCur.count >= gcMaxBatch {
+	for s.failed == nil && !s.gcClosed && s.gcCur.count >= gcMaxBatch {
 		s.gcSpace.Wait()
+	}
+	if s.gcClosed {
+		return nil, ErrClosed
 	}
 	if s.failed != nil {
 		return nil, s.failed
@@ -249,6 +252,9 @@ func (s *Store) gateRead(id client.ChunkID) error {
 func (s *Store) checkpointNow() error {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
+	if s.gcClosed {
+		return ErrClosed
+	}
 	s.gcCkptWant++
 	want := s.gcCkptWant
 	s.gcSignal()
@@ -472,10 +478,12 @@ func (s *Store) checkpoint() error {
 
 // stopGroupCommit drains and stops the committer: the final batch is
 // committed and folded, a last checkpoint truncates the WAL, and the
-// goroutine exits. Called by Close.
+// goroutine exits. A stager waiting for room in a full batch wakes to
+// ErrClosed, like every stager after it. Called by Close.
 func (s *Store) stopGroupCommit() {
 	s.gcMu.Lock()
 	s.gcClosed = true
+	s.gcSpace.Broadcast()
 	s.gcMu.Unlock()
 	s.gcSignal()
 	<-s.gcDone

@@ -467,3 +467,116 @@ func TestDeleteChunksOneDurableBatch(t *testing.T) {
 		t.Fatal("an unlisted chunk is gone after recovery")
 	}
 }
+
+// closedResult runs one call against a closed store and returns its
+// error, failing the test after a second instead of hanging the suite
+// when the call blocks.
+func closedResult(t *testing.T, name string, call func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- call() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Second):
+		t.Fatalf("%s on a closed store still blocked after 1 s", name)
+		return nil
+	}
+}
+
+// TestClosedStoreRefusesMutations: once Close has stopped the
+// committer, every mutation — staged or waited on, straight to the
+// store or through the node engine's compare-and-* — and every scan
+// fails with ErrClosed instead of joining a batch nobody commits.
+func TestClosedStoreRefusesMutations(t *testing.T) {
+	s := openTestStore(t, t.TempDir())
+	e := nodeengine.New(s)
+	ctx := context.Background()
+	id := client.ChunkID{Stripe: 1}
+	if err := e.PutChunk(ctx, id, []byte{1, 2, 3, 4}, []uint64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	staged := func(wait func() error, err error) error {
+		if err != nil {
+			return err
+		}
+		return wait()
+	}
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"Put", func() error { return s.Put(id, []byte{9}, []uint64{2}, nodeengine.Meta{}) }},
+		{"Delete", func() error { return s.Delete(id) }},
+		{"Wipe", s.Wipe},
+		{"PutBatched", func() error { return staged(s.PutBatched(id, []byte{9}, []uint64{2}, nodeengine.Meta{})) }},
+		{"DeleteBatched", func() error { return staged(s.DeleteBatched(id)) }},
+		{"WipeBatched", func() error { return staged(s.WipeBatched()) }},
+		{"Scan", func() error { _, err := s.Scan(); return err }},
+		{"engine PutChunk", func() error { return e.PutChunk(ctx, id, []byte{5, 6, 7, 8}, []uint64{2}) }},
+		{"engine CompareAndPut", func() error { return e.CompareAndPut(ctx, id, 0, 1, 2, []byte{5, 6, 7, 8}) }},
+		{"engine CompareAndAdd", func() error { return e.CompareAndAdd(ctx, id, 0, 1, 2, []byte{5, 6, 7, 8}) }},
+		{"engine DeleteChunk", func() error { return e.DeleteChunk(ctx, id) }},
+	}
+	for _, c := range calls {
+		if err := closedResult(t, c.name, c.call); !errors.Is(err, diskstore.ErrClosed) {
+			t.Errorf("%s on a closed store = %v, want ErrClosed", c.name, err)
+		}
+	}
+}
+
+// TestCloseWakesFullBatchStager: a stager waiting for room in a full
+// batch is woken by Close and fails with ErrClosed; the mutations the
+// batch already holds are still committed.
+func TestCloseWakesFullBatchStager(t *testing.T) {
+	s, err := diskstore.Open(t.TempDir(), diskstore.WithSyncWrites(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := holdCommits(s)
+	put := func(i int) (func() error, error) {
+		return s.PutBatched(client.ChunkID{Stripe: uint64(i)}, []byte{byte(i)}, []uint64{1}, nodeengine.Meta{})
+	}
+	// The first batch is held at the gate; the next fills to the bound.
+	first, err := put(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-g.arrived
+	waits := []func() error{first}
+	for i := 1; i <= diskstore.MaxBatch; i++ {
+		w, err := put(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waits = append(waits, w)
+	}
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := put(diskstore.MaxBatch + 1)
+		blocked <- err
+	}()
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err = <-blocked:
+	case <-time.After(time.Second):
+		g.release() // let Close finish, so the failure does not hang the suite
+		t.Fatal("a stager waiting on a full batch still blocked 1 s after Close")
+	}
+	g.release()
+	if !errors.Is(err, diskstore.ErrClosed) {
+		t.Fatalf("stager woken by Close = %v, want ErrClosed", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range waits {
+		if err := waitResult(t, w); err != nil {
+			t.Fatalf("mutation %d staged before Close: %v", i, err)
+		}
+	}
+}

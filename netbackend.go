@@ -77,10 +77,7 @@ func (b *NetBackend) GrowAddrs(ctx context.Context, addrs []string) ([]client.No
 	if len(addrs) == 0 {
 		return nil, errors.New("trapquorum: GrowAddrs with no addresses")
 	}
-	b.mu.Lock()
-	usable := b.opened && !b.closed
-	b.mu.Unlock()
-	if !usable {
+	if _, open := b.openClients(); !open {
 		return nil, errors.New("trapquorum: net backend not open")
 	}
 	added := make([]*tcp.NodeClient, 0, len(addrs))
@@ -127,18 +124,33 @@ func (b *NetBackend) Close() error {
 	return first
 }
 
+// openClients returns the node clients and true while the backend is
+// open — opened and not yet closed — and false otherwise.
+func (b *NetBackend) openClients() ([]*tcp.NodeClient, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.opened || b.closed {
+		return nil, false
+	}
+	return b.clients, true
+}
+
+// nodeClient returns node's client — nil when the backend has no such
+// node — and whether the backend is open.
+func (b *NetBackend) nodeClient(node int) (*tcp.NodeClient, bool) {
+	clients, open := b.openClients()
+	if node < 0 || node >= len(clients) {
+		return nil, open
+	}
+	return clients[node], open
+}
+
 // ProbeNode implements NodeProber for the self-healing monitor: one
 // TCP ping against the node's address. An unreachable daemon reports
 // an error wrapping client.ErrNodeDown.
 func (b *NetBackend) ProbeNode(ctx context.Context, node int) error {
-	b.mu.Lock()
-	usable := b.opened && !b.closed
-	var cl *tcp.NodeClient
-	if usable && node >= 0 && node < len(b.clients) {
-		cl = b.clients[node]
-	}
-	b.mu.Unlock()
-	if !usable {
+	cl, open := b.nodeClient(node)
+	if !open {
 		return errors.New("trapquorum: net backend not open")
 	}
 	if cl == nil {
@@ -153,12 +165,7 @@ func (b *NetBackend) ProbeNode(ctx context.Context, node int) error {
 // the transport would fast-fail anyway). Nodes of an unopened backend
 // and clients without a resilience policy are always usable.
 func (b *NetBackend) NodeUsable(node int) bool {
-	b.mu.Lock()
-	var cl *tcp.NodeClient
-	if b.opened && !b.closed && node >= 0 && node < len(b.clients) {
-		cl = b.clients[node]
-	}
-	b.mu.Unlock()
+	cl, _ := b.nodeClient(node)
 	if cl == nil {
 		return true
 	}
@@ -169,12 +176,7 @@ func (b *NetBackend) NodeUsable(node int) bool {
 // and false before the first successful exchange. The self-healing
 // monitor uses it as the brownout signal.
 func (b *NetBackend) NodeLatency(node int) (time.Duration, bool) {
-	b.mu.Lock()
-	var cl *tcp.NodeClient
-	if b.opened && !b.closed && node >= 0 && node < len(b.clients) {
-		cl = b.clients[node]
-	}
-	b.mu.Unlock()
+	cl, _ := b.nodeClient(node)
 	if cl == nil {
 		return 0, false
 	}
@@ -184,11 +186,8 @@ func (b *NetBackend) NodeLatency(node int) (time.Duration, bool) {
 // LinkHealth snapshots every node link's breaker state and resilience
 // counters, in cluster-node order. Empty before Open or after Close.
 func (b *NetBackend) LinkHealth() []client.LinkHealth {
-	b.mu.Lock()
-	clients := b.clients
-	usable := b.opened && !b.closed
-	b.mu.Unlock()
-	if !usable {
+	clients, open := b.openClients()
+	if !open {
 		return nil
 	}
 	links := make([]client.LinkHealth, len(clients))
@@ -204,12 +203,9 @@ func (b *NetBackend) LinkHealth() []client.LinkHealth {
 // Resilience value configures the whole backend) are counted once, by
 // pointer identity.
 func (b *NetBackend) ResilienceStats() client.ResilienceStats {
-	b.mu.Lock()
-	clients := b.clients
-	usable := b.opened && !b.closed
-	b.mu.Unlock()
+	clients, open := b.openClients()
 	var s client.ResilienceStats
-	if !usable {
+	if !open {
 		return s
 	}
 	budgets := make(map[*tcp.RetryBudget]struct{})
@@ -235,11 +231,8 @@ func (b *NetBackend) ResilienceStats() client.ResilienceStats {
 // deployment smoke check before opening a store; the protocol itself
 // needs no pre-flight.
 func (b *NetBackend) Ping(ctx context.Context) error {
-	b.mu.Lock()
-	clients := b.clients
-	usable := b.opened && !b.closed
-	b.mu.Unlock()
-	if !usable {
+	clients, open := b.openClients()
+	if !open {
 		return errors.New("trapquorum: net backend not open")
 	}
 	for i, cl := range clients {
