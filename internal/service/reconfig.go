@@ -1,11 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"trapquorum/client"
@@ -34,27 +35,25 @@ import (
 // target while another migration is still draining.
 var ErrMigrationActive = errors.New("service: another reconfiguration is in progress")
 
-// epochCfg is one placement epoch: the full stripe geometry, the
-// epoch-stamped placement new stripes of this epoch are created with,
-// and the one protocol instance serving every stripe placed in it.
+// epochCfg is one placement epoch: its resolved spec — the stripe
+// geometry, the roster, and the epoch-stamped placement new stripes of
+// the epoch are created with — and the one protocol instance serving
+// every stripe placed in it.
 // Immutable once built — a reconfiguration adds the next epoch rather
 // than mutating the current one, so both sides of a migration coexist.
 type epochCfg struct {
-	id     uint64
-	n, k   int
-	shape  trapezoid.Shape
-	w      int
-	place  placement.Strategy
-	active []int // cluster node ids serving this epoch
-	sys    *core.System
+	id uint64
+	ReconfigSpec
+	sys *core.System
 }
 
 // newEpoch builds epoch id of the spec's geometry and roster, placed by
-// place, together with its protocol instance: the (n,k) code, the
-// trapezoid over n−k+1 positions (core checks the count) and one
+// spec.Placement, together with its protocol instance: the (n,k) code,
+// the trapezoid over n−k+1 positions (core checks the count) and one
 // core.System over every node client the fleet holds, stamping the
-// epoch on each RPC. Caller holds f.mu or owns f exclusively.
-func (f *Fleet) newEpoch(id uint64, spec ReconfigSpec, place placement.Strategy) (*epochCfg, error) {
+// epoch on each RPC. It is the catalog's build; caller holds f.mu or
+// owns f exclusively.
+func (f *Fleet) newEpoch(id uint64, spec ReconfigSpec) (*epochCfg, error) {
 	var codeOpts []erasure.Option
 	if f.cfg.CodingParallelism > 1 {
 		codeOpts = append(codeOpts, erasure.WithParallelism(f.cfg.CodingParallelism))
@@ -77,10 +76,8 @@ func (f *Fleet) newEpoch(id uint64, spec ReconfigSpec, place placement.Strategy)
 		return nil, err
 	}
 	sys.SetCorruptionHandler(f.reportCorrupt)
-	return &epochCfg{
-		id: id, n: spec.N, k: spec.K, shape: spec.Shape, w: spec.W,
-		place: place, active: append([]int(nil), spec.Active...), sys: sys,
-	}, nil
+	spec.Active = slices.Clone(spec.Active)
+	return &epochCfg{id: id, ReconfigSpec: spec, sys: sys}, nil
 }
 
 // ReconfigSpec describes a reconfiguration target. Zero geometry
@@ -105,30 +102,35 @@ type ReconfigSpec struct {
 	Placement placement.Strategy
 }
 
-// migKey names one object in a migration queue.
-type migKey struct{ tenant, key string }
-
 // migration is the in-flight state of one reconfiguration drain.
 // Guarded by fleet.mu.
 type migration struct {
 	target *epochCfg
 	from   uint64
-	queue  []migKey
-	queued map[migKey]bool
+	queue  []objKey
+	queued map[objKey]bool
 	done   int
 	moved  int64
 	fails  int
 }
 
-// enqueueLocked queues one object unless it already is. Caller holds
+// newMigration starts a drain into target with the given objects
+// queued.
+func newMigration(target *epochCfg, from uint64, keys []objKey) *migration {
+	m := &migration{target: target, from: from, queued: make(map[objKey]bool)}
+	m.enqueueLocked(keys...)
+	return m
+}
+
+// enqueueLocked queues each object unless it already is. Caller holds
 // fleet.mu.
-func (m *migration) enqueueLocked(tenant, key string) {
-	mk := migKey{tenant, key}
-	if m.queued[mk] {
-		return
+func (m *migration) enqueueLocked(keys ...objKey) {
+	for _, mk := range keys {
+		if !m.queued[mk] {
+			m.queued[mk] = true
+			m.queue = append(m.queue, mk)
+		}
 	}
-	m.queued[mk] = true
-	m.queue = append(m.queue, mk)
 }
 
 // MigrationStatus is the externally visible reconfiguration state:
@@ -159,13 +161,13 @@ type MigrationStatus struct {
 func (f *Fleet) Migration() MigrationStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st := MigrationStatus{Epoch: f.cur.id, Retired: f.retired}
+	st := MigrationStatus{Epoch: f.cat.cur.id, Retired: f.cat.retired}
 	if f.mig != nil {
 		st.Active = true
 		st.From = f.mig.from
 		st.To = f.mig.target.id
-		st.TargetN = f.mig.target.n
-		st.TargetK = f.mig.target.k
+		st.TargetN = f.mig.target.N
+		st.TargetK = f.mig.target.K
 		st.DoneObjects = f.mig.done
 		st.PendingObjects = len(f.mig.queue)
 		st.TotalObjects = f.mig.done + len(f.mig.queue)
@@ -179,21 +181,21 @@ func (f *Fleet) Migration() MigrationStatus {
 func (f *Fleet) Epoch() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.cur.id
+	return f.cat.cur.id
 }
 
 // ActiveNodes returns the current epoch's cluster node roster.
 func (f *Fleet) ActiveNodes() []int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]int(nil), f.cur.active...)
+	return append([]int(nil), f.cat.cur.Active...)
 }
 
 // CodeParams returns the current epoch's (n, k).
 func (f *Fleet) CodeParams() (n, k int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.cur.n, f.cur.k
+	return f.cat.cur.N, f.cat.cur.K
 }
 
 // NodeCount returns how many node clients the fleet holds (the id
@@ -223,22 +225,13 @@ func (f *Fleet) AddNodeClients(clients ...core.NodeClient) (int, error) {
 // specTargetLocked resolves a spec against the current epoch: zero
 // fields inherit. Caller holds f.mu.
 func (f *Fleet) specTargetLocked(spec ReconfigSpec) (ReconfigSpec, error) {
-	cur := f.cur
-	if spec.N == 0 {
-		spec.N = cur.n
-	}
-	if spec.K == 0 {
-		spec.K = cur.k
-	}
-	if spec.Shape == (trapezoid.Shape{}) {
-		spec.Shape = cur.shape
-	}
-	if spec.W == 0 {
-		spec.W = cur.w
-	}
+	cur := f.cat.cur
+	spec.N, spec.K, spec.W = cmp.Or(spec.N, cur.N), cmp.Or(spec.K, cur.K), cmp.Or(spec.W, cur.W)
+	spec.Shape = cmp.Or(spec.Shape, cur.Shape)
 	if spec.Active == nil {
-		spec.Active = append([]int(nil), cur.active...)
+		spec.Active = cur.Active
 	}
+	spec.Active = slices.Clone(spec.Active)
 	for _, id := range spec.Active {
 		if id < 0 || id >= len(f.nodes) {
 			return spec, fmt.Errorf("service: roster node %d outside fleet of %d clients", id, len(f.nodes))
@@ -252,66 +245,18 @@ func (f *Fleet) specTargetLocked(spec ReconfigSpec) (ReconfigSpec, error) {
 
 // sameTarget reports whether the resolved spec describes the epoch ec.
 func sameTarget(ec *epochCfg, spec ReconfigSpec) bool {
-	if ec.n != spec.N || ec.k != spec.K || ec.shape != spec.Shape || ec.w != spec.W {
-		return false
-	}
-	if len(ec.active) != len(spec.Active) {
-		return false
-	}
-	for i, id := range ec.active {
-		if spec.Active[i] != id {
-			return false
-		}
-	}
-	return true
-}
-
-// staleLocked reports whether any tenant still holds an object outside
-// epoch ec. Caller holds f.mu.
-func (f *Fleet) staleLocked(ec *epochCfg) bool {
-	for _, st := range f.tenants {
-		for _, m := range st.directory {
-			if m.ec != ec {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// rescanLocked (re)builds the migration queue from a full directory
-// scan: every object of every tenant not yet in the target epoch, in
-// deterministic tenant/key order. This is also the resume path — a
-// coordinator killed mid-drain rebuilds exactly the remaining work.
-// Caller holds f.mu.
-func (f *Fleet) rescanLocked() {
-	mig := f.mig
-	tenants := make([]string, 0, len(f.tenants))
-	for name := range f.tenants {
-		tenants = append(tenants, name)
-	}
-	sort.Strings(tenants)
-	for _, tn := range tenants {
-		st := f.tenants[tn]
-		keys := make([]string, 0, len(st.directory))
-		for k, m := range st.directory {
-			if m.ec != mig.target {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			mig.enqueueLocked(tn, k)
-		}
-	}
+	return ec.N == spec.N && ec.K == spec.K && ec.Shape == spec.Shape && ec.W == spec.W &&
+		slices.Equal(ec.Active, spec.Active)
 }
 
 // StartReconfigure installs the target epoch and queues the migration,
 // without driving it: new objects land in the target immediately;
 // existing ones are moved by MigrationStep calls (DriveMigration, or
-// the self-heal orchestrator's background pump). Calling it again with
-// the same target is the resume path — it rebuilds the queue from a
-// fresh scan. A different target while a migration drains is refused
+// the self-heal orchestrator's background pump). The queue comes from
+// a scan of the catalog for objects outside the target. Calling it
+// again with the same target is the resume path — it rebuilds the queue
+// from a fresh scan, so a coordinator killed mid-drain redoes exactly
+// the remaining work. A different target while a migration drains is refused
 // with ErrMigrationActive. When the fleet already converged on the
 // target it is a no-op.
 func (f *Fleet) StartReconfigure(ctx context.Context, spec ReconfigSpec) error {
@@ -319,7 +264,7 @@ func (f *Fleet) StartReconfigure(ctx context.Context, spec ReconfigSpec) error {
 		return err
 	}
 	f.mu.Lock()
-	cur := f.cur
+	cur := f.cat.cur
 	spec, err := f.specTargetLocked(spec)
 	if err != nil {
 		f.mu.Unlock()
@@ -332,19 +277,19 @@ func (f *Fleet) StartReconfigure(ctx context.Context, spec ReconfigSpec) error {
 			f.mu.Unlock()
 			return ErrMigrationActive
 		}
-		f.rescanLocked()
+		f.mig.enqueueLocked(f.cat.outside(cur)...)
 		f.mu.Unlock()
 		return nil
 	}
 	if same {
-		if f.retired+1 >= cur.id && !f.staleLocked(cur) {
+		stale := f.cat.outside(cur)
+		if f.cat.retired+1 >= cur.id && len(stale) == 0 {
 			f.mu.Unlock()
 			return nil // fully converged: nothing to do
 		}
 		// Converging on cur was interrupted (abort, or a crashed
 		// coordinator): resume draining into it.
-		f.mig = &migration{target: cur, from: f.retired, queued: make(map[migKey]bool)}
-		f.rescanLocked()
+		f.mig = newMigration(cur, f.cat.retired, stale)
 		f.mu.Unlock()
 		return nil
 	}
@@ -359,21 +304,17 @@ func (f *Fleet) StartReconfigure(ctx context.Context, spec ReconfigSpec) error {
 			return err
 		}
 	}
-	pm, err := placement.NewMap(cur.id+1, inner, spec.Active)
+	spec.Placement, err = placement.NewMap(cur.id+1, inner, spec.Active)
+	if err == nil {
+		err = f.cat.apply(installEpoch{id: cur.id + 1, spec: spec})
+	}
 	if err != nil {
 		f.mu.Unlock()
 		return err
 	}
-	target, err := f.newEpoch(cur.id+1, spec, pm)
-	if err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	f.epochs[target.id] = target
-	f.cur = target
-	f.mig = &migration{target: target, from: cur.id, queued: make(map[migKey]bool)}
-	f.rescanLocked()
-	retired := f.retired
+	target := f.cat.cur
+	f.mig = newMigration(target, cur.id, f.cat.outside(target))
+	retired := f.cat.retired
 	f.mu.Unlock()
 
 	// Announce the new epoch to the fleet (best-effort: the watermarks
@@ -436,9 +377,7 @@ func (f *Fleet) MigrationStep(ctx context.Context) (bool, error) {
 		}
 		f.mu.Lock()
 		if f.mig == mig {
-			if target.id-1 > f.retired {
-				f.retired = target.id - 1
-			}
+			f.cat.apply(retireEpochs{through: target.id - 1})
 			f.mig = nil
 		}
 		f.mu.Unlock()
@@ -455,7 +394,7 @@ func (f *Fleet) MigrationStep(ctx context.Context) (bool, error) {
 	if f.mig == mig {
 		if err != nil {
 			mig.fails++
-			mig.enqueueLocked(mk.tenant, mk.key)
+			mig.enqueueLocked(mk)
 		} else {
 			mig.done++
 			mig.moved += moved
@@ -475,21 +414,19 @@ func (f *Fleet) MigrationStep(ctx context.Context) (bool, error) {
 func (f *Fleet) DriveMigration(ctx context.Context) error {
 	for {
 		done, err := f.MigrationStep(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				return err
-			}
-			if err := clock.Sleep(ctx, clock.Real{}, 10*time.Millisecond); err != nil {
-				return err
-			}
-			continue
-		}
 		if done {
 			return nil
 		}
 		// Yield between objects so the drain paces itself and the
 		// queue-drained/waiting-on-puts probe does not spin.
-		if err := clock.Sleep(ctx, clock.Real{}, time.Millisecond); err != nil {
+		pause := time.Millisecond
+		if err != nil {
+			if ctx.Err() != nil {
+				return err
+			}
+			pause = 10 * time.Millisecond
+		}
+		if err := clock.Sleep(ctx, clock.Real{}, pause); err != nil {
 			return err
 		}
 	}
@@ -530,14 +467,14 @@ type epochBlob struct {
 func (f *Fleet) broadcastEpoch(ctx context.Context, installed, retired uint64) error {
 	f.mu.Lock()
 	clients := append([]core.NodeClient(nil), f.nodes...)
-	ec := f.epochs[installed]
+	ec := f.cat.epochs[installed]
 	f.mu.Unlock()
 	var blob []byte
 	if ec != nil {
 		blob, _ = json.Marshal(epochBlob{
-			Epoch: ec.id, Retired: retired, N: ec.n, K: ec.k,
-			A: ec.shape.A, B: ec.shape.B, H: ec.shape.H, W: ec.w,
-			Active: ec.active,
+			Epoch: ec.id, Retired: retired, N: ec.N, K: ec.K,
+			A: ec.Shape.A, B: ec.Shape.B, H: ec.Shape.H, W: ec.W,
+			Active: ec.Active,
 		})
 	}
 	for _, cl := range clients {
@@ -570,7 +507,7 @@ func (s *Store) migrateObject(ctx context.Context, key string, target *epochCfg)
 	defer f.lockObject(s.tenant, key, true)()
 
 	f.mu.Lock()
-	m, ok := s.directory[key]
+	m, ok := s.dir.objects[key]
 	if !ok || m.ec == target {
 		f.mu.Unlock()
 		return 0, nil
@@ -589,9 +526,8 @@ func (s *Store) migrateObject(ctx context.Context, key string, target *epochCfg)
 	// handles in the stripe table. Readers that raced the swap find their
 	// old stripe gone and retry with this fresh metadata.
 	f.mu.Lock()
-	m.stripes = f.registerLocked(placed)
-	m.ec = target
-	old := f.unregisterLocked(src.stripes)
+	old := f.cat.handles(src.stripes)
+	f.cat.apply(cutOver{tenant: s.tenant, key: key, epoch: target.id, stripes: placed})
 	f.mu.Unlock()
 
 	// Drop the old epoch's chunks: a node down right now keeps orphan

@@ -89,7 +89,7 @@ func TestInstancesReleasedAcrossReconfigure(t *testing.T) {
 		m = checkMetrics(t, f, m, fmt.Sprintf("after reconfigure %d", round))
 	}
 	f.mu.Lock()
-	stripes := len(f.stripes)
+	stripes := len(f.cat.stripes)
 	f.mu.Unlock()
 	if stripes != objects {
 		t.Fatalf("%d live stripes for %d objects", stripes, objects)

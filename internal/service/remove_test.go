@@ -170,7 +170,7 @@ func lockedBlocks(f *Fleet) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := 0
-	for _, ec := range f.epochs {
+	for _, ec := range f.cat.epochs {
 		n += reflect.ValueOf(ec.sys).Elem().FieldByName("locks").Len()
 	}
 	return n
@@ -453,7 +453,7 @@ func TestFailedSeedLeavesNoChunks(t *testing.T) {
 	// now on.
 	breakSecondSeed := func(s *Store, p *probe) {
 		s.fleet.mu.Lock()
-		doomed := s.fleet.nextStripe + 1
+		doomed := s.fleet.cat.nextStripe + 1
 		s.fleet.mu.Unlock()
 		fail := func(id client.ChunkID) bool { return id.Stripe == doomed && id.Shard == 3 }
 		p.failPut.Store(&fail)

@@ -15,16 +15,20 @@
 //
 // # Multi-tenancy
 //
-// One Fleet owns the cluster substrate — the node clients, one
-// protocol instance per placement epoch, the table of stripe handles
-// and the global stripe-id allocator — and any number of tenant Stores
-// share it. Each Store is
-// an isolated keyed namespace with its own directory, optional
-// object-count/byte quotas, and per-tenant operation counters; the
-// stripes of every tenant draw from the fleet's single allocator, so
-// chunk ids never collide across tenants. Repair, scrub and the
-// self-healing orchestrator operate at fleet scope: a node repair
-// rebuilds every tenant's chunks placed there.
+// One Fleet owns the cluster substrate — the node clients and the
+// catalog: every tenant's directory, the table of stripe handles with
+// the global stripe-id allocator, and the placement epochs, each with
+// its protocol instance — and any number of tenant Stores share it.
+// The catalog changes only through plain mutation values (commit,
+// remove or cut over an object, seed a caller-named stripe, allocate
+// stripe ids, install or retire epochs) that replay into a fresh
+// catalog to the same state. Each Store is an isolated keyed namespace
+// with its own directory in the catalog, optional object-count/byte
+// quotas, and per-tenant operation counters; the stripes of every
+// tenant draw from the fleet's single allocator, so chunk ids never
+// collide across tenants. Repair, scrub and the self-healing
+// orchestrator operate at fleet scope: a node repair rebuilds every
+// tenant's chunks placed there.
 //
 // # Caller-named stripes
 //
@@ -40,12 +44,12 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -144,38 +148,22 @@ type tenantCounters struct {
 	quotaRejections, chunksOrphaned                atomic.Int64
 }
 
-// objectMeta records where an object lives: its stripes and the
-// placement epoch that placed them. Every object is wholly in one
-// epoch at a time — reconfiguration migrates it atomically (under the
-// object's lock) from its old epoch's stripes to freshly seeded
-// stripes in the new epoch.
-type objectMeta struct {
-	size    int
-	stripes []uint64
-	ec      *epochCfg
-}
-
 // Fleet is the shared substrate tenant stores run on: the cluster's
-// node clients, the placement epochs with their protocol instances,
-// the stripe table and the global stripe-id allocator. One mutex
-// guards all of it (including every tenant's directory): the layer's
-// critical sections are directory bookkeeping only — quorum I/O never
-// runs under the lock — so a single lock keeps cross-tenant invariants
-// (unique stripe ids, one stripe table) trivially correct.
+// node clients and the catalog. One mutex guards all of it (including
+// every tenant's directory): the layer's critical sections are
+// directory bookkeeping only — quorum I/O never runs under the lock —
+// so a single lock keeps cross-tenant invariants (unique stripe ids,
+// one stripe table) trivially correct.
 type Fleet struct {
 	cfg Config
 
-	mu         sync.Mutex
-	nodes      []core.NodeClient // cluster node j's transport client; grows under mu
-	epochs     map[uint64]*epochCfg
-	cur        *epochCfg // the epoch new objects are placed in
-	retired    uint64    // highest epoch fenced off at the nodes
-	mig        *migration
-	putsIn     map[uint64]int // in-flight Put/PutReader count per epoch
-	locks      map[string]*objLock
-	tenants    map[string]*Store
-	stripes    map[uint64]placedStripe // every registered stripe
-	nextStripe uint64
+	mu      sync.Mutex
+	nodes   []core.NodeClient // cluster node j's transport client; grows under mu
+	cat     catalog
+	mig     *migration
+	putsIn  map[uint64]int // in-flight Put/PutReader count per epoch
+	locks   map[objKey]*objLock
+	tenants map[string]*Store
 
 	// corruptFn, when set, receives the cluster node of every shard
 	// the protocol observed serving corrupt bytes (the self-heal
@@ -193,11 +181,9 @@ type Store struct {
 	quota  Quota
 
 	// Guarded by fleet.mu.
-	directory      map[string]*objectMeta
-	pending        map[string]bool // keys reserved by in-flight Puts
-	pendingObjects int64
-	pendingBytes   int64
-	usedBytes      int64
+	dir          *directory      // this tenant's namespace in the catalog
+	pending      map[string]bool // keys reserved by in-flight Puts
+	pendingBytes int64
 
 	ctr tenantCounters
 }
@@ -243,22 +229,16 @@ func NewFleet(nodes []core.NodeClient, cfg Config) (*Fleet, error) {
 		}
 	}
 	f := &Fleet{
-		cfg:        cfg,
-		nodes:      append([]core.NodeClient(nil), nodes...),
-		putsIn:     make(map[uint64]int),
-		locks:      make(map[string]*objLock),
-		tenants:    make(map[string]*Store),
-		stripes:    make(map[uint64]placedStripe),
-		nextStripe: 1,
+		cfg:     cfg,
+		nodes:   append([]core.NodeClient(nil), nodes...),
+		putsIn:  make(map[uint64]int),
+		locks:   make(map[objKey]*objLock),
+		tenants: make(map[string]*Store),
 	}
-	ec, err := f.newEpoch(epoch, ReconfigSpec{N: cfg.N, K: cfg.K, Shape: cfg.Shape, W: cfg.W, Active: active}, cfg.Placement)
-	if err != nil {
+	f.cat = newCatalog(f.newEpoch)
+	spec := ReconfigSpec{N: cfg.N, K: cfg.K, Shape: cfg.Shape, W: cfg.W, Active: active, Placement: cfg.Placement}
+	if err := f.cat.apply(installEpoch{id: epoch, spec: spec}); err != nil {
 		return nil, err
-	}
-	f.epochs = map[uint64]*epochCfg{epoch: ec}
-	f.cur = ec
-	if epoch > 0 {
-		f.retired = epoch - 1
 	}
 	return f, nil
 }
@@ -294,11 +274,11 @@ func (f *Fleet) Tenant(name string, quota Quota) (*Store, error) {
 		return s, nil
 	}
 	s := &Store{
-		fleet:     f,
-		tenant:    name,
-		quota:     quota,
-		directory: make(map[string]*objectMeta),
-		pending:   make(map[string]bool),
+		fleet:   f,
+		tenant:  name,
+		quota:   quota,
+		dir:     f.cat.dir(name),
+		pending: make(map[string]bool),
 	}
 	f.tenants[name] = s
 	return s, nil
@@ -308,11 +288,16 @@ func (f *Fleet) Tenant(name string, quota Quota) (*Store, error) {
 func (f *Fleet) Tenants() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.tenants))
-	for name := range f.tenants {
-		out = append(out, name)
+	return sortedKeys(f.tenants)
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -346,8 +331,8 @@ func (s *Store) TenantMetrics() TenantMetrics {
 		ChunksOrphaned:  s.ctr.chunksOrphaned.Load(),
 	}
 	s.fleet.mu.Lock()
-	m.Objects = int64(len(s.directory))
-	m.UsedBytes = s.usedBytes
+	m.Objects = int64(len(s.dir.objects))
+	m.UsedBytes = s.dir.usedBytes
 	s.fleet.mu.Unlock()
 	return m
 }
@@ -359,7 +344,7 @@ func (s *Store) Tenant() string { return s.tenant }
 func (s *Store) Fleet() *Fleet { return s.fleet }
 
 // capacity returns the payload bytes one stripe holds in this epoch.
-func (ec *epochCfg) capacity(blockSize int) int { return ec.k * blockSize }
+func (ec *epochCfg) capacity(blockSize int) int { return ec.K * blockSize }
 
 // tailAlign is the granularity of a right-sized stripe's block size.
 const tailAlign = 64
@@ -369,7 +354,7 @@ const tailAlign = 64
 // smallest multiple of tailAlign that holds ⌈r/k⌉ bytes, never above
 // full — an empty object's one stripe gets tailAlign-byte blocks.
 func (ec *epochCfg) blockSize(full, r int) int {
-	per := max(1, (r+ec.k-1)/ec.k)
+	per := max(1, (r+ec.K-1)/ec.K)
 	return min(full, (per+tailAlign-1)/tailAlign*tailAlign)
 }
 
@@ -395,6 +380,10 @@ func (f *Fleet) reportCorrupt(node int) {
 	}
 }
 
+// objKey names one tenant's object: in the lock table and in a
+// migration queue.
+type objKey struct{ tenant, key string }
+
 // objLock is one entry of the per-object reconfiguration lock table.
 type objLock struct {
 	sync.RWMutex
@@ -410,7 +399,7 @@ type objLock struct {
 // migrations could race on different locks for one key), and the table
 // is empty whenever no operation is in flight.
 func (f *Fleet) lockObject(tenant, key string, exclusive bool) (unlock func()) {
-	id := tenant + "\x00" + key
+	id := objKey{tenant, key}
 	f.mu.Lock()
 	l := f.locks[id]
 	if l == nil {
@@ -438,56 +427,26 @@ func (f *Fleet) lockObject(tenant, key string, exclusive bool) (unlock func()) {
 	}
 }
 
-// placedStripe is one entry of the fleet's stripe table: the stripe's
-// handle and the epoch — hence the protocol instance — it was placed in.
-type placedStripe struct {
-	core.Stripe
-	ec *epochCfg
-}
-
 // placeStripe allocates the next stripe id and places a stripe of the
-// given block size in epoch ec. The stripe stays unregistered until
-// registerLocked.
-func (f *Fleet) placeStripe(ec *epochCfg, blockSize int) (placedStripe, error) {
+// given block size in epoch ec. The stripe stays out of the stripe
+// table until its object commits.
+func (f *Fleet) placeStripe(ec *epochCfg, blockSize int) (core.Stripe, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	id := f.nextStripe
-	f.nextStripe++
-	nodes, err := ec.place.Place(id, ec.n)
+	id := f.cat.nextStripe
+	f.cat.apply(allocStripes{next: id + 1})
+	nodes, err := ec.Placement.Place(id, ec.N)
 	if err != nil {
-		return placedStripe{}, err
+		return core.Stripe{}, err
 	}
-	return placedStripe{core.Stripe{ID: id, Nodes: nodes, BlockSize: blockSize}, ec}, nil
-}
-
-// registerLocked enters seeded stripes into the stripe table and
-// returns their ids in order — an object's stripe list. Caller holds
-// f.mu.
-func (f *Fleet) registerLocked(placed []placedStripe) []uint64 {
-	ids := make([]uint64, 0, len(placed))
-	for _, p := range placed {
-		f.stripes[p.ID] = p
-		ids = append(ids, p.ID)
-	}
-	return ids
-}
-
-// unregisterLocked takes the stripes out of the stripe table and
-// returns them as dropStripes wants them. Caller holds f.mu.
-func (f *Fleet) unregisterLocked(stripes []uint64) []placedStripe {
-	out := make([]placedStripe, 0, len(stripes))
-	for _, id := range stripes {
-		out = append(out, f.stripes[id])
-		delete(f.stripes, id)
-	}
-	return out
+	return core.Stripe{ID: id, Nodes: nodes, BlockSize: blockSize}, nil
 }
 
 // stripe looks a registered stripe up.
 func (f *Fleet) stripe(id uint64) (placedStripe, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	p, ok := f.stripes[id]
+	p, ok := f.cat.stripes[id]
 	return p, ok
 }
 
@@ -498,10 +457,10 @@ func (f *Fleet) stripe(id uint64) (placedStripe, bool) {
 // caller's id to a tenant Put. Seeding an id again replaces the stripe.
 func (f *Fleet) SeedStripe(ctx context.Context, id uint64, blocks [][]byte) error {
 	f.mu.Lock()
-	ec := f.cur
-	f.nextStripe = max(f.nextStripe, id+1)
+	ec := f.cat.cur
+	f.cat.apply(allocStripes{next: id + 1})
 	f.mu.Unlock()
-	st := core.Stripe{ID: id, Nodes: slices.Clip(ec.active[:ec.n])}
+	st := core.Stripe{ID: id, Nodes: slices.Clip(ec.Active[:ec.N])}
 	if len(blocks) > 0 {
 		st.BlockSize = len(blocks[0])
 	}
@@ -509,7 +468,7 @@ func (f *Fleet) SeedStripe(ctx context.Context, id uint64, blocks [][]byte) erro
 		return err
 	}
 	f.mu.Lock()
-	f.registerLocked([]placedStripe{{st, ec}})
+	f.cat.apply(seedStripe{epoch: ec.id, stripe: st})
 	f.mu.Unlock()
 	return nil
 }
@@ -542,7 +501,7 @@ const removalFrame = 256
 // costs the slowest node, not the sum over nodes; the order in which
 // chunks disappear is unspecified. A failed request counts every one
 // of its ids. Every removal has settled when it returns.
-func (f *Fleet) dropStripes(set []placedStripe) (orphaned int) {
+func (f *Fleet) dropStripes(set []core.Stripe) (orphaned int) {
 	type removal struct {
 		node core.NodeClient
 		ids  []client.ChunkID
@@ -587,15 +546,15 @@ func (f *Fleet) dropStripes(set []placedStripe) (orphaned int) {
 // checkQuota enforces the tenant's limits against the namespace's
 // committed plus in-flight footprint. Caller holds fleet.mu.
 func (s *Store) checkQuota(addBytes int) error {
-	if s.quota.MaxObjects > 0 && int64(len(s.directory))+s.pendingObjects+1 > s.quota.MaxObjects {
+	if s.quota.MaxObjects > 0 && int64(len(s.dir.objects)+len(s.pending)+1) > s.quota.MaxObjects {
 		s.ctr.quotaRejections.Add(1)
 		return fmt.Errorf("%w: tenant %q holds %d of %d objects",
-			client.ErrQuotaExceeded, s.tenant, int64(len(s.directory))+s.pendingObjects, s.quota.MaxObjects)
+			client.ErrQuotaExceeded, s.tenant, len(s.dir.objects)+len(s.pending), s.quota.MaxObjects)
 	}
-	if s.quota.MaxBytes > 0 && s.usedBytes+s.pendingBytes+int64(addBytes) > s.quota.MaxBytes {
+	if s.quota.MaxBytes > 0 && s.dir.usedBytes+s.pendingBytes+int64(addBytes) > s.quota.MaxBytes {
 		s.ctr.quotaRejections.Add(1)
 		return fmt.Errorf("%w: tenant %q uses %d of %d bytes, put of %d refused",
-			client.ErrQuotaExceeded, s.tenant, s.usedBytes+s.pendingBytes, s.quota.MaxBytes, addBytes)
+			client.ErrQuotaExceeded, s.tenant, s.dir.usedBytes+s.pendingBytes, s.quota.MaxBytes, addBytes)
 	}
 	return nil
 }
@@ -611,7 +570,7 @@ func (s *Store) Put(ctx context.Context, key string, data []byte) error {
 func (s *Store) meta(key string) (objectMeta, error) {
 	s.fleet.mu.Lock()
 	defer s.fleet.mu.Unlock()
-	m, ok := s.directory[key]
+	m, ok := s.dir.objects[key]
 	if !ok {
 		return objectMeta{}, fmt.Errorf("%w: %q", ErrUnknownKey, key)
 	}
@@ -656,7 +615,7 @@ func (s *Store) GetAppend(ctx context.Context, key string, dst []byte) ([]byte, 
 func (s *Store) Size(key string) (int, error) {
 	s.fleet.mu.Lock()
 	defer s.fleet.mu.Unlock()
-	m, ok := s.directory[key]
+	m, ok := s.dir.objects[key]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownKey, key)
 	}
@@ -667,12 +626,7 @@ func (s *Store) Size(key string) (int, error) {
 func (s *Store) Keys() []string {
 	s.fleet.mu.Lock()
 	defer s.fleet.mu.Unlock()
-	out := make([]string, 0, len(s.directory))
-	for k := range s.directory {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(s.dir.objects)
 }
 
 // locate maps a byte offset of an object to its stripe, the data block
@@ -714,7 +668,7 @@ func (s *Store) readStripeAt(ctx context.Context, m *objectMeta, key string, off
 		p, block, within, err := s.locate(*m, offset)
 		if err == nil {
 			bs := p.BlockSize
-			take := min(length, (p.ec.k-block)*bs-within)
+			take := min(length, (p.ec.K-block)*bs-within)
 			var blocks [][]byte
 			blocks, _, err = p.ec.sys.ReadStripe(ctx, p.Stripe, block, (within+take+bs-1)/bs)
 			if err == nil {
@@ -745,11 +699,7 @@ func (s *Store) readStripeAt(ctx context.Context, m *objectMeta, key string, off
 // of only the affected blocks, one stripe read per stripe the range
 // touches.
 func (s *Store) ReadAt(ctx context.Context, key string, offset, length int) ([]byte, error) {
-	out, err := s.ReadAtAppend(ctx, key, offset, length, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.ReadAtAppend(ctx, key, offset, length, nil)
 }
 
 // ReadAtAppend reads length bytes at the given offset, appending them
@@ -840,14 +790,13 @@ func (s *Store) Delete(ctx context.Context, key string) error {
 	// the same lock, so Delete never races the cutover swap.
 	defer f.lockObject(s.tenant, key, true)()
 	f.mu.Lock()
-	m, ok := s.directory[key]
+	m, ok := s.dir.objects[key]
 	if !ok {
 		f.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownKey, key)
 	}
-	delete(s.directory, key)
-	s.usedBytes -= int64(m.size)
-	old := f.unregisterLocked(m.stripes)
+	old := f.cat.handles(m.stripes)
+	f.cat.apply(removeObject{tenant: s.tenant, key: key})
 	f.mu.Unlock()
 	s.ctr.chunksOrphaned.Add(int64(f.dropStripes(old)))
 	s.ctr.deletes.Add(1)
@@ -874,7 +823,6 @@ func (f *Fleet) RepairClusterNode(ctx context.Context, node int) (int, error) {
 // RepairClusterNode (or per-stripe repair) when it reports
 // degradation.
 func (s *Store) Scrub(ctx context.Context, key string) ([]core.ScrubReport, error) {
-	f := s.fleet
 	for attempt := 0; ; attempt++ {
 		m, err := s.meta(key)
 		if err != nil {
@@ -883,19 +831,14 @@ func (s *Store) Scrub(ctx context.Context, key string) ([]core.ScrubReport, erro
 		reports := make([]core.ScrubReport, 0, len(m.stripes))
 		stale := false
 		for _, stripe := range m.stripes {
-			p, ok := f.stripe(stripe)
-			if !ok {
-				// The object was deleted or migrated concurrently; the
-				// meta refetch above distinguishes the two on retry.
-				stale = true
-				break
-			}
-			rep, err := p.ec.sys.ScrubStripe(ctx, p.Stripe)
+			// A stripe gone before or during its audit means the object
+			// was deleted or migrated concurrently; the meta refetch
+			// above distinguishes the two on retry.
+			rep, _, ok, err := s.fleet.auditStripe(ctx, stripe)
 			if err != nil {
 				return reports, fmt.Errorf("stripe %d: %w", stripe, err)
 			}
-			if _, ok := f.stripe(stripe); !ok {
-				stale = true // dropped while it was being audited
+			if stale = !ok; stale {
 				break
 			}
 			reports = append(reports, rep)
@@ -924,14 +867,10 @@ func (s *Store) StripesOf(key string) ([]uint64, error) {
 // every counter is monotone.
 func (f *Fleet) Metrics() core.MetricsSnapshot {
 	f.mu.Lock()
-	systems := make([]*core.System, 0, len(f.epochs))
-	for _, ec := range f.epochs {
-		systems = append(systems, ec.sys)
-	}
-	f.mu.Unlock()
+	defer f.mu.Unlock()
 	var total core.MetricsSnapshot
-	for _, sys := range systems {
-		total.Add(sys.Metrics())
+	for _, ec := range f.cat.epochs {
+		total.Add(ec.sys.Metrics())
 	}
 	return total
 }
@@ -943,7 +882,7 @@ func (f *Fleet) stripesOnNode(node int) []placedStripe {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var out []placedStripe
-	for _, p := range f.stripes {
+	for _, p := range f.cat.stripes {
 		if slices.Contains(p.Nodes, node) {
 			out = append(out, p)
 		}
@@ -966,14 +905,8 @@ func (f *Fleet) PlanNodeRepairs(node int, down func(int) bool) []repairsched.Tas
 			}
 		}
 	}
-	sort.Slice(tasks, func(i, j int) bool {
-		if tasks[i].Priority != tasks[j].Priority {
-			return tasks[i].Priority > tasks[j].Priority
-		}
-		if tasks[i].Stripe != tasks[j].Stripe {
-			return tasks[i].Stripe < tasks[j].Stripe
-		}
-		return tasks[i].Shard < tasks[j].Shard
+	slices.SortFunc(tasks, func(a, b repairsched.Task) int {
+		return cmp.Or(cmp.Compare(b.Priority, a.Priority), cmp.Compare(a.Stripe, b.Stripe), cmp.Compare(a.Shard, b.Shard))
 	})
 	return tasks
 }
@@ -993,13 +926,8 @@ func (f *Fleet) Repair(ctx context.Context, t repairsched.Task) error {
 // all tenants, in ascending order.
 func (f *Fleet) Stripes() []uint64 {
 	f.mu.Lock()
-	out := make([]uint64, 0, len(f.stripes))
-	for id := range f.stripes {
-		out = append(out, id)
-	}
-	f.mu.Unlock()
-	slices.Sort(out)
-	return out
+	defer f.mu.Unlock()
+	return sortedKeys(f.cat.stripes)
 }
 
 // ScrubStripe implements repairsched.Target: audit one stripe and
@@ -1010,18 +938,25 @@ func (f *Fleet) Stripes() []uint64 {
 // to regress them, and failed-write residue has no public discard path
 // today (DESIGN.md §2.2).
 func (f *Fleet) ScrubStripe(ctx context.Context, stripe uint64, down func(int) bool) ([]repairsched.Task, error) {
-	p, ok := f.stripe(stripe)
-	if !ok {
-		return nil, nil
-	}
-	rep, err := p.ec.sys.ScrubStripe(ctx, p.Stripe)
-	if err != nil {
+	rep, p, ok, err := f.auditStripe(ctx, stripe)
+	if !ok || err != nil {
 		return nil, err
-	}
-	if _, ok := f.stripe(stripe); !ok {
-		return nil, nil // deleted while it was being audited
 	}
 	nodes := p.Nodes
 	return repairsched.DegradationTasks(stripe, len(nodes), rep.StaleShards, rep.UnreachableShards,
 		rep.CorruptShards, func(shard int) int { return nodes[shard] }, down), nil
+}
+
+// auditStripe scrubs a registered stripe read-only. ok is false when
+// the stripe is not registered, or was dropped while it was being
+// audited.
+func (f *Fleet) auditStripe(ctx context.Context, id uint64) (rep core.ScrubReport, p placedStripe, ok bool, err error) {
+	if p, ok = f.stripe(id); !ok {
+		return rep, p, false, nil
+	}
+	if rep, err = p.ec.sys.ScrubStripe(ctx, p.Stripe); err != nil {
+		return rep, p, true, err
+	}
+	_, ok = f.stripe(id)
+	return rep, p, ok, nil
 }

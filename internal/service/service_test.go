@@ -297,7 +297,7 @@ func TestRepairClusterNode(t *testing.T) {
 	onNode := 0
 	for _, st := range stripes {
 		store.fleet.mu.Lock()
-		for _, n := range store.fleet.stripes[st].Nodes {
+		for _, n := range store.fleet.cat.stripes[st].Nodes {
 			if n == victim {
 				onNode++
 			}
@@ -325,7 +325,7 @@ func TestDeleteRemovesChunks(t *testing.T) {
 	store.fleet.mu.Lock()
 	locs := make(map[uint64][]int)
 	for _, st := range stripes {
-		locs[st] = append([]int(nil), store.fleet.stripes[st].Nodes...)
+		locs[st] = append([]int(nil), store.fleet.cat.stripes[st].Nodes...)
 	}
 	store.fleet.mu.Unlock()
 	if err := store.Delete(context.Background(), "obj"); err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"trapquorum/internal/blockpool"
+	"trapquorum/internal/core"
 	"trapquorum/internal/dispatch"
 )
 
@@ -41,7 +42,7 @@ func (s *Store) PutReader(ctx context.Context, key string, r io.Reader, size int
 	}
 	f := s.fleet
 	f.mu.Lock()
-	if s.directory[key] != nil || s.pending[key] {
+	if s.dir.objects[key] != nil || s.pending[key] {
 		f.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrExists, key)
 	}
@@ -55,15 +56,13 @@ func (s *Store) PutReader(ctx context.Context, key string, r io.Reader, size int
 	// the directory entry. The epoch is pinned and counted in putsIn —
 	// a migration cannot fence it while this stream is still seeding.
 	s.pending[key] = true
-	s.pendingObjects++
 	s.pendingBytes += int64(size)
-	ec := f.cur
+	ec := f.cat.cur
 	f.putsIn[ec.id]++
 	f.mu.Unlock()
 	defer func() {
 		f.mu.Lock()
 		delete(s.pending, key)
-		s.pendingObjects--
 		s.pendingBytes -= int64(size)
 		f.putsIn[ec.id]--
 		f.mu.Unlock()
@@ -76,8 +75,7 @@ func (s *Store) PutReader(ctx context.Context, key string, r io.Reader, size int
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s.directory[key] = &objectMeta{size: size, stripes: f.registerLocked(placed), ec: ec}
-	s.usedBytes += int64(size)
+	f.cat.apply(commitObject{tenant: s.tenant, key: key, size: size, epoch: ec.id, stripes: placed})
 	s.ctr.puts.Add(1)
 	s.ctr.bytesIn.Add(int64(size))
 	// A reconfiguration may have started (or advanced) while this object
@@ -85,14 +83,14 @@ func (s *Store) PutReader(ctx context.Context, key string, r io.Reader, size int
 	// active migration so it is drained like the rest. The migration
 	// cannot have completed — it waits for putsIn of non-target epochs
 	// to reach zero, and ours is still held.
-	if ec != f.cur && f.mig != nil {
-		f.mig.enqueueLocked(s.tenant, key)
+	if ec != f.cat.cur && f.mig != nil {
+		f.mig.enqueueLocked(objKey{s.tenant, key})
 	}
 	return nil
 }
 
 // seedStream places size bytes read from r onto fresh stripes of epoch
-// ec and returns them, seeded but not yet registered. It is the only
+// ec and returns them, seeded but not yet committed. It is the only
 // seeder: stripe ids are allocated and initial placements made nowhere
 // else. Each stripe is read, planned and handed to a seed of its own,
 // with at most seedWindow seeds in flight: the next stripe is read
@@ -103,24 +101,24 @@ func (s *Store) PutReader(ctx context.Context, key string, r io.Reader, size int
 // waited out, then the chunks of every stripe attempted (a failing one
 // may be partly installed) are removed, and removals that fail are
 // counted in ChunksOrphaned.
-func (s *Store) seedStream(ctx context.Context, ec *epochCfg, r io.Reader, size int) ([]placedStripe, error) {
+func (s *Store) seedStream(ctx context.Context, ec *epochCfg, r io.Reader, size int) ([]core.Stripe, error) {
 	f := s.fleet
 	capacity := ec.capacity(f.cfg.BlockSize)
 	// An empty object still owns one stripe, of the smallest blocks.
 	stripeCount := max(1, (size+capacity-1)/capacity)
 	var (
-		placed   = make([]placedStripe, 0, stripeCount)
+		placed   = make([]core.Stripe, 0, stripeCount)
 		inflight int
 		// One slot per seed in flight, so a finishing seed never blocks.
 		seedErr = make(chan error, seedWindow)
 	)
 	// seed installs one stripe and recycles its blocks.
-	seed := func(st placedStripe, blks []*blockpool.Block) {
+	seed := func(st core.Stripe, blks []*blockpool.Block) {
 		data := make([][]byte, len(blks))
 		for b, blk := range blks {
 			data[b] = blk.B
 		}
-		err := st.ec.sys.SeedStripe(ctx, st.Stripe, data)
+		err := ec.sys.SeedStripe(ctx, st, data)
 		releaseBlocks(blks)
 		if err != nil {
 			err = fmt.Errorf("seeding stripe %d: %w", st.ID, err)
@@ -134,7 +132,7 @@ func (s *Store) seedStream(ctx context.Context, ec *epochCfg, r io.Reader, size 
 	}
 	// unwind waits out the window, then removes what the stream
 	// installed; err is the first failure and the one reported.
-	unwind := func(err error) ([]placedStripe, error) {
+	unwind := func(err error) ([]core.Stripe, error) {
 		for inflight > 0 {
 			_ = wait()
 		}
@@ -147,7 +145,7 @@ func (s *Store) seedStream(ctx context.Context, ec *epochCfg, r io.Reader, size 
 		// Full stripes use the configured block size; the last one is
 		// right-sized to the bytes left.
 		bs := ec.blockSize(f.cfg.BlockSize, min(remaining, capacity))
-		blks, err := readStripe(r, ec.k, bs, &remaining)
+		blks, err := readStripe(r, ec.K, bs, &remaining)
 		if err != nil {
 			return unwind(fmt.Errorf("reading at byte %d of %d: %w", size-remaining, size, err))
 		}

@@ -229,7 +229,7 @@ func (r *errAfterReader) Read(p []byte) (int, error) {
 func TestPutReaderMidStreamError(t *testing.T) {
 	store, cluster := newTestStore(t)
 	ctx := context.Background()
-	lo := store.fleet.nextStripe
+	lo := store.fleet.cat.nextStripe
 
 	boom := errors.New("disk on fire")
 	// 2000 bytes declared, reader dies at 1100 — stripe 0 (512) and
@@ -242,15 +242,15 @@ func TestPutReaderMidStreamError(t *testing.T) {
 	if _, err := store.Size("doomed"); !errors.Is(err, ErrUnknownKey) {
 		t.Fatalf("partial object visible: %v", err)
 	}
-	if n := stripeResidue(t, cluster, store.fleet.cfg.N, lo, store.fleet.nextStripe); n != 0 {
+	if n := stripeResidue(t, cluster, store.fleet.cfg.N, lo, store.fleet.cat.nextStripe); n != 0 {
 		t.Fatalf("leaked %d chunks after failed stream", n)
 	}
 	// Short reads (declared size never delivered) unwind the same way.
-	lo = store.fleet.nextStripe
+	lo = store.fleet.cat.nextStripe
 	if err := store.PutReader(ctx, "doomed", bytes.NewReader(make([]byte, 600)), 2000); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("short read err = %v", err)
 	}
-	if n := stripeResidue(t, cluster, store.fleet.cfg.N, lo, store.fleet.nextStripe); n != 0 {
+	if n := stripeResidue(t, cluster, store.fleet.cfg.N, lo, store.fleet.cat.nextStripe); n != 0 {
 		t.Fatalf("leaked %d chunks after short read", n)
 	}
 	// The key is free for an immediate retry.

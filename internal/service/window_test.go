@@ -114,7 +114,7 @@ func TestSeedWindowUnwinds(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			store, cluster, p := newProbedStore(t, removeNodes, 0)
 			store.fleet.mu.Lock()
-			first := store.fleet.nextStripe
+			first := store.fleet.cat.nextStripe
 			store.fleet.mu.Unlock()
 			r, inWindow := tc.arm(p, first)
 			err := store.PutReader(ctx, "obj", r, len(payload))
