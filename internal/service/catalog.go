@@ -2,10 +2,8 @@ package service
 
 import "trapquorum/internal/core"
 
-// objectMeta records where an object lives: its stripes and the
-// epoch that placed them. An object is wholly in one epoch at a time;
-// a reconfiguration cuts it over, under the object's lock, to stripes
-// freshly seeded in the next.
+// objectMeta records where an object lives: its stripes and the one
+// epoch that placed them all (a migration cuts an object over whole).
 type objectMeta struct {
 	size    int
 	stripes []uint64
@@ -81,9 +79,12 @@ type (
 	}
 )
 
-// apply makes one change. Only installEpoch can fail — its epoch
-// cannot be built — and then nothing changes. Caller holds Fleet.mu.
-func (c *catalog) apply(m mutation) error {
+// apply makes one change and returns the stripes it took out of the
+// table — a removed or cut-over object's old ones, whose chunks the
+// caller then drops from their nodes. Only installEpoch can fail — its
+// epoch cannot be built — and then nothing changes. Caller holds
+// Fleet.mu.
+func (c *catalog) apply(m mutation) (dropped []core.Stripe, err error) {
 	switch m := m.(type) {
 	case commitObject:
 		d := c.dir(m.tenant)
@@ -94,10 +95,10 @@ func (c *catalog) apply(m mutation) error {
 		o := d.objects[m.key]
 		delete(d.objects, m.key)
 		d.usedBytes -= int64(o.size)
-		c.unregister(o.stripes)
+		dropped = c.unregister(o.stripes)
 	case cutOver:
 		o := c.dirs[m.tenant].objects[m.key]
-		c.unregister(o.stripes)
+		dropped = c.unregister(o.stripes)
 		o.stripes, o.ec = c.register(m.epoch, m.stripes), c.epochs[m.epoch]
 	case seedStripe:
 		c.register(m.epoch, []core.Stripe{m.stripe})
@@ -106,7 +107,7 @@ func (c *catalog) apply(m mutation) error {
 	case installEpoch:
 		ec, err := c.build(m.id, m.spec)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if c.cur == nil && m.id > 0 {
 			c.retired = m.id - 1
@@ -118,7 +119,7 @@ func (c *catalog) apply(m mutation) error {
 	if c.observe != nil {
 		c.observe(m)
 	}
-	return nil
+	return dropped, nil
 }
 
 // dir returns the tenant's namespace, created empty on first use: an
@@ -143,19 +144,13 @@ func (c *catalog) register(epoch uint64, stripes []core.Stripe) []uint64 {
 	return ids
 }
 
-// unregister takes the stripes out of the table.
-func (c *catalog) unregister(ids []uint64) {
-	for _, id := range ids {
-		delete(c.stripes, id)
-	}
-}
-
-// handles returns the registered stripes' handles, as dropStripes
-// takes them.
-func (c *catalog) handles(ids []uint64) []core.Stripe {
+// unregister takes the stripes out of the table and returns their
+// handles.
+func (c *catalog) unregister(ids []uint64) []core.Stripe {
 	out := make([]core.Stripe, len(ids))
 	for i, id := range ids {
 		out[i] = c.stripes[id].Stripe
+		delete(c.stripes, id)
 	}
 	return out
 }

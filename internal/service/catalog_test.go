@@ -271,7 +271,7 @@ func TestCatalogReplay(t *testing.T) {
 	f.mu.Unlock()
 	replayed := newCatalog(f.newEpoch)
 	for i, m := range log {
-		if err := replayed.apply(m); err != nil {
+		if _, err := replayed.apply(m); err != nil {
 			t.Fatalf("replaying mutation %d (%T): %v", i, m, err)
 		}
 	}

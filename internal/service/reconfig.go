@@ -149,11 +149,11 @@ type MigrationStatus struct {
 	// TargetN, TargetK are the geometry being migrated to.
 	TargetN, TargetK int
 	// DoneObjects and PendingObjects count the drain's progress;
-	// TotalObjects is their sum. Failures counts object moves that
-	// errored and were re-queued.
+	// TotalObjects is their sum.
 	DoneObjects, PendingObjects, TotalObjects int
+	// Failures counts object moves that errored and were re-queued.
+	Failures int
 	// MovedBytes is the logical object bytes re-placed so far.
-	Failures   int
 	MovedBytes int64
 }
 
@@ -162,40 +162,32 @@ func (f *Fleet) Migration() MigrationStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := MigrationStatus{Epoch: f.cat.cur.id, Retired: f.cat.retired}
-	if f.mig != nil {
-		st.Active = true
-		st.From = f.mig.from
-		st.To = f.mig.target.id
-		st.TargetN = f.mig.target.N
-		st.TargetK = f.mig.target.K
-		st.DoneObjects = f.mig.done
-		st.PendingObjects = len(f.mig.queue)
-		st.TotalObjects = f.mig.done + len(f.mig.queue)
-		st.Failures = f.mig.fails
-		st.MovedBytes = f.mig.moved
+	if m := f.mig; m != nil {
+		st.Active, st.From, st.To, st.TargetN, st.TargetK = true, m.from, m.target.id, m.target.N, m.target.K
+		st.DoneObjects, st.PendingObjects, st.TotalObjects = m.done, len(m.queue), m.done+len(m.queue)
+		st.Failures, st.MovedBytes = m.fails, m.moved
 	}
 	return st
 }
 
 // Epoch returns the placement epoch new objects are placed in.
-func (f *Fleet) Epoch() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cat.cur.id
-}
+func (f *Fleet) Epoch() uint64 { return f.current().id }
 
 // ActiveNodes returns the current epoch's cluster node roster.
-func (f *Fleet) ActiveNodes() []int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]int(nil), f.cat.cur.Active...)
-}
+func (f *Fleet) ActiveNodes() []int { return slices.Clone(f.current().Active) }
 
 // CodeParams returns the current epoch's (n, k).
 func (f *Fleet) CodeParams() (n, k int) {
+	ec := f.current()
+	return ec.N, ec.K
+}
+
+// current returns the epoch new objects are placed in. Epochs are
+// immutable, so its fields need no lock.
+func (f *Fleet) current() *epochCfg {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.cat.cur.N, f.cat.cur.K
+	return f.cat.cur
 }
 
 // NodeCount returns how many node clients the fleet holds (the id
@@ -243,85 +235,77 @@ func (f *Fleet) specTargetLocked(spec ReconfigSpec) (ReconfigSpec, error) {
 	return spec, nil
 }
 
-// sameTarget reports whether the resolved spec describes the epoch ec.
-func sameTarget(ec *epochCfg, spec ReconfigSpec) bool {
-	return ec.N == spec.N && ec.K == spec.K && ec.Shape == spec.Shape && ec.W == spec.W &&
-		slices.Equal(ec.Active, spec.Active)
-}
-
 // StartReconfigure installs the target epoch and queues the migration,
 // without driving it: new objects land in the target immediately;
 // existing ones are moved by MigrationStep calls (DriveMigration, or
 // the self-heal orchestrator's background pump). The queue comes from
 // a scan of the catalog for objects outside the target. Calling it
-// again with the same target is the resume path — it rebuilds the queue
-// from a fresh scan, so a coordinator killed mid-drain redoes exactly
-// the remaining work. A different target while a migration drains is refused
-// with ErrMigrationActive. When the fleet already converged on the
-// target it is a no-op.
+// again with the same target is the resume path — it rebuilds the
+// queue from a fresh scan, so a coordinator killed mid-drain redoes
+// exactly the remaining work. A different target while a migration
+// drains is refused with ErrMigrationActive. When the fleet already
+// converged on the target it is a no-op.
 func (f *Fleet) StartReconfigure(ctx context.Context, spec ReconfigSpec) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	target, retired, err := f.installTarget(spec)
+	if target != nil {
+		// Announce the new epoch to the fleet (best-effort: the
+		// watermarks are monotone and re-broadcast at completion; a node
+		// that misses this one only lacks the installed marker, not
+		// safety).
+		f.broadcastEpoch(ctx, target.id, retired)
+	}
+	return err
+}
+
+// installTarget is StartReconfigure under the fleet lock. It returns
+// the epoch it installed, if any, and the retired watermark.
+func (f *Fleet) installTarget(spec ReconfigSpec) (*epochCfg, uint64, error) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	cur := f.cat.cur
 	spec, err := f.specTargetLocked(spec)
 	if err != nil {
-		f.mu.Unlock()
-		return err
+		return nil, 0, err
 	}
-	same := sameTarget(cur, spec)
+	same := cur.N == spec.N && cur.K == spec.K && cur.Shape == spec.Shape && cur.W == spec.W &&
+		slices.Equal(cur.Active, spec.Active)
 	if f.mig != nil {
 		// cur is always the active migration's target.
 		if !same {
-			f.mu.Unlock()
-			return ErrMigrationActive
+			return nil, 0, ErrMigrationActive
 		}
 		f.mig.enqueueLocked(f.cat.outside(cur)...)
-		f.mu.Unlock()
-		return nil
+		return nil, 0, nil
 	}
 	if same {
-		stale := f.cat.outside(cur)
-		if f.cat.retired+1 >= cur.id && len(stale) == 0 {
-			f.mu.Unlock()
-			return nil // fully converged: nothing to do
+		// Unless the fleet fully converged on cur, converging was
+		// interrupted (abort, or a crashed coordinator): resume draining
+		// into it.
+		if stale := f.cat.outside(cur); f.cat.retired+1 < cur.id || len(stale) > 0 {
+			f.mig = newMigration(cur, f.cat.retired, stale)
 		}
-		// Converging on cur was interrupted (abort, or a crashed
-		// coordinator): resume draining into it.
-		f.mig = newMigration(cur, f.cat.retired, stale)
-		f.mu.Unlock()
-		return nil
+		return nil, 0, nil
 	}
 
 	// Build the target epoch. Validation happens before any state
 	// changes; the constructors reject bad geometry.
 	inner := spec.Placement
 	if inner == nil {
-		inner, err = placement.NewRoundRobin(len(spec.Active))
-		if err != nil {
-			f.mu.Unlock()
-			return err
+		if inner, err = placement.NewRoundRobin(len(spec.Active)); err != nil {
+			return nil, 0, err
 		}
 	}
-	spec.Placement, err = placement.NewMap(cur.id+1, inner, spec.Active)
-	if err == nil {
-		err = f.cat.apply(installEpoch{id: cur.id + 1, spec: spec})
+	if spec.Placement, err = placement.NewMap(cur.id+1, inner, spec.Active); err != nil {
+		return nil, 0, err
 	}
-	if err != nil {
-		f.mu.Unlock()
-		return err
+	if _, err := f.cat.apply(installEpoch{id: cur.id + 1, spec: spec}); err != nil {
+		return nil, 0, err
 	}
-	target := f.cat.cur
-	f.mig = newMigration(target, cur.id, f.cat.outside(target))
-	retired := f.cat.retired
-	f.mu.Unlock()
-
-	// Announce the new epoch to the fleet (best-effort: the watermarks
-	// are monotone and re-broadcast at completion; a node that misses
-	// this one only lacks the installed marker, not safety).
-	f.broadcastEpoch(ctx, target.id, retired)
-	return nil
+	f.mig = newMigration(f.cat.cur, cur.id, f.cat.outside(f.cat.cur))
+	return f.cat.cur, f.cat.retired, nil
 }
 
 // AbortReconfigure stops an active migration, leaving the fleet in the
@@ -469,14 +453,11 @@ func (f *Fleet) broadcastEpoch(ctx context.Context, installed, retired uint64) e
 	clients := append([]core.NodeClient(nil), f.nodes...)
 	ec := f.cat.epochs[installed]
 	f.mu.Unlock()
-	var blob []byte
-	if ec != nil {
-		blob, _ = json.Marshal(epochBlob{
-			Epoch: ec.id, Retired: retired, N: ec.N, K: ec.K,
-			A: ec.Shape.A, B: ec.Shape.B, H: ec.Shape.H, W: ec.W,
-			Active: ec.Active,
-		})
-	}
+	blob, _ := json.Marshal(epochBlob{
+		Epoch: ec.id, Retired: retired, N: ec.N, K: ec.K,
+		A: ec.Shape.A, B: ec.Shape.B, H: ec.Shape.H, W: ec.W,
+		Active: ec.Active,
+	})
 	for _, cl := range clients {
 		es, ok := cl.(client.EpochSetter)
 		if !ok {
@@ -526,8 +507,7 @@ func (s *Store) migrateObject(ctx context.Context, key string, target *epochCfg)
 	// handles in the stripe table. Readers that raced the swap find their
 	// old stripe gone and retry with this fresh metadata.
 	f.mu.Lock()
-	old := f.cat.handles(src.stripes)
-	f.cat.apply(cutOver{tenant: s.tenant, key: key, epoch: target.id, stripes: placed})
+	old, _ := f.cat.apply(cutOver{tenant: s.tenant, key: key, size: src.size, epoch: target.id, stripes: placed})
 	f.mu.Unlock()
 
 	// Drop the old epoch's chunks: a node down right now keeps orphan

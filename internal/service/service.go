@@ -48,7 +48,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -237,7 +237,7 @@ func NewFleet(nodes []core.NodeClient, cfg Config) (*Fleet, error) {
 	}
 	f.cat = newCatalog(f.newEpoch)
 	spec := ReconfigSpec{N: cfg.N, K: cfg.K, Shape: cfg.Shape, W: cfg.W, Active: active, Placement: cfg.Placement}
-	if err := f.cat.apply(installEpoch{id: epoch, spec: spec}); err != nil {
+	if _, err := f.cat.apply(installEpoch{id: epoch, spec: spec}); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -304,14 +304,11 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 // TenantMetrics snapshots every tenant's counters and usage gauges.
 func (f *Fleet) TenantMetrics() map[string]TenantMetrics {
 	f.mu.Lock()
-	stores := make([]*Store, 0, len(f.tenants))
-	for _, s := range f.tenants {
-		stores = append(stores, s)
-	}
+	stores := maps.Clone(f.tenants)
 	f.mu.Unlock()
 	out := make(map[string]TenantMetrics, len(stores))
-	for _, s := range stores {
-		out[s.tenant] = s.TenantMetrics()
+	for name, s := range stores {
+		out[name] = s.TenantMetrics()
 	}
 	return out
 }
@@ -331,8 +328,7 @@ func (s *Store) TenantMetrics() TenantMetrics {
 		ChunksOrphaned:  s.ctr.chunksOrphaned.Load(),
 	}
 	s.fleet.mu.Lock()
-	m.Objects = int64(len(s.dir.objects))
-	m.UsedBytes = s.dir.usedBytes
+	m.Objects, m.UsedBytes = int64(len(s.dir.objects)), s.dir.usedBytes
 	s.fleet.mu.Unlock()
 	return m
 }
@@ -476,11 +472,10 @@ func (f *Fleet) SeedStripe(ctx context.Context, id uint64, blocks [][]byte) erro
 // Stripe returns a registered stripe's handle and the protocol
 // instance serving it, or a core.ErrUnknownStripe wrap.
 func (f *Fleet) Stripe(id uint64) (core.Stripe, *core.System, error) {
-	p, ok := f.stripe(id)
-	if !ok {
-		return core.Stripe{}, nil, fmt.Errorf("%w: %d", core.ErrUnknownStripe, id)
+	if p, ok := f.stripe(id); ok {
+		return p.Stripe, p.ec.sys, nil
 	}
-	return p.Stripe, p.ec.sys, nil
+	return core.Stripe{}, nil, fmt.Errorf("%w: %d", core.ErrUnknownStripe, id)
 }
 
 // removalFrame caps the ids of one DeleteChunks request, so dropping
@@ -594,20 +589,9 @@ func (s *Store) GetAppend(ctx context.Context, key string, dst []byte) ([]byte, 
 		return dst, err
 	}
 	out := slices.Grow(dst, m.size)
-	o := s.objectReader(ctx, key, m)
-	defer o.close()
-	for {
-		data, err := o.block()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return dst, err
-		}
-		out = append(out, data...)
+	if err := s.each(ctx, key, m, func(b []byte) error { out = append(out, b...); return nil }); err != nil {
+		return dst, err
 	}
-	s.ctr.gets.Add(1)
-	s.ctr.bytesOut.Add(int64(m.size))
 	return out, nil
 }
 
@@ -790,13 +774,11 @@ func (s *Store) Delete(ctx context.Context, key string) error {
 	// the same lock, so Delete never races the cutover swap.
 	defer f.lockObject(s.tenant, key, true)()
 	f.mu.Lock()
-	m, ok := s.dir.objects[key]
-	if !ok {
+	if s.dir.objects[key] == nil {
 		f.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownKey, key)
 	}
-	old := f.cat.handles(m.stripes)
-	f.cat.apply(removeObject{tenant: s.tenant, key: key})
+	old, _ := f.cat.apply(removeObject{tenant: s.tenant, key: key})
 	f.mu.Unlock()
 	s.ctr.chunksOrphaned.Add(int64(f.dropStripes(old)))
 	s.ctr.deletes.Add(1)
@@ -831,9 +813,8 @@ func (s *Store) Scrub(ctx context.Context, key string) ([]core.ScrubReport, erro
 		reports := make([]core.ScrubReport, 0, len(m.stripes))
 		stale := false
 		for _, stripe := range m.stripes {
-			// A stripe gone before or during its audit means the object
-			// was deleted or migrated concurrently; the meta refetch
-			// above distinguishes the two on retry.
+			// A stripe gone before or during its audit: the object was
+			// deleted or migrated; the refetch above tells which.
 			rep, _, ok, err := s.fleet.auditStripe(ctx, stripe)
 			if err != nil {
 				return reports, fmt.Errorf("stripe %d: %w", stripe, err)
@@ -856,10 +837,7 @@ func (s *Store) Scrub(ctx context.Context, key string) ([]core.ScrubReport, erro
 // StripesOf reports the stripe ids backing an object (diagnostics).
 func (s *Store) StripesOf(key string) ([]uint64, error) {
 	m, err := s.meta(key)
-	if err != nil {
-		return nil, err
-	}
-	return m.stripes, nil
+	return m.stripes, err
 }
 
 // Metrics sums the protocol counters of every epoch's protocol
@@ -915,11 +893,10 @@ func (f *Fleet) PlanNodeRepairs(node int, down func(int) bool) []repairsched.Tas
 // version-guarded repair path. A stripe deleted since planning is a
 // no-op success.
 func (f *Fleet) Repair(ctx context.Context, t repairsched.Task) error {
-	p, ok := f.stripe(t.Stripe)
-	if !ok {
-		return nil
+	if p, ok := f.stripe(t.Stripe); ok {
+		return p.ec.sys.RepairShard(ctx, p.Stripe, t.Shard)
 	}
-	return p.ec.sys.RepairShard(ctx, p.Stripe, t.Shard)
+	return nil
 }
 
 // Stripes implements repairsched.Target: every live stripe id across

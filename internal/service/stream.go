@@ -202,7 +202,7 @@ func releaseBlocks(blks []*blockpool.Block) {
 }
 
 // objectReader walks an object's bytes through stripe reads: the
-// io.Reader the migration feeds seedStream from, and as an io.WriterTo
+// io.Reader the migration feeds seedStream from, and block by block
 // the walk behind Get and GetWriter. It reads one stripe per call,
 // never a block past the object's end, and keeps the next stripe's read
 // in flight while the current one is handed out — two stripes in
@@ -290,26 +290,6 @@ func (o *objectReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// WriteTo returns the bytes written; on a read or write error the
-// count says how much of the object reached w.
-func (o *objectReader) WriteTo(w io.Writer) (int64, error) {
-	var written int64
-	for {
-		data, err := o.block()
-		if err == io.EOF {
-			return written, nil
-		}
-		if err != nil {
-			return written, err
-		}
-		n, err := w.Write(data)
-		written += int64(n)
-		if err != nil {
-			return written, fmt.Errorf("writing object %q: %w", o.key, err)
-		}
-	}
-}
-
 // GetWriter streams the object to w through quorum reads, one stripe
 // at a time with the next one read ahead — peak memory is two stripes
 // plus the protocol's own working set, however large the object. It
@@ -320,13 +300,35 @@ func (s *Store) GetWriter(ctx context.Context, key string, w io.Writer) (int64, 
 	if err != nil {
 		return 0, err
 	}
+	var written int64
+	err = s.each(ctx, key, m, func(b []byte) error {
+		n, err := w.Write(b)
+		written += int64(n)
+		if err != nil {
+			return fmt.Errorf("writing object %q: %w", key, err)
+		}
+		return nil
+	})
+	return written, err
+}
+
+// each hands the object's bytes to fn block by block, read through an
+// objectReader, and counts one Get once every block went through.
+func (s *Store) each(ctx context.Context, key string, m objectMeta, fn func([]byte) error) error {
 	o := s.objectReader(ctx, key, m)
 	defer o.close()
-	written, err := o.WriteTo(w)
-	if err != nil {
-		return written, err
+	for {
+		data, err := o.block()
+		if err == io.EOF {
+			s.ctr.gets.Add(1)
+			s.ctr.bytesOut.Add(int64(m.size))
+			return nil
+		}
+		if err == nil {
+			err = fn(data)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	s.ctr.gets.Add(1)
-	s.ctr.bytesOut.Add(int64(m.size))
-	return written, nil
 }
