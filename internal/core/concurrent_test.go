@@ -198,6 +198,36 @@ func TestWriteCancelledMidFanoutLeavesNoFootprint(t *testing.T) {
 	}
 }
 
+// TestRollbackBoundedWhenALinkStartsLosingRequests: a write applies at
+// level 0, level 1 stalls past the write's deadline, and the data
+// node's link starts losing requests before the rollback reaches it.
+// The undo request to it is lost, and the write still returns — after
+// the rollback budget, with the context's error — instead of holding
+// the block's writer lock forever.
+func TestRollbackBoundedWhenALinkStartsLosingRequests(t *testing.T) {
+	ts := fig3System(t, Options{})
+	ts.seed(t, 1, 64)
+	// Block 0's level 0 is shards {0, 8, 9}; level 1 is shards 10..14.
+	for shard := 10; shard <= 14; shard++ {
+		ts.cluster.SetNodeDelay(shard, func(string) time.Duration { return stragglerDelay })
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- ts.sys.WriteBlock(ctx, ts.stripe(1), 0, bytes.Repeat([]byte{0xEE}, 64)) }()
+	time.Sleep(50 * time.Millisecond) // level 0 has applied; the deadline has not passed
+	ts.cluster.SetLinkFault(0, sim.LinkFault{ReqLoss: 1}, 1)
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("want DeadlineExceeded, got %v", err)
+		}
+	case <-time.After(rollbackBudget + 5*time.Second):
+		t.Fatal("the write is still blocked on its rollback")
+	}
+	ts.cluster.SetLinkFault(0, sim.LinkFault{}, 0)
+}
+
 // readAllShards snapshots every shard of a stripe directly from the
 // nodes, bypassing the protocol (delays only apply to mutating ops in
 // the test above, and reads here use fresh fast paths).

@@ -8,11 +8,15 @@
 // Algorithm 1: the data node receives the new block, every reachable
 // parity node whose version matches receives the delta
 // α_{j,i}·(x−old), and the write commits only if every level reaches
-// its write threshold w_l. Reads follow Algorithm 2: version vectors
-// are collected level by level until some level yields
-// r_l = s_l−w_l+1 answers; the block is then served directly by its
-// data node when fresh, or decoded from any k mutually consistent
-// up-to-date shards otherwise.
+// its write threshold w_l. The old value and version come from line
+// 15's read, or — when this coordinator committed the block last and
+// still holds what it wrote — from its block cache, which makes the
+// write one round: the data node's put is then conditional on the
+// cached version as well, and any refusal falls back to the read.
+// Reads follow Algorithm 2: version vectors are collected level by
+// level until some level yields r_l = s_l−w_l+1 answers; the block is
+// then served directly by its data node when fresh, or decoded from
+// any k mutually consistent up-to-date shards otherwise.
 //
 // Deviation from the paper, documented in DESIGN.md: Algorithm 1 as
 // published leaves partially-applied updates behind when a write
@@ -122,6 +126,13 @@ type Metrics struct {
 	Rollbacks    atomic.Int64
 	Repairs      atomic.Int64
 	HedgedRPCs   atomic.Int64
+	// OneRoundWrites counts committed writes that skipped line 15's
+	// read because the block cache held the block.
+	OneRoundWrites atomic.Int64
+	// CacheFallbacks counts one-round attempts that failed and fell back
+	// to the two-round write; the fallback's own outcome is counted in
+	// Writes or FailedWrites.
+	CacheFallbacks atomic.Int64
 	// CorruptShards counts corruption observations: shards whose
 	// content disagreed with the cross-checksum record majority, or
 	// whose node answered client.ErrCorrupt. One lying node read
@@ -140,6 +151,9 @@ type MetricsSnapshot struct {
 	Repairs       int64
 	HedgedRPCs    int64
 	CorruptShards int64
+	// OneRoundWrites and CacheFallbacks: see Metrics.
+	OneRoundWrites int64
+	CacheFallbacks int64
 }
 
 // Add folds another snapshot's counters into m.
@@ -153,13 +167,16 @@ func (m *MetricsSnapshot) Add(o MetricsSnapshot) {
 	m.Repairs += o.Repairs
 	m.HedgedRPCs += o.HedgedRPCs
 	m.CorruptShards += o.CorruptShards
+	m.OneRoundWrites += o.OneRoundWrites
+	m.CacheFallbacks += o.CacheFallbacks
 }
 
 // Options configures a System.
 type Options struct {
 	// DisableRollback turns off the best-effort rollback of partial
-	// writes, reproducing the paper's Algorithm 1 verbatim. Used by
-	// the residue-hazard tests and ablation benches.
+	// writes, reproducing the paper's Algorithm 1 verbatim — line 15's
+	// read included: the block cache is off. Used by the residue-hazard
+	// tests and ablation benches.
 	DisableRollback bool
 	// Concurrency bounds the in-flight per-node RPCs of one quorum
 	// operation. 0 (the default) contacts every node of the operation
@@ -204,7 +221,10 @@ type Stripe struct {
 // over which each operation's stripe handle places the n shards. It is
 // safe for concurrent use; writes to the same (stripe, block) are
 // serialised by a per-block lock (the paper assumes classical
-// concurrency control above the protocol).
+// concurrency control above the protocol). It is the only coordinator
+// writing its stripes: its block cache remembers what it committed, and
+// a write by anyone else costs the next write of that block a fallback
+// round (DESIGN.md §2.5).
 type System struct {
 	code  *erasure.Code
 	lay   *trapezoid.Layout
@@ -213,6 +233,7 @@ type System struct {
 
 	mu    sync.Mutex
 	locks map[blockKey]*blockLock // blocks a writer holds or waits on
+	cache *blockCache             // nil with DisableRollback
 
 	metrics   Metrics
 	hedge     *hedger // nil when hedging is disabled
@@ -266,6 +287,9 @@ func NewSystem(code *erasure.Code, cfg trapezoid.Config, nodes []NodeClient, opt
 		opts:  opts,
 		locks: make(map[blockKey]*blockLock),
 	}
+	if !opts.DisableRollback {
+		s.cache = newBlockCache()
+	}
 	if opts.Epoch != 0 || opts.NodeGate != nil {
 		for j, n := range s.nodes {
 			s.nodes[j] = &wrappedNode{NodeClient: n, node: j, gate: opts.NodeGate, epoch: opts.Epoch}
@@ -284,17 +308,22 @@ func (s *System) Layout() *trapezoid.Layout { return s.lay }
 // Metrics returns a snapshot of the protocol counters.
 func (s *System) Metrics() MetricsSnapshot {
 	return MetricsSnapshot{
-		Writes:        s.metrics.Writes.Load(),
-		FailedWrites:  s.metrics.FailedWrites.Load(),
-		DirectReads:   s.metrics.DirectReads.Load(),
-		DecodeReads:   s.metrics.DecodeReads.Load(),
-		FailedReads:   s.metrics.FailedReads.Load(),
-		Rollbacks:     s.metrics.Rollbacks.Load(),
-		Repairs:       s.metrics.Repairs.Load(),
-		HedgedRPCs:    s.metrics.HedgedRPCs.Load(),
-		CorruptShards: s.metrics.CorruptShards.Load(),
+		Writes:         s.metrics.Writes.Load(),
+		FailedWrites:   s.metrics.FailedWrites.Load(),
+		DirectReads:    s.metrics.DirectReads.Load(),
+		DecodeReads:    s.metrics.DecodeReads.Load(),
+		FailedReads:    s.metrics.FailedReads.Load(),
+		Rollbacks:      s.metrics.Rollbacks.Load(),
+		Repairs:        s.metrics.Repairs.Load(),
+		HedgedRPCs:     s.metrics.HedgedRPCs.Load(),
+		CorruptShards:  s.metrics.CorruptShards.Load(),
+		OneRoundWrites: s.metrics.OneRoundWrites.Load(),
+		CacheFallbacks: s.metrics.CacheFallbacks.Load(),
 	}
 }
+
+// CachedBytes returns the pooled bytes the block cache holds.
+func (s *System) CachedBytes() int { return s.cache.resident() }
 
 // SetCorruptionHandler installs a callback invoked (synchronously, from
 // protocol goroutines) with the cluster node every time a shard is
@@ -346,6 +375,19 @@ func (s *System) lockBlock(key blockKey) *blockLock {
 	l.Lock()
 	return l
 }
+
+// LockedBlocks returns how many blocks a writer holds or waits on: 0
+// whenever no write is in flight.
+func (s *System) LockedBlocks() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.locks)
+}
+
+// Forget drops what the block cache holds of a stripe. Call it when the
+// stripe's chunks are removed, or changed by anything but this
+// system's own writes.
+func (s *System) Forget(stripe uint64) { s.cache.dropStripe(stripe, s.code.K()) }
 
 // unlockBlock releases what lockBlock took.
 func (s *System) unlockBlock(key blockKey, l *blockLock) {
@@ -402,9 +444,10 @@ func (s *System) versionSlot(block, shard int) int {
 // pooled parity buffers and installs every shard at version 1 on its
 // node, all installs issued in parallel. All n nodes must be reachable
 // — initial placement is an allocation step, not a quorum operation.
-// Blocks must be non-empty and sized as the handle says. On failure
-// some shards may already be installed; the caller owns cleanup (the
-// service layer deletes them).
+// Blocks must be non-empty and sized as the handle says. On success
+// every data block of at most seedCacheMax bytes enters the block
+// cache at version 1. On failure some shards may already be installed;
+// the caller owns cleanup (the service layer deletes them).
 func (s *System) SeedStripe(ctx context.Context, st Stripe, data [][]byte) error {
 	k, n := s.code.K(), s.code.N()
 	size, err := s.code.DataSize(data)
@@ -475,11 +518,19 @@ func (s *System) SeedStripe(ctx context.Context, st Stripe, data [][]byte) error
 		return false // a seed needs every node: abort the rest
 	})
 	if errNode >= 0 || ctx.Err() != nil {
+		s.Forget(st.ID)
 		if cerr := ctx.Err(); cerr != nil {
 			return opErr("seed", st.ID, cerr)
 		}
 		return &OpError{Op: "seed", Stripe: st.ID, Block: -1, Level: -1, Node: errNode,
 			Err: fmt.Errorf("%w: node %d: %w", ErrSeedIncomplete, errNode, nodeErr)}
+	}
+	if s.cache != nil && size <= seedCacheMax {
+		for i, b := range data {
+			blk := blockpool.GetBlock(size)
+			copy(blk.B, b)
+			s.cache.put(blockKey{st.ID, i}, 1, blk)
+		}
 	}
 	return nil
 }

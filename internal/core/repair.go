@@ -42,8 +42,11 @@ func (s *System) RepairShard(ctx context.Context, st Stripe, shard int) error {
 }
 
 // repairFrom rebuilds shard from the freshest decodable set the view
-// holds without it and installs the result on the shard's node.
+// holds without it and installs the result on the shard's node. It
+// drops the stripe's block-cache entries.
 func (s *System) repairFrom(ctx context.Context, view *stripeView, st Stripe, shard int) error {
+	// A repair changes chunks outside the write path.
+	defer s.Forget(st.ID)
 	set := freshest(view.decodableSets(-1, 0, shard))
 	if set == nil {
 		if cerr := ctx.Err(); cerr != nil {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"trapquorum/client"
 	"trapquorum/internal/blockpool"
+	"trapquorum/internal/clock"
 	"trapquorum/internal/erasure"
 )
 
@@ -44,12 +46,14 @@ func (s *System) WriteBlock(ctx context.Context, st Stripe, block int, x []byte)
 // WriteBlockAt implements Algorithm 1 for bytes [off, off+len(p)) of
 // data block `block`: the block's other bytes keep their content.
 //
-// The protocol first performs a full read of the block (line 15) to
-// learn the current version and content, patches p into that content,
-// computes the parity delta α_{j,i}·(x−old), then updates the
-// trapezoid nodes — the data node receives the patched block outright,
-// each parity node receives the delta conditionally on its version
-// matching the version just read. The read, the patch and the updates
+// The protocol learns the block's current version and content — from
+// the block cache when this coordinator committed the block last, else
+// from a full read of the block (line 15) — patches p into that
+// content, computes the parity delta α_{j,i}·(x−old), then updates the
+// trapezoid nodes: the data node receives the patched block (outright
+// after a read, conditionally on the cached version otherwise), each
+// parity node receives the delta conditionally on its version matching
+// the version learnt. Learning the version, the patch and the updates
 // all run under the block's writer lock, so writers of disjoint byte
 // ranges of one block never lose each other's bytes. Every node
 // update, across all levels, is issued in parallel through the
@@ -89,8 +93,16 @@ func (s *System) checkWrite(st Stripe, block int) error {
 
 // writeBlock is Algorithm 1's one body, behind WriteBlock and
 // WriteBlockAt, on a validated request.
+//
+// When the block cache holds the block — the version and bytes this
+// coordinator last committed for it — line 15's read is skipped and the
+// write is one round: the update phase runs on the cached content, with
+// the data node's put conditional on the cached version too. If that
+// one-round attempt fails for any reason, it has rolled back what it
+// applied and dropped the stripe's entries, and the write runs once
+// more the two-round way: a stale entry costs a round, never an error
+// or an aliased version (DESIGN.md §2.5).
 func (s *System) writeBlock(ctx context.Context, st Stripe, block, off int, p []byte) error {
-	size := st.BlockSize
 	stripe := st.ID
 	if err := ctx.Err(); err != nil {
 		// Counted like every other aborted write attempt, so the
@@ -101,29 +113,93 @@ func (s *System) writeBlock(ctx context.Context, st Stripe, block, off int, p []
 	key := blockKey{stripe, block}
 	defer s.unlockBlock(key, s.lockBlock(key))
 
+	fellBack := false
+	if cb, ok := s.cache.take(key); ok {
+		err := s.update(ctx, st, block, off, p, cb.blk.B, cb.version, cb.blk)
+		if !errors.Is(err, errHitFailed) {
+			if err == nil {
+				s.metrics.OneRoundWrites.Add(1)
+			}
+			return err
+		}
+		s.metrics.CacheFallbacks.Add(1)
+		fellBack = true
+	}
+
 	// Algorithm 1 line 15: read the old value and version.
 	olds, oldVersions, err := s.readStripe(ctx, st, block, 1)
 	if err != nil {
 		s.metrics.FailedWrites.Add(1)
+		if fellBack {
+			// The write failed, and its one-round attempt rolled back.
+			s.metrics.Rollbacks.Add(1)
+		}
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return &OpError{Op: "write", Stripe: stripe, Block: block, Level: -1, Node: -1, Err: ctxErr}
 		}
 		return &OpError{Op: "write", Stripe: stripe, Block: block, Level: -1, Node: -1,
 			Err: fmt.Errorf("%w: initial read failed: %v", ErrWriteFailed, err)}
 	}
-	old, oldVersion := olds[0], oldVersions[0]
+	return s.update(ctx, st, block, off, p, olds[0], oldVersions[0], nil)
+}
+
+// errHitFailed is update's failure on cached content: the caller falls
+// back to the two-round write.
+var errHitFailed = errors.New("core: one-round write failed")
+
+// update is Algorithm 1's update phase (lines 16–37) for bytes
+// [off, off+len(p)) of a block whose current content is old at
+// oldVersion, under the block's writer lock.
+//
+// cached is nil when old and oldVersion come from line 15's read; then
+// the data node's put is unconditional, which also heals a stale or
+// residue-poisoned data chunk. Otherwise they are the cache's entry and
+// cached is its block, which update owns: the data node's put expects
+// oldVersion like every parity's add, and a data node that answers but
+// refuses — moved on, missing or rotten — fails the attempt as a level
+// short of w_l would. A failed attempt on cached content returns
+// errHitFailed instead of counting a failed write.
+//
+// On success the new content is recorded in the block cache at the new
+// version; on failure the applied updates are rolled back (unless
+// rollback is disabled) and the stripe's entries dropped.
+func (s *System) update(ctx context.Context, st Stripe, block, off int, p, old []byte, oldVersion uint64, cached *blockpool.Block) (err error) {
+	size := st.BlockSize
+	stripe := st.ID
+	hit := cached != nil
 	newVersion := oldVersion + 1
 	// The new value x: p itself for a whole block, otherwise the old
 	// content with p patched in, in a pooled buffer (the transports
 	// snapshot what they send).
 	x := p
+	var xBlk *blockpool.Block
 	if len(p) != size {
-		xBlk := blockpool.GetBlock(size)
-		defer xBlk.Release()
+		xBlk = blockpool.GetBlock(size)
 		x = xBlk.B
 		copy(x, old)
 		copy(x[off:], p)
 	}
+	defer func() {
+		if err != nil || s.cache == nil {
+			xBlk.Release()
+			cached.Release()
+			return
+		}
+		// Keep x as the block's entry, in whichever pooled buffer is
+		// free to hold it: the patched one, else the old entry's.
+		keep := xBlk
+		switch {
+		case keep != nil:
+			cached.Release()
+		case cached != nil:
+			keep = cached
+			copy(keep.B, x)
+		default:
+			keep = blockpool.GetBlock(size)
+			copy(keep.B, x)
+		}
+		s.cache.put(blockKey{stripe, block}, newVersion, keep)
+	}()
 	// The writer is the one party that knows the new content before it
 	// is sharded: it distributes the content hash to every node it
 	// touches, so readers can later verify the data node's bytes against
@@ -162,13 +238,20 @@ func (s *System) writeBlock(ctx context.Context, st Stripe, block, off int, p []
 	}
 	var applied []appliedUpdate
 	failLevel := -1
+	dataRefused := false
 	issue := func(cctx context.Context, t task) (appliedUpdate, error) {
 		id := chunkID(stripe, t.shard)
 		if t.pos == 0 {
-			// Line 20: write x into the data node N_i. The write is
-			// unconditional (the per-block lock serialises writers),
-			// which also heals a stale or residue-poisoned data chunk.
-			if err := s.node(st, t.shard).PutChunk(cctx, id, x, []uint64{newVersion}, newSum); err != nil {
+			// Line 20: write x into the data node N_i — after line
+			// 15's read unconditionally (the per-block lock serialises
+			// writers), on cached content conditionally.
+			var err error
+			if hit {
+				err = s.node(st, t.shard).CompareAndPut(cctx, id, 0, oldVersion, newVersion, x, newSum)
+			} else {
+				err = s.node(st, t.shard).PutChunk(cctx, id, x, []uint64{newVersion}, newSum)
+			}
+			if err != nil {
 				return appliedUpdate{}, err
 			}
 			return appliedUpdate{
@@ -212,6 +295,7 @@ func (s *System) writeBlock(ctx context.Context, st Stripe, block, off int, p []
 			}
 			// Down, missing, version mismatch, or cancelled: the node
 			// did not apply. Fail fast once the level cannot reach w_l.
+			dataRefused = dataRefused || hit && subset[i].pos == 0 && refused(err)
 			if failFast && failLevel < 0 && lv.ok+(lv.total-lv.settled) < lv.need {
 				failLevel = subset[i].level
 				return false
@@ -240,6 +324,22 @@ func (s *System) writeBlock(ctx context.Context, st Stripe, block, off int, p []
 			}
 			start = end
 		}
+	} else if hit {
+		// A one-round attempt lets every update settle instead of
+		// cancelling the rest at the first shortfall: when it fails,
+		// its rollback must know exactly what applied — a cancelled
+		// update's outcome is in doubt on a network transport — before
+		// the two-round write runs. A data node that refused fails it
+		// too, whatever the levels reached.
+		runUpdates(tasks, false)
+		for l := range levels {
+			if failLevel < 0 && levels[l].ok < levels[l].need {
+				failLevel = l
+			}
+		}
+		if failLevel < 0 && dataRefused {
+			failLevel = 0
+		}
 	} else {
 		runUpdates(tasks, true)
 	}
@@ -257,11 +357,20 @@ func (s *System) writeBlock(ctx context.Context, st Stripe, block, off int, p []
 	}
 	if failLevel >= 0 {
 		// Lines 35–37: FAIL.
-		s.metrics.FailedWrites.Add(1)
 		if !s.opts.DisableRollback {
 			s.rollback(st, block, applied, oldSum)
 		}
 		releaseAdjustments()
+		s.cache.dropStripe(stripe, s.code.K())
+		if hit {
+			// Neither a failed write nor a counted rollback: the
+			// fallback's outcome is what the caller sees and counts.
+			return errHitFailed
+		}
+		s.metrics.FailedWrites.Add(1)
+		if !s.opts.DisableRollback {
+			s.metrics.Rollbacks.Add(1)
+		}
 		cause := fmt.Errorf("%w: level %d reached %d of %d", ErrWriteFailed, failLevel, levels[failLevel].ok, levels[failLevel].need)
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			cause = ctxErr
@@ -273,17 +382,32 @@ func (s *System) writeBlock(ctx context.Context, st Stripe, block, off int, p []
 	return nil
 }
 
+// refused reports a node that answered an update and turned it down:
+// its chunk is at another version, missing or rotten.
+func refused(err error) bool {
+	return errors.Is(err, client.ErrVersionMismatch) || errors.Is(err, client.ErrNotFound) || errors.Is(err, client.ErrCorrupt)
+}
+
+// rollbackBudget bounds a rollback's undo fan-out: a node that has not
+// answered within it is treated like one that crashed after its
+// update.
+const rollbackBudget = time.Second
+
 // rollback undoes the footprint of a failed write, best-effort: nodes
 // that crashed since their update keep the residue (the hazard the
 // test suite demonstrates with rollback disabled). The undo RPCs are
 // issued in parallel and run on a detached context — the cleanup must
-// proceed even when the write was aborted by the caller's context.
+// proceed even when the write was aborted by the caller's context —
+// bounded by rollbackBudget, so a node whose link swallows requests
+// leaves residue instead of holding the block's writer lock forever.
 // The undo also restores the cross-checksum record entry for the old
 // version — the failed write overwrote each touched node's opinion
 // with the new content's hash, and without the restore a later read at
 // the old version would find no opinions to verify against.
 func (s *System) rollback(st Stripe, block int, applied []appliedUpdate, oldSum client.BlockSum) {
-	ctx := context.Background()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	defer clock.Real{}.AfterFunc(rollbackBudget, cancel).Stop()
 	Fanout(ctx, s.opLimit(), len(applied), func(_ context.Context, i int) (struct{}, error) {
 		u := applied[i]
 		id := chunkID(st.ID, u.shard)
@@ -301,5 +425,4 @@ func (s *System) rollback(st Stripe, block int, applied []appliedUpdate, oldSum 
 		_ = s.node(st, u.shard).CompareAndAdd(ctx, id, s.versionSlot(block, u.shard), u.newVersion, u.oldVersion, u.delta, oldSum)
 		return struct{}{}, nil
 	}, func(int, struct{}, error) bool { return true })
-	s.metrics.Rollbacks.Add(1)
 }

@@ -7,8 +7,8 @@
 // is what the closed forms describe. The protocol estimator drives the
 // real core.System on a simulated cluster, measuring what the
 // implementation actually achieves, including effects the formulas
-// idealise away (the initial read inside Algorithm 1, the version
-// check before decoding).
+// idealise away (the initial read inside Algorithm 1 on a cold block,
+// the version check before decoding).
 package montecarlo
 
 import (

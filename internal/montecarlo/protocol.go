@@ -104,9 +104,13 @@ func (pe *ProtocolEstimator) EstimateRead(ctx context.Context, p float64, trials
 // availability p, repairing stale shards between trials so every trial
 // starts from the fully consistent state the paper's iid model assumes
 // (a node that misses a delta while down stays version-stale and
-// rejects all later deltas until repaired). It still includes
-// Algorithm 1's initial read, which equation (8) does not model;
-// `trapbench sim -p 0.5` prints the resulting gap next to eq. 8.
+// rejects all later deltas until repaired). Its writes still pay
+// Algorithm 1's initial read, which equation (8) does not model: the
+// inter-trial repair, like a failed write, drops what the system's
+// block cache held of the stripe, so a trial finds its block warm —
+// and writes in one round — only after a successful write with every
+// node up. `trapbench sim -p 0.5` prints the resulting gap next to
+// eq. 8.
 func (pe *ProtocolEstimator) EstimateWrite(ctx context.Context, p float64, trials int, seed int64) (Result, error) {
 	return pe.estimateWrite(ctx, p, trials, seed, true)
 }

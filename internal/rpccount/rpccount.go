@@ -1,6 +1,7 @@
 // Package rpccount is the test harness behind the count tables: a
 // counting client in front of every node counts the RPCs a coordinator
-// issues, by node and kind, and the payload bytes PutChunk carries,
+// issues, by node and kind, and the chunk payload bytes PutChunk and
+// CompareAndPut carry,
 // and holds each RPC for Hold before passing it on (or until its
 // context ends). The hold makes every RPC of one fan-out overlap every
 // other whatever the scheduler does, so a round — one disjoint piece
@@ -33,11 +34,12 @@ const (
 	PutChunk
 	CompareAndAdd
 	DeleteChunk
-	Other // PutChunkIfFresher, CompareAndPut
+	CompareAndPut
+	Other // PutChunkIfFresher
 	Kinds
 )
 
-var names = [Kinds]string{"ReadChunk", "ReadVersions", "PutChunk", "CompareAndAdd", "DeleteChunk", "other"}
+var names = [Kinds]string{"ReadChunk", "ReadVersions", "PutChunk", "CompareAndAdd", "DeleteChunk", "CompareAndPut", "other"}
 
 // Counts is a number of RPCs per kind.
 type Counts [Kinds]int
@@ -112,7 +114,8 @@ func (l *Log) Total() Counts {
 	return total
 }
 
-// PutBytes returns the chunk payload bytes PutChunk carried.
+// PutBytes returns the chunk payload bytes PutChunk and CompareAndPut
+// carried.
 func (l *Log) PutBytes() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -192,7 +195,10 @@ func (c *node) PutChunkIfFresher(ctx context.Context, id client.ChunkID, data []
 }
 
 func (c *node) CompareAndPut(ctx context.Context, id client.ChunkID, slot int, expect, next uint64, data []byte, sum ...client.BlockSum) error {
-	defer c.log.begin(c.node, Other)()
+	defer c.log.begin(c.node, CompareAndPut)()
+	c.log.mu.Lock()
+	c.log.putBytes += len(data)
+	c.log.mu.Unlock()
 	if err := hold(ctx); err != nil {
 		return err
 	}

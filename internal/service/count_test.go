@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"trapquorum/internal/core"
 	"trapquorum/internal/rpccount"
 	"trapquorum/internal/sim"
 	"trapquorum/internal/trapezoid"
@@ -22,7 +23,9 @@ func align64(x int) int { return (x + 63) / 64 * 64 }
 // a formula in n, k, the block size BS and the object size: a stripe
 // holding r < k·BS bytes stores n chunks of align64(⌈r/k⌉) bytes (eq.
 // 15's n/k, up to the 64-byte alignment), a WriteAt costs two rounds
-// per block it touches, aligned or not, and a PutReader of s stripes
+// per block it touches, aligned or not, on a cold block cache, and one
+// round when the store committed the block last — three when another
+// coordinator wrote it behind the cache — and a PutReader of s stripes
 // seeds them seedWindow (W) at a time: ⌈s/W⌉ rounds, each stripe's n
 // PutChunks in the wave of its window. A node repair reads n−1
 // survivors and installs one chunk per stripe the fleet holds, whoever
@@ -96,14 +99,54 @@ func TestServiceCountTable(t *testing.T) {
 			}
 		}
 
+		// cold empties the block caches of key's stripes: a WriteAt
+		// pays Algorithm 1's line-15 read.
+		cold := func(key string) func() error {
+			return func() error {
+				ids, err := store.StripesOf(key)
+				for _, id := range ids {
+					_, sys, serr := store.Fleet().Stripe(id)
+					if serr != nil {
+						return serr
+					}
+					sys.Forget(id)
+				}
+				return err
+			}
+		}
+		// writtenBehind has a second coordinator over the same nodes
+		// write the block holding offset of key, with bytes the oracle
+		// never sees: the store's cache entry for it goes stale.
+		writtenBehind := func(key string, offset int) func() error {
+			return func() error {
+				ids, err := store.StripesOf(key)
+				if err != nil {
+					return err
+				}
+				id := ids[offset/(k*bs)]
+				st, sys, err := store.Fleet().Stripe(id)
+				if err != nil {
+					return err
+				}
+				other, err := core.NewSystem(sys.Code(), sys.Layout().Config(), clientsOf(cluster), core.Options{})
+				if err != nil {
+					return err
+				}
+				return other.WriteBlock(ctx, st, offset%(k*bs)/bs, bytes.Repeat([]byte{0x77}, bs))
+			}
+		}
+
 		rows := []struct {
 			name   string
 			before func() error // uncounted set-up
 			op     func() error
+			check  func() error // uncounted, after the op
 			rpcs   rpccount.Counts
 			rounds int
 			merge  bool // waves may overlap: 1..rounds
-			stored int  // chunk payload bytes PutChunk carried
+			stored int  // chunk payload bytes PutChunk and CompareAndPut carried
+			// For writes, the one-round and fallback counters' moves.
+			oneRound, fallbacks int64
 		}{
 			{
 				name:   "Put, one stripe",
@@ -153,23 +196,63 @@ func TestServiceCountTable(t *testing.T) {
 				rounds: s,
 			},
 			{
-				// A whole block of a full stripe: Algorithm 1's line-15
-				// read, then every position's update.
+				// A whole block of a full stripe, cold: Algorithm 1's
+				// line-15 read, then every position's update.
 				name:   "WriteAt, aligned block",
+				before: cold("big"),
 				op:     writeAtChecked(ctx, store, "big", oracle, k*bs+bs, bs),
 				rpcs:   rpccount.Counts{rpccount.ReadChunk: 1, rpccount.ReadVersions: n - k, rpccount.PutChunk: 1, rpccount.CompareAndAdd: n - k},
 				rounds: 2, stored: bs,
 			},
 			{
+				// The write above left the block in the cache: no
+				// line-15 read, the data node's put conditional.
+				name:   "WriteAt, aligned block, warm",
+				op:     writeAtChecked(ctx, store, "big", oracle, k*bs+bs, bs),
+				rpcs:   rpccount.Counts{rpccount.CompareAndPut: 1, rpccount.CompareAndAdd: n - k},
+				rounds: 1, stored: bs,
+				oneRound: 1,
+			},
+			{
+				// Another coordinator wrote the block behind the cache:
+				// every node refuses the one-round attempt, and the write
+				// falls back to the two-round one. The stripe scrubs
+				// healthy after it, and the object reads what the
+				// oracle holds: no node is left at an aliased version.
+				name:   "WriteAt, aligned block, stale entry",
+				before: writtenBehind("big", k*bs+bs),
+				op:     writeAtChecked(ctx, store, "big", oracle, k*bs+bs, bs),
+				check: func() error {
+					reps, err := store.Scrub(ctx, "big")
+					for _, rep := range reps {
+						if err == nil && !rep.Healthy {
+							err = fmt.Errorf("stripe %d unhealthy after the fallback: %v", rep.Stripe, rep)
+						}
+					}
+					if err != nil {
+						return err
+					}
+					return getChecked(ctx, store, "big", oracle)()
+				},
+				rpcs: rpccount.Counts{
+					rpccount.CompareAndPut: 1, rpccount.CompareAndAdd: 2 * (n - k),
+					rpccount.ReadChunk: 1, rpccount.ReadVersions: n - k, rpccount.PutChunk: 1,
+				},
+				rounds: 3, stored: 2 * bs,
+				fallbacks: 1,
+			},
+			{
 				// The patch happens under the block lock, on the bytes
 				// the line-15 read returned: no read of its own.
 				name:   "WriteAt, unaligned in the last stripe",
+				before: cold("small"),
 				op:     writeAtChecked(ctx, store, "small", oracle, smallBS+5, 100),
 				rpcs:   rpccount.Counts{rpccount.ReadChunk: 1, rpccount.ReadVersions: n - k, rpccount.PutChunk: 1, rpccount.CompareAndAdd: n - k},
 				rounds: 2, stored: smallBS,
 			},
 			{
 				name:   "WriteAt, across a block boundary of the last stripe",
+				before: cold("big"),
 				op:     writeAtChecked(ctx, store, "big", oracle, (s-1)*k*bs+tailBS-10, 20),
 				rpcs:   rpccount.Counts{rpccount.ReadChunk: 2, rpccount.ReadVersions: 2 * (n - k), rpccount.PutChunk: 2, rpccount.CompareAndAdd: 2 * (n - k)},
 				rounds: 4, stored: 2 * tailBS,
@@ -249,6 +332,7 @@ func TestServiceCountTable(t *testing.T) {
 				// its quorum. That parity is left stale, so this row
 				// runs after the scrub.
 				name:   "WriteAt, aligned block, one parity node down",
+				before: cold("big"),
 				op:     down("big", k, writeAtChecked(ctx, store, "big", oracle, 0, bs)),
 				rpcs:   rpccount.Counts{rpccount.ReadChunk: 1, rpccount.ReadVersions: n - k, rpccount.PutChunk: 1, rpccount.CompareAndAdd: n - k},
 				rounds: 2, stored: bs,
@@ -284,11 +368,22 @@ func TestServiceCountTable(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				before := store.Fleet().Metrics()
 				log.Reset()
 				if err := row.op(); err != nil {
 					t.Fatal(err)
 				}
 				got, rounds, stored := log.Total(), log.Rounds(), log.PutBytes()
+				m := store.Fleet().Metrics()
+				if d := m.OneRoundWrites - before.OneRoundWrites; d != row.oneRound {
+					t.Errorf("one-round writes moved %d, want %d", d, row.oneRound)
+				}
+				if d := m.CacheFallbacks - before.CacheFallbacks; d != row.fallbacks {
+					t.Errorf("fallbacks moved %d, want %d", d, row.fallbacks)
+				}
+				if m.FailedWrites != before.FailedWrites {
+					t.Errorf("failed writes moved %d", m.FailedWrites-before.FailedWrites)
+				}
 				t.Logf("%-52s rounds %d  stored %6d B  %v", row.name, rounds, stored, got)
 				if got != row.rpcs {
 					t.Errorf("RPCs %v, want %v", got, row.rpcs)
@@ -298,6 +393,11 @@ func TestServiceCountTable(t *testing.T) {
 				}
 				if stored != row.stored {
 					t.Errorf("stored %d payload bytes, want %d", stored, row.stored)
+				}
+				if row.check != nil {
+					if err := row.check(); err != nil {
+						t.Error(err)
+					}
 				}
 			})
 		}

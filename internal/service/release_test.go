@@ -95,3 +95,31 @@ func TestInstancesReleasedAcrossReconfigure(t *testing.T) {
 		t.Fatalf("%d live stripes for %d objects", stripes, objects)
 	}
 }
+
+// TestBlockCacheReleasedWithChunks: removing an object's chunks drops
+// what the protocol instance cached of its stripes, so a deleted
+// object holds no block-cache bytes — after the seed filled the cache
+// and after a write refilled it.
+func TestBlockCacheReleasedWithChunks(t *testing.T) {
+	store, _ := newTestStore(t)
+	f := store.fleet
+	ctx := context.Background()
+	if err := store.Put(ctx, "obj", make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if f.CachedBytes() == 0 {
+		t.Fatal("the seed cached nothing")
+	}
+	if err := store.WriteAt(ctx, "obj", 10, []byte("patch")); err != nil {
+		t.Fatal(err)
+	}
+	if m := f.Metrics(); m.OneRoundWrites != 1 {
+		t.Fatalf("the write after the seed was not one round: %+v", m)
+	}
+	if err := store.Delete(ctx, "obj"); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.CachedBytes(); got != 0 {
+		t.Fatalf("%d block-cache bytes outlive the deleted object", got)
+	}
+}

@@ -55,6 +55,7 @@ import (
 
 	"trapquorum/client"
 	"trapquorum/internal/core"
+	"trapquorum/internal/dispatch"
 	"trapquorum/internal/repairsched"
 	"trapquorum/internal/trapezoid"
 	"trapquorum/placement"
@@ -423,6 +424,28 @@ func (f *Fleet) lockObject(tenant, key string, exclusive bool) (unlock func()) {
 	}
 }
 
+// HeldLocks returns the entries of the object lock table and of every
+// epoch's block-lock table: both 0 whenever no operation is in flight.
+func (f *Fleet) HeldLocks() (objects, blocks int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, ec := range f.cat.epochs {
+		blocks += ec.sys.LockedBlocks()
+	}
+	return len(f.locks), blocks
+}
+
+// CachedBytes returns the pooled bytes every epoch's block cache holds.
+func (f *Fleet) CachedBytes() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	total := 0
+	for _, ec := range f.cat.epochs {
+		total += ec.sys.CachedBytes()
+	}
+	return total
+}
+
 // placeStripe allocates the next stripe id and places a stripe of the
 // given block size in epoch ec. The stripe stays out of the stripe
 // table until its object commits.
@@ -495,7 +518,8 @@ const removalFrame = 256
 // distinct nodes. The tasks fan out under the sweep bound, so the call
 // costs the slowest node, not the sum over nodes; the order in which
 // chunks disappear is unspecified. A failed request counts every one
-// of its ids. Every removal has settled when it returns.
+// of its ids. Every removal has settled, and the protocol instances
+// have forgotten the stripes' cached blocks, when it returns.
 func (f *Fleet) dropStripes(set []core.Stripe) (orphaned int) {
 	type removal struct {
 		node core.NodeClient
@@ -503,6 +527,10 @@ func (f *Fleet) dropStripes(set []core.Stripe) (orphaned int) {
 	}
 	var tasks []removal
 	f.mu.Lock()
+	systems := make([]*core.System, 0, len(f.cat.epochs))
+	for _, ec := range f.cat.epochs {
+		systems = append(systems, ec.sys)
+	}
 	batched := make([][]client.ChunkID, len(f.nodes))
 	for _, st := range set {
 		for shard, node := range st.Nodes {
@@ -522,6 +550,19 @@ func (f *Fleet) dropStripes(set []core.Stripe) (orphaned int) {
 		}
 	}
 	f.mu.Unlock()
+	// Beside the removals, whichever epoch's protocol instance placed
+	// each stripe (stripe ids are fleet-wide) forgets the blocks it
+	// cached: cold map lookups, which the removals' round hides.
+	forgot := make(chan struct{})
+	dispatch.Go(func() {
+		defer close(forgot)
+		for _, sys := range systems {
+			for _, st := range set {
+				sys.Forget(st.ID)
+			}
+		}
+	})
+	defer func() { <-forgot }()
 	core.Fanout(context.Background(), core.BulkLimit(f.cfg.Concurrency), len(tasks),
 		func(ctx context.Context, i int) (struct{}, error) {
 			t := tasks[i]

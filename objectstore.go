@@ -90,8 +90,9 @@ func (s *ObjectStore) ReadAt(ctx context.Context, key string, offset, length int
 // Writes cannot extend the object (ErrBadRange).
 //
 // Each block update is an atomic quorum write that patches only the
-// bytes in range, under the block's writer lock, onto the content the
-// write's own quorum read returned: WriteAt calls on disjoint byte
+// bytes in range, under the block's writer lock, onto the block's
+// current content — what the store last committed for it, else what
+// the write's own quorum read returned: WriteAt calls on disjoint byte
 // ranges never lose each other's bytes, even within one block. A
 // multi-block span is not a transaction, and calls overlapping on the
 // same bytes apply in some order, the last writer winning per block.

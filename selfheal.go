@@ -312,14 +312,16 @@ func (h *healer) fold(m *Metrics) {
 // Metrics shape (the self-heal counters are folded in separately).
 func metricsFromCore(m core.MetricsSnapshot) Metrics {
 	return Metrics{
-		Writes:        m.Writes,
-		FailedWrites:  m.FailedWrites,
-		DirectReads:   m.DirectReads,
-		DecodeReads:   m.DecodeReads,
-		FailedReads:   m.FailedReads,
-		Rollbacks:     m.Rollbacks,
-		Repairs:       m.Repairs,
-		HedgedRPCs:    m.HedgedRPCs,
-		CorruptShards: m.CorruptShards,
+		Writes:         m.Writes,
+		FailedWrites:   m.FailedWrites,
+		DirectReads:    m.DirectReads,
+		DecodeReads:    m.DecodeReads,
+		FailedReads:    m.FailedReads,
+		Rollbacks:      m.Rollbacks,
+		Repairs:        m.Repairs,
+		HedgedRPCs:     m.HedgedRPCs,
+		CorruptShards:  m.CorruptShards,
+		OneRoundWrites: m.OneRoundWrites,
+		CacheFallbacks: m.CacheFallbacks,
 	}
 }

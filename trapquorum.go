@@ -151,6 +151,16 @@ type Metrics struct {
 	// answering ErrCorrupt. One shard caught by several paths counts
 	// once per observation.
 	CorruptShards int64
+	// OneRoundWrites counts committed writes that skipped Algorithm 1's
+	// initial read: the coordinator had committed the block last and
+	// still held what it wrote.
+	OneRoundWrites int64
+	// CacheFallbacks counts one-round write attempts that failed — the
+	// block had moved on behind the coordinator, or the quorum was
+	// short — and fell back to the read-then-update write. A fallback
+	// is not a failed write: the fallback's outcome counts in Writes or
+	// FailedWrites.
+	CacheFallbacks int64
 
 	// Probes counts liveness probes issued by the health monitor.
 	Probes int64
