@@ -45,31 +45,27 @@
 // data mutation; the protocol's consistency argument depends on that
 // per-node atomicity.
 //
-// Every method takes a context.Context, and the engine leans on two
-// cancellation guarantees:
+// Every method takes a context.Context, and the engine leans on one
+// cancellation guarantee:
 //
 //   - Promptness: a backend must give up quickly when the context is
 //     cancelled or its deadline expires, returning the context's error
 //     (possibly wrapped). First-k reads cancel straggler RPCs and then
 //     wait for them to settle, so a backend that ignores cancellation
 //     re-introduces the straggler latency the engine exists to remove.
-//   - All-or-nothing reporting: an operation that fails with a context
-//     error must have left the node state unchanged. An operation that
-//     was cancelled *after* taking effect must report its real outcome
-//     (success or a non-context error), like an RPC already on the
-//     wire. The write path's rollback decides what to undo from
-//     exactly this distinction.
 //
-// The in-process simulator meets the all-or-nothing rule exactly. A
-// networked backend cannot: once a request has reached the wire, a
-// cancellation races the node's apply, and the client must report the
-// context error without knowing whether the mutation landed. The
-// protocol absorbs this the same way it absorbs a crash between a
-// write's sub-operations — the rollback may skip an applied update,
-// leaving residue that version vectors classify as stale-or-ahead and
-// that RepairStripe/Scrub reconcile. Deployments that cancel writes
-// mid-flight should scrub, exactly as they should after client
-// crashes.
+// A context error says nothing about the node's state: once a request
+// has reached the wire, a cancellation races the node's apply, and the
+// client reports the context error without knowing whether the
+// mutation landed. Any other transport error is just as uncertain. The
+// protocol treats such an outcome as in doubt, never as "unchanged": a
+// failed write sends every update it cannot rule out a version-guarded
+// undo, which a node that never applied the update refuses as a version
+// mismatch. Only a node's own answer — success, ErrVersionMismatch,
+// ErrNotFound, ErrCorrupt — is definite. What the undo cannot reach (a
+// crashed node, an update still queued behind its own undo) stays as
+// residue that version vectors classify as stale-or-ahead and that
+// RepairStripe/Scrub reconcile.
 //
 // Hedging only ever duplicates read-only RPCs (ReadChunk,
 // ReadVersions), so a backend needs no idempotency beyond what the

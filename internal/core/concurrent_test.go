@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -222,10 +223,62 @@ func TestRollbackBoundedWhenALinkStartsLosingRequests(t *testing.T) {
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("want DeadlineExceeded, got %v", err)
 		}
-	case <-time.After(rollbackBudget + 5*time.Second):
+	case <-time.After(UnwindBudget + 5*time.Second):
 		t.Fatal("the write is still blocked on its rollback")
 	}
 	ts.cluster.SetLinkFault(0, sim.LinkFault{}, 0)
+}
+
+// TestInDoubtUpdateIsUndone: level-0 parity shard 8's link loses every
+// response, so its update lands while the writer sees only its own
+// deadline, and three of level 1's five nodes are down, so the write
+// fails. The update at shard 8 is in doubt, and the rollback undoes it
+// as it undoes the applied ones: on the two-round path and on the
+// one-round one, every shard is left with its pre-write bytes and
+// version vector.
+func TestInDoubtUpdateIsUndone(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		name := map[bool]string{false: "cold", true: "warm"}[warm]
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			ts := fig3System(t, Options{})
+			ts.seed(t, 1, 64)
+			if !warm {
+				ts.sys.Forget(1)
+			}
+			before := readAllShards(t, ts, 1)
+			// Block 3's level 0 is shards {3, 8, 9}; level 1 is shards
+			// 10..14, and w = 3.
+			ts.cluster.SetLinkFault(8, sim.LinkFault{RespLoss: 1}, 1)
+			for shard := 10; shard <= 12; shard++ {
+				ts.cluster.Crash(shard)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			err := ts.sys.WriteBlock(ctx, ts.stripe(1), 3, bytes.Repeat([]byte{0xAB}, 64))
+			if err == nil {
+				t.Fatal("the write succeeded with level 1 short")
+			}
+			t.Logf("failed write took %v: %v", time.Since(start), err)
+			ts.cluster.HealAllLinks()
+			ts.cluster.RestartAll()
+			after := readAllShards(t, ts, 1)
+			for shard := range before {
+				if !bytes.Equal(before[shard].Data, after[shard].Data) {
+					t.Errorf("shard %d bytes changed after the failed write", shard)
+				}
+				if fmt.Sprint(before[shard].Versions) != fmt.Sprint(after[shard].Versions) {
+					t.Errorf("shard %d at versions %v after the failed write, %v before",
+						shard, after[shard].Versions, before[shard].Versions)
+				}
+			}
+			m := ts.sys.Metrics()
+			if m.Writes != 0 || m.FailedWrites != 1 || m.Rollbacks != 1 {
+				t.Fatalf("metrics after the failed write: %+v", m)
+			}
+		})
+	}
 }
 
 // readAllShards snapshots every shard of a stripe directly from the

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -67,6 +68,9 @@ func TestRPCCountTable(t *testing.T) {
 			rounds                int
 			// For writes, the one-round and fallback counters' moves.
 			oneRound, fallbacks int64
+			// fails marks a write that must fail with ErrWriteFailed,
+			// moving the failed-write and rollback counters by one.
+			fails bool
 		}{
 			{
 				name: "healthy ReadStripe of every block", first: 0, j: k,
@@ -178,6 +182,24 @@ func TestRPCCountTable(t *testing.T) {
 				parity: rpccount.Counts{rpccount.ReadVersions: n - k, rpccount.CompareAndAdd: n - k},
 				rounds: 2,
 			},
+			{
+				// Level 1 one node short of w: its first node is down,
+				// so that update is in doubt, and the others of the
+				// shortfall have lost the chunk, so they refuse. Every
+				// update settles, then the rollback undoes the applied
+				// and the in-doubt ones, the refused ones not: a third
+				// round, of every update but the s_1 − w refusals.
+				name: "WriteBlock, level 1 short, cold", first: 2, j: 1,
+				prep: levelOneShort(2),
+				op: func(ts *testSystem, _ [][]byte) error {
+					return ts.sys.WriteBlock(ctx, ts.stripe(1), 2, x)
+				},
+				target: rpccount.Counts{rpccount.ReadChunk: 1, rpccount.PutChunk: 1, rpccount.CompareAndPut: 1},
+				parity: rpccount.Counts{rpccount.ReadVersions: n - k,
+					rpccount.CompareAndAdd: 2*(n-k) - (cfg.shape.LevelSize(1) - cfg.w)},
+				rounds: 3,
+				fails:  true,
+			},
 		}
 		for _, row := range rows {
 			t.Run(fmt.Sprintf("n%d.k%d/%s", n, k, row.name), func(t *testing.T) {
@@ -193,7 +215,14 @@ func TestRPCCountTable(t *testing.T) {
 				}
 				before := ts.sys.Metrics()
 				log.Reset()
-				if err := row.op(ts, data); err != nil {
+				err := row.op(ts, data)
+				var failed int64
+				if row.fails {
+					if !errors.Is(err, ErrWriteFailed) {
+						t.Fatalf("want a failed write, got %v", err)
+					}
+					failed = 1
+				} else if err != nil {
 					t.Fatal(err)
 				}
 				m := ts.sys.Metrics()
@@ -203,8 +232,11 @@ func TestRPCCountTable(t *testing.T) {
 				if got := m.CacheFallbacks - before.CacheFallbacks; got != row.fallbacks {
 					t.Errorf("fallbacks moved %d, want %d", got, row.fallbacks)
 				}
-				if m.FailedWrites != before.FailedWrites {
-					t.Errorf("failed writes moved %d", m.FailedWrites-before.FailedWrites)
+				if got := m.FailedWrites - before.FailedWrites; got != failed {
+					t.Errorf("failed writes moved %d, want %d", got, failed)
+				}
+				if got := m.Rollbacks - before.Rollbacks; got != failed {
+					t.Errorf("rollbacks moved %d, want %d", got, failed)
 				}
 				var target, other, parity rpccount.Counts
 				for node, calls := range log.Calls() {
@@ -244,6 +276,28 @@ func TestRPCCountTable(t *testing.T) {
 func cold(ts *testSystem) error {
 	ts.sys.Forget(1)
 	return nil
+}
+
+// levelOneShort empties the block cache of stripe 1 and leaves level 1
+// of block one node short of its write quorum: the first node of the
+// shortfall is down, and the others have lost their chunk of stripe 1.
+func levelOneShort(block int) func(*testSystem) error {
+	return func(ts *testSystem) error {
+		ts.sys.Forget(1)
+		lay := ts.sys.Layout()
+		level := lay.Level(1)
+		for i, pos := range level[:len(level)-lay.Config().W[1]+1] {
+			shard := ts.sys.shardForPosition(block, pos)
+			if i == 0 {
+				ts.cluster.Crash(shard)
+				continue
+			}
+			if err := ts.shardNode(shard).DeleteChunk(context.Background(), chunkID(1, shard)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // writtenBehind has a second coordinator over the same nodes write

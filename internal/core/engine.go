@@ -22,11 +22,30 @@ import (
 // Fanout issues calls 0..n-1 concurrently. See dispatch.Fanout for the
 // contract: bounded in-flight RPCs, completion-order observation, early
 // termination ("first-k") on observe returning false, and
-// settle-before-return — an RPC that settles with a context error has
-// left the node unchanged, the property the write path's rollback
-// bookkeeping depends on.
+// settle-before-return — every call has ended, and no RPC of the
+// fan-out is still running, when it returns.
 func Fanout[T any](ctx context.Context, limit, n int, call func(context.Context, int) (T, error), observe func(idx int, val T, err error) bool) {
 	dispatch.Fanout(ctx, limit, n, call, observe)
+}
+
+// UnwindBudget bounds an unwind: a node that has not answered within
+// it is treated like one that crashed before the unwind reached it.
+const UnwindBudget = time.Second
+
+// Unwind returns the one context every unwind runs on — a failed
+// write's rollback, and the chunk removal behind a Delete, a failed
+// seed's cleanup and a cut-over's drop — and the function that ends it
+// once the unwind's fan-out has settled. It is detached from the
+// caller's context, which may be dead by then, and cancelled after
+// UnwindBudget, so a node whose link swallows requests costs the budget
+// instead of blocking the unwind forever.
+func Unwind() (ctx context.Context, stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	t := clock.Real{}.AfterFunc(UnwindBudget, cancel)
+	return ctx, func() {
+		t.Stop()
+		cancel()
+	}
 }
 
 // HedgeConfig enables tail-latency hedging of read-path RPCs: a

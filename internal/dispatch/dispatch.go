@@ -83,9 +83,8 @@ type outcome[T any] struct {
 // Fanout returns only after all n outcomes have been observed. observe
 // keeps being invoked for late-settling calls after an early stop —
 // its return value is simply ignored from then on — so callers that
-// track side effects (the write path's applied-update log) see every
-// call that actually took effect, even ones that raced the
-// cancellation.
+// track side effects see every call's outcome, even ones that raced
+// the cancellation.
 func Fanout[T any](ctx context.Context, limit, n int, call func(context.Context, int) (T, error), observe func(idx int, val T, err error) bool) {
 	if n <= 0 {
 		return

@@ -135,12 +135,13 @@ type Metrics struct {
 // concurrent use; operations serialise on an internal lock, giving the
 // per-node atomicity the protocol's conditional updates require.
 //
-// Context handling follows the client contract's all-or-nothing rule
-// the way a local call can: an engine operation whose context is
-// already cancelled on entry fails with the context's error and leaves
-// the store untouched; once an operation starts it runs to completion
-// and reports its real outcome. Transports layer their own
-// cancellation windows (latency injection, sockets) on top.
+// Context handling: an engine operation whose context is already
+// cancelled on entry fails with the context's error and leaves the
+// store untouched; once an operation starts it runs to completion and
+// reports its real outcome. Transports layer their own cancellation
+// windows (latency injection, sockets) on top, after which a context
+// error no longer says whether the operation applied (the client
+// contract calls that outcome in doubt).
 type Engine struct {
 	name       string
 	mu         sync.Mutex

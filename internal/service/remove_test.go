@@ -279,6 +279,51 @@ func TestDeleteWithNodeDownCountsOrphans(t *testing.T) {
 	}
 }
 
+// TestDeleteRemovalIsBounded: one node's link swallows every request,
+// so its removals never answer. Delete still returns within the unwind
+// budget, whatever its own context allows, with the key gone and every
+// chunk of the silent node counted as an orphan.
+func TestDeleteRemovalIsBounded(t *testing.T) {
+	const stripes, silent = 3, 4
+	store, cluster, _ := newProbedStore(t, removeNodes, 0)
+	if err := store.Put(context.Background(), "obj", stripesOfBytes(stripes)); err != nil {
+		t.Fatal(err)
+	}
+	held := chunkCounts(t, cluster)[silent]
+	cluster.SetLinkFault(silent, sim.LinkFault{ReqLoss: 1}, 1)
+	const wait = 200 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), wait)
+	defer cancel()
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- store.Delete(ctx, "obj") }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("delete with a silent node: %v", err)
+		}
+	case <-time.After(wait + core.UnwindBudget + 2*time.Second):
+		t.Fatalf("Delete still blocked %v after it began", time.Since(start))
+	}
+	t.Logf("Delete returned after %v", time.Since(start))
+	if keys := store.Keys(); len(keys) != 0 {
+		t.Fatalf("keys %v after the delete", keys)
+	}
+	if got := store.TenantMetrics().ChunksOrphaned; got != int64(held) {
+		t.Fatalf("ChunksOrphaned = %d, want the silent node's %d chunks", got, held)
+	}
+	cluster.SetLinkFault(silent, sim.LinkFault{}, 0)
+	for j, n := range chunkCounts(t, cluster) {
+		want := 0
+		if j == silent {
+			want = held
+		}
+		if n != want {
+			t.Errorf("node %d holds %d chunks, want %d", j, n, want)
+		}
+	}
+}
+
 // removalLog records, by node, the removals a fleet sent: single
 // DeleteChunk calls, and the id count of every DeleteChunks request.
 type removalLog struct {

@@ -507,11 +507,13 @@ func (f *Fleet) Stripe(id uint64) (core.Stripe, *core.System, error) {
 const removalFrame = 256
 
 // dropStripes removes every chunk of the given stripes from its placed
-// node and returns how many removals failed. Best-effort on a detached
-// context: the caller's may be dead, and since stripe ids are never
-// reused a chunk skipped here stays orphaned until its node is repaired
-// or re-placed. A node that implements client.ChunkRemover is sent all
-// of its chunks in one DeleteChunks request (per removalFrame ids),
+// node and returns how many removals failed or did not finish.
+// Best-effort on core's unwind context: detached, because the caller's
+// may be dead, and bounded by core.UnwindBudget, so a node whose link
+// swallows requests costs the budget, not forever. Since stripe ids are
+// never reused, a chunk skipped here stays orphaned until its node is
+// repaired or re-placed. A node that implements client.ChunkRemover is
+// sent all of its chunks in one DeleteChunks request (per removalFrame ids),
 // which it applies as one durable batch; a node that holds a single
 // chunk gets a plain DeleteChunk, and a node without the capability
 // one DeleteChunk per chunk, stripe-major so consecutive tasks land on
@@ -563,7 +565,9 @@ func (f *Fleet) dropStripes(set []core.Stripe) (orphaned int) {
 		}
 	})
 	defer func() { <-forgot }()
-	core.Fanout(context.Background(), core.BulkLimit(f.cfg.Concurrency), len(tasks),
+	ctx, stop := core.Unwind()
+	defer stop()
+	core.Fanout(ctx, core.BulkLimit(f.cfg.Concurrency), len(tasks),
 		func(ctx context.Context, i int) (struct{}, error) {
 			t := tasks[i]
 			if len(t.ids) == 1 {
@@ -804,8 +808,11 @@ func (s *Store) WriteAt(ctx context.Context, key string, offset int, p []byte) e
 // its chunks from the placed nodes (down nodes keep orphan chunks; a
 // later repair or re-placement overwrites them). The context gates
 // entry only: once the key is unregistered the chunk removal runs on
-// a detached context, because stripe ids are never reused and chunks
-// skipped on a dead context would be orphaned forever.
+// core's unwind context, because stripe ids are never reused and chunks
+// skipped on a dead context would be orphaned forever. That context is
+// bounded by core.UnwindBudget, so Delete returns within the budget of
+// its removal round; a removal it did not finish counts in
+// ChunksOrphaned.
 func (s *Store) Delete(ctx context.Context, key string) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -104,7 +104,9 @@ func (s *ObjectStore) WriteAt(ctx context.Context, key string, offset int, p []b
 }
 
 // Delete removes the object and best-effort deletes its chunks from
-// the placed nodes.
+// the placed nodes. ctx gates entry only; the removals are bounded on
+// their own: Delete waits about a second at most for them, and a chunk
+// whose node has not answered by then stays behind as an orphan.
 func (s *ObjectStore) Delete(ctx context.Context, key string) error {
 	return s.svc.Delete(ctx, key)
 }

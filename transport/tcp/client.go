@@ -66,12 +66,11 @@ type conn struct {
 // # Cancellation
 //
 // Deadlines map onto socket deadlines; a cancellation mid-flight
-// unblocks the socket immediately. One weakening of the in-process
-// contract is inherent to real networks: an operation cancelled after
-// the request reached the wire may or may not have taken effect on
-// the node — the client cannot know, and reports the context error.
-// See the client package's transport contract for how the protocol
-// layers (rollback, repair, scrub) absorb that ambiguity.
+// unblocks the socket immediately. An operation cancelled after the
+// request reached the wire may or may not have taken effect on the
+// node — the client cannot know, and reports the context error. The
+// client package's contract calls that outcome in doubt; see it for
+// how the protocol layers (rollback, repair, scrub) absorb it.
 type NodeClient struct {
 	addr        string
 	dialTimeout time.Duration
